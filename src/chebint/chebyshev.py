@@ -41,6 +41,25 @@ class ShapeDomainError(HypothesisError):
 # ---------------------------------------------------------------------------
 
 
+def _checked_eval(expr, var, x, name, domain):
+    """Evaluate expr at x after the domain check and the clamp to domain.
+
+    Floats are checked and clamped in plain Python (the clamp matches
+    ``np.clip``, signed zeros included); anything else goes through numpy.
+    """
+    lo, hi = domain
+    if type(x) is float:
+        if x < lo - _TOL or x > hi + _TOL:
+            raise ShapeDomainError(name, x, domain)
+        return eval_expr(expr, {var: float(lo) if x < lo else float(hi) if x > hi else x})
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < lo - _TOL) or np.any(arr > hi + _TOL):
+        bad = arr[(arr < lo - _TOL) | (arr > hi + _TOL)].flat[0]
+        raise ShapeDomainError(name, float(bad), domain)
+    clipped = np.clip(arr, lo, hi)
+    return eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
+
+
 @dataclass(frozen=True)
 class ShapeFunction:
     """A one-variable transform on [domain[0], domain[1]] with declared flags."""
@@ -57,26 +76,14 @@ class ShapeFunction:
     inverse_domain: tuple | None = None
 
     def apply(self, x):
-        lo, hi = self.domain
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < lo - _TOL) or np.any(arr > hi + _TOL):
-            bad = arr[(arr < lo - _TOL) | (arr > hi + _TOL)].flat[0]
-            raise ShapeDomainError(self.name, float(bad), self.domain)
-        clipped = np.clip(arr, lo, hi)
-        out = eval_expr(self.expr, {self.var: clipped if arr.ndim else float(clipped)})
-        return out
+        return _checked_eval(self.expr, self.var, x, self.name, self.domain)
 
     def apply_inverse(self, y):
         if self.inverse is None:
             raise HypothesisError(f"no inverse declared for shape function {self.name!r}")
         lo, hi = self.inverse_domain if self.inverse_domain else (
             float(self.apply(self.domain[0])), float(self.apply(self.domain[1])))
-        arr = np.asarray(y, dtype=float)
-        if np.any(arr < lo - _TOL) or np.any(arr > hi + _TOL):
-            bad = arr[(arr < lo - _TOL) | (arr > hi + _TOL)].flat[0]
-            raise ShapeDomainError(f"{self.name}^-1", float(bad), (lo, hi))
-        clipped = np.clip(arr, lo, hi)
-        return eval_expr(self.inverse, {self.var: clipped if arr.ndim else float(clipped)})
+        return _checked_eval(self.inverse, self.var, y, f"{self.name}^-1", (lo, hi))
 
     def validate_inverse(self, grid_step=0.01, tol=1e-9):
         """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x."""

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import FusionOp, apply_op, eval_op
+from .exprlang import EvalError
+from .fusion import FusionOp, apply_op, clip_args, eval_op
 from .integral import SimpleFunction
 from .measure import MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure
 
@@ -63,15 +64,47 @@ def is_comonotone(f: SimpleFunction, g: SimpleFunction, D: int) -> DependenceVer
 
 
 def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
-    """Pairs (c, d) in range(m)^2 whose triangle value leaves range(m)."""
+    """The lexicographically first (c, d, value) in range(m)^2 whose triangle
+    value leaves range(m), or None when the triangle stays inside it.
+
+    One array evaluation over range(m)^2; each value is tested against its
+    two neighbours in the sorted range.  The reported value is recomputed
+    with ``eval_op`` at the point.
+    """
     rng = m.value_range()
-    escapes = []
-    for c in rng:
-        for d in rng:
-            out = eval_op(tri, c, d)
-            if not any(abs(out - r) <= _TOL for r in rng):
-                escapes.append((c, d, out))
-    return escapes
+    clipped = clip_args(tri, rng)
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(apply_op(tri, clipped[:, None], clipped[None, :]), dtype=float)
+    except EvalError:
+        # Array evaluation can fail where pointwise evaluation does not (a
+        # piecewise branch sees every point); pointwise, the first bad pair raises.
+        out = np.array([[eval_op(tri, c, d) for d in rng] for c in rng])
+    values = np.asarray(rng, dtype=float)
+    right = np.searchsorted(values, out)
+    below = values[np.maximum(right - 1, 0)]
+    above = values[np.minimum(right, len(values) - 1)]
+    inside = (np.abs(out - below) <= _TOL) | (np.abs(out - above) <= _TOL)
+    escapes = np.flatnonzero(~inside)
+    if escapes.size == 0:
+        return None
+    i, j = divmod(int(escapes[0]), len(rng))
+    return rng[i], rng[j], eval_op(tri, rng[i], rng[j])
+
+
+def _range_escape_warnings(m: MonotoneMeasure, tri: FusionOp, allow: bool,
+                           with_value: bool = False) -> list:
+    """Warnings for a triangle that leaves range(m); raises unless allowed."""
+    escape = triangle_range_escapes(m, tri)
+    if escape is None:
+        return []
+    c, d, value = escape
+    msg = f"triangle {tri.name!r} leaves range(m) at (c,d)={(c, d)}"
+    if with_value:
+        msg += f" with value {value}"
+    if not allow:
+        raise RangeEscapeError(msg)
+    return [msg]
 
 
 def _level_grid(f: SimpleFunction, k: float):
@@ -89,14 +122,7 @@ def is_m_positively_dependent(q: DependenceQuery) -> DependenceVerdict:
     plus k when it exceeds the max value (the empty-level case).  The
     lexicographically first violating (alpha, beta) is the witness.
     """
-    warnings = []
-    escapes = triangle_range_escapes(q.m, q.triangle)
-    if escapes:
-        msg = (f"triangle {q.triangle.name!r} leaves range(m) at "
-               f"(c,d)={escapes[0][:2]} with value {escapes[0][2]}")
-        if not q.allow_range_escape:
-            raise RangeEscapeError(msg)
-        warnings.append(msg)
+    warnings = _range_escape_warnings(q.m, q.triangle, q.allow_range_escape, with_value=True)
     m, f, g = q.m, q.f, q.g
     for alpha in _level_grid(f, q.k):
         f_mask = f.level_mask(alpha) & q.A
@@ -115,13 +141,7 @@ def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
     """Exhaustive check of m(C & D) >= tri(m(C), m(D)) over all set pairs."""
     if m.space.n > MAX_SCAN_ATOMS:
         raise MeasureError(f"exhaustive pair scan refused for n > {MAX_SCAN_ATOMS} atoms")
-    warnings = []
-    escapes = triangle_range_escapes(m, tri)
-    if escapes:
-        msg = (f"triangle {tri.name!r} leaves range(m) at (c,d)={escapes[0][:2]}")
-        if not allow_range_escape:
-            raise RangeEscapeError(msg)
-        warnings.append(msg)
+    warnings = _range_escape_warnings(m, tri, allow_range_escape)
     masks = np.arange(1 << m.space.n)
     tab = np.asarray(m.table)
     inter = tab[masks[:, None] & masks[None, :]]
@@ -142,13 +162,7 @@ def condition_Z1(m: MonotoneMeasure, tri: FusionOp,
     with m(C)=c, m(D)=d and m(C & D) = tri(c, d)."""
     if m.space.n > MAX_SCAN_ATOMS:
         raise MeasureError(f"exhaustive realization search refused for n > {MAX_SCAN_ATOMS}")
-    warnings = []
-    escapes = triangle_range_escapes(m, tri)
-    if escapes:
-        msg = f"triangle {tri.name!r} leaves range(m) at (c,d)={escapes[0][:2]}"
-        if not allow_range_escape:
-            raise RangeEscapeError(msg)
-        warnings.append(msg)
+    warnings = _range_escape_warnings(m, tri, allow_range_escape)
     rng = m.value_range()
     tab = np.asarray(m.table)
     by_value = {c: np.flatnonzero(np.abs(tab - c) <= 1e-12) for c in rng}

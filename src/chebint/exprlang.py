@@ -79,42 +79,51 @@ class Interval:
         return f"{left}{_fmt_num(self.lo)},{_fmt_num(self.hi)}{right}"
 
 
+class _Node:
+    """Base of the AST nodes: the compiled evaluator is a cache, not state."""
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str  # sqrt | abs | pos | min | max
     args: tuple
 
 
 @dataclass(frozen=True)
-class Ind:
+class Ind(_Node):
     interval: Interval
     arg: "Expr"
 
 
 @dataclass(frozen=True)
-class Piecewise:
+class Piecewise(_Node):
     pieces: tuple  # of (Interval, Expr)
     var: str | None = None
 
@@ -361,57 +370,130 @@ def free_vars(e: Expr) -> frozenset:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _ev(e: Expr, bindings: dict):
+def compile_expr(e: Expr):
+    """Return the evaluator of e: a closure mapping a bindings dict to a value.
+
+    The closure is built on first use and kept on the node itself, so each
+    expression is walked once however often it is evaluated.  Plain-float
+    bindings take float arithmetic; any other value takes the numpy path.
+    """
+    try:
+        return e._compiled
+    except AttributeError:
+        fn = _compile(e)
+        object.__setattr__(e, "_compiled", fn)
+        return fn
+
+
+def _compile(e: Expr):
     if isinstance(e, Num):
-        return e.value
+        value = e.value
+        return lambda bindings: value
     if isinstance(e, Var):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}") from None
+        name = e.name
+
+        def var(bindings):
+            try:
+                return bindings[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+        return var
     if isinstance(e, Neg):
-        return -_ev(e.arg, bindings)
+        arg = _compile(e.arg)
+        return lambda bindings: -arg(bindings)
     if isinstance(e, Bin):
-        left = _ev(e.left, bindings)
-        right = _ev(e.right, bindings)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            with np.errstate(invalid="ignore"):
-                return left - right
-        if e.op == "*":
-            return xmul(left, right)
-        if e.op == "/":
-            if np.any(np.asarray(right) == 0.0):
-                raise EvalError("division by zero")
-            return left / right
-        if e.op == "^":
-            with np.errstate(invalid="ignore"):
-                return np.power(left, right) if not (np.isscalar(left) and np.isscalar(right)) else left**right
-        raise EvalError(f"unknown operator {e.op!r}")
+        return _compile_bin(e.op, _compile(e.left), _compile(e.right))
     if isinstance(e, Call):
-        vals = [_ev(a, bindings) for a in e.args]
-        if e.fn == "sqrt":
-            if np.any(np.asarray(vals[0]) < 0):
-                raise EvalError("sqrt of a negative value")
-            return np.sqrt(vals[0]) if not np.isscalar(vals[0]) else vals[0] ** 0.5
-        if e.fn == "abs":
-            return np.abs(vals[0]) if not np.isscalar(vals[0]) else abs(vals[0])
-        if e.fn == "pos":
-            return np.maximum(vals[0], 0.0) if not np.isscalar(vals[0]) else max(vals[0], 0.0)
-        if e.fn == "min":
-            return np.minimum(vals[0], vals[1]) if not (np.isscalar(vals[0]) and np.isscalar(vals[1])) else min(vals)
-        if e.fn == "max":
-            return np.maximum(vals[0], vals[1]) if not (np.isscalar(vals[0]) and np.isscalar(vals[1])) else max(vals)
-        raise EvalError(f"unknown function {e.fn!r}")
+        return _compile_call(e.fn, [_compile(a) for a in e.args])
     if isinstance(e, Ind):
-        v = _ev(e.arg, bindings)
-        hit = e.interval.contains(v)
-        if np.isscalar(hit) or isinstance(hit, (bool, np.bool_)):
+        return _compile_ind(e.interval, _compile(e.arg))
+    if isinstance(e, Piecewise):
+        return _compile_piecewise(e.var, [(iv, _compile(sub)) for iv, sub in e.pieces])
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _compile_bin(op, left, right):
+    if op == "+":
+        return lambda bindings: left(bindings) + right(bindings)
+    if op == "-":
+        def sub(bindings):
+            x, y = left(bindings), right(bindings)
+            if type(x) is float and type(y) is float:
+                return x - y
+            with np.errstate(invalid="ignore"):
+                return x - y
+        return sub
+    if op == "*":
+        def mul(bindings):
+            x, y = left(bindings), right(bindings)
+            if type(x) is float and type(y) is float:
+                return 0.0 if x == 0.0 or y == 0.0 else x * y
+            return xmul(x, y)
+        return mul
+    if op == "/":
+        def div(bindings):
+            x, y = left(bindings), right(bindings)
+            zero = y == 0.0 if type(y) is float else np.any(np.asarray(y) == 0.0)
+            if zero:
+                raise EvalError("division by zero")
+            return x / y
+        return div
+    if op == "^":
+        def power(bindings):
+            x, y = left(bindings), right(bindings)
+            if type(x) is float and type(y) is float:
+                return x**y
+            with np.errstate(invalid="ignore"):
+                return np.power(x, y) if not (np.isscalar(x) and np.isscalar(y)) else x**y
+        return power
+    raise EvalError(f"unknown operator {op!r}")
+
+
+def _compile_call(fn, args):
+    if fn in UNARY_FNS:
+        arg = args[0]
+        if fn == "sqrt":
+            def sqrt(bindings):
+                v = arg(bindings)
+                negative = v < 0 if type(v) is float else np.any(np.asarray(v) < 0)
+                if negative:
+                    raise EvalError("sqrt of a negative value")
+                return v**0.5 if type(v) is float or np.isscalar(v) else np.sqrt(v)
+            return sqrt
+        if fn == "abs":
+            def abs_(bindings):
+                v = arg(bindings)
+                return abs(v) if type(v) is float or np.isscalar(v) else np.abs(v)
+            return abs_
+        def pos(bindings):
+            v = arg(bindings)
+            return max(v, 0.0) if type(v) is float or np.isscalar(v) else np.maximum(v, 0.0)
+        return pos
+    if fn in BINARY_FNS:
+        first, second = args[0], args[1]
+        scalar_fn, array_fn = (min, np.minimum) if fn == "min" else (max, np.maximum)
+
+        def extremum(bindings):
+            x, y = first(bindings), second(bindings)
+            if (type(x) is float and type(y) is float) or (np.isscalar(x) and np.isscalar(y)):
+                return scalar_fn(x, y)
+            return array_fn(x, y)
+        return extremum
+    raise EvalError(f"unknown function {fn!r}")
+
+
+def _compile_ind(interval, arg):
+    def ind(bindings):
+        hit = interval.contains(arg(bindings))
+        if type(hit) is bool or np.isscalar(hit) or isinstance(hit, np.bool_):
             return 1.0 if hit else 0.0
         return np.where(hit, 1.0, 0.0)
-    if isinstance(e, Piecewise):
-        var = e.var
+    return ind
+
+
+def _compile_piecewise(guard, pieces):
+    def piecewise(bindings):
+        var = guard
         if var is None:
             if len(bindings) != 1:
                 raise EvalError(
@@ -421,25 +503,24 @@ def _ev(e: Expr, bindings: dict):
         if var not in bindings:
             raise EvalError(f"unbound variable {var!r}")
         x = bindings[var]
-        if np.isscalar(x):
-            for interval, sub in e.pieces:
+        if type(x) is float or np.isscalar(x):
+            for interval, sub in pieces:
                 if interval.contains(x):
-                    return _ev(sub, bindings)
+                    return sub(bindings)
             raise EvalError(f"point {x} outside all piecewise intervals")
         x = np.asarray(x, dtype=float)
         result = np.zeros_like(x)
         covered = np.zeros(x.shape, dtype=bool)
-        for interval, sub in e.pieces:
+        for interval, sub in pieces:
             hit = interval.contains(x) & ~covered
             if np.any(hit):
-                sub_val = _ev(sub, bindings)
-                result = np.where(hit, sub_val, result)
+                result = np.where(hit, sub(bindings), result)
             covered |= hit
         if not np.all(covered):
             bad = float(x[~covered].flat[0])
             raise EvalError(f"point {bad} outside all piecewise intervals")
         return result
-    raise TypeError(f"not an Expr: {e!r}")
+    return piecewise
 
 
 def eval_expr(e: Expr, bindings: dict):
@@ -448,7 +529,13 @@ def eval_expr(e: Expr, bindings: dict):
     Raises EvalError on unbound variables, indeterminate forms and negative
     final values.
     """
-    val = _ev(e, bindings)
+    val = compile_expr(e)(bindings)
+    if type(val) is float:
+        if val != val:
+            raise EvalError("indeterminate form in evaluation")
+        if val < 0.0:
+            raise EvalError(f"negative final value {val}")
+        return val
     arr = np.asarray(val, dtype=float)
     if np.any(np.isnan(arr)):
         raise EvalError("indeterminate form in evaluation")

@@ -139,15 +139,53 @@ def apply_op(op: FusionOp, a, b):
     raise FusionError(f"unknown fusion kind {op.kind!r}")
 
 
+_ARG_TOL = 1e-9
+
+
+def _argument_error(op: FusionOp, val) -> FusionError:
+    return FusionError(f"argument {val} outside [0, {op.y_bar}] for operation {op.name!r}")
+
+
 def eval_op(op: FusionOp, a: float, b: float) -> float:
-    """Checked scalar evaluation; arguments must lie in [0, y_bar]."""
-    tol = 1e-9
+    """Checked scalar evaluation; arguments must lie in [0, y_bar].
+
+    Float arguments of the builtins are computed in plain float arithmetic,
+    bit for bit what ``apply_op`` gives on the same values.
+    """
     for val in (a, b):
-        if not (-tol <= val <= op.y_bar + tol):
-            raise FusionError(
-                f"argument {val} outside [0, {op.y_bar}] for operation {op.name!r}"
-            )
-    return float(apply_op(op, min(max(a, 0.0), op.y_bar), min(max(b, 0.0), op.y_bar)))
+        if not (-_ARG_TOL <= val <= op.y_bar + _ARG_TOL):
+            raise _argument_error(op, val)
+    a = min(max(a, 0.0), op.y_bar)
+    b = min(max(b, 0.0), op.y_bar)
+    kind = op.kind
+    if type(a) is float and type(b) is float:
+        if kind == "min":  # np.minimum returns b on ties, which decides the sign of zero
+            return a if a < b else b
+        if kind == "prod":
+            return 0.0 if a == 0.0 or b == 0.0 else a * b
+        if kind == "lukasiewicz":
+            s = a + b - 1.0
+            return s if s > 0.0 else 0.0
+        if kind == "godel":
+            return b if a > 1.0 - b else 0.0
+        if kind == "godel_contra":
+            return a if a > 1.0 - b else 0.0
+    if kind == "expr":
+        return float(eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b}))
+    return float(apply_op(op, a, b))
+
+
+def clip_args(op: FusionOp, values):
+    """Clamp an array of arguments into [0, y_bar] as ``eval_op`` does.
+
+    Raises the FusionError ``eval_op`` would raise for the first value that
+    lies outside [0, y_bar] by more than the tolerance.
+    """
+    arr = np.asarray(values, dtype=float)
+    ok = (arr >= -_ARG_TOL) & (arr <= op.y_bar + _ARG_TOL)
+    if not np.all(ok):
+        raise _argument_error(op, float(arr[~ok].flat[0]))
+    return np.minimum(np.maximum(arr, 0.0), op.y_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ scenarios live in the package's scenarios/ directory.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 from . import chebyshev as cheb
@@ -136,6 +137,22 @@ def _verdict_dict(v: cheb.Verdict):
             "lhs": v.lhs, "rhs": v.rhs, "detail": v.detail, "evidence": v.evidence}
 
 
+def _option(override, data, key, default):
+    """A command-line override if given, else the scenario's value, else the default."""
+    return override if override is not None else data.get(key, default)
+
+
+def _check_grid(value, source):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value <= 0):
+        raise ScenarioError(f"{source} must be a finite positive number, got {value!r}")
+
+
+def _check_budget(value, source):
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ScenarioError(f"{source} must be a positive integer, got {value!r}")
+
+
 def _exit_for_status(status):
     return {"holds-on-grid": 0, "holds": 0, "violated": 1}.get(status, 2)
 
@@ -147,7 +164,8 @@ def _run_integrate(data, grid_step, seed, budget):
         op = build_op(item.get("op", "min"))
         if "survival" in item:
             sv = build_survival(item["survival"])
-            res = integrate_survival(op, sv, grid_step=grid_step or 1e-4)
+            step = grid_step if grid_step is not None else 1e-4
+            res = integrate_survival(op, sv, grid_step=step)
         else:
             sp = build_space(item["space"])
             m = build_measure(item["measure"], sp)
@@ -194,7 +212,7 @@ def _run_dependence(data, grid_step, seed, budget):
 
 
 def _run_condition(data, grid_step, seed, budget):
-    step = grid_step or data.get("grid", 0.01)
+    step = _option(grid_step, data, "grid", 0.01)
     variant = data.get("variant", "c1")
     if variant == "q":
         conj = build_op(data["conj"])
@@ -227,7 +245,7 @@ def _pipeline_dict(rep: cheb.PipelineReport):
 
 
 def _run_inequality(data, grid_step, seed, budget):
-    step = grid_step or data.get("grid", 0.01)
+    step = _option(grid_step, data, "grid", 0.01)
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
     pipeline = data.get("pipeline")
@@ -280,11 +298,11 @@ def _run_inequality(data, grid_step, seed, budget):
 
 
 def _run_search(data, grid_step, seed, budget):
-    step = grid_step or data.get("grid", 0.01)
+    step = _option(grid_step, data, "grid", 0.01)
     cfg = build_config(data["config"])
     try:
         witness = cheb.search_counterexample(cfg, grid_step=step,
-                                             budget=budget or data.get("budget", 5_000_000))
+                                             budget=_option(budget, data, "budget", 5_000_000))
     except cheb.HypothesisError as exc:
         return 2, {"verdict": "hypothesis-failed", "detail": str(exc)}
     report = {"witness": list(witness) if witness else None,
@@ -294,7 +312,7 @@ def _run_search(data, grid_step, seed, budget):
 
 
 def _run_property(data, grid_step, seed, budget):
-    step = grid_step or data.get("grid", 0.01)
+    step = _option(grid_step, data, "grid", 0.01)
     prop = data["property"]
     if prop == "dominates":
         outer = build_op(data["outer"])
@@ -331,6 +349,14 @@ def run_scenario(data, grid_step=None, seed=None, budget=None):
     kind = data.get("kind")
     if kind not in _RUNNERS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
+    if grid_step is not None:
+        _check_grid(grid_step, "grid step")
+    if "grid" in data:
+        _check_grid(data["grid"], "scenario key 'grid'")
+    if budget is not None:
+        _check_budget(budget, "budget")
+    if "budget" in data:
+        _check_budget(data["budget"], "scenario key 'budget'")
     exit_code, report = _RUNNERS[kind](data, grid_step, seed, budget)
     report["report_version"] = REPORT_VERSION
     report["scenario"] = data.get("name", "<inline>")

@@ -117,3 +117,48 @@ class TestFileSubcommands:
         code, out, _ = run_cli(capsys, "check-condition", scenario_file)
         assert code == 0
         assert "w-chebyshev-two-valued" in out
+
+
+class TestRunOptionValidation:
+    """A bad grid step or budget is an input error: exit 2, one line, no traceback."""
+
+    @staticmethod
+    def assert_input_error(code, out, err, needle):
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert needle in err
+
+    @pytest.mark.parametrize("grid", ["-1", "0", "nan", "inf"])
+    def test_bad_grid_override(self, capsys, grid):
+        # --grid -1 used to scan only the corners and report holds-on-grid
+        code, out, err = run_cli(capsys, "repro", "w-chebyshev-unit-interval", "--grid", grid)
+        self.assert_input_error(code, out, err, "grid step must be a finite positive number")
+
+    @pytest.mark.parametrize("grid", [0, -0.5, "0.01", None, True])
+    def test_bad_grid_in_scenario_file(self, capsys, tmp_path, grid):
+        # "grid": 0 used to end in a ZeroDivisionError traceback with exit 1
+        data = dict(load_scenario("w-chebyshev-unit-interval"), grid=grid)
+        path = tmp_path / "cond.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-condition", str(path), "--json")
+        self.assert_input_error(code, out, err, "scenario key 'grid' must be")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_bad_budget_override(self, capsys, budget):
+        # --budget 0 used to fall back to the scenario's budget
+        code, out, err = run_cli(capsys, "repro", "w-counterexample-search", "--budget", budget)
+        self.assert_input_error(code, out, err, "budget must be a positive integer")
+
+    def test_bad_budget_in_scenario_file(self, capsys, tmp_path):
+        data = dict(load_scenario("w-counterexample-search"), budget=0)
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "search-counterexample", str(path))
+        self.assert_input_error(code, out, err, "scenario key 'budget' must be")
+
+    def test_valid_overrides_still_apply(self, capsys):
+        code, out, _ = run_cli(capsys, "repro", "w-counterexample-search",
+                               "--grid", "0.05", "--budget", "100000", "--json")
+        assert code == 1
+        assert json.loads(out)["evidence"] == "coarse-to-fine grid down to 0.05"

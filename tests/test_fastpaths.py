@@ -1,0 +1,325 @@
+"""Differential tests: the float fast paths and the vectorised escape check
+against the numpy paths and a brute-force reference."""
+
+import itertools
+import json
+import pickle
+from importlib import resources
+
+import numpy as np
+import pytest
+
+from chebint.chebyshev import ShapeDomainError
+from chebint.dependence import triangle_range_escapes
+from chebint.exprlang import (EvalError, compile_expr, eval_expr, free_vars, parse,
+                              pretty)
+from chebint.fusion import (BUILTIN_KINDS, FusionError, apply_op, builtin,
+                            clip_args, eval_op, expr_op)
+from chebint.measure import FiniteSpace, MonotoneMeasure
+from chebint.randgen import random_capacity
+from chebint.scenarios import build_op, build_shape
+
+_ESCAPE_TOL = 1e-9
+
+
+def bits(x):
+    """Bitwise identity of a float result, signed zeros included."""
+    return float(x).hex()
+
+
+def assert_same_up_to_pow(scalar, array):
+    """Float evaluation against array evaluation of one expression.
+
+    Float ``^`` is the C library's pow and the array path is numpy's, which
+    can differ in the last place (and in the sign of a zero result).
+    """
+    np.testing.assert_array_max_ulp(np.asarray(scalar, dtype=float),
+                                    np.asarray(array, dtype=float), maxulp=2)
+
+
+# ---------------------------------------------------------------------------
+# Range escapes
+# ---------------------------------------------------------------------------
+
+
+def first_escape_reference(m, tri):
+    """The O(|range(m)|^3) scan: every pair against every range value."""
+    rng = m.value_range()
+    for c in rng:
+        for d in rng:
+            out = eval_op(tri, c, d)
+            if not any(abs(out - r) <= _ESCAPE_TOL for r in rng):
+                return (c, d, out)
+    return None
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except (FusionError, EvalError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def triangles():
+    ops = [builtin(kind) for kind in BUILTIN_KINDS]
+    ops.append(expr_op("ab2", "a*b^2"))
+    ops.append(expr_op("sqrt-sum", "min(sqrt(a*b) + 0.1*a, 1)"))
+    return ops
+
+
+def random_measures(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 2 + i % 4
+        m = random_capacity(rng, FiniteSpace(tuple(f"x{j}" for j in range(n))))
+        yield m
+        # rounding is monotone, so the rounded table is a capacity with
+        # repeated values
+        yield MonotoneMeasure(m.space, tuple(round(v, 1) for v in m.table))
+
+
+@pytest.mark.parametrize("tri", triangles(), ids=lambda op: op.name)
+def test_first_escape_matches_reference(tri):
+    checked = escaped = 0
+    for m in random_measures(seed=7, count=40):
+        want = outcome(first_escape_reference, m, tri)
+        got = outcome(triangle_range_escapes, m, tri)
+        assert got == want, m.table
+        checked += 1
+        escaped += want[0] == "value" and want[1] is not None
+    assert checked == 80
+    if tri.name not in ("min", "godel", "godel_contra"):  # these return an argument or 0
+        assert escaped > 0
+
+
+def test_escape_errors_match_reference():
+    sp = FiniteSpace(("x1", "x2"))
+    too_big = MonotoneMeasure(sp, (0.0, 0.4, 1.5, 2.0))
+    for tri in (builtin("lukasiewicz"), builtin("godel")):
+        want = outcome(first_escape_reference, too_big, tri)
+        assert want[0] == "FusionError" and "argument 1.5 outside" in want[1]
+        assert outcome(triangle_range_escapes, too_big, tri) == want
+    # negative values at some pairs: the error names the first such pair
+    m = MonotoneMeasure(sp, (0.0, 0.3, 0.6, 1.0))
+    diff = expr_op("diff", "a - b")
+    want = outcome(first_escape_reference, m, diff)
+    assert want == ("EvalError", "negative final value -0.3")
+    assert outcome(triangle_range_escapes, m, diff) == want
+
+
+def test_escape_check_scales_past_eight_atoms():
+    rng = np.random.default_rng(3)
+    m = random_capacity(rng, FiniteSpace(tuple(f"x{j}" for j in range(10))))
+    assert len(m.value_range()) == 1024
+    c, d, value = triangle_range_escapes(m, builtin("lukasiewicz"))
+    assert value == eval_op(builtin("lukasiewicz"), c, d)
+
+
+# ---------------------------------------------------------------------------
+# Scalar eval_op
+# ---------------------------------------------------------------------------
+
+
+def unit_points():
+    edge = [0.0, -0.0, 1.0, 0.5, 0.25, 0.75, 1e-300, 1 - 2**-53, 0.1, 0.9, 0.3, 0.7]
+    rand = np.random.default_rng(11).uniform(0.0, 1.0, 40).tolist()
+    return edge + rand
+
+
+def op_cases():
+    cases = [(builtin(kind), unit_points()) for kind in BUILTIN_KINDS]
+    wide = unit_points() + [2.0, 1e6, 1e300, float("inf")]
+    cases.append((builtin("min", y_bar=float("inf")), wide))
+    cases.append((builtin("prod", y_bar=float("inf")), wide))
+    cases.append((builtin("prod", y_bar=2.0), unit_points() + [1.5, 2.0]))
+    return cases
+
+
+@pytest.mark.parametrize("op, points", op_cases(),
+                         ids=lambda v: f"{v.name}-{v.y_bar}" if hasattr(v, "kind") else "")
+def test_float_eval_op_is_bitwise_apply_op(op, points):
+    with np.errstate(over="ignore"):
+        check_bitwise(op, points)
+
+
+def check_bitwise(op, points):
+    for a in points:
+        for b in points:
+            want = float(apply_op(op, np.array(a), np.array(b)))
+            assert bits(eval_op(op, a, b)) == bits(want), (a, b)
+            # numpy scalars skip the float path and must agree with it
+            assert bits(eval_op(op, np.float64(a), np.float64(b))) == bits(want), (a, b)
+
+
+@pytest.mark.parametrize("op", [builtin(kind) for kind in BUILTIN_KINDS]
+                         + [builtin("prod", y_bar=float("inf")), expr_op("ab2", "a*b^2")],
+                         ids=lambda op: f"{op.name}-{op.y_bar}")
+def test_eval_op_rejects_nan_and_out_of_range(op):
+    for bad in (float("nan"), -0.01, op.y_bar + 0.01, -float("inf")):
+        if bad == op.y_bar + 0.01 and op.y_bar == float("inf"):
+            continue
+        message = f"argument {bad} outside [0, {op.y_bar}] for operation {op.name!r}"
+        for args in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(FusionError) as exc:
+                eval_op(op, *args)
+            assert str(exc.value) == message
+        with pytest.raises(FusionError) as exc:
+            clip_args(op, [0.5, bad, 0.2])
+        assert str(exc.value) == message
+
+
+def test_eval_op_clamps_within_tolerance():
+    op = builtin("lukasiewicz")
+    assert eval_op(op, 1.0 + 5e-10, 0.5) == float(apply_op(op, 1.0, 0.5))
+    assert eval_op(op, -5e-10, 1.0) == float(apply_op(op, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Compiled expressions: scalar vs array on the bundled expressions
+# ---------------------------------------------------------------------------
+
+_SHAPE_KEYS = ("phi", "psi")
+_OP_KEYS = ("inner", "outer", "circ", "triangle", "star", "op", "conj")
+
+
+def bundled_blocks():
+    for entry in (resources.files("chebint") / "scenarios").iterdir():
+        if entry.name.endswith(".json"):
+            data = json.loads(entry.read_text())
+            yield from data if isinstance(data, list) else [data]
+
+
+def _walk(node, key=None):
+    if isinstance(node, dict):
+        yield key, node
+        for k, v in node.items():
+            yield from _walk(v, k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _walk(v, key)
+    else:
+        yield key, node
+
+
+def bundled_shapes():
+    seen = {}
+    for block in bundled_blocks():
+        for key, node in _walk(block):
+            if key in _SHAPE_KEYS and isinstance(node, (str, dict)):
+                shape = build_shape(node)
+                seen[(shape.name, str(shape.inverse), shape.domain)] = shape
+    return list(seen.values())
+
+
+def bundled_expressions():
+    """Every expression in the bundled scenarios, custom ops included."""
+    exprs = set()
+    for block in bundled_blocks():
+        for key, node in _walk(block):
+            if key in _OP_KEYS and isinstance(node, dict) and "expr" in node:
+                exprs.add(build_op(node).expr)
+            elif key in ("expr", "inverse", "distortion", "lhs", "rhs") and isinstance(node, str):
+                exprs.add(parse(node))
+            elif key == "segments" and isinstance(node, str) and node[:1] not in "[(":
+                exprs.add(parse(node))  # a segment's expression, not its interval
+    return sorted(exprs, key=pretty)
+
+
+def test_bundled_sets_are_found():
+    assert len(bundled_shapes()) >= 5
+    exprs = bundled_expressions()
+    assert parse("a*b^2") in exprs and parse("1 - 2*sqrt(0.5*(t - 0.5))") in exprs
+
+
+@pytest.mark.parametrize("e", bundled_expressions(), ids=pretty)
+def test_scalar_and_array_evaluation_agree(e):
+    names = sorted(free_vars(e))
+    axis = np.linspace(0.0, 1.0, 21 if len(names) < 3 else 6).tolist()
+    good, values = [], []
+    for point in itertools.product(axis, repeat=len(names)):
+        bindings = dict(zip(names, point))
+        try:
+            values.append(eval_expr(e, bindings))
+        except EvalError as exc:
+            with pytest.raises(EvalError) as arr_exc:
+                eval_expr(e, {k: np.array([v]) for k, v in bindings.items()})
+            assert str(arr_exc.value) == str(exc)
+            continue
+        good.append(point)
+    assert good, "no point evaluates"
+    if names:
+        cols = np.array(good).T
+        arr = np.asarray(eval_expr(e, dict(zip(names, cols))), dtype=float)
+        arr = np.broadcast_to(arr, (len(good),))
+    else:
+        arr = np.array([eval_expr(e, {})])
+    assert_same_up_to_pow(values, arr)
+
+
+@pytest.mark.parametrize("shape", bundled_shapes(), ids=lambda s: s.name)
+def test_shape_float_path_matches_numpy_path(shape):
+    lo, hi = shape.domain
+    xs = np.linspace(lo, hi, 41).tolist() + [lo - 5e-10, hi + 5e-10, -0.0 if lo == 0 else lo]
+    arr = np.asarray(shape.apply(np.array(xs)), dtype=float)
+    for x, want in zip(xs, arr):
+        got = shape.apply(x)
+        assert type(got) is float
+        assert_same_up_to_pow(got, want)
+        # a numpy scalar takes the numpy check and clamp, then float evaluation
+        assert bits(got) == bits(shape.apply(np.float64(x))), x
+    if shape.inverse is not None:
+        ys = np.asarray(shape.apply(np.linspace(lo, hi, 41)), dtype=float).tolist()
+        inv = np.asarray(shape.apply_inverse(np.array(ys)), dtype=float)
+        for y, want in zip(ys, inv):
+            assert_same_up_to_pow(shape.apply_inverse(y), want)
+            assert bits(shape.apply_inverse(y)) == bits(shape.apply_inverse(np.float64(y)))
+    for bad in (lo - 0.01, hi + 0.01):
+        with pytest.raises(ShapeDomainError) as scalar_exc:
+            shape.apply(bad)
+        with pytest.raises(ShapeDomainError) as array_exc:
+            shape.apply(np.array([lo, bad]))
+        assert str(scalar_exc.value) == str(array_exc.value)
+
+
+# ---------------------------------------------------------------------------
+# eval_expr error messages, float and array bindings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source, scalar, array, message", [
+    ("x + y", {"x": 1.0}, {"x": np.array([1.0, 2.0])}, "unbound variable 'y'"),
+    ("1 / x", {"x": 0.0}, {"x": np.array([0.5, 0.0])}, "division by zero"),
+    ("x - 1", {"x": 0.5}, {"x": np.array([1.0, 0.5, 0.25])}, "negative final value -0.5"),
+    ("x - inf", {"x": float("inf")}, {"x": np.array([float("inf")])},
+     "indeterminate form in evaluation"),
+    ("piecewise t { [0, 0.5]: t }", {"t": 0.75}, {"t": np.array([0.25, 0.75])},
+     "point 0.75 outside all piecewise intervals"),
+    ("sqrt(x - 1)", {"x": 0.5}, {"x": np.array([1.0, 0.5])}, "sqrt of a negative value"),
+    ("piecewise { [0, 1]: x }", {"x": 0.5, "y": 0.5}, {"x": np.array([0.5]), "y": 0.5},
+     "piecewise without an explicit guard variable needs exactly one bound variable"),
+])
+def test_eval_expr_error_messages(source, scalar, array, message):
+    e = parse(source)
+    for bindings in (scalar, array):
+        with pytest.raises(EvalError) as exc:
+            eval_expr(e, bindings)
+        assert str(exc.value) == message
+
+
+def test_compiled_once_and_kept_on_the_node():
+    e = parse("x^2 + 1")
+    other = parse("x^2 + 1")
+    fn = compile_expr(e)
+    assert compile_expr(e) is fn
+    assert eval_expr(e, {"x": 2.0}) == 5.0 and compile_expr(e) is fn
+    # the closure is not part of the node's value
+    assert e == other and hash(e) == hash(other)
+    assert compile_expr(other) is not fn
+
+
+def test_compiled_node_still_pickles():
+    e = parse("piecewise t { [0, 0.5]: t^2 ; (0.5, 1]: 1 }")
+    assert eval_expr(e, {"t": 0.25}) == 0.0625
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e
+    assert eval_expr(again, {"t": 0.75}) == 1.0
