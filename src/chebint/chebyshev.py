@@ -9,6 +9,7 @@ Violated verdict carries a witness re-checked by direct evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .extreal import INF
 from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
+from .scan import EQ_TOL, TOL, Verdict, scan
 
-_TOL = 1e-9
 _INF_CAP = 1e6
 
 
@@ -49,12 +50,12 @@ def _checked_eval(expr, var, x, name, domain):
     """
     lo, hi = domain
     if type(x) is float:
-        if x < lo - _TOL or x > hi + _TOL:
+        if x < lo - TOL or x > hi + TOL:
             raise ShapeDomainError(name, x, domain)
         return eval_expr(expr, {var: float(lo) if x < lo else float(hi) if x > hi else x})
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo - _TOL) or np.any(arr > hi + _TOL):
-        bad = arr[(arr < lo - _TOL) | (arr > hi + _TOL)].flat[0]
+    if np.any(arr < lo - TOL) or np.any(arr > hi + TOL):
+        bad = arr[(arr < lo - TOL) | (arr > hi + TOL)].flat[0]
         raise ShapeDomainError(name, float(bad), domain)
     clipped = np.clip(arr, lo, hi)
     return eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
@@ -85,7 +86,7 @@ class ShapeFunction:
             float(self.apply(self.domain[0])), float(self.apply(self.domain[1])))
         return _checked_eval(self.inverse, self.var, y, f"{self.name}^-1", (lo, hi))
 
-    def validate_inverse(self, grid_step=0.01, tol=1e-9):
+    def validate_inverse(self, grid_step=0.01, tol=TOL):
         """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x."""
         if self.inverse is None:
             return True
@@ -125,7 +126,7 @@ def power_shape(p, y_bar=1.0) -> ShapeFunction:
 
 
 # ---------------------------------------------------------------------------
-# Configuration and verdicts
+# Configuration
 # ---------------------------------------------------------------------------
 
 
@@ -202,19 +203,19 @@ class InequalityConfig:
 
     def validate(self):
         """Construction-time hypothesis bundle; raises HypothesisError."""
-        if not 0 < self.k <= self.y_bar + _TOL:
+        if not 0 < self.k <= self.y_bar + TOL:
             raise HypothesisError(f"k={self.k} must lie in (0, y_bar={self.y_bar}]")
         top = min(self.cd_domain.sup, _INF_CAP)
         for i, (phi, circ) in enumerate(zip(self.phis, self.circs), start=1):
             phi_top = float(phi.apply(min(self.y_bar, phi.domain[1])))
             val = eval_op(circ, phi_top, top)
-            if val > phi_top + _TOL:
+            if val > phi_top + TOL:
                 raise HypothesisError(
                     f"phi{i}(y_bar) circ{i} sup(cd) = {val} exceeds phi{i}(y_bar) = {phi_top}"
                 )
         for j, circ in ((2, self.circ2), (3, self.circ3)):
             val = eval_op(circ, min(self.y_bar, circ.y_bar), 0.0)
-            if val > _TOL:
+            if val > TOL:
                 raise HypothesisError(f"y_bar circ{j} 0 = {val}, expected 0")
         for name, op in (("inner", self.inner), ("outer", self.outer),
                          ("triangle", self.triangle)) + tuple(
@@ -230,20 +231,6 @@ def config(inner, outer, circs, triangle, phis, psis, k=1.0, y_bar=1.0,
     s1, s2, s3 = psis
     return InequalityConfig(inner, outer, c1, c2, c3, triangle,
                             p1, p2, p3, s1, s2, s3, k, y_bar, cd_domain)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # holds-on-grid | violated | hypothesis-failed
-    witness: tuple | None = None
-    lhs: float | None = None
-    rhs: float | None = None
-    detail: str = ""
-    evidence: str = ""
-
-    @property
-    def holds(self):
-        return self.status == "holds-on-grid"
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +271,18 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
             np.asarray(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
         psi3_bd = np.asarray(cfg.psi3.apply(
             np.asarray(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
-        for i, a in enumerate(ab):
-            sab = np.asarray(apply_op(cfg.inner, a, ab), dtype=float)  # over b
+
+        def sides(i):  # over (b, c, d)
+            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
             phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
             lhs = np.asarray(cfg.psi1.apply(np.asarray(
                 apply_op(cfg.circ1, phi1_sab[:, None, None], tri_cd[None, :, :]),
                 dtype=float)), dtype=float)
             rhs = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :, None],
                                       psi3_bd[:, None, :]), dtype=float)
-            viol = lhs < rhs - _TOL
-            if np.any(viol):
-                j, p, q = (int(v) for v in np.argwhere(viol)[0])
-                witness = (float(a), float(ab[j]), float(cd[p]), float(cd[q]))
-                wl, wr = scalar_condition_at(cfg, *witness)
-                if wl < wr - _TOL:
-                    return Verdict("violated", witness, wl, wr, evidence=evidence)
-        return Verdict("holds-on-grid", evidence=evidence)
+            return lhs, rhs
+
+        return scan((ab, ab, cd, cd), sides, partial(scalar_condition_at, cfg), evidence)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -334,23 +317,18 @@ def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
             apply_op(cfg.circ2, phi2_a, dbar), dtype=float)), dtype=float)
         psi3_bdbar = np.asarray(cfg.psi3.apply(np.asarray(
             apply_op(cfg.circ3, phi3_b, dbar), dtype=float)), dtype=float)
-        for i, a in enumerate(ab):
-            sab = np.asarray(apply_op(cfg.inner, a, ab), dtype=float)
+
+        def sides(i):  # over (b, c)
+            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
             phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
             lhs = np.asarray(cfg.psi1.apply(np.asarray(
                 apply_op(cfg.circ1, phi1_sab[:, None], cd[None, :]), dtype=float)), dtype=float)
             t1 = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :],
                                      psi3_bdbar[:, None]), dtype=float)
             t2 = np.asarray(apply_op(cfg.outer, psi2_adbar[i], psi3_bc), dtype=float)
-            rhs = np.maximum(t1, t2)
-            viol = lhs < rhs - _TOL
-            if np.any(viol):
-                j, p = (int(v) for v in np.argwhere(viol)[0])
-                witness = (float(a), float(ab[j]), float(cd[p]))
-                wl, wr = c2_condition_at(cfg, *witness)
-                if wl < wr - _TOL:
-                    return Verdict("violated", witness, wl, wr, evidence=evidence)
-        return Verdict("holds-on-grid", evidence=evidence)
+            return lhs, np.maximum(t1, t2)
+
+        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -405,7 +383,7 @@ def check_integral_inequality(cfg: InequalityConfig, m: MonotoneMeasure,
         "integral_f": {"value": i2.value, "method": i2.method, "candidates": i2.candidates},
         "integral_g": {"value": i3.value, "method": i3.method, "candidates": i3.candidates},
     }
-    return InequalityOutcome(lhs, float(rhs), lhs >= rhs - _TOL, trace)
+    return InequalityOutcome(lhs, float(rhs), lhs >= rhs - TOL, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +423,23 @@ class PipelineReport:
         return all(s.status == "pass" for s in self.stages[:-1])
 
 
+def _scalar_stage(cfg: InequalityConfig, grid_step) -> Stage:
+    scal = check_scalar_condition(cfg, grid_step)
+    return Stage("scalar-condition",
+                 {"holds-on-grid": "pass", "violated": "fail"}.get(scal.status, "hypothesis-failed"),
+                 f"witness {scal.witness}" if scal.witness else scal.detail)
+
+
+def _integral_stage(cfg: InequalityConfig, m, f, g, A, B):
+    """The closing integral-inequality stage and its outcome (None on a hypothesis failure)."""
+    try:
+        outcome = check_integral_inequality(cfg, m, f, g, A, B)
+    except HypothesisError as exc:
+        return Stage("integral-inequality", "hypothesis-failed", str(exc)), None
+    return Stage("integral-inequality", "pass" if outcome.holds else "fail",
+                 f"lhs={outcome.lhs} rhs={outcome.rhs}"), outcome
+
+
 def theorem1_forward(cfg: InequalityConfig, m: MonotoneMeasure,
                      f: SimpleFunction, g: SimpleFunction, A: int, B: int,
                      grid_step=0.01) -> PipelineReport:
@@ -470,18 +465,9 @@ def theorem1_forward(cfg: InequalityConfig, m: MonotoneMeasure,
                             f"witness {dep.witness}" if dep.witness else "; ".join(dep.warnings)))
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         stages.append(Stage("m-positive-dependence", "hypothesis-failed", str(exc)))
-    scal = check_scalar_condition(cfg, grid_step)
-    stages.append(Stage("scalar-condition",
-                        {"holds-on-grid": "pass", "violated": "fail"}.get(scal.status, "hypothesis-failed"),
-                        f"witness {scal.witness}" if scal.witness else scal.detail))
-    outcome = None
-    try:
-        outcome = check_integral_inequality(cfg, m, f, g, A, B)
-        stages.append(Stage("integral-inequality", "pass" if outcome.holds else "fail",
-                            f"lhs={outcome.lhs} rhs={outcome.rhs}"))
-    except HypothesisError as exc:
-        stages.append(Stage("integral-inequality", "hypothesis-failed", str(exc)))
-    return PipelineReport(tuple(stages), outcome)
+    stages.append(_scalar_stage(cfg, grid_step))
+    stage, outcome = _integral_stage(cfg, m, f, g, A, B)
+    return PipelineReport(tuple(stages) + (stage,), outcome)
 
 
 def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A: int,
@@ -500,7 +486,7 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
                         f"witness {lm.witness}" if lm.witness else ""))
     try:
         tops = [float(p.apply(min(y_bar, p.domain[1]))) for p in phis]
-        if abs(tops[0] - tops[1]) > _TOL or abs(tops[0] - tops[2]) > _TOL:
+        if abs(tops[0] - tops[1]) > TOL or abs(tops[0] - tops[2]) > TOL:
             raise HypothesisError(f"phi tops differ: {tops}")
         stages.append(Stage("phi-tops-equal", "pass"))
     except HypothesisError as exc:
@@ -512,8 +498,8 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
             xs = np.linspace(lo, hi, max(int(round((hi - lo) / grid_step)), 1) + 1)
             v1 = np.asarray(psi1.apply(xs), dtype=float)
             vj = np.asarray(psij.apply(xs), dtype=float)
-            if np.any(v1 < vj - _TOL):
-                bad = float(xs[v1 < vj - _TOL][0])
+            if np.any(v1 < vj - TOL):
+                bad = float(xs[v1 < vj - TOL][0])
                 raise HypothesisError(f"psi1 < psi{j} at x={bad}")
         stages.append(Stage("psi1-dominates", "pass"))
     except HypothesisError as exc:
@@ -521,13 +507,13 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     try:
         xs = np.linspace(0.0, y_bar, max(int(round(y_bar / grid_step)), 1) + 1)
         upper = np.asarray(psi1.apply(np.asarray(phi1.apply(xs), dtype=float)), dtype=float)
-        if np.any(upper < xs - _TOL):
-            bad = float(xs[upper < xs - _TOL][0])
+        if np.any(upper < xs - TOL):
+            bad = float(xs[upper < xs - TOL][0])
             raise HypothesisError(f"psi1(phi1(x)) < x at x={bad}")
         for j, phij, psij in ((2, phi2, psi2), (3, phi3, psi3)):
             lower = np.asarray(psij.apply(np.asarray(phij.apply(xs), dtype=float)), dtype=float)
-            if np.any(lower > xs + _TOL):
-                bad = float(xs[lower > xs + _TOL][0])
+            if np.any(lower > xs + TOL):
+                bad = float(xs[lower > xs + TOL][0])
                 raise HypothesisError(f"psi{j}(phi{j}(x)) > x at x={bad}")
         stages.append(Stage("sandwich", "pass"))
     except HypothesisError as exc:
@@ -535,17 +521,11 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     como = is_comonotone(f, g, A)
     stages.append(Stage("comonotonicity", "pass" if como.holds else "fail",
                         f"witness {como.witness}" if como.witness else ""))
-    outcome = None
-    try:
-        mn = min_op(y_bar=y_bar)
-        cfg = config(star, star, (mn, mn, mn), mn, phis, psis,
-                     k=y_bar, y_bar=y_bar, cd_domain=cd_values(m.value_range()))
-        outcome = check_integral_inequality(cfg, m, f, g, A, A)
-        stages.append(Stage("integral-inequality", "pass" if outcome.holds else "fail",
-                            f"lhs={outcome.lhs} rhs={outcome.rhs}"))
-    except HypothesisError as exc:
-        stages.append(Stage("integral-inequality", "hypothesis-failed", str(exc)))
-    return PipelineReport(tuple(stages), outcome)
+    mn = min_op(y_bar=y_bar)
+    cfg = config(star, star, (mn, mn, mn), mn, phis, psis,
+                 k=y_bar, y_bar=y_bar, cd_domain=cd_values(m.value_range()))
+    stage, outcome = _integral_stage(cfg, m, f, g, A, A)
+    return PipelineReport(tuple(stages) + (stage,), outcome)
 
 
 def liapunov_check(m: MonotoneMeasure, f: SimpleFunction, A: int,
@@ -578,10 +558,7 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
                             f"witness {sup.witness}" if sup.witness else ""))
     except Exception as exc:  # noqa: BLE001
         stages.append(Stage("measure-supports-all-pairs", "hypothesis-failed", str(exc)))
-    scal = check_scalar_condition(replace(cfg, cd_domain=cd_values(m.value_range())), grid_step)
-    stages.append(Stage("scalar-condition",
-                        {"holds-on-grid": "pass", "violated": "fail"}.get(scal.status, "hypothesis-failed"),
-                        f"witness {scal.witness}" if scal.witness else scal.detail))
+    stages.append(_scalar_stage(replace(cfg, cd_domain=cd_values(m.value_range())), grid_step))
     rng = np.random.default_rng(seed)
     n = m.space.n
     failures = 0
@@ -634,10 +611,10 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
         for i, phi in enumerate(phis, start=1):
             if phi.inverse is None:
                 raise HypothesisError(f"phi{i} needs a declared inverse")
-            if abs(float(phi.apply(0.0))) > 1e-12:
+            if abs(float(phi.apply(0.0))) > EQ_TOL:
                 raise HypothesisError(f"phi{i}(0) = {float(phi.apply(0.0))}, expected 0")
             top = float(phi.apply(1.0))
-            if eval_op(conj, 1.0, top) > top + _TOL:
+            if eval_op(conj, 1.0, top) > top + TOL:
                 raise HypothesisError(f"1 conj phi{i}(1) exceeds phi{i}(1)")
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
@@ -645,16 +622,18 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
     xs = np.linspace(0.0, 1.0, count)
     evidence = f"grid({grid_step}), boundary slice b=1 scanned first"
 
-    def scan(b_values):
+    def scan_b(b_values):
         phi2_b = np.asarray(phi2.apply(b_values), dtype=float)
         inv2_1b = np.asarray(phi2.apply_inverse(
             np.asarray(apply_op(conj, 1.0, phi2_b), dtype=float)), dtype=float)
         phi3_c = np.asarray(phi3.apply(xs), dtype=float)
         inv3_1c = np.asarray(phi3.apply_inverse(
             np.asarray(apply_op(conj, 1.0, phi3_c), dtype=float)), dtype=float)
-        for a in xs:
-            phi1_bc = np.asarray(phi1.apply(np.asarray(
-                apply_op(star, b_values[:, None], xs[None, :]), dtype=float)), dtype=float)
+        phi1_bc = np.asarray(phi1.apply(np.asarray(
+            apply_op(star, b_values[:, None], xs[None, :]), dtype=float)), dtype=float)
+
+        def sides(i):  # over (b, c)
+            a = xs[i]
             lhs = np.asarray(phi1.apply_inverse(np.asarray(
                 apply_op(conj, a, phi1_bc), dtype=float)), dtype=float)
             inv2_ab = np.asarray(phi2.apply_inverse(np.asarray(
@@ -663,20 +642,12 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
                 apply_op(conj, a, phi3_c), dtype=float)), dtype=float)
             r1 = np.asarray(apply_op(star, inv2_ab[:, None], inv3_1c[None, :]), dtype=float)
             r2 = np.asarray(apply_op(star, inv2_1b[:, None], inv3_ac[None, :]), dtype=float)
-            rhs = np.maximum(r1, r2)
-            viol = lhs < rhs - _TOL
-            if np.any(viol):
-                j, p = (int(v) for v in np.argwhere(viol)[0])
-                witness = (float(a), float(b_values[j]), float(xs[p]))
-                wl, wr = q_condition_at(conj, phis, star, *witness)
-                if wl < wr - _TOL:
-                    return Verdict("violated", witness, wl, wr, evidence=evidence)
-        return None
+            return lhs, np.maximum(r1, r2)
 
-    found = scan(np.asarray([1.0]))
-    if found is None:
-        found = scan(xs)
-    return found if found is not None else Verdict("holds-on-grid", evidence=evidence)
+        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence)
+
+    verdict = scan_b(np.asarray([1.0]))
+    return verdict if not verdict.holds else scan_b(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +696,12 @@ def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_ste
         i = int(round(a / grid_step))
         t1 = np.asarray(apply_op(star, S_ac[i][None, :], xs[:, None]), dtype=float)
         t2 = np.asarray(apply_op(star, a, S_ac), dtype=float)
-        ok1 = lhs1 >= np.maximum(t1, t2) - _TOL
+        ok1 = lhs1 >= np.maximum(t1, t2) - TOL
         # variant 2: S(c, a*b) >= (S(c,a)*b) v (a*S(c,b))
         lhs2 = np.asarray(apply_op(S, xs[None, :], ab[:, None]), dtype=float)
         u1 = np.asarray(apply_op(star, S_ac[:, i][None, :], xs[:, None]), dtype=float)
         u2 = np.asarray(apply_op(star, a, S_ac.T), dtype=float)
-        ok2 = lhs2 >= np.maximum(u1, u2) - _TOL
+        ok2 = lhs2 >= np.maximum(u1, u2) - TOL
         differ = ok1 != ok2
         if np.any(differ):
             j, p = (int(v) for v in np.argwhere(differ)[0])

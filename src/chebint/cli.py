@@ -85,11 +85,8 @@ def _emit(exit_code, report, as_json, stream=None):
 def _run_blocks(blocks, args):
     exit_code = 0
     for data in blocks:
-        if args.tolerance is not None and "equality" in data:
-            data = dict(data)
-            data["equality"] = dict(data["equality"], tol=args.tolerance)
         code, report = run_scenario(data, grid_step=args.grid, seed=args.seed,
-                                    budget=args.budget)
+                                    budget=args.budget, tolerance=args.tolerance)
         _emit(code, report, args.json)
         exit_code = max(exit_code, code)
     return exit_code

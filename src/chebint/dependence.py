@@ -15,8 +15,7 @@ from .exprlang import EvalError
 from .fusion import FusionOp, apply_op, clip_args, eval_op
 from .integral import SimpleFunction
 from .measure import MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure
-
-_TOL = 1e-9
+from .scan import EQ_TOL, TOL
 
 
 class DependenceError(Exception):
@@ -49,7 +48,7 @@ class DependenceQuery:
     def __post_init__(self):
         if self.f.space != self.m.space or self.g.space != self.m.space:
             raise DependenceError("functions and measure must share a space")
-        if self.f.bound > self.k + 1e-12 or self.g.bound > self.k + 1e-12:
+        if self.f.bound > self.k + EQ_TOL or self.g.bound > self.k + EQ_TOL:
             raise DependenceError("f and g must be bounded by k")
 
 
@@ -84,7 +83,7 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
     right = np.searchsorted(values, out)
     below = values[np.maximum(right - 1, 0)]
     above = values[np.minimum(right, len(values) - 1)]
-    inside = (np.abs(out - below) <= _TOL) | (np.abs(out - above) <= _TOL)
+    inside = (np.abs(out - below) <= TOL) | (np.abs(out - above) <= TOL)
     escapes = np.flatnonzero(~inside)
     if escapes.size == 0:
         return None
@@ -110,7 +109,7 @@ def _range_escape_warnings(m: MonotoneMeasure, tri: FusionOp, allow: bool,
 def _level_grid(f: SimpleFunction, k: float):
     """Representative levels: 0, the distinct values, and k when k > max f."""
     levels = sorted({0.0} | set(f.values))
-    if k > max(f.values) + 1e-12:
+    if k > max(f.values) + EQ_TOL:
         levels.append(k)
     return levels
 
@@ -130,7 +129,7 @@ def is_m_positively_dependent(q: DependenceQuery) -> DependenceVerdict:
             g_mask = g.level_mask(beta) & q.B
             lhs = m(f_mask & g_mask)
             rhs = eval_op(q.triangle, m(f_mask), m(g_mask))
-            if lhs < rhs - _TOL:
+            if lhs < rhs - TOL:
                 return DependenceVerdict(False, (alpha, beta), tuple(warnings),
                                          f"m(...)={lhs} < {rhs}")
     return DependenceVerdict(True, None, tuple(warnings))
@@ -146,7 +145,7 @@ def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
     tab = np.asarray(m.table)
     inter = tab[masks[:, None] & masks[None, :]]
     combo = np.asarray(apply_op(tri, tab[:, None], tab[None, :]), dtype=float)
-    viol = inter < combo - _TOL
+    viol = inter < combo - TOL
     idx = np.argwhere(viol)
     if idx.size:
         i, j = (int(v) for v in idx[0])
@@ -165,14 +164,14 @@ def condition_Z1(m: MonotoneMeasure, tri: FusionOp,
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
     rng = m.value_range()
     tab = np.asarray(m.table)
-    by_value = {c: np.flatnonzero(np.abs(tab - c) <= 1e-12) for c in rng}
+    by_value = {c: np.flatnonzero(np.abs(tab - c) <= EQ_TOL) for c in rng}
     for c in rng:
         cs = by_value[c]
         for d in rng:
             ds = by_value[d]
             target = eval_op(tri, c, d)
             inter = tab[cs[:, None] & ds[None, :]]
-            if not np.any(np.abs(inter - target) <= _TOL):
+            if not np.any(np.abs(inter - target) <= TOL):
                 return DependenceVerdict(False, (c, d), tuple(warnings),
                                          f"no sets realize m(C&D)={target}")
     return DependenceVerdict(True, None, tuple(warnings))

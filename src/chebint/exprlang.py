@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, as_scalar, xmul
+from .scan import EQ_TOL
 
 
 class ExprError(Exception):
@@ -597,15 +598,14 @@ def check_monotone(e, var, lo, hi, direction="nondecreasing", grid_step=0.01):
     xs = np.linspace(lo, hi, count)
     vals = np.asarray(eval_expr(e, {var: xs}), dtype=float)
     diffs = np.diff(vals)
-    tol = 1e-12
     if direction == "nondecreasing":
-        bad = diffs < -tol
+        bad = diffs < -EQ_TOL
     elif direction == "increasing":
-        bad = diffs <= tol
+        bad = diffs <= EQ_TOL
     elif direction == "nonincreasing":
-        bad = diffs > tol
+        bad = diffs > EQ_TOL
     elif direction == "decreasing":
-        bad = diffs >= -tol
+        bad = diffs >= -EQ_TOL
     else:
         raise ValueError(f"unknown direction {direction!r}")
     idx = np.flatnonzero(bad)

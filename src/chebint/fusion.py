@@ -14,6 +14,7 @@ import numpy as np
 
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF, as_scalar, xmul
+from .scan import EQ_TOL, TOL, Verdict, scan
 
 
 class FusionError(Exception):
@@ -139,9 +140,6 @@ def apply_op(op: FusionOp, a, b):
     raise FusionError(f"unknown fusion kind {op.kind!r}")
 
 
-_ARG_TOL = 1e-9
-
-
 def _argument_error(op: FusionOp, val) -> FusionError:
     return FusionError(f"argument {val} outside [0, {op.y_bar}] for operation {op.name!r}")
 
@@ -153,7 +151,7 @@ def eval_op(op: FusionOp, a: float, b: float) -> float:
     bit for bit what ``apply_op`` gives on the same values.
     """
     for val in (a, b):
-        if not (-_ARG_TOL <= val <= op.y_bar + _ARG_TOL):
+        if not (-TOL <= val <= op.y_bar + TOL):
             raise _argument_error(op, val)
     a = min(max(a, 0.0), op.y_bar)
     b = min(max(b, 0.0), op.y_bar)
@@ -182,25 +180,15 @@ def clip_args(op: FusionOp, values):
     lies outside [0, y_bar] by more than the tolerance.
     """
     arr = np.asarray(values, dtype=float)
-    ok = (arr >= -_ARG_TOL) & (arr <= op.y_bar + _ARG_TOL)
+    ok = (arr >= -TOL) & (arr <= op.y_bar + TOL)
     if not np.all(ok):
         raise _argument_error(op, float(arr[~ok].flat[0]))
     return np.minimum(np.maximum(arr, 0.0), op.y_bar)
 
 
 # ---------------------------------------------------------------------------
-# Grid verdicts and flag validation
+# Flag validation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridVerdict:
-    holds: bool
-    witness: tuple | None
-    step: float
-    lhs: float | None = None
-    rhs: float | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -257,19 +245,17 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
         i, j = idx[0]
         return (float(xs[i]), float(xs[j]))
 
-    tol = 1e-9
-
     # non-decreasing in each coordinate implies joint non-decrease
-    bad = (np.diff(table, axis=0) < -tol) | False
+    bad = (np.diff(table, axis=0) < -TOL) | False
     w1 = first_bad(bad)
-    bad2 = np.diff(table, axis=1) < -tol
+    bad2 = np.diff(table, axis=1) < -TOL
     w2 = first_bad(bad2)
     nondec_ok = w1 is None and w2 is None
     add("non_decreasing", op.non_decreasing, nondec_ok, w1 or w2,
         exact=exact_truth is not None)
 
     # commutativity on the grid
-    comm_bad = np.abs(table - table.T) > 1e-12
+    comm_bad = np.abs(table - table.T) > EQ_TOL
     wc = first_bad(comm_bad)
     add("commutative", op.commutative, wc is None, wc, exact=exact_truth is not None)
 
@@ -282,10 +268,10 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
     else:
         probes = np.linspace(0.0, 1.0, 21)
         for t in probes:
-            if abs(float(apply_op(op, t, 1.0)) - t) > tol:
+            if abs(float(apply_op(op, t, 1.0)) - t) > TOL:
                 semi_ok, semi_witness = False, (float(t), 1.0)
                 break
-            if abs(float(apply_op(op, 1.0, t)) - t) > tol:
+            if abs(float(apply_op(op, 1.0, t)) - t) > TOL:
                 semi_ok, semi_witness = False, (1.0, float(t))
                 break
         if semi_ok and not nondec_ok:
@@ -298,7 +284,7 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
     fc_witness = None
     if fc_ok:
         for (a, b, want) in ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)):
-            if abs(float(apply_op(op, a, b)) - want) > tol:
+            if abs(float(apply_op(op, a, b)) - want) > TOL:
                 fc_ok, fc_witness = False, (a, b)
                 break
         if fc_ok and not nondec_ok:
@@ -335,11 +321,12 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
 # ---------------------------------------------------------------------------
 
 
-def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> GridVerdict:
+def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
     """Grid check of outer(inner(a,b), inner(c,d)) >= inner(outer(a,c), outer(b,d)).
 
     Both operations must live on [0,1].  On failure the lexicographically
-    smallest violating (a, b, c, d) grid point is reported.
+    smallest violating (a, b, c, d) grid point is reported, with both sides
+    re-evaluated there by ``eval_op``.
     """
     if outer.y_bar != 1.0 or inner.y_bar != 1.0:
         raise FusionError("domination check requires both operations on [0,1]")
@@ -347,30 +334,29 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> GridVerdict:
     xs = np.linspace(0.0, 1.0, count)
     inner_cd = np.asarray(apply_op(inner, xs[:, None], xs[None, :]), dtype=float)  # (c,d)
     outer_cd = np.asarray(apply_op(outer, xs[:, None], xs[None, :]), dtype=float)
-    tol = 1e-9
-    for i, a in enumerate(xs):
-        inner_ab = np.asarray(apply_op(inner, a, xs), dtype=float)  # over b
+
+    def sides(i):  # over (b, c, d)
+        inner_ab = np.asarray(apply_op(inner, xs[i], xs), dtype=float)
         lhs = np.asarray(apply_op(outer, inner_ab[:, None, None], inner_cd[None, :, :]), dtype=float)
-        outer_ac = outer_cd[i]  # over c
-        rhs = np.asarray(apply_op(inner, outer_ac[None, :, None], outer_cd[:, None, :]), dtype=float)
-        viol = rhs > lhs + tol
-        if np.any(viol):
-            j, k, l = np.argwhere(viol)[0]
-            witness = (float(a), float(xs[j]), float(xs[k]), float(xs[l]))
-            return GridVerdict(False, witness, grid_step,
-                               lhs=float(lhs[j, k, l]), rhs=float(rhs[j, k, l]))
-    return GridVerdict(True, None, grid_step)
+        rhs = np.asarray(apply_op(inner, outer_cd[i][None, :, None], outer_cd[:, None, :]),
+                         dtype=float)
+        return lhs, rhs
+
+    def at(a, b, c, d):
+        return (eval_op(outer, eval_op(inner, a, b), eval_op(inner, c, d)),
+                eval_op(inner, eval_op(outer, a, c), eval_op(outer, b, d)))
+
+    return scan((xs, xs, xs, xs), sides, at, f"grid({grid_step})")
 
 
-def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> GridVerdict:
-    """Grid check of op(a,b) <= min(a,b)."""
+def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> Verdict:
+    """Grid check of op(a,b) <= min(a,b); a violation reports lhs = op(a,b), rhs = min(a,b)."""
     xs = _grid(op, grid_step, inf_cap)
     table = np.asarray(apply_op(op, xs[:, None], xs[None, :]), dtype=float)
     cap = np.minimum(xs[:, None], xs[None, :])
-    viol = table > cap + 1e-9
-    idx = np.argwhere(viol)
+    idx = np.argwhere(table > cap + TOL)
     if idx.size:
         i, j = idx[0]
-        return GridVerdict(False, (float(xs[i]), float(xs[j])), grid_step,
-                           lhs=float(table[i, j]), rhs=float(cap[i, j]))
-    return GridVerdict(True, None, grid_step)
+        return Verdict("violated", (float(xs[i]), float(xs[j])), float(table[i, j]),
+                       float(cap[i, j]), evidence=f"grid({grid_step})")
+    return Verdict("holds-on-grid", evidence=f"grid({grid_step})")

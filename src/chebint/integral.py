@@ -14,6 +14,7 @@ import numpy as np
 from .extreal import INF
 from .fusion import FusionOp, apply_op, builtin, eval_op
 from .measure import FiniteSpace, MeasureError, MonotoneMeasure, SurvivalScenario
+from .scan import EQ_TOL
 
 
 class IntegralError(Exception):
@@ -22,7 +23,6 @@ class IntegralError(Exception):
 
 _INF_CAP = 1e6
 _BISECT_TOL = 1e-10
-_FALLBACK_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def simple_function(space, values, bound=None) -> SimpleFunction:
 @dataclass(frozen=True)
 class IntegralResult:
     value: float
-    method: str  # exact-candidate-set | grid(step) | bisection(tol) [+ warnings]
+    method: str  # exact-candidate-set | grid(step)+refinement | bisection(tol) [+ warnings]
     candidates: tuple  # (t, level measure, term) triples examined
 
     def __float__(self):
@@ -92,8 +92,10 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
     """sup over t of op(t, m(D & {f >= t})) for a simple function f.
 
     Exact via the finite candidate set {distinct values of f on D, 0, y_bar}
-    when op is declared non-decreasing and left-continuous in its first
-    coordinate; otherwise a grid fallback runs with a warning in `method`.
+    for any non-decreasing op: on each piece (v_i, v_{i+1}] between sorted
+    values the level set {f >= t} is constant, so the sup over the piece is
+    attained at t = v_{i+1}.  An op that does not declare left-continuity in
+    its first coordinate keeps a warning in `method`.
     """
     if f.space != m.space:
         raise IntegralError("function and measure live on different spaces")
@@ -101,37 +103,21 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
         raise IntegralError(f"invalid subset mask {D}")
     if not op.non_decreasing:
         raise IntegralError(f"operation {op.name!r} must be declared non-decreasing")
-    if f.bound > op.y_bar + 1e-12:
+    if f.bound > op.y_bar + EQ_TOL:
         raise IntegralError("function bound exceeds the operation's y_bar")
 
-    if op.left_continuous_in_first:
-        levels = sorted({0.0} | {f.values[i] for i in m.space.atoms_of(D)})
-        cands = []
-        for t in levels:
-            mask = f.level_mask(t) & D
-            level = m(mask)
-            cands.append((t, level, eval_op(op, t, level)))
-        cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
-        best = _max_term(cands)
-        return IntegralResult(best[2], "exact-candidate-set", tuple(cands))
-
-    # grid fallback: evidence only, left-continuity not declared
-    top = min(op.y_bar, _INF_CAP)
-    ts = np.arange(0.0, top + _FALLBACK_STEP / 2, _FALLBACK_STEP)
-    atoms = m.space.atoms_of(D)
-    vals = np.asarray([f.values[i] for i in atoms])
-    bits = np.asarray([1 << i for i in atoms], dtype=np.int64)
-    if atoms:
-        masks = ((ts[:, None] <= vals[None, :]) * bits[None, :]).sum(axis=1)
-    else:
-        masks = np.zeros(ts.shape, dtype=np.int64)
-    tab = np.asarray(m.table)
-    levels = tab[masks]
-    terms = np.asarray(apply_op(op, ts, levels), dtype=float)
-    i = int(np.argmax(terms))
-    cands = ((float(ts[i]), float(levels[i]), float(terms[i])),)
-    method = f"grid({_FALLBACK_STEP});warning:left-continuity-not-declared"
-    return IntegralResult(float(terms[i]), method, cands)
+    levels = sorted({0.0} | {f.values[i] for i in m.space.atoms_of(D)})
+    cands = []
+    for t in levels:
+        mask = f.level_mask(t) & D
+        level = m(mask)
+        cands.append((t, level, eval_op(op, t, level)))
+    cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
+    best = _max_term(cands)
+    method = "exact-candidate-set"
+    if not op.left_continuous_in_first:
+        method += ";warning:left-continuity-not-declared"
+    return IntegralResult(best[2], method, tuple(cands))
 
 
 def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction,
@@ -169,7 +155,7 @@ def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> Integra
         )
     if not m.is_capacity:
         raise IntegralError("q-integral requires a capacity (m(X)=1)")
-    if f.bound > 1.0 + 1e-12:
+    if f.bound > 1.0 + EQ_TOL:
         raise IntegralError("q-integral requires f bounded by 1")
     levels = sorted({0.0, 1.0} | set(f.values))
     cands = []

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import EvalError, Expr, Interval, eval_expr, parse
+from .scan import EQ_TOL, TOL
 
 
 class MeasureError(Exception):
@@ -15,7 +16,6 @@ class MeasureError(Exception):
 
 MAX_ATOMS = 24
 MAX_SCAN_ATOMS = 12  # exhaustive pair scans are 4^n; refuse beyond this
-_EQ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,14 @@ class MonotoneMeasure:
 
     @property
     def is_capacity(self):
-        return abs(self.table[self.space.full_mask] - 1.0) <= _EQ_TOL
+        return abs(self.table[self.space.full_mask] - 1.0) <= EQ_TOL
 
     def value_range(self):
-        """Sorted distinct values of the measure (1e-12 dedup tolerance)."""
+        """Sorted distinct values of the measure (EQ_TOL dedup tolerance)."""
         vals = sorted(self.table)
         out = [vals[0]]
         for v in vals[1:]:
-            if v - out[-1] > _EQ_TOL:
+            if v - out[-1] > EQ_TOL:
                 out.append(v)
         return tuple(out)
 
@@ -104,7 +104,7 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
     masks = np.arange(size)
     for bit in range(sp.n):
         sup = masks | (1 << bit)
-        bad = arr[masks] > arr[sup] + _EQ_TOL
+        bad = arr[masks] > arr[sup] + EQ_TOL
         if np.any(bad):
             a = int(masks[bad][0])
             raise MeasureError(
@@ -124,7 +124,7 @@ def necessity_from_possibility(sp: FiniteSpace, pi) -> MonotoneMeasure:
         raise MeasureError("possibility vector length must match atom count")
     if any(not 0.0 <= v <= 1.0 for v in pi):
         raise MeasureError("possibility values must lie in [0,1]")
-    if abs(max(pi) - 1.0) > _EQ_TOL:
+    if abs(max(pi) - 1.0) > EQ_TOL:
         raise MeasureError("possibility distribution must be normalized (max = 1)")
     size = 1 << sp.n
     table = []
@@ -147,17 +147,17 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
     p = [float(v) for v in p]
     if len(p) != sp.n:
         raise MeasureError("probability vector length must match atom count")
-    if any(v < 0 for v in p) or abs(sum(p) - 1.0) > 1e-9:
+    if any(v < 0 for v in p) or abs(sum(p) - 1.0) > TOL:
         raise MeasureError("p must be a probability vector")
     expr = parse(h) if isinstance(h, str) else h
     var = _sole_var(expr)
     xs = np.linspace(0.0, 1.0, 101)
     hv = np.asarray(eval_expr(expr, {var: xs}), dtype=float)
-    if abs(hv[0]) > 1e-9 or abs(hv[-1] - 1.0) > 1e-9:
+    if abs(hv[0]) > TOL or abs(hv[-1] - 1.0) > TOL:
         raise MeasureError("h must satisfy h(0)=0 and h(1)=1")
-    if np.any(np.diff(hv) <= -1e-12):
+    if np.any(np.diff(hv) <= -EQ_TOL):
         raise MeasureError("h must be increasing (grid check failed)")
-    if np.any(np.diff(hv, n=2) < -1e-9):
+    if np.any(np.diff(hv, n=2) < -TOL):
         raise MeasureError("h must be convex (grid check failed)")
     size = 1 << sp.n
     table = []
@@ -208,19 +208,19 @@ def _pair_scan_tables(m: MonotoneMeasure):
 def is_minitive(m: MonotoneMeasure) -> bool:
     """m(C & D) == min(m(C), m(D)) for all set pairs."""
     tab, inter, _ = _pair_scan_tables(m)
-    return bool(np.all(np.abs(tab[inter] - np.minimum(tab[:, None], tab[None, :])) <= _EQ_TOL))
+    return bool(np.all(np.abs(tab[inter] - np.minimum(tab[:, None], tab[None, :])) <= EQ_TOL))
 
 
 def is_subadditive(m: MonotoneMeasure) -> bool:
     """m(C | D) <= m(C) + m(D) for all set pairs."""
     tab, _, union = _pair_scan_tables(m)
-    return bool(np.all(tab[union] <= tab[:, None] + tab[None, :] + _EQ_TOL))
+    return bool(np.all(tab[union] <= tab[:, None] + tab[None, :] + EQ_TOL))
 
 
 def is_supermodular(m: MonotoneMeasure) -> bool:
     """m(C | D) + m(C & D) >= m(C) + m(D) for all set pairs."""
     tab, inter, union = _pair_scan_tables(m)
-    return bool(np.all(tab[union] + tab[inter] >= tab[:, None] + tab[None, :] - _EQ_TOL))
+    return bool(np.all(tab[union] + tab[inter] >= tab[:, None] + tab[None, :] - EQ_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +277,15 @@ class SurvivalScenario:
                 raise MeasureError(f"survival segment on {interval}: {exc}") from exc
             if vals.ndim == 0:  # constant segment expression
                 vals = np.full_like(ts, float(vals))
-            if np.any(vals < -1e-12):
-                bad = float(ts[vals < -1e-12][0])
+            if np.any(vals < -EQ_TOL):
+                bad = float(ts[vals < -EQ_TOL][0])
                 raise MeasureError(f"survival function negative at t={bad}")
-            if np.any(np.diff(vals) > 1e-9):
-                i = int(np.flatnonzero(np.diff(vals) > 1e-9)[0])
+            if np.any(np.diff(vals) > TOL):
+                i = int(np.flatnonzero(np.diff(vals) > TOL)[0])
                 raise MeasureError(
                     f"survival function increases between t={ts[i]} and t={ts[i + 1]}"
                 )
-            if prev is not None and vals[0] > prev + 1e-9:
+            if prev is not None and vals[0] > prev + TOL:
                 raise MeasureError(
                     f"survival function jumps upward at segment boundary t={interval.lo}"
                 )

@@ -10,7 +10,8 @@ scenarios live in the package's scenarios/ directory.
 from __future__ import annotations
 
 import json
-import math
+import sys
+from functools import partial
 from importlib import resources
 
 from . import chebyshev as cheb
@@ -22,6 +23,7 @@ from .measure import (FiniteSpace, MonotoneMeasure, distorted_probability,
                       from_table, necessity_from_possibility,
                       survival_scenario)
 from .exprlang import eval_expr, parse
+from .scan import TOL
 
 REPORT_VERSION = 1
 
@@ -142,22 +144,24 @@ def _option(override, data, key, default):
     return override if override is not None else data.get(key, default)
 
 
-def _check_grid(value, source):
+def _check_real(value, source, zero_ok=False):
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or value <= 0):
-        raise ScenarioError(f"{source} must be a finite positive number, got {value!r}")
+            or not (0 <= value if zero_ok else 0 < value) or not value <= sys.float_info.max):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ScenarioError(f"{source} must be a finite {sign} number, got {value!r}")
 
 
-def _check_budget(value, source):
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-        raise ScenarioError(f"{source} must be a positive integer, got {value!r}")
+def _check_count(value, source, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        sign = "non-negative" if least == 0 else "positive"
+        raise ScenarioError(f"{source} must be a {sign} integer, got {value!r}")
 
 
 def _exit_for_status(status):
     return {"holds-on-grid": 0, "holds": 0, "violated": 1}.get(status, 2)
 
 
-def _run_integrate(data, grid_step, seed, budget):
+def _run_integrate(data, grid_step, seed, budget, tolerance):
     results = {}
     bindings = {}
     for item in data["integrals"]:
@@ -183,14 +187,16 @@ def _run_integrate(data, grid_step, seed, budget):
         eq = data["equality"]
         lhs = float(eval_expr(parse(eq["lhs"]), bindings))
         rhs = float(eval_expr(parse(eq["rhs"]), bindings))
-        holds = abs(lhs - rhs) <= eq.get("tol", 1e-9)
+        tol = _option(tolerance, eq, "tol", TOL)
+        _check_real(tol, "scenario key 'equality.tol'", zero_ok=True)
+        holds = abs(lhs - rhs) <= tol
         report["equality"] = {"lhs": lhs, "rhs": rhs, "holds": holds}
         report["verdict"] = "equality-holds" if holds else "equality-violated"
         exit_code = 0 if holds else 1
     return exit_code, report
 
 
-def _run_dependence(data, grid_step, seed, budget):
+def _run_dependence(data, grid_step, seed, budget, tolerance):
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
     k = data.get("k", 1.0)
@@ -211,7 +217,7 @@ def _run_dependence(data, grid_step, seed, budget):
     return (0 if verdict.holds else 1), report
 
 
-def _run_condition(data, grid_step, seed, budget):
+def _run_condition(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     variant = data.get("variant", "c1")
     if variant == "q":
@@ -229,22 +235,24 @@ def _run_condition(data, grid_step, seed, budget):
         point = data["recheck"]["point"]
         lhs, rhs = cheb.scalar_condition_at(build_config(data["config"]), *point)
         report["recheck"] = {"point": point, "lhs": lhs, "rhs": rhs,
-                             "violated": lhs < rhs - 1e-9}
+                             "violated": lhs < rhs - TOL}
     return _exit_for_status(verdict.status), report
 
 
-def _pipeline_dict(rep: cheb.PipelineReport):
+def _pipeline_result(rep: cheb.PipelineReport, evidence):
+    """(exit code, report) of a pipeline run."""
     out = {"stages": [{"name": s.name, "status": s.status, "detail": s.detail}
                       for s in rep.stages],
-           "status": rep.status, "contradiction": rep.contradiction}
+           "status": rep.status, "contradiction": rep.contradiction,
+           "verdict": rep.status, "evidence": evidence}
     if rep.outcome is not None:
         out["lhs"] = rep.outcome.lhs
         out["rhs"] = rep.outcome.rhs
         out["holds"] = rep.outcome.holds
-    return out
+    return _exit_for_status(rep.status), out
 
 
-def _run_inequality(data, grid_step, seed, budget):
+def _run_inequality(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
@@ -258,10 +266,7 @@ def _run_inequality(data, grid_step, seed, budget):
                                     _triple(data.get("phi", "x"), build_shape),
                                     _triple(data.get("psi", "x"), build_shape),
                                     build_op(data["star"]), grid_step=step, y_bar=k)
-        report = _pipeline_dict(rep)
-        report["verdict"] = rep.status
-        report["evidence"] = f"grid({step})"
-        return _exit_for_status(rep.status), report
+        return _pipeline_result(rep, f"grid({step})")
     cfg = build_config(data["config"])
     f = build_function(data["f"], sp, bound=cfg.k)
     g = build_function(data["g"], sp, bound=cfg.k)
@@ -269,19 +274,12 @@ def _run_inequality(data, grid_step, seed, budget):
     B = build_mask(data.get("B", list(sp.labels)), sp)
     if pipeline == "theorem-forward":
         rep = cheb.theorem1_forward(cfg, m, f, g, A, B, grid_step=step)
-        report = _pipeline_dict(rep)
-        report["verdict"] = rep.status
-        report["evidence"] = f"grid({step})"
-        return _exit_for_status(rep.status), report
+        return _pipeline_result(rep, f"grid({step})")
     if pipeline == "any-functions":
-        rep = cheb.any_functions_check(cfg, m, trials=data.get("trials", 200),
-                                       seed=seed if seed is not None else data.get("seed", 0),
-                                       grid_step=step)
-        report = _pipeline_dict(rep)
-        report["verdict"] = rep.status
-        report["evidence"] = (f"random-trials({data.get('trials', 200)}, "
-                              f"seed {seed if seed is not None else data.get('seed', 0)})")
-        return _exit_for_status(rep.status), report
+        trials = data.get("trials", 200)
+        seed = _option(seed, data, "seed", 0)
+        rep = cheb.any_functions_check(cfg, m, trials=trials, seed=seed, grid_step=step)
+        return _pipeline_result(rep, f"random-trials({trials}, seed {seed})")
     try:
         outcome = cheb.check_integral_inequality(cfg, m, f, g, A, B)
     except cheb.HypothesisError as exc:
@@ -289,7 +287,7 @@ def _run_inequality(data, grid_step, seed, budget):
     report = {"lhs": outcome.lhs, "rhs": outcome.rhs, "holds": outcome.holds,
               "trace": outcome.trace, "evidence": "exact"}
     if data.get("expect_equality"):
-        equal = abs(outcome.lhs - outcome.rhs) <= 1e-9
+        equal = abs(outcome.lhs - outcome.rhs) <= (TOL if tolerance is None else tolerance)
         report["equality"] = equal
         report["verdict"] = "equality-holds" if equal else "equality-violated"
         return (0 if equal else 1), report
@@ -297,7 +295,7 @@ def _run_inequality(data, grid_step, seed, budget):
     return (0 if outcome.holds else 1), report
 
 
-def _run_search(data, grid_step, seed, budget):
+def _run_search(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     cfg = build_config(data["config"])
     try:
@@ -311,7 +309,7 @@ def _run_search(data, grid_step, seed, budget):
     return (1 if witness else 0), report
 
 
-def _run_property(data, grid_step, seed, budget):
+def _run_property(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     prop = data["property"]
     if prop == "dominates":
@@ -320,9 +318,8 @@ def _run_property(data, grid_step, seed, budget):
         verdict = fusion.dominates(outer, inner, grid_step=step)
         report = {"holds": verdict.holds,
                   "witness": list(verdict.witness) if verdict.witness else None,
-                  "verdict": "holds-on-grid" if verdict.holds else "violated",
-                  "evidence": f"grid({step})"}
-        return (0 if verdict.holds else 1), report
+                  "verdict": verdict.status, "evidence": verdict.evidence}
+        return _exit_for_status(verdict.status), report
     if prop == "commutativity-gap":
         witness = cheb.search_commutativity_gap(build_op(data["op"]),
                                                 build_op(data.get("star", "prod")),
@@ -344,20 +341,27 @@ _RUNNERS = {
 }
 
 
-def run_scenario(data, grid_step=None, seed=None, budget=None):
-    """Run one scenario dict; returns (exit_code, report dict)."""
+def run_scenario(data, grid_step=None, seed=None, budget=None, tolerance=None):
+    """Run one scenario dict; returns (exit_code, report dict).
+
+    grid_step, seed, budget and tolerance override the scenario's own values;
+    tolerance applies to both equality checks (an integrate block's
+    "equality" and an inequality's "expect_equality").
+    """
     kind = data.get("kind")
     if kind not in _RUNNERS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
-    if grid_step is not None:
-        _check_grid(grid_step, "grid step")
-    if "grid" in data:
-        _check_grid(data["grid"], "scenario key 'grid'")
-    if budget is not None:
-        _check_budget(budget, "budget")
-    if "budget" in data:
-        _check_budget(data["budget"], "scenario key 'budget'")
-    exit_code, report = _RUNNERS[kind](data, grid_step, seed, budget)
+    if tolerance is not None:
+        _check_real(tolerance, "tolerance", zero_ok=True)
+    for key, label, override, check in (
+            ("grid", "grid step", grid_step, _check_real),
+            ("budget", "budget", budget, partial(_check_count, least=1)),
+            ("seed", "seed", seed, partial(_check_count, least=0))):
+        if override is not None:
+            check(override, label)
+        if key in data:
+            check(data[key], f"scenario key {key!r}")
+    exit_code, report = _RUNNERS[kind](data, grid_step, seed, budget, tolerance)
     report["report_version"] = REPORT_VERSION
     report["scenario"] = data.get("name", "<inline>")
     report["kind"] = kind

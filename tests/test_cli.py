@@ -120,7 +120,8 @@ class TestFileSubcommands:
 
 
 class TestRunOptionValidation:
-    """A bad grid step or budget is an input error: exit 2, one line, no traceback."""
+    """A bad grid step, budget, seed or tolerance is an input error: exit 2,
+    one line, no traceback."""
 
     @staticmethod
     def assert_input_error(code, out, err, needle):
@@ -135,9 +136,10 @@ class TestRunOptionValidation:
         code, out, err = run_cli(capsys, "repro", "w-chebyshev-unit-interval", "--grid", grid)
         self.assert_input_error(code, out, err, "grid step must be a finite positive number")
 
-    @pytest.mark.parametrize("grid", [0, -0.5, "0.01", None, True])
+    @pytest.mark.parametrize("grid", [0, -0.5, "0.01", None, True, 10 ** 400])
     def test_bad_grid_in_scenario_file(self, capsys, tmp_path, grid):
-        # "grid": 0 used to end in a ZeroDivisionError traceback with exit 1
+        # "grid": 0 used to end in a ZeroDivisionError traceback with exit 1,
+        # and an integer beyond the float range in an OverflowError traceback
         data = dict(load_scenario("w-chebyshev-unit-interval"), grid=grid)
         path = tmp_path / "cond.json"
         path.write_text(json.dumps(data))
@@ -162,3 +164,43 @@ class TestRunOptionValidation:
                                "--grid", "0.05", "--budget", "100000", "--json")
         assert code == 1
         assert json.loads(out)["evidence"] == "coarse-to-fine grid down to 0.05"
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, -1, None])
+    def test_bad_seed_in_scenario_file(self, capsys, tmp_path, seed):
+        # "abc" and 1.5 used to end in a TypeError traceback with exit 1, and
+        # true ran silently as seed 1
+        data = dict(load_scenario("minitive-any-functions"), seed=seed)
+        path = tmp_path / "any.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-inequality", str(path), "--json")
+        self.assert_input_error(code, out, err, "scenario key 'seed' must be a non-negative integer")
+
+    def test_bad_seed_override(self, capsys):
+        code, out, err = run_cli(capsys, "repro", "minitive-any-functions", "--seed", "-1")
+        self.assert_input_error(code, out, err, "seed must be a non-negative integer")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_override(self, capsys, tol):
+        # a NaN tolerance used to make every equality fail
+        code, out, err = run_cli(capsys, "repro", "lebesgue-chebyshev-equality", "--tolerance", tol)
+        self.assert_input_error(code, out, err, "tolerance must be a finite non-negative number")
+
+    def test_bad_equality_tol_in_scenario_file(self, capsys, tmp_path):
+        data = load_scenario("lebesgue-chebyshev-equality")
+        data = dict(data, equality=dict(data["equality"], tol=-1e-3))
+        path = tmp_path / "integrate.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "integrate", str(path))
+        self.assert_input_error(code, out, err, "scenario key 'equality.tol' must be")
+
+    def test_tolerance_reaches_expect_equality(self, capsys, tmp_path):
+        # lhs 0.42 against rhs 0.117: unequal at the default tolerance, equal within 1
+        data = dict(load_scenario("equality-power-shapes"),
+                    measure={"type": "table",
+                             "table": {"": 0.0, "a1": 0.2, "a2": 0.2, "a1 a2": 1.0}})
+        path = tmp_path / "equality.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "check-inequality", str(path), "--json")
+        assert code == 1 and json.loads(out)["verdict"] == "equality-violated"
+        code, out, _ = run_cli(capsys, "check-inequality", str(path), "--json", "--tolerance", "1")
+        assert code == 0 and json.loads(out)["verdict"] == "equality-holds"

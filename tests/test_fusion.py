@@ -97,6 +97,7 @@ class TestDomination:
         lhs = eval_op(lukasiewicz_op(), min(a, b), min(c, d))
         rhs = min(eval_op(lukasiewicz_op(), a, c), eval_op(lukasiewicz_op(), b, d))
         assert lhs < rhs
+        assert (verdict.lhs, verdict.rhs) == (lhs, rhs)
 
 
 class TestLeqMin:

@@ -94,6 +94,27 @@ class TestOracleAgreement:
             assert exact >= grid - 1e-12
             assert exact - grid <= 1e-3 + 1e-12
 
+    @pytest.mark.parametrize("source", [
+        "b*ind[0.5, inf)(a)",
+        "min(b, 0.5*ind[0.3, inf)(a) + 0.5*ind[0.6, inf)(a))",
+        "0.25*b + 0.75*b*ind[0.25, inf)(a)*a",
+    ])
+    def test_step_ops_without_left_continuity_match_oracle(self, source):
+        # right-continuous steps in t: the candidate set is still exact, so it
+        # equals the oracle wherever every value of f is an oracle grid point
+        op = expr_op("step", source, non_decreasing=True)
+        grid = np.linspace(0.0, 1.0, 101)  # the oracle's grid at step 0.01
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            sp = space(*[f"x{i}" for i in range(n)])
+            m = random_monotone_measure(rng, sp, capacity=True)
+            f = simple_function(sp, grid[rng.integers(0, len(grid), n)], bound=1.0)
+            D = int(rng.integers(1, sp.full_mask + 1))
+            res = integrate_simple(op, m, D, f)
+            assert res.method == "exact-candidate-set;warning:left-continuity-not-declared"
+            assert res.value == oracle_grid_integral(op, m, D, f, grid_step=0.01)
+
 
 class TestQIntegral:
     def test_measure_in_first_slot(self, sp, m):
