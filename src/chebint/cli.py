@@ -11,6 +11,7 @@ import json
 import sys
 
 from .exprlang import ExprError
+from .fusion import FusionError
 from .measure import MeasureError
 from .scenarios import (ScenarioError, list_scenarios, load_scenario,
                         load_scenario_file, run_scenario)
@@ -112,7 +113,7 @@ def main(argv=None):
             raise ScenarioError(
                 f"scenario(s) {wrong} do not have kind {kind!r}; use the matching subcommand")
         return _run_blocks(blocks, args)
-    except (ScenarioError, ExprError, MeasureError, OSError,
+    except (ScenarioError, ExprError, FusionError, MeasureError, OSError,
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,8 @@ import numpy as np
 from .exprlang import EvalError
 from .fusion import FusionOp, apply_op, clip_args, eval_op
 from .integral import SimpleFunction
-from .measure import MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure
+from .measure import (MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure,
+                      _pair_scan_tables)
 from .scan import EQ_TOL, TOL
 
 
@@ -138,12 +139,9 @@ def is_m_positively_dependent(q: DependenceQuery) -> DependenceVerdict:
 def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
                                allow_range_escape: bool = False) -> DependenceVerdict:
     """Exhaustive check of m(C & D) >= tri(m(C), m(D)) over all set pairs."""
-    if m.space.n > MAX_SCAN_ATOMS:
-        raise MeasureError(f"exhaustive pair scan refused for n > {MAX_SCAN_ATOMS} atoms")
+    tab, inter_masks, _ = _pair_scan_tables(m)
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
-    masks = np.arange(1 << m.space.n)
-    tab = np.asarray(m.table)
-    inter = tab[masks[:, None] & masks[None, :]]
+    inter = tab[inter_masks]
     combo = np.asarray(apply_op(tri, tab[:, None], tab[None, :]), dtype=float)
     viol = inter < combo - TOL
     idx = np.argwhere(viol)

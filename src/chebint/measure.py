@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -16,6 +17,8 @@ class MeasureError(Exception):
 
 MAX_ATOMS = 24
 MAX_SCAN_ATOMS = 12  # exhaustive pair scans are 4^n; refuse beyond this
+# value_range's numpy dedupe only beats the Python loop from about 2^10 values
+_VECTOR_MIN = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,19 @@ class MonotoneMeasure:
         return abs(self.table[self.space.full_mask] - 1.0) <= EQ_TOL
 
     def value_range(self):
-        """Sorted distinct values of the measure (EQ_TOL dedup tolerance)."""
+        """Sorted distinct values of the measure (EQ_TOL dedup tolerance).
+
+        Greedy rule: a sorted value is kept when it exceeds the last kept one
+        by more than EQ_TOL.
+        """
         vals = sorted(self.table)
+        if len(vals) >= _VECTOR_MIN:
+            gaps = np.diff(np.fromiter(vals, float, len(vals)))
+            if np.all((gaps > EQ_TOL) | (gaps == 0.0)):
+                # every gap is 0 or above EQ_TOL, so the last kept value
+                # equals the previous sorted one and the rule is a gap test
+                keep = np.concatenate(([True], gaps > EQ_TOL))
+                return tuple(compress(vals, keep.tolist()))
         out = [vals[0]]
         for v in vals[1:]:
             if v - out[-1] > EQ_TOL:
@@ -89,28 +103,42 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
         missing = [m for m in range(size) if m not in entries]
         if missing:
             raise MeasureError(f"missing mask {missing[0]} in measure table")
-        table = [float(entries[m]) for m in range(size)]
-    else:
-        table = [float(v) for v in entries]
-        if len(table) != size:
-            raise MeasureError(f"measure table needs {size} entries, got {len(table)}")
+        entries = [entries[m] for m in range(size)]
+    try:
+        table = list(map(float, entries))
+    except (TypeError, OverflowError):
+        for mask, v in enumerate(entries):
+            try:
+                float(v)
+            except (TypeError, OverflowError):
+                raise MeasureError(f"measure value m({sp.labels_of(mask)}) at mask {mask} "
+                                   f"is not a number: {v!r}") from None
+        raise
+    if len(table) != size:
+        raise MeasureError(f"measure table needs {size} entries, got {len(table)}")
     if table[0] != 0.0:
         raise MeasureError(f"m(empty set) must be 0, got {table[0]}")
     if not table[size - 1] > 0.0:
         raise MeasureError("m(X) must be positive")
-    if any(v < 0.0 for v in table):
+    arr = np.fromiter(table, float, size)
+    if np.count_nonzero(arr < 0.0):
         raise MeasureError("measure values must be nonnegative")
-    arr = np.asarray(table)
-    masks = np.arange(size)
+    # rows k, halves s, columns j: mask k * (2 << bit) + s * (1 << bit) + j
+    upper = arr + EQ_TOL
     for bit in range(sp.n):
-        sup = masks | (1 << bit)
-        bad = arr[masks] > arr[sup] + EQ_TOL
-        if np.any(bad):
-            a = int(masks[bad][0])
+        bad = arr.reshape(-1, 2, 1 << bit)[:, 0, :] > upper.reshape(-1, 2, 1 << bit)[:, 1, :]
+        if np.count_nonzero(bad):
+            k, j = divmod(int(np.argmax(bad)), 1 << bit)
+            a = k * (2 << bit) + j
             raise MeasureError(
                 f"monotonicity violation: m({sp.labels_of(a)})={arr[a]} > "
                 f"m({sp.labels_of(a | (1 << bit))})={arr[a | (1 << bit)]}"
             )
+    # NaN fails every comparison above, so it is looked for last
+    nan = np.isnan(arr)
+    if np.count_nonzero(nan):
+        a = int(np.argmax(nan))
+        raise MeasureError(f"measure value m({sp.labels_of(a)}) at mask {a} is NaN")
     return MonotoneMeasure(sp, tuple(table))
 
 
@@ -198,7 +226,9 @@ def _pair_scan_tables(m: MonotoneMeasure):
         raise MeasureError(
             f"exhaustive pair scan refused for n > {MAX_SCAN_ATOMS} atoms"
         )
-    masks = np.arange(1 << m.space.n)
+    # uint16 holds every mask below 2^MAX_SCAN_ATOMS and quarters the index
+    # tables; below 2^16 pairs its cast to intp when indexing costs more
+    masks = np.arange(1 << m.space.n, dtype=np.uint16 if m.space.n >= 8 else np.intp)
     tab = np.asarray(m.table)
     inter = masks[:, None] & masks[None, :]
     union = masks[:, None] | masks[None, :]

@@ -44,6 +44,8 @@ def build_space(block) -> FiniteSpace:
 def build_measure(block, sp: FiniteSpace) -> MonotoneMeasure:
     kind = block.get("type", "table")
     if kind == "table":
+        if not isinstance(block["table"], dict):
+            raise ScenarioError("measure table must map atom lists to values")
         entries = {sp.mask_of(key.split()): v for key, v in block["table"].items()}
         return from_table(sp, entries)
     if kind == "necessity":

@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON stability."""
 
+import io
 import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebint.cli import main
 from chebint.scenarios import list_scenarios, load_scenario
@@ -204,3 +211,65 @@ class TestRunOptionValidation:
         assert code == 1 and json.loads(out)["verdict"] == "equality-violated"
         code, out, _ = run_cli(capsys, "check-inequality", str(path), "--json", "--tolerance", "1")
         assert code == 0 and json.loads(out)["verdict"] == "equality-holds"
+
+
+class TestInputErrors:
+    """Bad measure values and fusion-op parameters are input errors."""
+
+    def test_nan_measure_value(self, capsys, tmp_path):
+        # used to exit 0 with "verdict": "dependent": NaN passes every
+        # comparison from_table made, and value_range dropped it
+        data = load_scenario("two-point-product-dependence")
+        data["measure"]["table"] = {"": 0.0, "w1": float("nan"), "w2": 0.4, "w1 w2": 1.0}
+        path = tmp_path / "dependence.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-dependence", str(path), "--json")
+        TestRunOptionValidation.assert_input_error(code, out, err, "at mask 1 is NaN")
+
+    def test_fusion_error(self, capsys, tmp_path):
+        # used to end in a FusionError traceback with exit 1 ("refuted")
+        data = load_scenario("minitive-sugeno-values")
+        data["integrals"] = [dict(data["integrals"][1], op={"builtin": "godel", "y_bar": 2})]
+        path = tmp_path / "integrate.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "integrate", str(path), "--json")
+        TestRunOptionValidation.assert_input_error(code, out, err, "only defined on [0,1]^2")
+
+
+_NAN = float("nan")
+_TABLE_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([_NAN, float("inf"), -float("inf"), -0.5, -0.0, 0.0, 1.0]),
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-10, 10 ** 400),
+    st.lists(st.floats(0, 1), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["two-point-product-dependence", "godel-low-range-dependence"]),
+       changes=st.dictionaries(st.sampled_from(["", "w1", "w2", "w1 w2"]),
+                               st.one_of(st.just("drop"), _TABLE_VALUES), min_size=1),
+       whole=st.one_of(st.just("keep"), _TABLE_VALUES))
+def test_fuzz_measure_table(name, changes, whole):
+    """Exit 0, 1 or 2, never a traceback; a NaN entry is always exit 2."""
+    data = load_scenario(name)
+    table = data["measure"]["table"]
+    for key, value in changes.items():
+        if value == "drop":
+            del table[key]
+        else:
+            table[key] = value
+    if whole != "keep":  # the table block itself of the wrong type
+        data["measure"]["table"] = whole
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dependence.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["check-dependence", path, "--json"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
+    if whole == "keep" and any(isinstance(v, float) and math.isnan(v) for v in table.values()):
+        assert code == 2

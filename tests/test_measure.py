@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from chebint.measure import (FiniteSpace, MeasureError, distorted_probability,
-                             dual, from_table, is_minitive, is_subadditive,
-                             is_supermodular, necessity_from_possibility,
-                             space, survival_scenario)
+from chebint import fusion, randgen
+from chebint.dependence import measure_supports_all_pairs
+from chebint.measure import (MAX_SCAN_ATOMS, FiniteSpace, MeasureError,
+                             MonotoneMeasure, _pair_scan_tables,
+                             distorted_probability, dual, from_table,
+                             is_minitive, is_subadditive, is_supermodular,
+                             necessity_from_possibility, space,
+                             survival_scenario)
+from chebint.scan import EQ_TOL, TOL
 
 
 @pytest.fixture
@@ -122,3 +127,189 @@ class TestSurvivalScenario:
         sv = survival_scenario(1.0, [("[0, 0]", "1"), ("(0, 1]", "0")])
         assert sv.g_value(0.0) == 1.0
         assert sv.g_value(0.5) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the array paths against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_from_table(sp, entries):
+    """from_table's checks as a gather per bit (the former implementation)."""
+    size = 1 << sp.n
+    table = [float(v) for v in entries]
+    if len(table) != size:
+        raise MeasureError(f"measure table needs {size} entries, got {len(table)}")
+    if table[0] != 0.0:
+        raise MeasureError(f"m(empty set) must be 0, got {table[0]}")
+    if not table[size - 1] > 0.0:
+        raise MeasureError("m(X) must be positive")
+    if any(v < 0.0 for v in table):
+        raise MeasureError("measure values must be nonnegative")
+    arr = np.asarray(table)
+    masks = np.arange(size)
+    for bit in range(sp.n):
+        sup = masks | (1 << bit)
+        bad = arr[masks] > arr[sup] + EQ_TOL
+        if np.any(bad):
+            a = int(masks[bad][0])
+            raise MeasureError(
+                f"monotonicity violation: m({sp.labels_of(a)})={arr[a]} > "
+                f"m({sp.labels_of(a | (1 << bit))})={arr[a | (1 << bit)]}"
+            )
+    return MonotoneMeasure(sp, tuple(table))
+
+
+def reference_value_range(table):
+    """The greedy dedupe loop over the sorted table."""
+    vals = sorted(table)
+    out = [vals[0]]
+    for v in vals[1:]:
+        if v - out[-1] > EQ_TOL:
+            out.append(v)
+    return tuple(out)
+
+
+def outcome(build, sp, table):
+    try:
+        return "ok", repr(build(sp, table).table)
+    except MeasureError as exc:
+        return "error", str(exc)
+
+
+def atoms(n):
+    return space(*(f"a{i}" for i in range(n)))
+
+
+def additive_table(rng, n):
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
+    w = rng.uniform(0.1, 1.0, n)
+    return (bits @ w / w.sum()).tolist()
+
+
+def inject(rng, table):
+    """Break the table in one of the ways from_table must reject (or just
+    within EQ_TOL, which it must accept)."""
+    size = len(table)
+    table = list(table)
+    kind = rng.integers(6)
+    a = int(rng.integers(1, size - 1)) if size > 2 else 1
+    if kind == 0:  # a set above one of its supersets
+        table[a] = table[-1] * rng.uniform(1.01, 2.0)
+    elif kind == 1:  # a set below one of its subsets
+        table[a] = table[a] * rng.uniform(0.0, 0.5)
+    elif kind == 2:  # several swapped entries
+        for _ in range(3):
+            i, j = (int(v) for v in rng.integers(1, size, 2))
+            table[i], table[j] = table[j], table[i]
+    elif kind == 3:  # negative entry
+        table[a] = -rng.uniform(0.0, 1.0)
+    elif kind == 4:  # boundary conditions
+        if rng.integers(2):
+            table[0] = rng.uniform(1e-6, 0.1)
+        else:
+            table[-1] = -table[-1] * rng.integers(2)
+    else:  # a superset lower than a subset by about EQ_TOL
+        b = 1 << int(rng.integers(int(size).bit_length() - 1))
+        a &= ~b
+        table[a | b] = table[a] - EQ_TOL * rng.choice([0.5, 2.0])
+    return table
+
+
+class TestArrayPathsMatchLoops:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_from_table_messages(self, n):
+        rng = np.random.default_rng(1000 + n)
+        sp = atoms(n)
+        base = additive_table(rng, n)
+        assert outcome(from_table, sp, base) == outcome(reference_from_table, sp, base)
+        for _ in range(12):
+            table = inject(rng, base)
+            want = outcome(reference_from_table, sp, table)
+            assert outcome(from_table, sp, table) == want
+            if want[0] == "error":
+                dict_entries = dict(enumerate(table))
+                assert outcome(from_table, sp, dict_entries) == want
+
+    def test_from_table_large(self):
+        rng = np.random.default_rng(16)
+        sp = atoms(16)
+        base = additive_table(rng, 16)
+        table = list(base)
+        table[0b0111_1111_0000_0000] = 0.99 * table[-1]
+        want = outcome(reference_from_table, sp, table)
+        assert want[0] == "error" and "monotonicity" in want[1]
+        assert outcome(from_table, sp, table) == want
+        m = from_table(sp, base)
+        assert repr(m.value_range()) == repr(reference_value_range(m.table))
+
+    @pytest.mark.parametrize("value", [float("nan"), None, [0.5], 10 ** 400])
+    def test_from_table_rejects_non_numbers(self, two_atoms, value):
+        with pytest.raises(MeasureError, match=r"m\(\('a1',\)\) at mask 1"):
+            from_table(two_atoms, [0.0, value, 0.4, 1.0])
+
+    def test_nan_after_earlier_errors(self, two_atoms):
+        # a table that already failed another check keeps its old message
+        with pytest.raises(MeasureError, match="nonnegative"):
+            from_table(two_atoms, [0.0, float("nan"), -0.4, 1.0])
+        with pytest.raises(MeasureError, match="monotonicity"):
+            from_table(two_atoms, [0.0, float("nan"), 0.9, 0.5])
+
+    @pytest.mark.parametrize("size", [4, 2048])
+    @pytest.mark.parametrize("kind", ["signed-zeros", "duplicates", "sub-tol-chains",
+                                      "distinct", "mixed"])
+    def test_value_range(self, size, kind):
+        rng = np.random.default_rng(size)
+        if kind == "signed-zeros":
+            vals = rng.choice([0.0, -0.0, 0.25, 1.0], size)
+        elif kind == "duplicates":
+            vals = rng.choice(rng.uniform(0, 1, 7), size)
+        elif kind == "sub-tol-chains":
+            # steps of 0.4 EQ_TOL: the greedy rule keeps every third value
+            vals = rng.choice([0.0, 0.5], size) + 0.4 * EQ_TOL * rng.integers(0, 40, size)
+        elif kind == "distinct":
+            vals = rng.permutation(size) / size
+        else:
+            vals = np.concatenate([rng.uniform(0, 1, size // 2),
+                                   0.5 + 0.7 * EQ_TOL * np.arange(size - size // 2)])
+        m = MonotoneMeasure(atoms(int(size).bit_length() - 1), tuple(vals.tolist()))
+        assert repr(m.value_range()) == repr(reference_value_range(m.table))
+
+
+def reference_pair_tables(m):
+    masks = np.arange(1 << m.space.n, dtype=np.int64)
+    return np.asarray(m.table), masks[:, None] & masks[None, :], masks[:, None] | masks[None, :]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_scans_match_int64_reference(n):
+    rng = np.random.default_rng(2000 + n)
+    sp = atoms(n)
+    measures = [necessity_from_possibility(sp, randgen.random_possibility(rng, sp)),
+                randgen.random_monotone_measure(rng, sp),
+                MonotoneMeasure(sp, tuple(additive_table(rng, n)))]
+    for m in measures:
+        tab, inter, union = reference_pair_tables(m)
+        lo = np.minimum(tab[:, None], tab[None, :])
+        pair_sum = tab[:, None] + tab[None, :]
+        assert is_minitive(m) == bool(np.all(np.abs(tab[inter] - lo) <= EQ_TOL))
+        assert is_subadditive(m) == bool(np.all(tab[union] <= pair_sum + EQ_TOL))
+        assert is_supermodular(m) == bool(np.all(tab[union] + tab[inter] >= pair_sum - EQ_TOL))
+        prod = fusion.prod_op()
+        short = np.argwhere(tab[inter] < tab[:, None] * tab[None, :] - TOL)
+        verdict = measure_supports_all_pairs(m, prod, allow_range_escape=True)
+        if short.size:
+            i, j = (int(v) for v in short[0])
+            assert verdict.witness == (sp.labels_of(i), sp.labels_of(j))
+        else:
+            assert verdict.holds
+
+
+def test_pair_scan_tables_at_max_atoms_match_int64():
+    m = MonotoneMeasure(atoms(MAX_SCAN_ATOMS), tuple(range(1 << MAX_SCAN_ATOMS)))
+    tab, inter, union = _pair_scan_tables(m)
+    masks = np.arange(1 << MAX_SCAN_ATOMS, dtype=np.int64)
+    for rows in (slice(0, 3), slice(-3, None)):
+        assert np.array_equal(inter[rows], masks[rows, None] & masks[None, :])
+        assert np.array_equal(union[rows], masks[rows, None] | masks[None, :])
