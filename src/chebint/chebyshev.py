@@ -20,7 +20,7 @@ from .extreal import INF
 from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
-from .scan import EQ_TOL, TOL, Verdict, scan
+from .scan import EQ_TOL, TOL, Verdict, checked_rows, distinct, scan
 
 _INF_CAP = 1e6
 
@@ -54,7 +54,10 @@ def _checked_eval(expr, var, x, name, domain):
             raise ShapeDomainError(name, x, domain)
         return eval_expr(expr, {var: float(lo) if x < lo else float(hi) if x > hi else x})
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo - TOL) or np.any(arr > hi + TOL):
+    # fmin/fmax skip NaNs as the comparisons do, so a NaN beside an
+    # out-of-range value still ends in a ShapeDomainError
+    if arr.size and (np.fmin.reduce(arr, axis=None) < lo - TOL
+                     or np.fmax.reduce(arr, axis=None) > hi + TOL):
         bad = arr[(arr < lo - TOL) | (arr > hi + TOL)].flat[0]
         raise ShapeDomainError(name, float(bad), domain)
     clipped = np.clip(arr, lo, hi)
@@ -271,18 +274,32 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
             np.asarray(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
         psi3_bd = np.asarray(cfg.psi3.apply(
             np.asarray(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
+        # Rows run over (c, d, b): psi1(circ1(phi1(sab), t)) is taken once per
+        # distinct value t of the triangle table, and outer runs over the
+        # contiguous (d, b) block of psi3.
+        tri_values, tri_index = distinct(np.broadcast_to(tri_cd, (len(cd), len(cd))))
+        psi3_db = np.ascontiguousarray(psi3_bd.T)
 
-        def sides(i):  # over (b, c, d)
-            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
-            phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
+        def phi1_sab(i):
+            return np.asarray(cfg.phi1.apply(
+                np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)), dtype=float)
+
+        def fast(i):  # lhs over (t, b) for the distinct triangle values t
             lhs = np.asarray(cfg.psi1.apply(np.asarray(
-                apply_op(cfg.circ1, phi1_sab[:, None, None], tri_cd[None, :, :]),
+                apply_op(cfg.circ1, phi1_sab(i)[None, :], tri_values[:, None]),
                 dtype=float)), dtype=float)
-            rhs = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :, None],
-                                      psi3_bd[:, None, :]), dtype=float)
+            rhs = np.asarray(apply_op(cfg.outer, psi2_ac[i][:, None, None],
+                                      psi3_db[None, :, :]), dtype=float)
             return lhs, rhs
 
-        return scan((ab, ab, cd, cd), sides, partial(scalar_condition_at, cfg), evidence)
+        def reference(i):  # over (b, c, d)
+            cfg.psi1.apply(np.asarray(apply_op(
+                cfg.circ1, phi1_sab(i)[:, None, None], tri_cd[None, :, :]), dtype=float))
+            apply_op(cfg.outer, psi2_ac[i][None, :, None], psi3_bd[:, None, :])
+
+        return scan((ab, ab, cd, cd), checked_rows(fast, reference),
+                    partial(scalar_condition_at, cfg), evidence, order=(1, 2, 0),
+                    lhs_index=tri_index)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 

@@ -538,9 +538,10 @@ def eval_expr(e: Expr, bindings: dict):
             raise EvalError(f"negative final value {val}")
         return val
     arr = np.asarray(val, dtype=float)
-    if np.any(np.isnan(arr)):
+    low = arr.min() if arr.size else 0.0  # NaN if any value is NaN
+    if low != low:
         raise EvalError("indeterminate form in evaluation")
-    if np.any(arr < 0.0):
+    if low < 0.0:
         bad = float(arr[arr < 0.0].flat[0]) if arr.ndim else float(arr)
         raise EvalError(f"negative final value {bad}")
     return as_scalar(val)

@@ -5,12 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 INF = float("inf")
+_INF_BITS = 0x7FF0000000000000  # the int64 view of +inf: larger views are NaNs
+# below this many output elements the operand checks of xmul's direct product
+# cost more than the np.where they save
+_DIRECT_MIN = 1 << 12
 
 
 def xmul(a, b):
     """Product on [0, inf] patched so that 0*inf = inf*0 = 0.
 
-    Accepts scalars or numpy arrays (broadcasting like ``*``).
+    Accepts scalars or numpy arrays (broadcasting like ``*``).  When both
+    operands are finite with the sign bit clear, no 0*inf arises and every
+    zero product is +0, so the plain product is returned, bit for bit what
+    the patched one gives.
     """
     if np.isscalar(a) and np.isscalar(b):
         if a == 0.0 or b == 0.0:
@@ -20,7 +27,15 @@ def xmul(a, b):
     b = np.asarray(b, dtype=float)
     with np.errstate(invalid="ignore"):
         out = a * b
+    if out.size >= _DIRECT_MIN and _finite_unsigned(a) and _finite_unsigned(b):
+        return out
     return np.where((a == 0.0) | (b == 0.0), 0.0, out)
+
+
+def _finite_unsigned(x):
+    """Every value of float array x is finite with its sign bit clear."""
+    bits = x.view(np.int64)
+    return bits.min() >= 0 and bits.max() < _INF_BITS
 
 
 def as_scalar(x):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF, as_scalar, xmul
-from .scan import EQ_TOL, TOL, Verdict, scan
+from .scan import EQ_TOL, TOL, Verdict, checked_rows, distinct, scan
 
 
 class FusionError(Exception):
@@ -126,7 +126,11 @@ def apply_op(op: FusionOp, a, b):
     if op.kind == "prod":
         return as_scalar(xmul(a, b))
     if op.kind == "lukasiewicz":
-        return as_scalar(np.maximum(np.asarray(a, dtype=float) + b - 1.0, 0.0))
+        out = np.asarray(a, dtype=float) + b
+        if isinstance(out, np.ndarray):  # a fresh array: finish it in place
+            out -= 1.0
+            return np.maximum(out, 0.0, out=out)
+        return as_scalar(np.maximum(out - 1.0, 0.0))
     if op.kind == "godel":
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
@@ -334,19 +338,31 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
     xs = np.linspace(0.0, 1.0, count)
     inner_cd = np.asarray(apply_op(inner, xs[:, None], xs[None, :]), dtype=float)  # (c,d)
     outer_cd = np.asarray(apply_op(outer, xs[:, None], xs[None, :]), dtype=float)
+    # Rows run over (c, d, b): outer(inner(a, b), t) is taken once per distinct
+    # value t of inner_cd, and inner runs over the contiguous (d, b) block.
+    inner_values, inner_index = distinct(np.broadcast_to(inner_cd, (count, count)))
+    outer_db = np.ascontiguousarray(outer_cd.T)
 
-    def sides(i):  # over (b, c, d)
-        inner_ab = np.asarray(apply_op(inner, xs[i], xs), dtype=float)
-        lhs = np.asarray(apply_op(outer, inner_ab[:, None, None], inner_cd[None, :, :]), dtype=float)
-        rhs = np.asarray(apply_op(inner, outer_cd[i][None, :, None], outer_cd[:, None, :]),
+    def inner_ab(i):
+        return np.asarray(apply_op(inner, xs[i], xs), dtype=float)
+
+    def fast(i):  # lhs over (t, b) for the distinct inner values t
+        lhs = np.asarray(apply_op(outer, inner_ab(i)[None, :], inner_values[:, None]),
+                         dtype=float)
+        rhs = np.asarray(apply_op(inner, outer_cd[i][:, None, None], outer_db[None, :, :]),
                          dtype=float)
         return lhs, rhs
+
+    def reference(i):  # over (b, c, d)
+        apply_op(outer, inner_ab(i)[:, None, None], inner_cd[None, :, :])
+        apply_op(inner, outer_cd[i][None, :, None], outer_cd[:, None, :])
 
     def at(a, b, c, d):
         return (eval_op(outer, eval_op(inner, a, b), eval_op(inner, c, d)),
                 eval_op(inner, eval_op(outer, a, c), eval_op(outer, b, d)))
 
-    return scan((xs, xs, xs, xs), sides, at, f"grid({grid_step})")
+    return scan((xs, xs, xs, xs), checked_rows(fast, reference), at, f"grid({grid_step})",
+                order=(1, 2, 0), lhs_index=inner_index)
 
 
 def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> Verdict:

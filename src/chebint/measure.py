@@ -175,7 +175,7 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
     p = [float(v) for v in p]
     if len(p) != sp.n:
         raise MeasureError("probability vector length must match atom count")
-    if any(v < 0 for v in p) or abs(sum(p) - 1.0) > TOL:
+    if any(not v >= 0 for v in p) or not abs(sum(p) - 1.0) <= TOL:  # NaN fails both
         raise MeasureError("p must be a probability vector")
     expr = parse(h) if isinstance(h, str) else h
     var = _sole_var(expr)

@@ -41,20 +41,45 @@ def build_space(block) -> FiniteSpace:
     return FiniteSpace(tuple(block))
 
 
-def build_measure(block, sp: FiniteSpace) -> MonotoneMeasure:
+def build_measure(block, sp: FiniteSpace, path="measure") -> MonotoneMeasure:
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{path} must be an object")
     kind = block.get("type", "table")
     if kind == "table":
-        if not isinstance(block["table"], dict):
+        if not isinstance(block.get("table"), dict):
             raise ScenarioError("measure table must map atom lists to values")
-        entries = {sp.mask_of(key.split()): v for key, v in block["table"].items()}
+        entries = {sp.mask_of(key.split()): _number(v, f"{path}.table[{key!r}]")
+                   for key, v in block["table"].items()}
         return from_table(sp, entries)
     if kind == "necessity":
-        pi = [block["possibility"][lab] for lab in sp.labels]
-        return necessity_from_possibility(sp, pi)
+        return necessity_from_possibility(sp, _atom_numbers(block, "possibility", sp, path))
     if kind == "distorted":
-        p = [block["probability"][lab] for lab in sp.labels]
+        p = _atom_numbers(block, "probability", sp, path)
+        if not isinstance(block.get("distortion"), str):
+            raise ScenarioError(f"{path}.distortion must be an expression string")
         return distorted_probability(sp, p, block["distortion"])
     raise ScenarioError(f"unknown measure type {kind!r}")
+
+
+def _number(value, path) -> float:
+    """A JSON number as a float; strings, booleans, null and containers are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path} is too large: {value!r}") from None
+
+
+def _atom_numbers(block, key, sp: FiniteSpace, path):
+    """The numbers block[key] gives the atoms, in the space's atom order."""
+    values = block.get(key)
+    if not isinstance(values, dict):
+        raise ScenarioError(f"{path}.{key} must map atom labels to numbers")
+    for lab in sp.labels:
+        if lab not in values:
+            raise ScenarioError(f"{path}.{key}.{lab} is missing")
+    return [_number(values[lab], f"{path}.{key}.{lab}") for lab in sp.labels]
 
 
 def build_op(block) -> fusion.FusionOp:
@@ -166,7 +191,7 @@ def _exit_for_status(status):
 def _run_integrate(data, grid_step, seed, budget, tolerance):
     results = {}
     bindings = {}
-    for item in data["integrals"]:
+    for i, item in enumerate(data["integrals"]):
         op = build_op(item.get("op", "min"))
         if "survival" in item:
             sv = build_survival(item["survival"])
@@ -174,7 +199,7 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
             res = integrate_survival(op, sv, grid_step=step)
         else:
             sp = build_space(item["space"])
-            m = build_measure(item["measure"], sp)
+            m = build_measure(item["measure"], sp, f"integrals[{i}].measure")
             f = build_function(item["f"], sp, bound=item.get("bound"))
             D = build_mask(item.get("set", list(sp.labels)), sp)
             if item.get("integral") == "q":

@@ -244,32 +244,58 @@ _TABLE_VALUES = st.one_of(
     st.lists(st.floats(0, 1), max_size=2), st.dictionaries(st.text(max_size=2), st.none(), max_size=1))
 
 
-@settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(["two-point-product-dependence", "godel-low-range-dependence"]),
-       changes=st.dictionaries(st.sampled_from(["", "w1", "w2", "w1 w2"]),
-                               st.one_of(st.just("drop"), _TABLE_VALUES), min_size=1),
+# scenario -> the measure block fuzzed and its keys: the table of two
+# table-measure scenarios, the possibility and probability of the others
+_FUZZED_BLOCKS = {
+    "two-point-product-dependence": ("table", ["", "w1", "w2", "w1 w2"]),
+    "godel-low-range-dependence": ("table", ["", "w1", "w2", "w1 w2"]),
+    "minitive-dependence": ("possibility", ["x1", "x2", "x3"]),
+    "distorted-probability-dependence": ("probability", ["x1", "x2", "x3"]),
+}
+
+
+def _not_a_number(value):
+    return isinstance(value, bool) or not isinstance(value, (int, float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_FUZZED_BLOCKS)), data=st.data(),
        whole=st.one_of(st.just("keep"), _TABLE_VALUES))
-def test_fuzz_measure_table(name, changes, whole):
-    """Exit 0, 1 or 2, never a traceback; a NaN entry is always exit 2."""
-    data = load_scenario(name)
-    table = data["measure"]["table"]
-    for key, value in changes.items():
+def test_fuzz_measure_table(name, data, whole):
+    """Exit 0, 1 or 2, never a traceback; a NaN or a value that is not a JSON
+    number is always exit 2, and so is a missing atom of a possibility or
+    probability block, with the path of the entry in the message."""
+    key, entries = _FUZZED_BLOCKS[name]
+    changes = data.draw(st.dictionaries(st.sampled_from(entries),
+                                        st.one_of(st.just("drop"), _TABLE_VALUES), min_size=1))
+    scenario = load_scenario(name)
+    block = scenario["measure"][key]
+    for entry, value in changes.items():
         if value == "drop":
-            del table[key]
+            del block[entry]
         else:
-            table[key] = value
-    if whole != "keep":  # the table block itself of the wrong type
-        data["measure"]["table"] = whole
+            block[entry] = value
+    if whole != "keep":  # the block itself of the wrong type
+        scenario["measure"][key] = whole
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "dependence.json")
         with open(path, "w") as fh:
-            json.dump(data, fh)
+            json.dump(scenario, fh)
         with redirect_stdout(out), redirect_stderr(err):
             code = main(["check-dependence", path, "--json"])
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
-    if whole == "keep" and any(isinstance(v, float) and math.isnan(v) for v in table.values()):
+    if whole != "keep":
+        return
+    values = block.values()
+    if any(isinstance(v, float) and math.isnan(v) for v in values):
         assert code == 2
+    bad = [e for e in entries if e in block and _not_a_number(block[e])]
+    if key != "table":
+        bad += [e for e in entries if e not in block]
+    if bad:
+        assert code == 2
+        assert f"measure.{key}" in err.getvalue()

@@ -13,6 +13,7 @@ from chebint.chebyshev import ShapeDomainError
 from chebint.dependence import triangle_range_escapes
 from chebint.exprlang import (EvalError, compile_expr, eval_expr, free_vars, parse,
                               pretty)
+from chebint.extreal import xmul
 from chebint.fusion import (BUILTIN_KINDS, FusionError, apply_op, builtin,
                             clip_args, eval_op, expr_op)
 from chebint.measure import FiniteSpace, MonotoneMeasure
@@ -323,3 +324,124 @@ def test_compiled_node_still_pickles():
     again = pickle.loads(pickle.dumps(e))
     assert again == e
     assert eval_expr(again, {"t": 0.75}) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Array fast paths: xmul's direct product, in-place Lukasiewicz, one-reduction checks
+# ---------------------------------------------------------------------------
+
+_SPECIAL = [0.0, -0.0, 0.5, 1.0, 3.0, float("inf"), float("nan"), -float("nan"), -0.5, 1e-310]
+
+
+def xmul_reference(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def xmul_operands():
+    rng = np.random.default_rng(5)
+    plain = rng.uniform(0.0, 2.0, 80)
+    plain[::7] = 0.0
+    yield plain[:, None], plain[None, :64]  # 5,120 elements: the direct product
+    yield plain[:64, None], 0.25  # a scalar, below the direct-product size
+    yield np.broadcast_to(plain[:70], (70, 70)), plain[:70, None]
+    for special in _SPECIAL:  # one special value spoils the direct product
+        bad = plain.copy()
+        bad[3] = special
+        yield bad[:, None], plain[None, :64]
+        yield plain[:, None], bad[None, :64]
+        yield bad[:, None], special
+        yield special, bad[None, :]
+    yield np.array(_SPECIAL)[:, None], np.array(_SPECIAL)[None, :]
+
+
+@pytest.mark.parametrize("a, b", list(xmul_operands()))
+def test_xmul_is_bitwise_the_where_form(a, b):
+    assert same_bits(xmul(a, b), xmul_reference(a, b))
+    assert same_bits(xmul(b, a), xmul_reference(b, a))
+
+
+def test_xmul_direct_product_leaves_operands_alone():
+    a = np.linspace(0.0, 1.0, 100)
+    before = a.copy()
+    out = xmul(a[:, None], a[None, :])
+    assert out.shape == (100, 100) and not np.shares_memory(out, a)
+    assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.linspace(-0.5, 1.5, 41)[:, None], np.linspace(-0.5, 1.5, 41)[None, :]),
+    (np.array(_SPECIAL)[:, None], np.array(_SPECIAL)[None, :]),
+    (np.array(_SPECIAL), 0.75),
+    (0.75, np.array(_SPECIAL)),
+    (np.asarray(0.6), np.asarray(0.7)),
+    (0.6, 0.7),
+])
+def test_lukasiewicz_in_place_is_bitwise(a, b):
+    with np.errstate(invalid="ignore"):
+        want = np.maximum(np.asarray(a, dtype=float) + b - 1.0, 0.0)
+        got = apply_op(builtin("lukasiewicz"), a, b)
+    assert same_bits(got, want)
+    assert type(got) is (float if np.ndim(want) == 0 else np.ndarray)
+
+
+def test_lukasiewicz_leaves_its_arguments_alone():
+    a = np.linspace(0.0, 1.0, 11)
+    before = a.copy()
+    apply_op(builtin("lukasiewicz"), a, 0.5)
+    apply_op(builtin("lukasiewicz"), a[:, None], a[None, :])
+    assert np.array_equal(a, before)
+
+
+def old_shape_outcome(shape, x):
+    """The shape-function array path before the one-reduction checks."""
+    lo, hi = shape.domain
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < lo - 1e-9) or np.any(arr > hi + 1e-9):
+        bad = arr[(arr < lo - 1e-9) | (arr > hi + 1e-9)].flat[0]
+        return ("ShapeDomainError", str(ShapeDomainError(shape.name, float(bad), shape.domain)))
+    try:  # the raw value, before eval_expr's own final checks
+        val = np.asarray(compile_expr(shape.expr)({shape.var: np.clip(arr, lo, hi)}), dtype=float)
+    except EvalError as exc:
+        return ("EvalError", str(exc))
+    if np.any(np.isnan(val)):
+        return ("EvalError", "indeterminate form in evaluation")
+    if np.any(val < 0.0):
+        return ("EvalError", f"negative final value {float(val[val < 0.0].flat[0])}")
+    return ("value", val.tolist())
+
+
+def new_shape_outcome(shape, x):
+    try:
+        return ("value", np.asarray(shape.apply(x), dtype=float).tolist())
+    except (ShapeDomainError, EvalError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("source", ["x", "x - 0.5", "sqrt(x) - 0.2", "1 / (x - 0.25) + 3"])
+@pytest.mark.parametrize("x", [
+    [0.2, _NAN, 0.7],  # NaN alone: indeterminate
+    [_NAN, 0.3, 1.5, -0.2],  # NaN beside out-of-range values: the domain error wins
+    [_NAN, -0.2, 0.3],
+    [0.3, _NAN, 1.5],
+    [0.3, _NAN, -1e-10, 1.0 + 1e-10],  # within the tolerance: clamped
+    [[0.9, 0.1], [_NAN, 0.2]],
+    [_NAN, _NAN],
+    [0.1, 0.2, 0.6],  # negatives from "x - 0.5" in the middle
+    [[0.4, 0.8], [0.3, 2.0]],
+    [],
+])
+def test_shape_and_eval_checks_match_the_old_masks(source, x):
+    s = build_shape({"expr": source})
+    with np.errstate(all="ignore"):
+        assert new_shape_outcome(s, x) == old_shape_outcome(s, x)

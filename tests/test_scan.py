@@ -1,10 +1,11 @@
 """The grid-scan kernel: row order, C order within a row, and the re-check rule."""
 
 import numpy as np
+import pytest
 
 import chebint
 from chebint import chebyshev, scan as scan_module
-from chebint.scan import TOL, Verdict, scan
+from chebint.scan import TOL, Verdict, checked_rows, distinct, scan
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -73,3 +74,116 @@ def test_flags_only_beyond_the_tolerance():
 def test_one_verdict_type():
     assert chebint.Verdict is chebyshev.Verdict is scan_module.Verdict
     assert isinstance(chebint.leq_min(chebint.prod_op(), grid_step=0.25), Verdict)
+
+
+def test_sides_may_be_views_of_hoisted_tables():
+    # rhs rows are views of one table; the scan must only read them
+    axes = (np.arange(3.0), np.arange(4.0), np.arange(5.0))
+    table = np.linspace(0.0, 1.0, 60).reshape(3, 4, 5)
+    before = table.copy()
+    verdict = scan(axes, lambda i: (table[i], table[i][::-1]), lambda *p: (0.0, 0.0), "")
+    assert verdict.holds
+    assert np.array_equal(table, before)
+
+
+def test_permuted_row_order_reports_the_plain_first_witness():
+    rng = np.random.default_rng(7)
+    axes = (np.arange(4.0), np.arange(3.0), np.arange(5.0), np.arange(6.0))
+    lhs = rng.uniform(size=(4, 3, 5, 6))
+    rhs = rng.uniform(size=(4, 3, 5, 6)) * 0.6  # some points of every row flagged
+
+    def at(a, b, c, d):
+        return lhs[int(a), int(b), int(c), int(d)], rhs[int(a), int(b), int(c), int(d)]
+
+    plain = scan(axes, lambda i: (lhs[i], rhs[i]), at, "")
+    assert plain.status == "violated"
+    for order in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
+        # axis k of the row arrays runs along axes[1:][order[k]]
+        permuted = scan(axes, lambda i: (lhs[i].transpose(order), rhs[i].transpose(order)),
+                        at, "", order=order)
+        assert permuted == plain, order
+
+
+def test_rows_broadcast_and_blocks_cover_the_row():
+    # a (c, 1, b) lhs against a (c, d, b) rhs, over more slabs than one block
+    c, d, b = 7, 6000, 3
+    axes = (np.arange(2.0), np.arange(float(b)), np.arange(float(c)), np.arange(float(d)))
+    rhs = np.zeros((c, d, b))
+    rhs[5, 4321, 2] = 1.0  # the only flagged point: (b, c, d) = (2, 5, 4321)
+    verdict = scan(axes, lambda i: (np.zeros((c, 1, b)), rhs), lambda *p: (0.0, 1.0), "",
+                   order=(1, 2, 0))
+    assert verdict.witness == (0.0, 2.0, 5.0, 4321.0)
+
+
+def test_distinct_rebuilds_the_table_bit_for_bit():
+    table = np.array([[0.0, -0.0, np.nan], [0.5, 0.0, -np.nan], [np.inf, 0.5, 1.0]])
+    values, index = distinct(table)
+    assert np.array_equal(values[index].view(np.int64), table.view(np.int64))
+    assert len(values) == 7  # +0 and -0, and the two NaNs, stay apart
+
+
+def test_lhs_from_a_table_of_distinct_values():
+    # a lhs given as rows of a table, one per distinct value of a (c, d)
+    # table, flags what the same lhs spread over the row flags
+    rng = np.random.default_rng(3)
+    c, d, b = 70, 60, 9  # more slabs than one block
+    axes = (np.arange(4.0), np.arange(float(b)), np.arange(float(c)), np.arange(float(d)))
+    values, index = distinct(rng.integers(0, 40, size=(c, d)).astype(float))
+    tables = rng.uniform(size=(4, len(values), b))
+    rhs = rng.uniform(0.5, 1.2, size=(4, c, d, b))
+    rhs[:, :65] = 0.0  # flagged points only in the last block of slabs
+
+    def at(a, bb, cc, dd):
+        a, bb, cc, dd = int(a), int(bb), int(cc), int(dd)
+        return tables[a][index[cc, dd], bb], rhs[a, cc, dd, bb]
+
+    want = scan(axes, lambda i: (tables[i][index].transpose(2, 0, 1), rhs[i].transpose(2, 0, 1)),
+                at, "")
+    assert want.status == "violated"
+    order = (1, 2, 0)  # rows over (c, d, b): the index covers the leading (c, d)
+    got = scan(axes, lambda i: (tables[i], rhs[i]), at, "", order=order, lhs_index=index)
+    assert got == want
+    table = tables[0]
+    before = table.copy()
+    scan(axes, lambda i: (table, np.zeros((c, d, b))), lambda *p: (1.0, 0.0), "",
+         order=order, lhs_index=index)
+    assert np.array_equal(table, before)
+
+
+def test_checked_rows_raises_the_reference_error():
+    def fast(i):
+        raise ValueError("fast")
+
+    def reference(i):
+        raise KeyError(f"reference row {i}")
+
+    with pytest.raises(KeyError, match="reference row 0"):
+        checked_rows(fast, reference)(0)
+    with pytest.raises(ValueError, match="fast"):  # a reference without error
+        checked_rows(fast, lambda i: None)(0)
+
+
+def test_constant_sides_flag_the_first_point_of_the_row():
+    # sides that do not depend on the row's axes broadcast over the whole row,
+    # so the witness has every coordinate
+    axes = (np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0]))
+    verdict = scan(axes, lambda i: (0.0, 1.0), lambda a, b, c: (0.0, 1.0), "")
+    assert verdict.witness == (0.0, 2.0, 4.0)
+
+
+def test_constant_operations_give_complete_witnesses():
+    # a constant star made every row 0-d: the witness lost its b and c, and
+    # re-checking it raised a TypeError; a constant triangle raised IndexError
+    flags = dict(non_decreasing=True, fuzzy_conjunction=True)
+    half = chebint.expr_op("half", "0.5*b", **flags)
+    quarter = chebint.expr_op("quarter", "0.25", **flags)
+    ident = chebyshev.identity_shape()
+    verdict = chebyshev.q_corollary_condition(half, (ident,) * 3, quarter, grid_step=0.1)
+    assert verdict == Verdict("violated", (0.0, 1.0, 0.0), 0.125, 0.25,
+                              evidence="grid(0.1), boundary slice b=1 scanned first")
+    mn = chebint.min_op()
+    cfg = chebyshev.config(mn, mn, (mn,) * 3, chebint.expr_op("half", "0.5", **flags),
+                           (ident,) * 3, (ident,) * 3, cd_domain=chebyshev.cd_interval(0, 1))
+    verdict = chebyshev.check_scalar_condition(cfg, grid_step=0.1)
+    assert verdict.status == "violated" and len(verdict.witness) == 4
+    assert verdict.lhs == 0.5 and verdict.lhs < verdict.rhs

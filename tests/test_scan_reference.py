@@ -1,0 +1,289 @@
+"""Differential test: the four grid scans against their row-by-row reference.
+
+The reference is the earlier form of each scan: rows built over the axes in
+their own order, psi1 and outer evaluated on whole rows, and a kernel that
+compares ``lhs < rhs - TOL`` in one go.  Random builtin, expression and
+power-shape configurations must give the same Verdict (status, witness, lhs,
+rhs, detail, evidence) or raise the same exception with the same message.
+"""
+
+from functools import partial
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chebint import chebyshev as cheb
+from chebint import fusion
+from chebint.chebyshev import HypothesisError, _k_grid
+from chebint.fusion import apply_op, eval_op
+from chebint.scan import EQ_TOL, TOL, Verdict
+
+
+def reference_scan(axes, sides, at, evidence):
+    first, rest = axes[0], axes[1:]
+    for i in range(len(first)):
+        lhs, rhs = sides(i)
+        viol = lhs < rhs - TOL
+        if not np.any(viol):
+            continue
+        index = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        point = (float(first[i]),) + tuple(float(ax[j]) for ax, j in zip(rest, index))
+        wl, wr = at(*point)
+        if wl < wr - TOL:
+            return Verdict("violated", point, wl, wr, evidence=evidence)
+    return Verdict("holds-on-grid", evidence=evidence)
+
+
+def reference_c1(cfg, grid_step):
+    try:
+        cfg.validate()
+        ab = _k_grid(cfg, grid_step)
+        cd = cfg.cd_domain.sample(grid_step)
+        evidence = f"a,b grid({grid_step}) x c,d {cfg.cd_domain.describe(grid_step)}"
+        tri_cd = np.asarray(apply_op(cfg.triangle, cd[:, None], cd[None, :]), dtype=float)
+        phi2_a = np.asarray(cfg.phi2.apply(ab), dtype=float)
+        phi3_b = np.asarray(cfg.phi3.apply(ab), dtype=float)
+        psi2_ac = np.asarray(cfg.psi2.apply(
+            np.asarray(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
+        psi3_bd = np.asarray(cfg.psi3.apply(
+            np.asarray(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
+
+        def sides(i):  # over (b, c, d)
+            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
+            phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
+            lhs = np.asarray(cfg.psi1.apply(np.asarray(
+                apply_op(cfg.circ1, phi1_sab[:, None, None], tri_cd[None, :, :]),
+                dtype=float)), dtype=float)
+            rhs = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :, None],
+                                      psi3_bd[:, None, :]), dtype=float)
+            return lhs, rhs
+
+        return reference_scan((ab, ab, cd, cd), sides, partial(cheb.scalar_condition_at, cfg),
+                              evidence)
+    except HypothesisError as exc:
+        return Verdict("hypothesis-failed", detail=str(exc))
+
+
+def reference_c2(cfg, grid_step):
+    try:
+        cfg.validate()
+        ab = _k_grid(cfg, grid_step)
+        cd = cfg.cd_domain.sample(grid_step)
+        dbar = min(cfg.cd_domain.sup, cheb._INF_CAP)
+        evidence = f"a,b grid({grid_step}) x c {cfg.cd_domain.describe(grid_step)}"
+        phi2_a = np.asarray(cfg.phi2.apply(ab), dtype=float)
+        phi3_b = np.asarray(cfg.phi3.apply(ab), dtype=float)
+        psi2_ac = np.asarray(cfg.psi2.apply(np.asarray(
+            apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
+        psi3_bc = np.asarray(cfg.psi3.apply(np.asarray(
+            apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
+        psi2_adbar = np.asarray(cfg.psi2.apply(np.asarray(
+            apply_op(cfg.circ2, phi2_a, dbar), dtype=float)), dtype=float)
+        psi3_bdbar = np.asarray(cfg.psi3.apply(np.asarray(
+            apply_op(cfg.circ3, phi3_b, dbar), dtype=float)), dtype=float)
+
+        def sides(i):  # over (b, c)
+            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
+            phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
+            lhs = np.asarray(cfg.psi1.apply(np.asarray(
+                apply_op(cfg.circ1, phi1_sab[:, None], cd[None, :]), dtype=float)), dtype=float)
+            t1 = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :],
+                                     psi3_bdbar[:, None]), dtype=float)
+            t2 = np.asarray(apply_op(cfg.outer, psi2_adbar[i], psi3_bc), dtype=float)
+            return lhs, np.maximum(t1, t2)
+
+        return reference_scan((ab, ab, cd), sides, partial(cheb.c2_condition_at, cfg), evidence)
+    except HypothesisError as exc:
+        return Verdict("hypothesis-failed", detail=str(exc))
+
+
+def reference_q(conj, phis, star, grid_step):
+    phi1, phi2, phi3 = phis
+    try:
+        if not conj.fuzzy_conjunction:
+            raise HypothesisError(f"{conj.name!r} lacks the fuzzy_conjunction flag")
+        for i, phi in enumerate(phis, start=1):
+            if phi.inverse is None:
+                raise HypothesisError(f"phi{i} needs a declared inverse")
+            if abs(float(phi.apply(0.0))) > EQ_TOL:
+                raise HypothesisError(f"phi{i}(0) = {float(phi.apply(0.0))}, expected 0")
+            top = float(phi.apply(1.0))
+            if eval_op(conj, 1.0, top) > top + TOL:
+                raise HypothesisError(f"1 conj phi{i}(1) exceeds phi{i}(1)")
+    except HypothesisError as exc:
+        return Verdict("hypothesis-failed", detail=str(exc))
+    xs = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    evidence = f"grid({grid_step}), boundary slice b=1 scanned first"
+
+    def scan_b(b_values):
+        phi2_b = np.asarray(phi2.apply(b_values), dtype=float)
+        inv2_1b = np.asarray(phi2.apply_inverse(
+            np.asarray(apply_op(conj, 1.0, phi2_b), dtype=float)), dtype=float)
+        phi3_c = np.asarray(phi3.apply(xs), dtype=float)
+        inv3_1c = np.asarray(phi3.apply_inverse(
+            np.asarray(apply_op(conj, 1.0, phi3_c), dtype=float)), dtype=float)
+        phi1_bc = np.asarray(phi1.apply(np.asarray(
+            apply_op(star, b_values[:, None], xs[None, :]), dtype=float)), dtype=float)
+
+        def sides(i):  # over (b, c)
+            a = xs[i]
+            lhs = np.asarray(phi1.apply_inverse(np.asarray(
+                apply_op(conj, a, phi1_bc), dtype=float)), dtype=float)
+            inv2_ab = np.asarray(phi2.apply_inverse(np.asarray(
+                apply_op(conj, a, phi2_b), dtype=float)), dtype=float)
+            inv3_ac = np.asarray(phi3.apply_inverse(np.asarray(
+                apply_op(conj, a, phi3_c), dtype=float)), dtype=float)
+            r1 = np.asarray(apply_op(star, inv2_ab[:, None], inv3_1c[None, :]), dtype=float)
+            r2 = np.asarray(apply_op(star, inv2_1b[:, None], inv3_ac[None, :]), dtype=float)
+            return lhs, np.maximum(r1, r2)
+
+        return reference_scan((xs, b_values, xs), sides,
+                              partial(cheb.q_condition_at, conj, phis, star), evidence)
+
+    verdict = scan_b(np.asarray([1.0]))
+    return verdict if not verdict.holds else scan_b(xs)
+
+
+def reference_dominates(outer, inner, grid_step):
+    if outer.y_bar != 1.0 or inner.y_bar != 1.0:
+        raise fusion.FusionError("domination check requires both operations on [0,1]")
+    xs = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    inner_cd = np.asarray(apply_op(inner, xs[:, None], xs[None, :]), dtype=float)
+    outer_cd = np.asarray(apply_op(outer, xs[:, None], xs[None, :]), dtype=float)
+
+    def sides(i):  # over (b, c, d)
+        inner_ab = np.asarray(apply_op(inner, xs[i], xs), dtype=float)
+        lhs = np.asarray(apply_op(outer, inner_ab[:, None, None], inner_cd[None, :, :]), dtype=float)
+        rhs = np.asarray(apply_op(inner, outer_cd[i][None, :, None], outer_cd[:, None, :]),
+                         dtype=float)
+        return lhs, rhs
+
+    def at(a, b, c, d):
+        return (eval_op(outer, eval_op(inner, a, b), eval_op(inner, c, d)),
+                eval_op(inner, eval_op(outer, a, c), eval_op(outer, b, d)))
+
+    return reference_scan((xs, xs, xs, xs), sides, at, f"grid({grid_step})")
+
+
+def outcome(fn, *args):
+    with np.errstate(all="ignore"):
+        try:
+            return ("verdict", fn(*args))
+        except Exception as exc:  # noqa: BLE001 - the type and message are compared
+            return (type(exc).__name__, str(exc))
+
+
+# ---------------------------------------------------------------------------
+# Random configurations
+# ---------------------------------------------------------------------------
+
+_FLAGS = dict(non_decreasing=True, left_continuous_in_first=True,
+              left_continuous_in_second=True, fuzzy_conjunction=True)
+_EXPRS = ["a*b^2", "min(a, b)^2", "sqrt(a*b)", "max(a + b - 1, 0)", "min(1, a + b)",
+          "piecewise a { [0, 0.5]: a*b; (0.5, 1]: b }", "a*b*(1 + 0)"]
+# operations with a negative or undefined value on part of the grid: at most
+# one per configuration, so that most configurations reach a verdict
+_RISKY = ["a - b", "min(a, b) - 0.25", "a*b/(a + b - a*b)"]
+
+
+def _expr_ops(sources):
+    return st.sampled_from(sources).map(lambda s: fusion.expr_op(s, s, **_FLAGS))
+
+
+SAFE_OPS = st.one_of(st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin),
+                     _expr_ops(_EXPRS))
+OPS = st.one_of(SAFE_OPS, SAFE_OPS, _expr_ops(_RISKY))
+# shapes with inverses; "x^2" on [0, 0.8] raises ShapeDomainError above 0.8
+_NARROW = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
+                     non_decreasing=True, increasing=True)
+SAFE_SHAPES = st.one_of(st.just(cheb.identity_shape()),
+                        st.sampled_from([0.5, 2.0, 3.0]).map(cheb.power_shape))
+SHAPES = st.one_of(SAFE_SHAPES, SAFE_SHAPES, st.just(_NARROW))
+CD = st.one_of(
+    st.just(cheb.cd_interval(0.0, 1.0)),
+    st.just(cheb.cd_interval(0.0, 0.7)),
+    st.lists(st.sampled_from([0.0, 0.2, 0.3, 0.5, 0.8, 1.0]), min_size=1, max_size=6)
+      .map(cheb.cd_values),  # duplicates included
+)
+STEPS = st.sampled_from([0.1, 0.05])
+
+
+@st.composite
+def configs(draw):
+    ops = [draw(SAFE_OPS) for _ in range(6)]
+    if draw(st.booleans()):
+        ops[draw(st.integers(0, 5))] = draw(_expr_ops(_RISKY))
+    shapes = [draw(SAFE_SHAPES) for _ in range(6)]
+    if draw(st.booleans()):
+        shapes[draw(st.integers(0, 5))] = _NARROW
+    phis, psis = shapes[:3], shapes[3:]
+    return cheb.config(ops[0], ops[1], tuple(ops[2:5]), ops[5], tuple(phis), tuple(psis),
+                       k=draw(st.sampled_from([1.0, 0.6])), cd_domain=draw(CD))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cfg=configs(), h=STEPS)
+def test_c1_and_c2_match_reference(cfg, h):
+    assert outcome(cheb.check_scalar_condition, cfg, h) == outcome(reference_c1, cfg, h)
+    assert outcome(cheb.check_condition_C2, cfg, h) == outcome(reference_c2, cfg, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conj=OPS, star=OPS, phis=st.tuples(SHAPES, SHAPES, SHAPES), h=STEPS)
+def test_q_matches_reference(conj, star, phis, h):
+    assert (outcome(cheb.q_corollary_condition, conj, phis, star, h)
+            == outcome(reference_q, conj, phis, star, h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer=OPS, inner=OPS, h=STEPS)
+def test_dominates_matches_reference(outer, inner, h):
+    assert outcome(fusion.dominates, outer, inner, h) == outcome(reference_dominates, outer, inner, h)
+
+
+def test_reference_covers_every_outcome():
+    """The generators reach holds, violated, hypothesis-failed and raised errors."""
+    mn, pr, lu = fusion.min_op(), fusion.prod_op(), fusion.lukasiewicz_op()
+    ident = cheb.identity_shape()
+    ids = (ident,) * 3
+    diff = fusion.expr_op("a - b", "a - b", **_FLAGS)
+    narrow = cheb.shape("id-0.8", "x", inverse="x", domain=(0.0, 0.8),
+                        non_decreasing=True, increasing=True)
+    unit = cheb.cd_interval(0.0, 1.0)
+    cases = [
+        cheb.config(mn, mn, (mn, mn, mn), mn, ids, ids, cd_domain=unit),  # holds
+        cheb.config(pr, pr, (lu, lu, lu), mn, ids, ids, cd_domain=unit),  # violated
+        cheb.config(mn, mn, (mn, mn, mn), mn, ids, (narrow, ident, ident),
+                    cd_domain=unit),  # psi1 outside its domain
+        cheb.config(mn, mn, (diff, mn, mn), mn, ids, ids,
+                    cd_domain=cheb.cd_values([0.0, 0.5, 0.5, 1.0])),  # EvalError
+    ]
+    seen = set()
+    for cfg in cases:
+        got = outcome(cheb.check_scalar_condition, cfg, 0.1)
+        assert got == outcome(reference_c1, cfg, 0.1)
+        seen.add(got[1].status if got[0] == "verdict" else got[0])
+    assert seen == {"holds-on-grid", "violated", "hypothesis-failed", "EvalError"}
+    got = outcome(fusion.dominates, diff, mn, 0.1)
+    assert got[0] == "EvalError" and got == outcome(reference_dominates, diff, mn, 0.1)
+
+
+def test_row_errors_name_the_reference_first_bad_value():
+    """The first negative value in (b, c, d) order is not the first in the
+    table's order of distinct values, so the error has to come from the
+    row-by-row reference."""
+    mn = fusion.min_op()
+    ident = cheb.identity_shape()
+    diff = fusion.expr_op("a - b", "a - b", **_FLAGS)
+    skew = fusion.expr_op("a + 2b", "a + 2*b", **_FLAGS)  # (0, d) above (c, 0)
+    cfg = cheb.config(mn, mn, (diff, mn, mn), skew, (ident,) * 3, (ident,) * 3,
+                      cd_domain=cheb.cd_values([0.0, 0.5, 1.0]))
+    got = outcome(cheb.check_scalar_condition, cfg, 0.1)
+    assert got == ("EvalError", "negative final value -1.0")
+    assert got == outcome(reference_c1, cfg, 0.1)
+    # outer(x, y) = x + 1 - y is only negative on the lhs, where y = c + 2d > 1
+    lift = fusion.expr_op("a + 1 - b", "a + 1 - b", **_FLAGS)
+    got = outcome(fusion.dominates, lift, skew, 0.1)
+    assert got == ("EvalError", "negative final value -0.20000000000000018")
+    assert got == outcome(reference_dominates, lift, skew, 0.1)
