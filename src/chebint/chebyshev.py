@@ -46,7 +46,8 @@ def _checked_eval(expr, var, x, name, domain):
     """Evaluate expr at x after the domain check and the clamp to domain.
 
     Floats are checked and clamped in plain Python (the clamp matches
-    ``np.clip``, signed zeros included); anything else goes through numpy.
+    ``np.clip``, signed zeros included); anything else goes through numpy,
+    and an array x gives an array of its shape, also for a constant expr.
     """
     lo, hi = domain
     if type(x) is float:
@@ -61,7 +62,8 @@ def _checked_eval(expr, var, x, name, domain):
         bad = arr[(arr < lo - TOL) | (arr > hi + TOL)].flat[0]
         raise ShapeDomainError(name, float(bad), domain)
     clipped = np.clip(arr, lo, hi)
-    return eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
+    out = eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
+    return np.full(arr.shape, out) if arr.ndim and type(out) is float else out
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,7 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
             np.asarray(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
         # Rows run over (c, d, b): psi1(circ1(phi1(sab), t)) is taken once per
         # distinct value t of the triangle table, and outer runs over the
-        # contiguous (d, b) block of psi3.
+        # contiguous (d, b) block of psi3, once per value of psi2_ac.
         tri_values, tri_index = distinct(np.broadcast_to(tri_cd, (len(cd), len(cd))))
         psi3_db = np.ascontiguousarray(psi3_bd.T)
 
@@ -284,11 +286,11 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
             return np.asarray(cfg.phi1.apply(
                 np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)), dtype=float)
 
-        def fast(i):  # lhs over (t, b) for the distinct triangle values t
+        def fast(i, keys):  # lhs over (t, b); rhs over (key, d, b) for the psi2 values keys
             lhs = np.asarray(cfg.psi1.apply(np.asarray(
                 apply_op(cfg.circ1, phi1_sab(i)[None, :], tri_values[:, None]),
                 dtype=float)), dtype=float)
-            rhs = np.asarray(apply_op(cfg.outer, psi2_ac[i][:, None, None],
+            rhs = np.asarray(apply_op(cfg.outer, keys[:, None, None],
                                       psi3_db[None, :, :]), dtype=float)
             return lhs, rhs
 
@@ -299,7 +301,7 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
 
         return scan((ab, ab, cd, cd), checked_rows(fast, reference),
                     partial(scalar_condition_at, cfg), evidence, order=(1, 2, 0),
-                    lhs_index=tri_index)
+                    lhs_index=tri_index, rhs_keys=psi2_ac)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 

@@ -120,7 +120,11 @@ def builtin(name, y_bar=1.0) -> FusionOp:
 
 
 def apply_op(op: FusionOp, a, b):
-    """Raw evaluation on scalars or arrays, without bound checks."""
+    """Raw evaluation on scalars or arrays, without bound checks.
+
+    With an array argument the result is an array, also for an expression
+    that does not use that argument.
+    """
     if op.kind == "min":
         return as_scalar(np.minimum(a, b))
     if op.kind == "prod":
@@ -140,7 +144,10 @@ def apply_op(op: FusionOp, a, b):
         b = np.asarray(b, dtype=float)
         return as_scalar(np.where(a > 1.0 - b, a, 0.0))
     if op.kind == "expr":
-        return eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
+        out = eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
+        if type(out) is float and (np.ndim(a) or np.ndim(b)):  # free of its array arguments
+            return np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), out)
+        return out
     raise FusionError(f"unknown fusion kind {op.kind!r}")
 
 
@@ -339,17 +346,18 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
     inner_cd = np.asarray(apply_op(inner, xs[:, None], xs[None, :]), dtype=float)  # (c,d)
     outer_cd = np.asarray(apply_op(outer, xs[:, None], xs[None, :]), dtype=float)
     # Rows run over (c, d, b): outer(inner(a, b), t) is taken once per distinct
-    # value t of inner_cd, and inner runs over the contiguous (d, b) block.
+    # value t of inner_cd, and inner runs over the contiguous (d, b) block,
+    # once per value of outer_cd.
     inner_values, inner_index = distinct(np.broadcast_to(inner_cd, (count, count)))
     outer_db = np.ascontiguousarray(outer_cd.T)
 
     def inner_ab(i):
         return np.asarray(apply_op(inner, xs[i], xs), dtype=float)
 
-    def fast(i):  # lhs over (t, b) for the distinct inner values t
+    def fast(i, keys):  # lhs over (t, b); rhs over (key, d, b) for the outer values keys
         lhs = np.asarray(apply_op(outer, inner_ab(i)[None, :], inner_values[:, None]),
                          dtype=float)
-        rhs = np.asarray(apply_op(inner, outer_cd[i][:, None, None], outer_db[None, :, :]),
+        rhs = np.asarray(apply_op(inner, keys[:, None, None], outer_db[None, :, :]),
                          dtype=float)
         return lhs, rhs
 
@@ -362,7 +370,7 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
                 eval_op(inner, eval_op(outer, a, c), eval_op(outer, b, d)))
 
     return scan((xs, xs, xs, xs), checked_rows(fast, reference), at, f"grid({grid_step})",
-                order=(1, 2, 0), lhs_index=inner_index)
+                order=(1, 2, 0), lhs_index=inner_index, rhs_keys=outer_cd)
 
 
 def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> Verdict:

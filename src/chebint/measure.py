@@ -154,12 +154,13 @@ def necessity_from_possibility(sp: FiniteSpace, pi) -> MonotoneMeasure:
         raise MeasureError("possibility values must lie in [0,1]")
     if abs(max(pi) - 1.0) > EQ_TOL:
         raise MeasureError("possibility distribution must be normalized (max = 1)")
-    size = 1 << sp.n
-    table = []
-    for mask in range(size):
-        outside = [pi[i] for i in range(sp.n) if not mask & (1 << i)]
-        table.append(1.0 - (max(outside) if outside else 0.0))
-    m = from_table(sp, table)
+    # top[mask] is the largest pi over mask (0 on the empty set), built by
+    # doubling: the masks with highest atom k are those below 1 << k plus k
+    top = [0.0]
+    for v in pi:
+        top += [t if t > v else v for t in top]
+    # the outside of mask is full ^ mask = full - mask
+    m = from_table(sp, [1.0 - t for t in reversed(top)])
     if sp.n <= 10 and not is_minitive(m):
         raise MeasureError("internal error: necessity measure failed minitivity check")
     return m
@@ -187,12 +188,13 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
         raise MeasureError("h must be increasing (grid check failed)")
     if np.any(np.diff(hv, n=2) < -TOL):
         raise MeasureError("h must be convex (grid check failed)")
-    size = 1 << sp.n
-    table = []
-    for mask in range(size):
-        prob = sum(p[i] for i in range(sp.n) if mask & (1 << i))
-        table.append(float(eval_expr(expr, {var: min(prob, 1.0)})))
-    m = from_table(sp, table)
+    # P(mask) by the same doubling, adding the atoms in increasing order
+    probs = [0.0]
+    for v in p:
+        probs += [q + v for q in probs]
+    # the distortion stays on the scalar path: numpy's x^2 and libm's pow
+    # differ in the last bit on some sums
+    m = from_table(sp, [float(eval_expr(expr, {var: min(q, 1.0)})) for q in probs])
     if sp.n <= 10 and not is_supermodular(m):
         raise MeasureError("distorted probability failed the supermodularity check")
     return m

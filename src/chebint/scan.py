@@ -30,7 +30,7 @@ class Verdict:
         return self.status == "holds-on-grid"
 
 
-def scan(axes, sides, at, evidence, order=None, lhs_index=None) -> Verdict:
+def scan(axes, sides, at, evidence, order=None, lhs_index=None, rhs_keys=None) -> Verdict:
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
     Rows of axes[0] are visited in order; ``sides(i)`` returns the (lhs, rhs)
@@ -44,6 +44,20 @@ def scan(axes, sides, at, evidence, order=None, lhs_index=None) -> Verdict:
     With ``lhs_index``, an integer array over the leading axes of the row,
     the lhs ``sides`` returns is a table with one row per index value over
     the remaining axes, and the row's lhs is ``table[lhs_index]``.
+
+    With ``rhs_keys``, an array (or anything that broadcasts to one) with a
+    row of keys per value of axes[0] along the leading axis of the row, the
+    rhs depends on that axis only through the key: ``sides(i, keys)``
+    returns the lhs and one rhs slab over the remaining axes per key of the
+    1-D array ``keys``, and row i's rhs is its slabs for ``rhs_keys[i]``.
+    Rows of at least ``_BLOCK`` points are compared against a table of
+    ``slab - TOL`` keyed by the bit pattern of the key, which holds at most
+    one row's worth of slabs and is filled as rows need them: ``sides`` is
+    asked only for the keys the table lacks.  A smaller row, or one whose
+    new keys are more than half the row or would not fit, is evaluated
+    whole, ``sides(i, rhs_keys[i])``, and leaves the table as it was.  Both
+    paths compare the same values, so witnesses and errors do not depend on
+    which one a row takes.
 
     The scan compares a block of leading slabs at a time, small enough for
     ``rhs - TOL`` and the gathered lhs to stay in cache, into buffers it
@@ -61,16 +75,31 @@ def scan(axes, sides, at, evidence, order=None, lhs_index=None) -> Verdict:
     if lhs_index is not None:
         gathered = np.empty_like(shifted)
         table = (int(lhs_index.max()) + 1,) + row[lhs_index.ndim:]
+    if rhs_keys is not None:
+        rhs_keys = np.broadcast_to(np.asarray(rhs_keys, dtype=float), (len(first), row[0]))
+        slabs = _Slabs(row) if viol.size >= _BLOCK else None
     for i in range(len(first)):
-        lhs, rhs = sides(i)
-        rhs = np.broadcast_to(rhs, row)
-        lhs = np.broadcast_to(lhs, row if lhs_index is None else table)
+        slots = None  # the row's slab indices when it is gathered from the table
+        if rhs_keys is None:
+            lhs, rhs = sides(i)
+        elif (placed := slabs and slabs.place(rhs_keys[i])) is not None:
+            slots, fresh, store = placed
+            lhs, rhs = sides(i, fresh)
+            np.subtract(rhs, TOL, out=store)
+        else:
+            lhs, rhs = sides(i, rhs_keys[i])
+        if slots is None:
+            rhs = _fit(rhs, row)
+        lhs = _fit(lhs, row if lhs_index is None else table)
         for k in range(0, len(viol), lead):
             n = min(lead, len(viol) - k)
-            np.subtract(rhs[k:k + n], TOL, out=shifted[:n])
+            if slots is None:
+                right = np.subtract(rhs[k:k + n], TOL, out=shifted[:n])
+            else:
+                right = _gather(slabs.data, slots[k:k + n], shifted[:n])
             left = lhs[k:k + n] if lhs_index is None else np.take(
                 lhs, lhs_index[k:k + n], axis=0, out=gathered[:n], mode="clip")
-            np.less(left, shifted[:n], out=viol[k:k + n])
+            np.less(left, right, out=viol[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
         if not viol.any():
             continue
@@ -81,6 +110,53 @@ def scan(axes, sides, at, evidence, order=None, lhs_index=None) -> Verdict:
         if wl < wr - TOL:
             return Verdict("violated", point, wl, wr, evidence=evidence)
     return Verdict("holds-on-grid", evidence=evidence)
+
+
+def _gather(data, slots, out):
+    """The slabs ``data[slots]``: a view when the slots run consecutively or
+    repeat one slab (which broadcasts), else a copy into ``out``."""
+    first = slots[0]
+    if slots == list(range(first, first + len(slots))):
+        return data[first:first + len(slots)]
+    if slots.count(first) == len(slots):
+        return data[first:first + 1]
+    return np.take(data, slots, axis=0, out=out, mode="clip")
+
+
+def _fit(side, shape):
+    """``side`` as an array of ``shape``: itself if it has that shape, else a broadcast view."""
+    return side if np.shape(side) == shape else np.broadcast_to(side, shape)
+
+
+class _Slabs:
+    """The rhs slabs of a scan, ``slab - TOL``, keyed by the bit pattern of their key.
+
+    Holds at most one row's worth of slabs: the memory of the one rhs row
+    the dense path builds at a time.
+    """
+
+    def __init__(self, row):
+        self.data = np.empty(row)
+        self.slot = {}  # key bit pattern -> index of its slab in data
+
+    def place(self, keys):
+        """The slab index of each key, the keys the table lacks (in first-seen
+        order) and the slabs to write their ``slab - TOL`` into.
+
+        None, and no change, when the keys the table lacks are more than half
+        the row or do not fit.
+        """
+        slot = self.slot
+        bits = np.ascontiguousarray(keys).view(np.int64).tolist()
+        fresh = [b for b in dict.fromkeys(bits) if b not in slot]
+        start, end = len(slot), len(slot) + len(fresh)
+        # a row that reuses less than half its slabs gains little from the
+        # table, and storing them would cost up to a row of extra memory
+        if 2 * len(fresh) > len(bits) or end > len(self.data):
+            return None
+        slot.update(zip(fresh, range(start, end)))
+        slots = list(map(slot.__getitem__, bits))
+        return slots, np.array(fresh, dtype=np.int64).view(float), self.data[start:end]
 
 
 def distinct(table):
@@ -101,14 +177,15 @@ def distinct(table):
 def checked_rows(fast, reference):
     """Row sides from ``fast``, with ``reference`` answering for its errors.
 
-    ``reference`` evaluates a row point by point in the layout of axes[1:],
-    so the first bad value it meets (and names in its error) is the one the
-    scan's own order meets first.  When ``fast`` raises, the row is re-run
+    ``reference(i)`` evaluates row i whole in the layout of axes[1:], so the
+    first bad value it meets (and names in its error) is the one the scan's
+    own order meets first.  When ``fast(i, *keys)`` raises, whether for a
+    whole row or for the rhs keys a slab table lacks, the row is re-run
     through ``reference``, whose error surfaces instead.
     """
-    def sides(i):
+    def sides(i, *keys):
         try:
-            return fast(i)
+            return fast(i, *keys)
         except Exception:
             reference(i)
             raise

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebint.cli import main
-from chebint.scenarios import list_scenarios, load_scenario
+from chebint.scenarios import list_scenarios, load_scenario, run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,59 @@ class TestFileSubcommands:
         code, out, _ = run_cli(capsys, "check-condition", scenario_file)
         assert code == 0
         assert "w-chebyshev-two-valued" in out
+
+
+class TestConstantOperations:
+    """An operation or shape function that ignores its arguments used to end
+    in an IndexError traceback with exit 1; it must give the verdict of the
+    same function spelt with its arguments."""
+
+    FLAGS = {"non_decreasing": True, "left_continuous_in_first": True,
+             "left_continuous_in_second": True, "fuzzy_conjunction": True}
+
+    @classmethod
+    def op(cls, expr):
+        return {"name": "half", "expr": expr, "flags": cls.FLAGS}
+
+    @staticmethod
+    def condition(variant, slot, op, grid):
+        config = {"inner": "min", "outer": "min", "circ": "min", "triangle": "min",
+                  "phi": {"expr": "x", "inverse": "x"}, "psi": {"expr": "x", "inverse": "x"},
+                  "k": 1.0, "y_bar": 1.0, "cd": {"interval": [0.0, 1.0]}}
+        config[slot] = op
+        return {"name": "constant", "kind": "condition", "variant": variant, "grid": grid,
+                "config": config}
+
+    def run_file(self, capsys, tmp_path, data):
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-condition", str(path), "--json")
+        assert code in (0, 1) and err == ""
+        return code, json.loads(out)
+
+    # h = 0.02 gives c1 rows of 51^3 points, which the rhs slab table serves
+    @pytest.mark.parametrize("variant, slot, value, grid", [
+        ("c1", "inner", "0.5", 0.02), ("c1", "outer", "0.5", 0.02), ("c1", "circ", "0", 0.1),
+        ("c2", "inner", "0.5", 0.1), ("c2", "circ", "0", 0.1)])
+    def test_condition(self, capsys, tmp_path, variant, slot, value, grid):
+        got = [self.run_file(capsys, tmp_path, self.condition(variant, slot, self.op(expr), grid))
+               for expr in (value, f"{value} + 0*a*b")]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("variant", ["c1", "c2"])
+    def test_shape_function(self, capsys, tmp_path, variant):
+        got = [self.run_file(capsys, tmp_path, self.condition(variant, "phi", {"expr": expr}, 0.1))
+               for expr in ("0.5", "0.5 + 0*x")]
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("slot", ["inner", "outer"])
+    def test_dominates(self, slot):
+        got = []
+        for expr in ("0.5", "0.5 + 0*a*b"):
+            data = {"kind": "property-run", "property": "dominates", "grid": 0.02,
+                    "outer": "min", "inner": "prod", slot: self.op(expr)}
+            got.append(run_scenario(data))
+        assert got[0] == got[1] and got[0][0] in (0, 1)
 
 
 class TestRunOptionValidation:

@@ -9,6 +9,7 @@ from chebint.measure import (MAX_SCAN_ATOMS, FiniteSpace, MeasureError,
                              is_minitive, is_subadditive, is_supermodular,
                              necessity_from_possibility, space,
                              survival_scenario)
+from chebint.exprlang import eval_expr, parse
 from chebint.scan import EQ_TOL, TOL
 
 
@@ -66,6 +67,26 @@ class TestNecessity:
         with pytest.raises(MeasureError):
             necessity_from_possibility(sp, [0.5, 0.7])
 
+    def test_table_matches_the_per_mask_loop(self):
+        # the loop the doubling construction replaced, kept as the reference
+        def reference(pi):
+            n = len(pi)
+            table = []
+            for mask in range(1 << n):
+                outside = [pi[i] for i in range(n) if not mask & (1 << i)]
+                table.append(1.0 - (max(outside) if outside else 0.0))
+            return table
+
+        rng = np.random.default_rng(11)
+        for n in range(1, 13):
+            # values drawn from a short list, so ties and zeros occur
+            pi = rng.choice([0.0, 0.25, 0.3, 0.7, 1.0], size=n).tolist()
+            pi[int(rng.integers(n))] = 1.0
+            for values in (pi, [1.0] + rng.uniform(size=n - 1).tolist()):
+                m = necessity_from_possibility(space(*(f"x{i}" for i in range(n))), values)
+                assert np.array_equal(np.array(m.table).view(np.int64),
+                                      np.array(reference(values)).view(np.int64)), (n, values)
+
 
 class TestDistorted:
     def test_supermodular(self):
@@ -89,6 +110,30 @@ class TestDistorted:
         sp = space("x1", "x2")
         with pytest.raises(MeasureError):
             distorted_probability(sp, [0.5, 0.5], "0.5*x")
+
+    def test_table_matches_the_per_mask_loop(self):
+        # the loop the doubling sums replaced, kept as the reference, with its
+        # sum() written out as the left-to-right addition of Python 3.11
+        # (from 3.12 on, sum() of floats compensates rounding)
+        def reference(p, h):
+            n = len(p)
+            table = []
+            for mask in range(1 << n):
+                prob = 0.0
+                for i in range(n):
+                    if mask & (1 << i):
+                        prob += p[i]
+                table.append(float(eval_expr(parse(h), {"x": min(prob, 1.0)})))
+            return table
+
+        rng = np.random.default_rng(12)
+        for n in range(1, 13):
+            w = rng.uniform(size=n)
+            p = (w / w.sum()).tolist()
+            for h in ("x^2", "x^3"):
+                m = distorted_probability(space(*(f"x{i}" for i in range(n))), p, h)
+                assert np.array_equal(np.array(m.table).view(np.int64),
+                                      np.array(reference(p, h)).view(np.int64)), (n, h)
 
 
 class TestDual:

@@ -187,3 +187,109 @@ def test_constant_operations_give_complete_witnesses():
     verdict = chebyshev.check_scalar_condition(cfg, grid_step=0.1)
     assert verdict.status == "violated" and len(verdict.witness) == 4
     assert verdict.lhs == 0.5 and verdict.lhs < verdict.rhs
+
+
+def keyed_scan(keys, calls, raise_on=None):
+    """A scan whose rhs depends on the leading axis only through `keys`.
+
+    Rows are (c, d, b) = (8, 64, 64), `_BLOCK` points, so the slab table is
+    in play.  Every row flags points, but only a point of the last row
+    confirms, so every row is compared and re-checked.  `calls` records
+    (row, keys asked for); asking for row `raise_on` raises.
+    """
+    c, d, b = keys.shape[1], 64, 64
+    assert c * d * b >= scan_module._BLOCK
+    rng = np.random.default_rng(5)
+    lhs = rng.uniform(size=(len(keys), c, d, b))
+    base = rng.uniform(size=(d, b))
+    axes = (np.arange(float(len(keys))), np.arange(float(c)), np.arange(float(d)),
+            np.arange(float(b)))
+    rechecked = []
+
+    def fill(values):  # one (d, b) slab per key value
+        return values[:, None, None] * base[None, :, :]
+
+    def at(*point):
+        rechecked.append(point)
+        return (0.0, 1.0) if point[0] == len(keys) - 1 else (1.0, 1.0)
+
+    def keyed(i, row_keys):
+        calls.append((i, row_keys.tolist()))
+        if i == raise_on:
+            raise ValueError("fast")
+        return lhs[i], fill(row_keys)
+
+    def reference(i):
+        raise KeyError(f"reference row {i}")
+
+    def dense(i):
+        return lhs[i], fill(keys[i])
+
+    return (lambda: scan(axes, checked_rows(keyed, reference), at, "", rhs_keys=keys),
+            lambda: scan(axes, dense, at, ""), rechecked)
+
+
+def test_rhs_slab_table_overflow_matches_the_dense_scan():
+    # rows 0-3 bring new keys that fill the table's 8 slabs; row 4's two new
+    # keys do not fit, so it is evaluated whole; row 5 reuses keys and is
+    # gathered again; row 6 is all new keys, more than half the row.  Row 0
+    # repeats one slab, row 5 runs over the slabs in table order, and the
+    # other gathered rows mix them, so all three ways of gathering are met.
+    rows = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, 2.0],
+            [2.0, 2.0, 2.0, 2.0, 0.5, 1.0, 2.5, 3.0],
+            [1.5, 1.5, 1.5, 1.5, 0.5, 0.5, 3.5, 4.0],
+            [4.5, 4.5, 4.5, 4.5, 0.5, 0.5, 0.5, 5.0],
+            [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0],
+            [6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 9.5]]
+    keys = np.array(rows)
+    calls = []
+    gathered, dense, rechecked = keyed_scan(keys, calls)
+    got = gathered()
+    got_points, rechecked[:] = list(rechecked), []
+    assert got == dense() and got.status == "violated"
+    assert got_points == rechecked and len(got_points) == len(rows)
+    asked = dict(calls)
+    whole = [i for i in asked if asked[i] == rows[i]]
+    assert whole == [4, 6]
+    assert asked[5] == [] and asked[0] == [0.5]
+    # the table holds at most one row's worth of slabs
+    assert sum(len(asked[i]) for i in asked if i not in whole) == keys.shape[1]
+    # a row may bring new keys up to half its slabs, even into an empty table
+    rows = [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]]
+    calls = []
+    gathered, dense, _ = keyed_scan(np.array(rows), calls)
+    assert gathered() == dense()
+    assert calls == [(0, rows[0]), (1, [0.0, 1.0, 2.0, 3.0])]
+
+
+def test_rhs_slab_table_errors_come_from_the_reference_row():
+    keys = np.tile([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0], (3, 1)) * [[1.0], [1.0], [3.0]]
+    calls = []
+    gathered, _, _ = keyed_scan(keys, calls, raise_on=2)
+    with pytest.raises(KeyError, match="reference row 2"):
+        gathered()
+    assert calls[-1] == (2, [1.5, 3.0, 6.0])  # the table lacked row 2's keys
+    # a violation in an earlier row is returned before the later row is built
+    rng = np.random.default_rng(1)
+    axes = (np.arange(3.0), np.arange(8.0), np.arange(64.0), np.arange(64.0))
+    built = []
+
+    def sides(i, row_keys):
+        built.append(i)
+        if i == 2:
+            raise ValueError("fast")
+        return rng.uniform(size=(8, 64, 64)), row_keys[:, None, None] * np.ones((64, 64))
+
+    verdict = scan(axes, sides, lambda *p: (0.0, 1.0), "", rhs_keys=keys)
+    assert verdict.status == "violated" and verdict.witness[0] == 0.0
+    assert built == [0]
+
+
+def test_constant_rhs_fills_the_slab_table():
+    # a constant rhs for the new keys broadcasts into their slabs
+    axes = (np.arange(2.0), np.arange(8.0), np.arange(64.0), np.arange(64.0))
+    keys = np.zeros((2, 8))
+    verdict = scan(axes, lambda i, row_keys: (0.0, 1.0), lambda *p: (0.0, 1.0), "",
+                   rhs_keys=keys)
+    assert verdict.witness == (0.0, 0.0, 0.0, 0.0)

@@ -10,7 +10,7 @@ rhs, detail, evidence) or raise the same exception with the same message.
 from functools import partial
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebint import chebyshev as cheb
@@ -210,7 +210,7 @@ STEPS = st.sampled_from([0.1, 0.05])
 
 
 @st.composite
-def configs(draw):
+def configs(draw, cds=CD):
     ops = [draw(SAFE_OPS) for _ in range(6)]
     if draw(st.booleans()):
         ops[draw(st.integers(0, 5))] = draw(_expr_ops(_RISKY))
@@ -219,7 +219,7 @@ def configs(draw):
         shapes[draw(st.integers(0, 5))] = _NARROW
     phis, psis = shapes[:3], shapes[3:]
     return cheb.config(ops[0], ops[1], tuple(ops[2:5]), ops[5], tuple(phis), tuple(psis),
-                       k=draw(st.sampled_from([1.0, 0.6])), cd_domain=draw(CD))
+                       k=draw(st.sampled_from([1.0, 0.6])), cd_domain=draw(cds))
 
 
 @settings(max_examples=120, deadline=None)
@@ -240,6 +240,32 @@ def test_q_matches_reference(conj, star, phis, h):
 @given(outer=OPS, inner=OPS, h=STEPS)
 def test_dominates_matches_reference(outer, inner, h):
     assert outcome(fusion.dominates, outer, inner, h) == outcome(reference_dominates, outer, inner, h)
+
+
+# At h = 0.02 the 4-D scans' rows have 51^3 points (36^2 * 51 on [0, 0.7]),
+# enough for the kernel to gather the rhs from its slab table.  The examples
+# name a table that serves every row, and one that fills up mid-scan: with
+# phi = x^2 and psi = x^0.5, psi2(min(phi2(a), c)) takes about 100 values.
+_MN, _PR = fusion.min_op(), fusion.prod_op()
+_IDS = (cheb.identity_shape(),) * 3
+_UNIT = cheb.cd_interval(0.0, 1.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(cfg=configs(cds=st.sampled_from([_UNIT, cheb.cd_interval(0.0, 0.7)])))
+@example(cfg=cheb.config(_MN, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT))
+@example(cfg=cheb.config(_PR, _PR, (_MN,) * 3, _MN, (cheb.power_shape(2),) * 3,
+                         (cheb.power_shape(0.5),) * 3, cd_domain=_UNIT))
+def test_c1_matches_reference_on_slab_table_rows(cfg):
+    assert outcome(cheb.check_scalar_condition, cfg, 0.02) == outcome(reference_c1, cfg, 0.02)
+
+
+@settings(max_examples=12, deadline=None)
+@given(outer=OPS, inner=OPS)
+@example(outer=_MN, inner=_PR)
+@example(outer=_MN, inner=fusion.lukasiewicz_op())
+def test_dominates_matches_reference_on_slab_table_rows(outer, inner):
+    assert outcome(fusion.dominates, outer, inner, 0.02) == outcome(reference_dominates, outer, inner, 0.02)
 
 
 def test_reference_covers_every_outcome():
