@@ -8,6 +8,7 @@ Violated verdict carries a witness re-checked by direct evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -20,7 +21,8 @@ from .extreal import INF
 from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
-from .scan import EQ_TOL, TOL, Verdict, checked_rows, distinct, scan
+from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, scan,
+                   scan_separable)
 
 _INF_CAP = 1e6
 
@@ -82,9 +84,13 @@ class ShapeFunction:
     inverse_domain: tuple | None = None
 
     def apply(self, x):
+        """The transform at x: a float for a float, and for an array of at
+        least one dimension a float64 array of its shape, also for a constant
+        expression.  Values outside the domain raise ShapeDomainError."""
         return _checked_eval(self.expr, self.var, x, self.name, self.domain)
 
     def apply_inverse(self, y):
+        """The declared inverse at y, with the same contract as ``apply``."""
         if self.inverse is None:
             raise HypothesisError(f"no inverse declared for shape function {self.name!r}")
         lo, hi = self.inverse_domain if self.inverse_domain else (
@@ -95,15 +101,14 @@ class ShapeFunction:
         """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x."""
         if self.inverse is None:
             return True
-        xs = np.linspace(self.domain[0], self.domain[1], max(int(round(
-            (self.domain[1] - self.domain[0]) / grid_step)), 2) + 1)
-        ys = np.asarray(self.apply(xs), dtype=float)
-        back = np.asarray(self.apply_inverse(ys), dtype=float)
+        xs = axis(*self.domain, grid_step, least=2)
+        ys = self.apply(xs)
+        back = self.apply_inverse(ys)
         if np.max(np.abs(back - xs)) > tol:
             return False
         lo, hi = self.inverse_domain if self.inverse_domain else (float(ys[0]), float(ys[-1]))
         zs = np.linspace(lo, hi, len(xs))
-        fwd = np.asarray(self.apply(np.asarray(self.apply_inverse(zs), dtype=float)), dtype=float)
+        fwd = self.apply(self.apply_inverse(zs))
         return bool(np.max(np.abs(fwd - zs)) <= tol)
 
 
@@ -158,9 +163,7 @@ class CdDomain:
         if self.values is not None:
             return np.asarray(sorted(self.values), dtype=float)
         lo, hi = self.interval
-        hi = min(hi, _INF_CAP)
-        count = max(int(round((hi - lo) / grid_step)), 1) + 1
-        return np.linspace(lo, hi, count)
+        return axis(lo, min(hi, _INF_CAP), grid_step)
 
     def describe(self, grid_step):
         if self.values is not None:
@@ -244,8 +247,7 @@ def config(inner, outer, circs, triangle, phis, psis, k=1.0, y_bar=1.0,
 
 
 def _k_grid(cfg, grid_step):
-    count = max(int(round(cfg.k / grid_step)), 1) + 1
-    return np.linspace(0.0, cfg.k, count)
+    return axis(0.0, cfg.k, grid_step)
 
 
 def scalar_condition_at(cfg: InequalityConfig, a, b, c, d):
@@ -268,40 +270,18 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
         cfg.validate()
         ab = _k_grid(cfg, grid_step)
         cd = cfg.cd_domain.sample(grid_step)
+        check_row(len(ab), len(cd), len(cd))
         evidence = f"a,b grid({grid_step}) x c,d {cfg.cd_domain.describe(grid_step)}"
-        tri_cd = np.asarray(apply_op(cfg.triangle, cd[:, None], cd[None, :]), dtype=float)
-        phi2_a = np.asarray(cfg.phi2.apply(ab), dtype=float)
-        phi3_b = np.asarray(cfg.phi3.apply(ab), dtype=float)
-        psi2_ac = np.asarray(cfg.psi2.apply(
-            np.asarray(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
-        psi3_bd = np.asarray(cfg.psi3.apply(
-            np.asarray(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
-        # Rows run over (c, d, b): psi1(circ1(phi1(sab), t)) is taken once per
-        # distinct value t of the triangle table, and outer runs over the
-        # contiguous (d, b) block of psi3, once per value of psi2_ac.
-        tri_values, tri_index = distinct(np.broadcast_to(tri_cd, (len(cd), len(cd))))
-        psi3_db = np.ascontiguousarray(psi3_bd.T)
-
-        def phi1_sab(i):
-            return np.asarray(cfg.phi1.apply(
-                np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)), dtype=float)
-
-        def fast(i, keys):  # lhs over (t, b); rhs over (key, d, b) for the psi2 values keys
-            lhs = np.asarray(cfg.psi1.apply(np.asarray(
-                apply_op(cfg.circ1, phi1_sab(i)[None, :], tri_values[:, None]),
-                dtype=float)), dtype=float)
-            rhs = np.asarray(apply_op(cfg.outer, keys[:, None, None],
-                                      psi3_db[None, :, :]), dtype=float)
-            return lhs, rhs
-
-        def reference(i):  # over (b, c, d)
-            cfg.psi1.apply(np.asarray(apply_op(
-                cfg.circ1, phi1_sab(i)[:, None, None], tri_cd[None, :, :]), dtype=float))
-            apply_op(cfg.outer, psi2_ac[i][None, :, None], psi3_bd[:, None, :])
-
-        return scan((ab, ab, cd, cd), checked_rows(fast, reference),
-                    partial(scalar_condition_at, cfg), evidence, order=(1, 2, 0),
-                    lhs_index=tri_index, rhs_keys=psi2_ac)
+        tri_cd = apply_op(cfg.triangle, cd[:, None], cd[None, :])
+        phi2_a = cfg.phi2.apply(ab)
+        phi3_b = cfg.phi3.apply(ab)
+        psi2_ac = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]))
+        psi3_bd = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]))
+        return scan_separable(
+            ab, cd, lambda a: cfg.phi1.apply(apply_op(cfg.inner, a, ab)),
+            tri_cd, psi2_ac, psi3_bd,
+            lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
+            partial(scalar_condition_at, cfg), evidence)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -324,27 +304,21 @@ def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
         cfg.validate()
         ab = _k_grid(cfg, grid_step)
         cd = cfg.cd_domain.sample(grid_step)
+        check_row(len(ab), len(cd))
         dbar = min(cfg.cd_domain.sup, _INF_CAP)
         evidence = f"a,b grid({grid_step}) x c {cfg.cd_domain.describe(grid_step)}"
-        phi2_a = np.asarray(cfg.phi2.apply(ab), dtype=float)
-        phi3_b = np.asarray(cfg.phi3.apply(ab), dtype=float)
-        psi2_ac = np.asarray(cfg.psi2.apply(np.asarray(
-            apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]), dtype=float)), dtype=float)
-        psi3_bc = np.asarray(cfg.psi3.apply(np.asarray(
-            apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]), dtype=float)), dtype=float)
-        psi2_adbar = np.asarray(cfg.psi2.apply(np.asarray(
-            apply_op(cfg.circ2, phi2_a, dbar), dtype=float)), dtype=float)
-        psi3_bdbar = np.asarray(cfg.psi3.apply(np.asarray(
-            apply_op(cfg.circ3, phi3_b, dbar), dtype=float)), dtype=float)
+        phi2_a = cfg.phi2.apply(ab)
+        phi3_b = cfg.phi3.apply(ab)
+        psi2_ac = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]))
+        psi3_bc = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]))
+        psi2_adbar = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a, dbar))
+        psi3_bdbar = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b, dbar))
 
         def sides(i):  # over (b, c)
-            sab = np.asarray(apply_op(cfg.inner, ab[i], ab), dtype=float)
-            phi1_sab = np.asarray(cfg.phi1.apply(sab), dtype=float)
-            lhs = np.asarray(cfg.psi1.apply(np.asarray(
-                apply_op(cfg.circ1, phi1_sab[:, None], cd[None, :]), dtype=float)), dtype=float)
-            t1 = np.asarray(apply_op(cfg.outer, psi2_ac[i][None, :],
-                                     psi3_bdbar[:, None]), dtype=float)
-            t2 = np.asarray(apply_op(cfg.outer, psi2_adbar[i], psi3_bc), dtype=float)
+            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, ab[i], ab))
+            lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[:, None], cd[None, :]))
+            t1 = apply_op(cfg.outer, psi2_ac[i][None, :], psi3_bdbar[:, None])
+            t2 = apply_op(cfg.outer, psi2_adbar[i], psi3_bc)
             return lhs, np.maximum(t1, t2)
 
         return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
@@ -514,9 +488,9 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
         for j, psij in ((2, psi2), (3, psi3)):
             lo = max(psi1.domain[0], psij.domain[0])
             hi = min(psi1.domain[1], psij.domain[1])
-            xs = np.linspace(lo, hi, max(int(round((hi - lo) / grid_step)), 1) + 1)
-            v1 = np.asarray(psi1.apply(xs), dtype=float)
-            vj = np.asarray(psij.apply(xs), dtype=float)
+            xs = axis(lo, hi, grid_step)
+            v1 = psi1.apply(xs)
+            vj = psij.apply(xs)
             if np.any(v1 < vj - TOL):
                 bad = float(xs[v1 < vj - TOL][0])
                 raise HypothesisError(f"psi1 < psi{j} at x={bad}")
@@ -524,13 +498,13 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     except HypothesisError as exc:
         stages.append(Stage("psi1-dominates", "hypothesis-failed", str(exc)))
     try:
-        xs = np.linspace(0.0, y_bar, max(int(round(y_bar / grid_step)), 1) + 1)
-        upper = np.asarray(psi1.apply(np.asarray(phi1.apply(xs), dtype=float)), dtype=float)
+        xs = axis(0.0, y_bar, grid_step)
+        upper = psi1.apply(phi1.apply(xs))
         if np.any(upper < xs - TOL):
             bad = float(xs[upper < xs - TOL][0])
             raise HypothesisError(f"psi1(phi1(x)) < x at x={bad}")
         for j, phij, psij in ((2, phi2, psi2), (3, phi3, psi3)):
-            lower = np.asarray(psij.apply(np.asarray(phij.apply(xs), dtype=float)), dtype=float)
+            lower = psij.apply(phij.apply(xs))
             if np.any(lower > xs + TOL):
                 bad = float(xs[lower > xs + TOL][0])
                 raise HypothesisError(f"psi{j}(phi{j}(x)) > x at x={bad}")
@@ -637,30 +611,24 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
                 raise HypothesisError(f"1 conj phi{i}(1) exceeds phi{i}(1)")
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
-    count = int(round(1.0 / grid_step)) + 1
-    xs = np.linspace(0.0, 1.0, count)
+    xs = axis(0.0, 1.0, grid_step, least=0)
+    check_row(len(xs), len(xs))
     evidence = f"grid({grid_step}), boundary slice b=1 scanned first"
 
     def scan_b(b_values):
-        phi2_b = np.asarray(phi2.apply(b_values), dtype=float)
-        inv2_1b = np.asarray(phi2.apply_inverse(
-            np.asarray(apply_op(conj, 1.0, phi2_b), dtype=float)), dtype=float)
-        phi3_c = np.asarray(phi3.apply(xs), dtype=float)
-        inv3_1c = np.asarray(phi3.apply_inverse(
-            np.asarray(apply_op(conj, 1.0, phi3_c), dtype=float)), dtype=float)
-        phi1_bc = np.asarray(phi1.apply(np.asarray(
-            apply_op(star, b_values[:, None], xs[None, :]), dtype=float)), dtype=float)
+        phi2_b = phi2.apply(b_values)
+        inv2_1b = phi2.apply_inverse(apply_op(conj, 1.0, phi2_b))
+        phi3_c = phi3.apply(xs)
+        inv3_1c = phi3.apply_inverse(apply_op(conj, 1.0, phi3_c))
+        phi1_bc = phi1.apply(apply_op(star, b_values[:, None], xs[None, :]))
 
         def sides(i):  # over (b, c)
             a = xs[i]
-            lhs = np.asarray(phi1.apply_inverse(np.asarray(
-                apply_op(conj, a, phi1_bc), dtype=float)), dtype=float)
-            inv2_ab = np.asarray(phi2.apply_inverse(np.asarray(
-                apply_op(conj, a, phi2_b), dtype=float)), dtype=float)
-            inv3_ac = np.asarray(phi3.apply_inverse(np.asarray(
-                apply_op(conj, a, phi3_c), dtype=float)), dtype=float)
-            r1 = np.asarray(apply_op(star, inv2_ab[:, None], inv3_1c[None, :]), dtype=float)
-            r2 = np.asarray(apply_op(star, inv2_1b[:, None], inv3_ac[None, :]), dtype=float)
+            lhs = phi1.apply_inverse(apply_op(conj, a, phi1_bc))
+            inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
+            inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
+            r1 = apply_op(star, inv2_ab[:, None], inv3_1c[None, :])
+            r2 = apply_op(star, inv2_1b[:, None], inv3_ac[None, :])
             return lhs, np.maximum(r1, r2)
 
         return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence)
@@ -678,16 +646,17 @@ def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_00
     """Coarse-to-fine scan for a scalar-condition witness within a point budget.
 
     Returns the first (lexicographic) witness found on the finest grid the
-    budget allowed, or None.
+    budget and the grid limit allowed, or None.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     steps = [s for s in (0.25, 0.1, 0.05, 0.02) if s > grid_step] + [grid_step]
     spent = 0
     for step in steps:
-        n_ab = int(round(cfg.k / step)) + 1
-        n_cd = len(cfg.cd_domain.sample(step))
-        cost = (n_ab ** 2) * (n_cd ** 2)
+        try:
+            cost = len(_k_grid(cfg, step)) ** 2 * len(cfg.cd_domain.sample(step)) ** 2
+        except GridError:  # past any budget; as the first step, the scan raises it
+            cost = math.inf
         if spent + cost > budget and spent > 0:
             break
         spent += cost
@@ -705,21 +674,21 @@ def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_ste
     from .fusion import prod_op
 
     star = star or prod_op()
-    count = int(round(1.0 / grid_step)) + 1
-    xs = np.linspace(0.0, 1.0, count)
-    S_ac = np.asarray(apply_op(S, xs[:, None], xs[None, :]), dtype=float)  # S(x, y)
+    xs = axis(0.0, 1.0, grid_step, least=0)
+    check_row(len(xs), len(xs))
+    S_ac = apply_op(S, xs[:, None], xs[None, :])  # S(x, y)
     for a in xs:
-        ab = np.asarray(apply_op(star, a, xs), dtype=float)  # over b
+        ab = apply_op(star, a, xs)  # over b
         # variant 1: S(a*b, c) >= (S(a,c)*b) v (a*S(b,c))
-        lhs1 = np.asarray(apply_op(S, ab[:, None], xs[None, :]), dtype=float)
+        lhs1 = apply_op(S, ab[:, None], xs[None, :])
         i = int(round(a / grid_step))
-        t1 = np.asarray(apply_op(star, S_ac[i][None, :], xs[:, None]), dtype=float)
-        t2 = np.asarray(apply_op(star, a, S_ac), dtype=float)
+        t1 = apply_op(star, S_ac[i][None, :], xs[:, None])
+        t2 = apply_op(star, a, S_ac)
         ok1 = lhs1 >= np.maximum(t1, t2) - TOL
         # variant 2: S(c, a*b) >= (S(c,a)*b) v (a*S(c,b))
-        lhs2 = np.asarray(apply_op(S, xs[None, :], ab[:, None]), dtype=float)
-        u1 = np.asarray(apply_op(star, S_ac[:, i][None, :], xs[:, None]), dtype=float)
-        u2 = np.asarray(apply_op(star, a, S_ac.T), dtype=float)
+        lhs2 = apply_op(S, xs[None, :], ab[:, None])
+        u1 = apply_op(star, S_ac[:, i][None, :], xs[:, None])
+        u2 = apply_op(star, a, S_ac.T)
         ok2 = lhs2 >= np.maximum(u1, u2) - TOL
         differ = ok1 != ok2
         if np.any(differ):

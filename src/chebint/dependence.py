@@ -75,7 +75,7 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
     clipped = clip_args(tri, rng)
     try:
         with np.errstate(all="ignore"):
-            out = np.asarray(apply_op(tri, clipped[:, None], clipped[None, :]), dtype=float)
+            out = apply_op(tri, clipped[:, None], clipped[None, :])
     except EvalError:
         # Array evaluation can fail where pointwise evaluation does not (a
         # piecewise branch sees every point); pointwise, the first bad pair raises.
@@ -142,7 +142,7 @@ def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
     tab, inter_masks, _ = _pair_scan_tables(m)
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
     inter = tab[inter_masks]
-    combo = np.asarray(apply_op(tri, tab[:, None], tab[None, :]), dtype=float)
+    combo = apply_op(tri, tab[:, None], tab[None, :])
     viol = inter < combo - TOL
     idx = np.argwhere(viol)
     if idx.size:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, as_scalar, xmul
-from .scan import EQ_TOL
+from .scan import EQ_TOL, axis
 
 
 class ExprError(Exception):
@@ -595,9 +595,8 @@ def check_monotone(e, var, lo, hi, direction="nondecreasing", grid_step=0.01):
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    count = max(int(round((hi - lo) / grid_step)), 1) + 1
-    xs = np.linspace(lo, hi, count)
-    vals = np.asarray(eval_expr(e, {var: xs}), dtype=float)
+    xs = axis(lo, hi, grid_step)
+    vals = np.broadcast_to(eval_expr(e, {var: xs}), xs.shape)  # a constant e gives a float
     diffs = np.diff(vals)
     if direction == "nondecreasing":
         bad = diffs < -EQ_TOL

@@ -9,12 +9,13 @@ boundary); they are consumed as hypotheses by the inequality checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF, as_scalar, xmul
-from .scan import EQ_TOL, TOL, Verdict, checked_rows, distinct, scan
+from .scan import EQ_TOL, TOL, Verdict, axis, check_row, scan_separable
 
 
 class FusionError(Exception):
@@ -122,8 +123,9 @@ def builtin(name, y_bar=1.0) -> FusionOp:
 def apply_op(op: FusionOp, a, b):
     """Raw evaluation on scalars or arrays, without bound checks.
 
-    With an array argument the result is an array, also for an expression
-    that does not use that argument.
+    Float arguments give a float.  With a float64 array argument of at least
+    one dimension the result is a float64 array of the arguments' broadcast
+    shape, also for an expression that uses one argument or none.
     """
     if op.kind == "min":
         return as_scalar(np.minimum(a, b))
@@ -145,8 +147,10 @@ def apply_op(op: FusionOp, a, b):
         return as_scalar(np.where(a > 1.0 - b, a, 0.0))
     if op.kind == "expr":
         out = eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
-        if type(out) is float and (np.ndim(a) or np.ndim(b)):  # free of its array arguments
-            return np.full(np.broadcast_shapes(np.shape(a), np.shape(b)), out)
+        if np.ndim(a) or np.ndim(b):  # spread over an argument the expression does not use
+            shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+            if np.shape(out) != shape:
+                return np.full(shape, out)
         return out
     raise FusionError(f"unknown fusion kind {op.kind!r}")
 
@@ -226,10 +230,7 @@ class FlagReport:
 
 def _grid(op: FusionOp, step: float, inf_cap: float):
     top = op.y_bar if op.y_bar != INF else inf_cap
-    count = max(int(round(top / step)), 1) + 1
-    if count > 4001:
-        count = 4001
-    return np.linspace(0.0, top, count)
+    return np.linspace(0.0, top, max(int(round(min(top / step, 4000))), 1) + 1)
 
 
 def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
@@ -242,7 +243,7 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
     xs = _grid(op, grid_step, inf_cap)
     if op.y_bar == INF:
         notes.append(f"infinite bound capped at {inf_cap} for grid checks")
-    table = np.asarray(apply_op(op, xs[:, None], xs[None, :]), dtype=float)
+    table = apply_op(op, xs[:, None], xs[None, :])
     exact_truth = _BUILTIN_TRUTH.get(op.kind)
     checks = []
 
@@ -341,42 +342,24 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
     """
     if outer.y_bar != 1.0 or inner.y_bar != 1.0:
         raise FusionError("domination check requires both operations on [0,1]")
-    count = int(round(1.0 / grid_step)) + 1
-    xs = np.linspace(0.0, 1.0, count)
-    inner_cd = np.asarray(apply_op(inner, xs[:, None], xs[None, :]), dtype=float)  # (c,d)
-    outer_cd = np.asarray(apply_op(outer, xs[:, None], xs[None, :]), dtype=float)
-    # Rows run over (c, d, b): outer(inner(a, b), t) is taken once per distinct
-    # value t of inner_cd, and inner runs over the contiguous (d, b) block,
-    # once per value of outer_cd.
-    inner_values, inner_index = distinct(np.broadcast_to(inner_cd, (count, count)))
-    outer_db = np.ascontiguousarray(outer_cd.T)
-
-    def inner_ab(i):
-        return np.asarray(apply_op(inner, xs[i], xs), dtype=float)
-
-    def fast(i, keys):  # lhs over (t, b); rhs over (key, d, b) for the outer values keys
-        lhs = np.asarray(apply_op(outer, inner_ab(i)[None, :], inner_values[:, None]),
-                         dtype=float)
-        rhs = np.asarray(apply_op(inner, keys[:, None, None], outer_db[None, :, :]),
-                         dtype=float)
-        return lhs, rhs
-
-    def reference(i):  # over (b, c, d)
-        apply_op(outer, inner_ab(i)[:, None, None], inner_cd[None, :, :])
-        apply_op(inner, outer_cd[i][None, :, None], outer_cd[:, None, :])
+    xs = axis(0.0, 1.0, grid_step, least=0)
+    check_row(len(xs), len(xs), len(xs))
+    inner_cd = apply_op(inner, xs[:, None], xs[None, :])  # (c, d)
+    outer_cd = apply_op(outer, xs[:, None], xs[None, :])
 
     def at(a, b, c, d):
         return (eval_op(outer, eval_op(inner, a, b), eval_op(inner, c, d)),
                 eval_op(inner, eval_op(outer, a, c), eval_op(outer, b, d)))
 
-    return scan((xs, xs, xs, xs), checked_rows(fast, reference), at, f"grid({grid_step})",
-                order=(1, 2, 0), lhs_index=inner_index, rhs_keys=outer_cd)
+    return scan_separable(xs, xs, lambda a: apply_op(inner, a, xs), inner_cd, outer_cd, outer_cd,
+                          partial(apply_op, outer), partial(apply_op, inner), at,
+                          f"grid({grid_step})")
 
 
 def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> Verdict:
     """Grid check of op(a,b) <= min(a,b); a violation reports lhs = op(a,b), rhs = min(a,b)."""
     xs = _grid(op, grid_step, inf_cap)
-    table = np.asarray(apply_op(op, xs[:, None], xs[None, :]), dtype=float)
+    table = apply_op(op, xs[:, None], xs[None, :])
     cap = np.minimum(xs[:, None], xs[None, :])
     idx = np.argwhere(table > cap + TOL)
     if idx.size:

@@ -14,7 +14,7 @@ import numpy as np
 from .extreal import INF
 from .fusion import FusionOp, apply_op, builtin, eval_op
 from .measure import FiniteSpace, MeasureError, MonotoneMeasure, SurvivalScenario
-from .scan import EQ_TOL
+from .scan import EQ_TOL, axis
 
 
 class IntegralError(Exception):
@@ -126,8 +126,7 @@ def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunc
     if grid_step <= 0:
         raise IntegralError("grid_step must be positive")
     top = min(op.y_bar, _INF_CAP)
-    count = int(round(top / grid_step)) + 1
-    ts = np.linspace(0.0, top, count)
+    ts = axis(0.0, top, grid_step, least=0)
     atoms = m.space.atoms_of(D)
     tab = np.asarray(m.table)
     if atoms:
@@ -136,8 +135,7 @@ def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunc
         masks = ((ts[:, None] <= vals[None, :]) * bits[None, :]).sum(axis=1)
     else:
         masks = np.zeros(ts.shape, dtype=np.int64)
-    terms = np.asarray(apply_op(op, ts, tab[masks]), dtype=float)
-    return float(np.max(terms))
+    return float(np.max(apply_op(op, ts, tab[masks])))
 
 
 def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> IntegralResult:
@@ -211,10 +209,8 @@ def _seg_eval(scenario, expr, ts):
     from .exprlang import eval_expr
 
     ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(eval_expr(expr, {scenario.var: ts}), dtype=float)
-    if vals.ndim == 0:  # constant segment expression
-        vals = np.full_like(ts, float(vals))
-    return np.maximum(vals, 0.0)
+    # a constant segment expression gives a float
+    return np.maximum(np.broadcast_to(eval_expr(expr, {scenario.var: ts}), ts.shape), 0.0)
 
 
 def _survival_min(scenario: SurvivalScenario) -> IntegralResult:
@@ -254,11 +250,10 @@ def _survival_grid(op: FusionOp, scenario: SurvivalScenario, grid_step: float) -
     best = (0.0, 0.0, -np.inf)
     for interval, expr in scenario.segments:
         lo, hi = interval.lo, interval.hi
-        count = max(int(round((hi - lo) / grid_step)), 8) + 1
-        ts = np.linspace(lo, hi, min(count, 200001))
+        ts = np.linspace(lo, hi, max(int(round(min((hi - lo) / grid_step, 200000))), 8) + 1)
         for _ in range(3):
             gs = _seg_eval(scenario, expr, ts)
-            terms = np.asarray(apply_op(op, ts, gs), dtype=float)
+            terms = apply_op(op, ts, gs)
             i = int(np.argmax(terms))
             if terms[i] > best[2]:
                 best = (float(ts[i]), float(gs[i]), float(terms[i]))

@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .exprlang import EvalError, Expr, Interval, eval_expr, parse
-from .scan import EQ_TOL, TOL
+from .scan import EQ_TOL, TOL, axis
 
 
 class MeasureError(Exception):
@@ -301,14 +301,11 @@ class SurvivalScenario:
         """Grid check that G is nonnegative and nonincreasing on [0, y_bar]."""
         prev = None
         for interval, expr in self.segments:
-            count = max(int(round((interval.hi - interval.lo) / grid_step)), 2) + 1
-            ts = np.linspace(interval.lo, interval.hi, count)
-            try:
-                vals = np.asarray(eval_expr(expr, {self.var: ts}), dtype=float)
+            ts = axis(interval.lo, interval.hi, grid_step, least=2)
+            try:  # a constant segment expression gives a float
+                vals = np.broadcast_to(eval_expr(expr, {self.var: ts}), ts.shape)
             except EvalError as exc:
                 raise MeasureError(f"survival segment on {interval}: {exc}") from exc
-            if vals.ndim == 0:  # constant segment expression
-                vals = np.full_like(ts, float(vals))
             if np.any(vals < -EQ_TOL):
                 bad = float(ts[vals < -EQ_TOL][0])
                 raise MeasureError(f"survival function negative at t={bad}")

@@ -1,4 +1,4 @@
-"""The grid-scan kernel, its verdict, and the package's tolerance policy.
+"""The grid-scan kernel, its verdict, its grid limit and the package's tolerance policy.
 
 Every scalar condition is checked the same way: walk the first axis in order,
 compare lhs and rhs arrays over the other axes, re-check the first flagged point.
@@ -14,6 +14,33 @@ import numpy as np
 TOL = 1e-9  # computed values: inequality sides, argument bounds, equality checks
 EQ_TOL = 1e-12  # stored values: measure values, function bounds, monotone samples
 _BLOCK = 1 << 15  # elements the scan compares at a time (256 KB of float64)
+# points in one scan row (128 MB of float64); the h = 0.005 c1 row, 201^3, fits
+MAX_ROW_POINTS = 1 << 24
+
+
+class GridError(ValueError):
+    """A grid the scans refuse to build: more than MAX_ROW_POINTS points in a row."""
+
+
+def axis(lo, hi, step, least=1):
+    """``np.linspace(lo, hi, max(round((hi - lo) / step), least) + 1)``.
+
+    Refused with a GridError, before anything is allocated, when that is
+    more than MAX_ROW_POINTS points.
+    """
+    spans = (hi - lo) / step
+    if not spans <= MAX_ROW_POINTS - 1:  # NaN and inf included
+        raise GridError(f"grid step {step} gives more than {MAX_ROW_POINTS} points on [{lo}, {hi}]")
+    return np.linspace(lo, hi, max(int(round(spans)), least) + 1)
+
+
+def check_row(*lengths):
+    """Refuse (GridError) a scan row over axes of these lengths that holds more
+    than MAX_ROW_POINTS points.  A scan calls it before it builds its tables,
+    which are never larger than its row."""
+    points = math.prod(lengths)
+    if points > MAX_ROW_POINTS:
+        raise GridError(f"a scan row of {points} points exceeds the limit of {MAX_ROW_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -34,41 +61,35 @@ def scan(axes, sides, at, evidence, order=None, lhs_index=None, rhs_keys=None) -
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
     Rows of axes[0] are visited in order; ``sides(i)`` returns the (lhs, rhs)
-    arrays of row i, or anything that broadcasts to the row.  ``order`` lists,
-    for each axis of those arrays, the index into axes[1:] of the axis it
-    runs along; by default the arrays run along axes[1:] in that order.
-    Whatever the order, the first flagged point of a row is taken in C order
-    of axes[1:] and re-checked with ``at(*point)``; if the re-check does not
-    confirm it, the rest of that row is skipped and the scan moves on.
+    arrays of row i, or anything that broadcasts to the row.  The first
+    flagged point of a row, in C order of axes[1:], is re-checked with
+    ``at(*point)``; if the re-check does not confirm it, the rest of the row
+    is skipped.  A row of more than MAX_ROW_POINTS points is refused.
 
-    With ``lhs_index``, an integer array over the leading axes of the row,
-    the lhs ``sides`` returns is a table with one row per index value over
-    the remaining axes, and the row's lhs is ``table[lhs_index]``.
+    ``scan_separable`` lays its rows out in its own way, and says how:
+    - ``order`` lists, for each axis of the row arrays, the index into
+      axes[1:] of the axis it runs along (by default axes[1:] in order);
+    - with ``lhs_index``, an integer array over the leading row axes, the
+      lhs is a table with one row per index value, and the row's lhs is
+      ``table[lhs_index]``;
+    - with ``rhs_keys``, a row of keys per value of axes[0] along the leading
+      row axis, the rhs depends on axes[0] only through the key, and
+      ``sides(i, keys)`` returns one rhs slab per key of ``keys``.  A row of
+      at least ``_BLOCK`` points is gathered from a table of ``slab - TOL``
+      keyed by the key's bit pattern, which holds at most one row's worth
+      and is filled with the keys rows lack; a smaller row, or one whose new
+      keys are more than half the row or do not fit, is evaluated whole,
+      ``sides(i, rhs_keys[i])``.  Both paths compare the same values.
 
-    With ``rhs_keys``, an array (or anything that broadcasts to one) with a
-    row of keys per value of axes[0] along the leading axis of the row, the
-    rhs depends on that axis only through the key: ``sides(i, keys)``
-    returns the lhs and one rhs slab over the remaining axes per key of the
-    1-D array ``keys``, and row i's rhs is its slabs for ``rhs_keys[i]``.
-    Rows of at least ``_BLOCK`` points are compared against a table of
-    ``slab - TOL`` keyed by the bit pattern of the key, which holds at most
-    one row's worth of slabs and is filled as rows need them: ``sides`` is
-    asked only for the keys the table lacks.  A smaller row, or one whose
-    new keys are more than half the row or would not fit, is evaluated
-    whole, ``sides(i, rhs_keys[i])``, and leaves the table as it was.  Both
-    paths compare the same values, so witnesses and errors do not depend on
-    which one a row takes.
-
-    The scan compares a block of leading slabs at a time, small enough for
-    ``rhs - TOL`` and the gathered lhs to stay in cache, into buffers it
-    allocates once: the row's mask ``lhs < rhs - TOL`` and the two blocks.
-    The arrays ``sides`` returns are only read, so they may be views of
-    hoisted tables.
+    The scan compares a block of leading slabs at a time, small enough to
+    stay in cache, into buffers it allocates once; it only reads what
+    ``sides`` returns, which may be views of hoisted tables.
     """
     first, rest = axes[0], axes[1:]
     order = tuple(range(len(rest))) if order is None else tuple(order)
     back = tuple(int(k) for k in np.argsort(order))
     row = tuple(len(rest[k]) for k in order)
+    check_row(*row)
     viol = np.empty(row, dtype=bool)
     lead = max(min(_BLOCK // max(math.prod(row[1:]), 1), row[0]), 1)
     shifted = np.empty((lead,) + row[1:])
@@ -159,6 +180,39 @@ class _Slabs:
         return slots, np.array(fresh, dtype=np.int64).view(float), self.data[start:end]
 
 
+def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
+    """Scan ab x ab x cd x cd for a point (a, b, c, d) where
+    ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
+
+    ``u(a)`` is the row function over ab; ``v``, ``p`` and ``q`` are tables
+    hoisted over (c, d), (a, c) and (b, d); ``left`` and ``right`` are array
+    operations that broadcast.  Witnesses are those of the plain scan over
+    (b, c, d) rows, and ``at`` re-checks them.
+
+    Rows are laid out as (c, d, b).  The left side is taken once per distinct
+    value of v, as a (value, b) table gathered through v's index; the right
+    side runs over the contiguous (d, b) block of q, once per value of p, and
+    the kernel keeps those slabs in its table.  When that evaluation raises,
+    whether for a whole row or for the keys the table lacks, the row is
+    re-run in (b, c, d) order, so the error names the first bad value the
+    plain scan meets.
+    """
+    v_values, v_index = distinct(v)
+    q_db = np.ascontiguousarray(q.T)
+
+    def sides(i, keys):  # lhs over (value, b); rhs over (key, d, b)
+        try:
+            return (left(u(ab[i])[None, :], v_values[:, None]),
+                    right(keys[:, None, None], q_db[None, :, :]))
+        except Exception:  # re-run over (b, c, d), so that any error is the plain scan's
+            left(u(ab[i])[:, None, None], v[None, :, :])
+            right(p[i][None, :, None], q[:, None, :])
+            raise
+
+    return scan((ab, ab, cd, cd), sides, at, evidence,
+                order=(1, 2, 0), lhs_index=v_index, rhs_keys=p)
+
+
 def distinct(table):
     """The distinct values of ``table`` and the index that rebuilds it.
 
@@ -173,20 +227,3 @@ def distinct(table):
     values = np.fromiter(slot, np.int64, len(slot)).view(float)
     return values, np.asarray(index, dtype=np.intp).reshape(arr.shape)
 
-
-def checked_rows(fast, reference):
-    """Row sides from ``fast``, with ``reference`` answering for its errors.
-
-    ``reference(i)`` evaluates row i whole in the layout of axes[1:], so the
-    first bad value it meets (and names in its error) is the one the scan's
-    own order meets first.  When ``fast(i, *keys)`` raises, whether for a
-    whole row or for the rhs keys a slab table lacks, the row is re-run
-    through ``reference``, whose error surfaces instead.
-    """
-    def sides(i, *keys):
-        try:
-            return fast(i, *keys)
-        except Exception:
-            reference(i)
-            raise
-    return sides

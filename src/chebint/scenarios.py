@@ -136,7 +136,18 @@ def build_cd(block) -> cheb.CdDomain:
     return cheb.cd_interval(*block["interval"])
 
 
+_CONFIG_KEYS = ("inner", "outer", "circ", "triangle", "phi", "psi", "k", "y_bar", "cd")
+
+
 def build_config(block) -> cheb.InequalityConfig:
+    if not isinstance(block, dict):
+        raise ScenarioError("config must be an object")
+    for key in block:
+        if key not in _CONFIG_KEYS:
+            raise ScenarioError(f"config.{key}: unknown key")
+    for key in _CONFIG_KEYS[:3]:  # inner, outer, circ
+        if key not in block:
+            raise ScenarioError(f"config.{key} is missing")
     return cheb.config(
         inner=build_op(block["inner"]),
         outer=build_op(block["outer"]),

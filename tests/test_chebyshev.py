@@ -1,7 +1,11 @@
 """Scalar conditions, integral inequalities, pipelines and searches."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from chebint import chebyshev, fusion, scan
 
 from chebint.chebyshev import (
     CdDomain,
@@ -428,3 +432,74 @@ class TestSearches:
 
     def test_no_gap_for_min(self):
         assert search_commutativity_gap(min_op(), prod_op(), grid_step=0.1) is None
+
+
+class TestGridLimit:
+    """Grids past MAX_ROW_POINTS are refused before any array of their size is
+    built.  Only refused grids run here: an unguarded one would not fit in memory."""
+
+    @staticmethod
+    def no_tables(monkeypatch):
+        # a scan that got past its row check would build its tables next
+        def refuse(*args):
+            raise AssertionError("a table was built before the row check")
+        monkeypatch.setattr(chebyshev, "apply_op", refuse)
+        monkeypatch.setattr(fusion, "apply_op", refuse)
+
+    def test_axes_refuse_before_allocating(self):
+        cfg = w_config(cd_interval(0.0, 1.0))
+        for build in (lambda: chebyshev._k_grid(cfg, 1e-9),
+                      lambda: cd_interval(0.0, 1.0).sample(1e-9),
+                      lambda: scan.axis(0.0, 1.0, 5e-324),
+                      lambda: scan.axis(float("-inf"), 1.0, 0.1)):
+            with pytest.raises(scan.GridError, match="gives more than 16777216 points"):
+                build()
+
+    def test_scans_refuse_their_row_before_their_tables(self, monkeypatch):
+        self.no_tables(monkeypatch)
+        ids = identity_triple()
+        cfg = w_config(cd_interval(0.0, 1.0))
+        with pytest.raises(scan.GridError, match="row of 125751501 points"):  # 501^3
+            check_scalar_condition(cfg, grid_step=0.002)
+        with pytest.raises(scan.GridError, match="row of 16818201 points"):  # 4101^2
+            check_condition_C2(cfg, grid_step=1 / 4100)
+        with pytest.raises(scan.GridError, match="row of 16818201 points"):
+            q_corollary_condition(prod_op(), ids, prod_op(), grid_step=1 / 4100)
+        with pytest.raises(scan.GridError, match="row of 16818201 points"):
+            search_commutativity_gap(prod_op(), prod_op(), grid_step=1 / 4100)
+        with pytest.raises(scan.GridError, match="row of 125751501 points"):
+            fusion.dominates(min_op(), prod_op(), grid_step=0.002)
+        for step in (1e-9, 1e-300):
+            with pytest.raises(scan.GridError, match="gives more than"):
+                fusion.dominates(min_op(), prod_op(), grid_step=step)
+
+    def test_kernel_refuses_an_oversize_row(self):
+        axes = (np.zeros(1), np.zeros(4097), np.zeros(4097))
+        built = []
+        with pytest.raises(scan.GridError, match="row of 16785409 points"):
+            scan.scan(axes, lambda i: built.append(i), lambda *p: (0.0, 0.0), "")
+        assert built == []
+
+    def test_h_0_005_c1_row_is_admitted(self):
+        scan.check_row(201, 201, 201)
+
+    def test_search_costs_the_grids_the_scan_builds(self, monkeypatch):
+        # k = 0.1 at step 0.25 is a 2-point axis, cost 2^2 * 1^2; the old
+        # formula counted 1 point and so also afforded the step 0.1 scan
+        cfg = replace(w_config(cd_values([1.0])), k=0.1)
+        steps = []
+        real = chebyshev.check_scalar_condition
+        monkeypatch.setattr(chebyshev, "check_scalar_condition",
+                            lambda cfg, step: steps.append(step) or real(cfg, step))
+        assert search_counterexample(cfg, grid_step=0.1, budget=5) is None
+        assert steps == [0.25]
+        steps.clear()
+        assert search_counterexample(cfg, grid_step=0.1, budget=8) is None
+        assert steps == [0.25, 0.1]
+
+    def test_search_skips_steps_past_the_limit(self):
+        cfg = w_config(cd_interval(0.0, 1.0))
+        witness = search_counterexample(cfg, grid_step=1e-9)
+        assert witness is not None
+        lhs, rhs = scalar_condition_at(cfg, *witness)
+        assert lhs < rhs - 1e-9

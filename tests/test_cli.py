@@ -219,6 +219,39 @@ class TestRunOptionValidation:
         code, out, err = run_cli(capsys, "search-counterexample", str(path))
         self.assert_input_error(code, out, err, "scenario key 'budget' must be")
 
+    def test_grid_past_the_row_limit(self, capsys, tmp_path):
+        # --grid 1e-9 used to ask for 1e9 floats before the scan started
+        path = tmp_path / "cond.json"
+        path.write_text(json.dumps(load_scenario("w-chebyshev-unit-interval")))
+        code, out, err = run_cli(capsys, "check-condition", str(path), "--grid", "1e-9")
+        self.assert_input_error(code, out, err, "grid step 1e-09 gives more than 16777216 points")
+        code, out, err = run_cli(capsys, "repro", "min-dominates-lukasiewicz", "--grid", "0.002")
+        self.assert_input_error(code, out, err, "a scan row of 125751501 points exceeds the limit")
+        # the flag check's grid used to end in an OverflowError traceback here
+        code, out, err = run_cli(capsys, "repro", "sugeno-phi-origin-hypothesis", "--grid", "5e-324")
+        self.assert_input_error(code, out, err, "grid step 5e-324 gives more than")
+
+    @pytest.mark.parametrize("change, needle", [
+        # a misspelt triangle used to be ignored: the scan ran with min, exit 1
+        (lambda c: c.update(tirangle=c.pop("triangle")), "config.tirangle: unknown key"),
+        # a missing inner used to print a bare "error: 'inner'"
+        (lambda c: c.pop("inner"), "config.inner is missing"),
+        (lambda c: c.pop("circ"), "config.circ is missing"),
+    ])
+    def test_config_keys(self, capsys, tmp_path, change, needle):
+        data = load_scenario("w-chebyshev-unit-interval")
+        change(data["config"])
+        path = tmp_path / "cond.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "check-condition", str(path), "--json")
+        self.assert_input_error(code, out, err, needle)
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(dict(load_scenario("w-counterexample-search"), config=[1])))
+        code, out, err = run_cli(capsys, "search-counterexample", str(path))
+        self.assert_input_error(code, out, err, "config must be an object")
+
     def test_valid_overrides_still_apply(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "w-counterexample-search",
                                "--grid", "0.05", "--budget", "100000", "--json")

@@ -108,3 +108,13 @@ class TestMonotoneCheck:
         verdict = check_monotone(parse("1 - x"), "x", 0.0, 1.0, "nondecreasing")
         assert not verdict.holds
         assert verdict.witness is not None
+
+    def test_constant_expression(self):
+        # a constant used to end in numpy's "diff requires input that is at
+        # least one dimensional"
+        for direction in ("nondecreasing", "nonincreasing"):
+            assert check_monotone(parse("0.5"), "x", 0, 1, direction).holds
+        for direction in ("increasing", "decreasing"):
+            verdict = check_monotone(parse("0.5"), "x", 0, 1, direction)
+            assert not verdict.holds
+            assert verdict.witness == ((0.0, 0.5), (0.01, 0.5))

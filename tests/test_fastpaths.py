@@ -445,3 +445,34 @@ def test_shape_and_eval_checks_match_the_old_masks(source, x):
     s = build_shape({"expr": source})
     with np.errstate(all="ignore"):
         assert new_shape_outcome(s, x) == old_shape_outcome(s, x)
+
+
+# ---------------------------------------------------------------------------
+# The array contract the grid scans rely on
+# ---------------------------------------------------------------------------
+
+
+_ARRAY_ARGS = [(np.linspace(0, 1, 5)[:, None], np.linspace(0, 1, 4)[None, :]),
+               (np.float64(0.3), np.linspace(0, 1, 4)), (np.linspace(0, 1, 5), 0.5),
+               (np.linspace(0, 1, 6).reshape(2, 1, 3), np.linspace(0, 1, 4)[:, None])]
+
+
+def assert_float_array(out, shape):
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+
+
+@pytest.mark.parametrize("op", [builtin(k) for k in BUILTIN_KINDS]
+                         + [expr_op(s, s) for s in ("a*b", "a", "b^2", "0.5", "sqrt(a)")])
+@pytest.mark.parametrize("a, b", _ARRAY_ARGS)
+def test_apply_op_gives_a_float_array_of_the_broadcast_shape(op, a, b):
+    # "a" and "b^2" used to keep the shape of the one argument they use
+    assert_float_array(apply_op(op, a, b), np.broadcast_shapes(np.shape(a), np.shape(b)))
+
+
+@pytest.mark.parametrize("source", ["x", "x^2", "0.5"])
+@pytest.mark.parametrize("x", [np.linspace(0, 1, 5), np.linspace(0, 1, 6).reshape(2, 3),
+                               np.zeros(0)])
+def test_shape_apply_gives_a_float_array_of_the_argument_shape(source, x):
+    fn = build_shape({"expr": source, "inverse": source, "inverse_domain": [0, 1]})
+    assert_float_array(fn.apply(x), x.shape)
+    assert_float_array(fn.apply_inverse(x), x.shape)

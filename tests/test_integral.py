@@ -162,6 +162,9 @@ class TestSurvival:
         res = integrate_survival(prod_op(), sv, grid_step=1e-4)
         assert res.value == pytest.approx(0.25, abs=1e-6)
         assert "grid" in res.method
+        # the grid is capped at 200001 points; a step this small used to end
+        # in an OverflowError
+        assert integrate_survival(prod_op(), sv, grid_step=5e-324).value == res.value
 
     def test_min_vs_grid_agree(self):
         sv = survival_scenario(1.0, [("[0, 0.25]", "1 - t"),

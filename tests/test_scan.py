@@ -5,7 +5,7 @@ import pytest
 
 import chebint
 from chebint import chebyshev, scan as scan_module
-from chebint.scan import TOL, Verdict, checked_rows, distinct, scan
+from chebint.scan import TOL, Verdict, distinct, scan, scan_separable
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -150,17 +150,48 @@ def test_lhs_from_a_table_of_distinct_values():
     assert np.array_equal(table, before)
 
 
-def test_checked_rows_raises_the_reference_error():
-    def fast(i):
-        raise ValueError("fast")
+def test_separable_row_errors_come_from_the_plain_row():
+    # left raises on the (value, b) layout of the fast path; the error that
+    # surfaces is the one the row over (b, c, d) raises, or the fast one when
+    # that row raises nothing
+    ab, cd = np.array([0.0, 1.0]), np.array([0.0, 0.5])
+    table = np.zeros((2, 2))
 
-    def reference(i):
-        raise KeyError(f"reference row {i}")
+    def separable(plain_error):
+        def left(x, t):
+            if np.ndim(x) == 2:
+                raise ValueError("fast")
+            if plain_error:
+                raise KeyError("plain row")
+            return x + t
+        return scan_separable(ab, cd, lambda a: a + ab, table, table, table, left, np.add,
+                              lambda *p: (0.0, 0.0), "")
 
-    with pytest.raises(KeyError, match="reference row 0"):
-        checked_rows(fast, reference)(0)
-    with pytest.raises(ValueError, match="fast"):  # a reference without error
-        checked_rows(fast, lambda i: None)(0)
+    with pytest.raises(KeyError, match="plain row"):
+        separable(True)
+    with pytest.raises(ValueError, match="fast"):
+        separable(False)
+
+
+def test_separable_scan_matches_the_plain_scan():
+    # left(u(a)[b], v[c, d]) against right(p[a, c], q[b, d]) over (b, c, d) rows
+    rng = np.random.default_rng(11)
+    ab, cd = np.arange(5.0), np.arange(4.0)
+    u = rng.uniform(size=(5, 5))
+    v = rng.integers(0, 3, size=(4, 4)).astype(float)  # repeated values
+    p, q = rng.uniform(size=(5, 4)), rng.uniform(size=(5, 4))
+
+    def at(a, b, c, d):
+        a, b, c, d = int(a), int(b), int(c), int(d)
+        return u[a, b] * v[c, d], p[a, c] + q[b, d]
+
+    def plain_sides(i):
+        return u[i][:, None, None] * v[None], p[i][None, :, None] + q[:, None, :]
+
+    want = scan((ab, ab, cd, cd), plain_sides, at, "e")
+    assert want.status == "violated"
+    got = scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, np.multiply, np.add, at, "e")
+    assert got == want
 
 
 def test_constant_sides_flag_the_first_point_of_the_row():
@@ -216,16 +247,13 @@ def keyed_scan(keys, calls, raise_on=None):
     def keyed(i, row_keys):
         calls.append((i, row_keys.tolist()))
         if i == raise_on:
-            raise ValueError("fast")
+            raise KeyError(f"keys of row {i}")
         return lhs[i], fill(row_keys)
-
-    def reference(i):
-        raise KeyError(f"reference row {i}")
 
     def dense(i):
         return lhs[i], fill(keys[i])
 
-    return (lambda: scan(axes, checked_rows(keyed, reference), at, "", rhs_keys=keys),
+    return (lambda: scan(axes, keyed, at, "", rhs_keys=keys),
             lambda: scan(axes, dense, at, ""), rechecked)
 
 
@@ -263,11 +291,12 @@ def test_rhs_slab_table_overflow_matches_the_dense_scan():
     assert calls == [(0, rows[0]), (1, [0.0, 1.0, 2.0, 3.0])]
 
 
-def test_rhs_slab_table_errors_come_from_the_reference_row():
+def test_rhs_slab_table_errors_surface_in_row_order():
+    # an error for the keys the table lacks surfaces from the row that asked
     keys = np.tile([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0], (3, 1)) * [[1.0], [1.0], [3.0]]
     calls = []
     gathered, _, _ = keyed_scan(keys, calls, raise_on=2)
-    with pytest.raises(KeyError, match="reference row 2"):
+    with pytest.raises(KeyError, match="keys of row 2"):
         gathered()
     assert calls[-1] == (2, [1.5, 3.0, 6.0])  # the table lacked row 2's keys
     # a violation in an earlier row is returned before the later row is built
