@@ -213,6 +213,8 @@ class InequalityConfig:
         """Construction-time hypothesis bundle; raises HypothesisError."""
         if not 0 < self.k <= self.y_bar + TOL:
             raise HypothesisError(f"k={self.k} must lie in (0, y_bar={self.y_bar}]")
+        if self.cd_domain is None:
+            raise HypothesisError("the c/d domain (config.cd) is missing")
         top = min(self.cd_domain.sup, _INF_CAP)
         for i, (phi, circ) in enumerate(zip(self.phis, self.circs), start=1):
             phi_top = float(phi.apply(min(self.y_bar, phi.domain[1])))
@@ -562,7 +564,11 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
         g = simple_function(m.space, rng.uniform(0.0, cfg.k, n), bound=cfg.k)
         A = int(rng.integers(1, m.space.full_mask + 1))
         B = int(rng.integers(1, m.space.full_mask + 1))
-        outcome = check_integral_inequality(cfg, m, f, g, A, B)
+        try:
+            outcome = check_integral_inequality(cfg, m, f, g, A, B)
+        except HypothesisError as exc:
+            return PipelineReport(tuple(stages) + (Stage("random-trials", "hypothesis-failed",
+                                                         str(exc)),))
         if not outcome.holds:
             failures += 1
             if first is None:
@@ -650,6 +656,7 @@ def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_00
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    cfg.validate()
     steps = [s for s in (0.25, 0.1, 0.05, 0.02) if s > grid_step] + [grid_step]
     spent = 0
     for step in steps:

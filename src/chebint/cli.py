@@ -10,11 +10,9 @@ import argparse
 import json
 import sys
 
-from .exprlang import ExprError
-from .fusion import FusionError
-from .measure import MeasureError
-from .scenarios import (ScenarioError, list_scenarios, load_scenario,
-                        load_scenario_file, run_scenario)
+from . import (DependenceError, ExprError, FusionError, HypothesisError, IntegralError,
+               MeasureError, ScenarioError, list_scenarios, load_scenario,
+               load_scenario_file, run_scenario)
 
 _KIND_FOR_COMMAND = {
     "integrate": "integrate",
@@ -55,9 +53,9 @@ def _build_parser():
     return parser
 
 
-def _human(report, stream):
+def _human(report):
     skip = {"report_version", "kind", "scenario", "trace"}
-    print(f"scenario: {report.get('scenario')}  [{report.get('kind')}]", file=stream)
+    print(f"scenario: {report.get('scenario')}  [{report.get('kind')}]")
     for key in sorted(report):
         if key in skip:
             continue
@@ -65,22 +63,12 @@ def _human(report, stream):
         if key == "stages":
             for stage in value:
                 detail = f"  ({stage['detail']})" if stage.get("detail") else ""
-                print(f"  stage {stage['name']}: {stage['status']}{detail}", file=stream)
+                print(f"  stage {stage['name']}: {stage['status']}{detail}")
         elif key == "integrals":
             for name in sorted(value):
-                print(f"  {name} = {value[name]['value']}  [{value[name]['method']}]",
-                      file=stream)
+                print(f"  {name} = {value[name]['value']}  [{value[name]['method']}]")
         else:
-            print(f"  {key}: {value}", file=stream)
-
-
-def _emit(exit_code, report, as_json, stream=None):
-    stream = stream or sys.stdout
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2), file=stream)
-    else:
-        _human(report, stream)
-    return exit_code
+            print(f"  {key}: {value}")
 
 
 def _run_blocks(blocks, args):
@@ -88,7 +76,10 @@ def _run_blocks(blocks, args):
     for data in blocks:
         code, report = run_scenario(data, grid_step=args.grid, seed=args.seed,
                                     budget=args.budget, tolerance=args.tolerance)
-        _emit(code, report, args.json)
+        if args.json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            _human(report)
         exit_code = max(exit_code, code)
     return exit_code
 
@@ -113,8 +104,9 @@ def main(argv=None):
             raise ScenarioError(
                 f"scenario(s) {wrong} do not have kind {kind!r}; use the matching subcommand")
         return _run_blocks(blocks, args)
-    except (ScenarioError, ExprError, FusionError, MeasureError, OSError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ScenarioError, ExprError, FusionError, MeasureError, IntegralError,
+            DependenceError, HypothesisError, OSError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ boundary); they are consumed as hypotheses by the inequality checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,9 +36,6 @@ class FusionOp:
     commutative: bool = False
     semicopula: bool = False
     fuzzy_conjunction: bool = False
-
-    def with_flags(self, **flags) -> "FusionOp":
-        return replace(self, **flags)
 
 
 BUILTIN_KINDS = ("min", "prod", "lukasiewicz", "godel", "godel_contra")

@@ -10,6 +10,7 @@ scenarios live in the package's scenarios/ directory.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import partial
 from importlib import resources
@@ -131,9 +132,16 @@ def build_mask(block, sp: FiniteSpace) -> int:
 
 
 def build_cd(block) -> cheb.CdDomain:
-    if "values" in block:
-        return cheb.cd_values(block["values"])
-    return cheb.cd_interval(*block["interval"])
+    key = next(iter(block), None) if isinstance(block, dict) and len(block) == 1 else None
+    numbers = block[key] if key in ("interval", "values") else None
+    if isinstance(numbers, list) and numbers:
+        numbers = [_number(v, f"config.cd.{key}[{i}]") for i, v in enumerate(numbers)]
+        if key == "values" and not any(math.isnan(v) for v in numbers):
+            return cheb.cd_values(numbers)
+        if key == "interval" and len(numbers) == 2 and numbers[0] <= numbers[1]:
+            return cheb.cd_interval(*numbers)
+    raise ScenarioError('config.cd must be {"interval": [lo, hi]} with lo <= hi, or '
+                        '{"values": [v, ...]} with at least one value and no NaN')
 
 
 _CONFIG_KEYS = ("inner", "outer", "circ", "triangle", "phi", "psi", "k", "y_bar", "cd")
@@ -172,14 +180,22 @@ def build_survival(block):
 # ---------------------------------------------------------------------------
 
 
-def _verdict_dict(v: cheb.Verdict):
-    return {"status": v.status, "witness": list(v.witness) if v.witness else None,
-            "lhs": v.lhs, "rhs": v.rhs, "detail": v.detail, "evidence": v.evidence}
+def _witness(w):
+    return list(w) if w else None
 
 
 def _option(override, data, key, default):
     """A command-line override if given, else the scenario's value, else the default."""
     return override if override is not None else data.get(key, default)
+
+
+def _choice(data, key, allowed, default):
+    """data[key] (default when absent), which must be the default or one of allowed."""
+    value = data.get(key, default)
+    if value != default and value not in allowed:
+        raise ScenarioError(f"scenario key {key!r} must be one of "
+                            f"{', '.join(allowed)}; got {value!r}")
+    return value
 
 
 def _check_real(value, source, zero_ok=False):
@@ -195,19 +211,13 @@ def _check_count(value, source, least):
         raise ScenarioError(f"{source} must be a {sign} integer, got {value!r}")
 
 
-def _exit_for_status(status):
-    return {"holds-on-grid": 0, "holds": 0, "violated": 1}.get(status, 2)
-
-
 def _run_integrate(data, grid_step, seed, budget, tolerance):
+    step = _option(grid_step, data, "grid", 1e-4)
     results = {}
-    bindings = {}
     for i, item in enumerate(data["integrals"]):
         op = build_op(item.get("op", "min"))
         if "survival" in item:
-            sv = build_survival(item["survival"])
-            step = grid_step if grid_step is not None else 1e-4
-            res = integrate_survival(op, sv, grid_step=step)
+            res = integrate_survival(op, build_survival(item["survival"]), grid_step=step)
         else:
             sp = build_space(item["space"])
             m = build_measure(item["measure"], sp, f"integrals[{i}].measure")
@@ -218,20 +228,18 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
             else:
                 res = integrate_simple(op, m, D, f)
         results[item["name"]] = {"value": res.value, "method": res.method}
-        bindings[item["name"]] = res.value
     report = {"integrals": results, "verdict": "computed"}
-    exit_code = 0
     if "equality" in data:
         eq = data["equality"]
-        lhs = float(eval_expr(parse(eq["lhs"]), bindings))
-        rhs = float(eval_expr(parse(eq["rhs"]), bindings))
+        values = {name: r["value"] for name, r in results.items()}
+        lhs = float(eval_expr(parse(eq["lhs"]), values))
+        rhs = float(eval_expr(parse(eq["rhs"]), values))
         tol = _option(tolerance, eq, "tol", TOL)
         _check_real(tol, "scenario key 'equality.tol'", zero_ok=True)
         holds = abs(lhs - rhs) <= tol
         report["equality"] = {"lhs": lhs, "rhs": rhs, "holds": holds}
         report["verdict"] = "equality-holds" if holds else "equality-violated"
-        exit_code = 0 if holds else 1
-    return exit_code, report
+    return report
 
 
 def _run_dependence(data, grid_step, seed, budget, tolerance):
@@ -246,18 +254,14 @@ def _run_dependence(data, grid_step, seed, budget, tolerance):
     query = DependenceQuery(m, f, g, A, B, tri, k,
                             allow_range_escape=data.get("allow_range_escape", False))
     verdict = is_m_positively_dependent(query)
-    report = {"holds": verdict.holds,
-              "witness": list(verdict.witness) if verdict.witness else None,
-              "warnings": list(verdict.warnings),
-              "detail": verdict.detail,
-              "evidence": "exact"}
-    report["verdict"] = "dependent" if verdict.holds else "not-dependent"
-    return (0 if verdict.holds else 1), report
+    return {"holds": verdict.holds, "witness": _witness(verdict.witness),
+            "warnings": list(verdict.warnings), "detail": verdict.detail,
+            "evidence": "exact", "verdict": "dependent" if verdict.holds else "not-dependent"}
 
 
 def _run_condition(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
-    variant = data.get("variant", "c1")
+    variant = _choice(data, "variant", ("c1", "c2", "q"), "c1")
     if variant == "q":
         conj = build_op(data["conj"])
         star = build_op(data["star"])
@@ -267,70 +271,61 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
         cfg = build_config(data["config"])
         check = cheb.check_condition_C2 if variant == "c2" else cheb.check_scalar_condition
         verdict = check(cfg, grid_step=step)
-    report = _verdict_dict(verdict)
-    report["verdict"] = verdict.status
+    report = {"status": verdict.status, "witness": _witness(verdict.witness),
+              "lhs": verdict.lhs, "rhs": verdict.rhs, "detail": verdict.detail,
+              "evidence": verdict.evidence, "verdict": verdict.status}
     if "recheck" in data and variant == "c1":
         point = data["recheck"]["point"]
-        lhs, rhs = cheb.scalar_condition_at(build_config(data["config"]), *point)
+        lhs, rhs = cheb.scalar_condition_at(cfg, *point)
         report["recheck"] = {"point": point, "lhs": lhs, "rhs": rhs,
                              "violated": lhs < rhs - TOL}
-    return _exit_for_status(verdict.status), report
-
-
-def _pipeline_result(rep: cheb.PipelineReport, evidence):
-    """(exit code, report) of a pipeline run."""
-    out = {"stages": [{"name": s.name, "status": s.status, "detail": s.detail}
-                      for s in rep.stages],
-           "status": rep.status, "contradiction": rep.contradiction,
-           "verdict": rep.status, "evidence": evidence}
-    if rep.outcome is not None:
-        out["lhs"] = rep.outcome.lhs
-        out["rhs"] = rep.outcome.rhs
-        out["holds"] = rep.outcome.holds
-    return _exit_for_status(rep.status), out
+    return report
 
 
 def _run_inequality(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
+    pipeline = _choice(data, "pipeline", ("sugeno", "theorem-forward", "any-functions"), None)
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
-    pipeline = data.get("pipeline")
+    cfg = None if pipeline == "sugeno" else build_config(data["config"])
+    k = data.get("y_bar", 1.0) if cfg is None else cfg.k
+    f = build_function(data["f"], sp, bound=k)
+    g = build_function(data["g"], sp, bound=k)
+    A = build_mask(data.get("A", list(sp.labels)), sp)
+    B = None if cfg is None else build_mask(data.get("B", list(sp.labels)), sp)
+    evidence = f"grid({step})"
     if pipeline == "sugeno":
-        k = data.get("y_bar", 1.0)
-        f = build_function(data["f"], sp, bound=k)
-        g = build_function(data["g"], sp, bound=k)
-        A = build_mask(data.get("A", list(sp.labels)), sp)
         rep = cheb.sugeno_chebyshev(m, f, g, A,
                                     _triple(data.get("phi", "x"), build_shape),
                                     _triple(data.get("psi", "x"), build_shape),
                                     build_op(data["star"]), grid_step=step, y_bar=k)
-        return _pipeline_result(rep, f"grid({step})")
-    cfg = build_config(data["config"])
-    f = build_function(data["f"], sp, bound=cfg.k)
-    g = build_function(data["g"], sp, bound=cfg.k)
-    A = build_mask(data.get("A", list(sp.labels)), sp)
-    B = build_mask(data.get("B", list(sp.labels)), sp)
-    if pipeline == "theorem-forward":
+    elif pipeline == "theorem-forward":
         rep = cheb.theorem1_forward(cfg, m, f, g, A, B, grid_step=step)
-        return _pipeline_result(rep, f"grid({step})")
-    if pipeline == "any-functions":
+    elif pipeline == "any-functions":
         trials = data.get("trials", 200)
         seed = _option(seed, data, "seed", 0)
         rep = cheb.any_functions_check(cfg, m, trials=trials, seed=seed, grid_step=step)
-        return _pipeline_result(rep, f"random-trials({trials}, seed {seed})")
-    try:
-        outcome = cheb.check_integral_inequality(cfg, m, f, g, A, B)
-    except cheb.HypothesisError as exc:
-        return 2, {"verdict": "hypothesis-failed", "detail": str(exc), "evidence": "exact"}
-    report = {"lhs": outcome.lhs, "rhs": outcome.rhs, "holds": outcome.holds,
-              "trace": outcome.trace, "evidence": "exact"}
-    if data.get("expect_equality"):
-        equal = abs(outcome.lhs - outcome.rhs) <= (TOL if tolerance is None else tolerance)
-        report["equality"] = equal
-        report["verdict"] = "equality-holds" if equal else "equality-violated"
-        return (0 if equal else 1), report
-    report["verdict"] = "holds" if outcome.holds else "violated"
-    return (0 if outcome.holds else 1), report
+        evidence = f"random-trials({trials}, seed {seed})"
+    else:
+        try:
+            outcome = cheb.check_integral_inequality(cfg, m, f, g, A, B)
+        except cheb.HypothesisError as exc:
+            return {"verdict": "hypothesis-failed", "detail": str(exc), "evidence": "exact"}
+        report = {"lhs": outcome.lhs, "rhs": outcome.rhs, "holds": outcome.holds,
+                  "trace": outcome.trace, "evidence": "exact",
+                  "verdict": "holds" if outcome.holds else "violated"}
+        if data.get("expect_equality"):
+            equal = abs(outcome.lhs - outcome.rhs) <= (TOL if tolerance is None else tolerance)
+            report["equality"] = equal
+            report["verdict"] = "equality-holds" if equal else "equality-violated"
+        return report
+    report = {"stages": [{"name": s.name, "status": s.status, "detail": s.detail}
+                         for s in rep.stages],
+              "status": rep.status, "contradiction": rep.contradiction,
+              "verdict": rep.status, "evidence": evidence}
+    if rep.outcome is not None:
+        report.update(lhs=rep.outcome.lhs, rhs=rep.outcome.rhs, holds=rep.outcome.holds)
+    return report
 
 
 def _run_search(data, grid_step, seed, budget, tolerance):
@@ -340,32 +335,27 @@ def _run_search(data, grid_step, seed, budget, tolerance):
         witness = cheb.search_counterexample(cfg, grid_step=step,
                                              budget=_option(budget, data, "budget", 5_000_000))
     except cheb.HypothesisError as exc:
-        return 2, {"verdict": "hypothesis-failed", "detail": str(exc)}
-    report = {"witness": list(witness) if witness else None,
-              "verdict": "witness-found" if witness else "no-witness",
-              "evidence": f"coarse-to-fine grid down to {step}"}
-    return (1 if witness else 0), report
+        return {"verdict": "hypothesis-failed", "detail": str(exc)}
+    return {"witness": _witness(witness),
+            "verdict": "witness-found" if witness else "no-witness",
+            "evidence": f"coarse-to-fine grid down to {step}"}
 
 
 def _run_property(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     prop = data["property"]
     if prop == "dominates":
-        outer = build_op(data["outer"])
-        inner = build_op(data["inner"])
-        verdict = fusion.dominates(outer, inner, grid_step=step)
-        report = {"holds": verdict.holds,
-                  "witness": list(verdict.witness) if verdict.witness else None,
-                  "verdict": verdict.status, "evidence": verdict.evidence}
-        return _exit_for_status(verdict.status), report
+        verdict = fusion.dominates(build_op(data["outer"]), build_op(data["inner"]),
+                                   grid_step=step)
+        return {"holds": verdict.holds, "witness": _witness(verdict.witness),
+                "verdict": verdict.status, "evidence": verdict.evidence}
     if prop == "commutativity-gap":
         witness = cheb.search_commutativity_gap(build_op(data["op"]),
                                                 build_op(data.get("star", "prod")),
                                                 grid_step=step)
-        report = {"witness": list(witness) if witness else None,
-                  "verdict": "gap-found" if witness else "no-gap",
-                  "evidence": f"grid({step})"}
-        return (1 if witness else 0), report
+        return {"witness": _witness(witness),
+                "verdict": "gap-found" if witness else "no-gap",
+                "evidence": f"grid({step})"}
     raise ScenarioError(f"unknown property {prop!r}")
 
 
@@ -378,13 +368,25 @@ _RUNNERS = {
     "property-run": _run_property,
 }
 
+# The one mapping from a report's verdict to the exit code: 0 the claim holds
+# or the computation succeeded, 1 it is refuted, 2 a hypothesis failed.  A
+# verdict missing here exits 2, never 0.
+EXIT_CODES = {
+    **dict.fromkeys(("computed", "equality-holds", "dependent", "holds", "holds-on-grid",
+                     "no-witness", "no-gap"), 0),
+    **dict.fromkeys(("equality-violated", "not-dependent", "violated", "witness-found",
+                     "gap-found"), 1),
+    "hypothesis-failed": 2,
+}
+
 
 def run_scenario(data, grid_step=None, seed=None, budget=None, tolerance=None):
     """Run one scenario dict; returns (exit_code, report dict).
 
     grid_step, seed, budget and tolerance override the scenario's own values;
     tolerance applies to both equality checks (an integrate block's
-    "equality" and an inequality's "expect_equality").
+    "equality" and an inequality's "expect_equality").  The exit code is
+    EXIT_CODES[report["verdict"]], or 2 for a verdict missing from it.
     """
     kind = data.get("kind")
     if kind not in _RUNNERS:
@@ -394,16 +396,17 @@ def run_scenario(data, grid_step=None, seed=None, budget=None, tolerance=None):
     for key, label, override, check in (
             ("grid", "grid step", grid_step, _check_real),
             ("budget", "budget", budget, partial(_check_count, least=1)),
-            ("seed", "seed", seed, partial(_check_count, least=0))):
+            ("seed", "seed", seed, partial(_check_count, least=0)),
+            ("trials", "trials", None, partial(_check_count, least=1))):
         if override is not None:
             check(override, label)
         if key in data:
             check(data[key], f"scenario key {key!r}")
-    exit_code, report = _RUNNERS[kind](data, grid_step, seed, budget, tolerance)
+    report = _RUNNERS[kind](data, grid_step, seed, budget, tolerance)
     report["report_version"] = REPORT_VERSION
     report["scenario"] = data.get("name", "<inline>")
     report["kind"] = kind
-    return exit_code, report
+    return EXIT_CODES.get(report["verdict"], 2), report
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebint import scenarios
 from chebint.cli import main
-from chebint.scenarios import list_scenarios, load_scenario, run_scenario
+from chebint.scenarios import EXIT_CODES, list_scenarios, load_scenario, run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +322,107 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "integrate", str(path), "--json")
         TestRunOptionValidation.assert_input_error(code, out, err, "only defined on [0,1]^2")
 
+
+def _one_simple_integral(data):
+    data["integrals"] = [{"name": "x", "op": "min", "space": ["w"], "f": [2.0], "bound": 2.0,
+                          "measure": {"table": {"": 0.0, "w": 1.0}}}]
+
+
+# Inputs that used to end in a traceback with exit 1, which reads as "refuted",
+# or to be misread: the reversed cd interval exited 0 with holds-on-grid (it
+# scanned c, d in {1, 0}), a string cd value was taken through float(), and an
+# unknown variant or pipeline ran another check.  Each is now exit 2: one
+# error line, or a hypothesis-failed report.
+_EXIT_TWO = {
+    "c1-without-cd": ("w-chebyshev-unit-interval", "check-condition",
+                      lambda d: d["config"].pop("cd"), "config.cd"),
+    "c2-without-cd": ("w-chebyshev-unit-interval", "check-condition",
+                      lambda d: (d["config"].pop("cd"), d.update(variant="c2")), "config.cd"),
+    "search-without-cd": ("w-counterexample-search", "search-counterexample",
+                          lambda d: d["config"].pop("cd"), "config.cd"),
+    "cd-one-bound": ("w-chebyshev-unit-interval", "check-condition",
+                     lambda d: d["config"].update(cd={"interval": [0]}), "config.cd must be"),
+    "cd-no-values": ("w-chebyshev-unit-interval", "check-condition",
+                     lambda d: d["config"].update(cd={"values": []}), "config.cd must be"),
+    "cd-reversed": ("w-chebyshev-two-valued", "check-condition",
+                    lambda d: d["config"].update(cd={"interval": [1.0, 0.0]}), "lo <= hi"),
+    "cd-string-value": ("w-chebyshev-two-valued", "check-condition",
+                        lambda d: d["config"].update(cd={"values": ["0.5"]}),
+                        "config.cd.values[0] must be a number"),
+    "trial-outside-phi-domain": ("minitive-any-functions", "check-inequality",
+                                 lambda d: d["config"].update(
+                                     phi={"expr": "2*x - 1", "domain": [0.5, 1.0]}),
+                                 "is not defined (domain [0.5, 1.0])"),
+    # "trials": 0 used to exit 0 with "holds" after checking no pair at all
+    "no-trials": ("minitive-any-functions", "check-inequality", lambda d: d.update(trials=0),
+                  "scenario key 'trials' must be a positive integer, got 0"),
+    "dependence-f-above-k": ("minitive-dependence", "check-dependence",
+                             lambda d: d["f"].update(x1=2.0), "values must lie in [0, 1.0]"),
+    "dependence-range-escape": ("minitive-dependence", "check-dependence",
+                                lambda d: d.update(allow_range_escape=False), "leaves range(m)"),
+    "inequality-f-above-k": ("necessity-sugeno-pipeline", "check-inequality",
+                             lambda d: d["f"].update(x1=2.0), "values must lie in [0, 1.0]"),
+    "integrate-f-above-y-bar": ("minitive-sugeno-values", "integrate", _one_simple_integral,
+                                "function bound exceeds the operation's y_bar"),
+    "unknown-variant": ("w-chebyshev-unit-interval", "check-condition",
+                        lambda d: d.update(variant="c3"),
+                        "'variant' must be one of c1, c2, q; got 'c3'"),
+    "unknown-pipeline": ("counterexample-daraby-ghadimi", "check-inequality",
+                         lambda d: d.update(pipeline="nope"),
+                         "'pipeline' must be one of sugeno, theorem-forward, any-functions; "
+                         "got 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_TWO))
+def test_input_or_hypothesis_error_exits_two(capsys, tmp_path, case):
+    name, command, change, needle = _EXIT_TWO[case]
+    data = load_scenario(name)
+    change(data)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, command, str(path), "--json")
+    assert code == 2
+    assert "Traceback" not in err
+    if err:
+        TestRunOptionValidation.assert_input_error(code, out, err, needle)
+    else:
+        report = json.loads(out)
+        assert report["verdict"] == "hypothesis-failed"
+        assert needle in out
+
+
+def test_exit_code_is_the_verdict_table(monkeypatch):
+    assert {v for v, c in EXIT_CODES.items() if c == 0} == {
+        "computed", "equality-holds", "dependent", "holds", "holds-on-grid", "no-witness",
+        "no-gap"}
+    assert {v for v, c in EXIT_CODES.items() if c == 1} == {
+        "equality-violated", "not-dependent", "violated", "witness-found", "gap-found"}
+    assert {v for v, c in EXIT_CODES.items() if c == 2} == {"hypothesis-failed"}
+    for verdict, code in [*EXIT_CODES.items(), *((v, 2) for v in ("", "Holds", "pass", None))]:
+        monkeypatch.setitem(scenarios._RUNNERS, "integrate", lambda *_: {"verdict": verdict})
+        assert run_scenario({"kind": "integrate"}) == (code, {
+            "verdict": verdict, "report_version": 1, "scenario": "<inline>", "kind": "integrate"})
+
+
+@pytest.mark.parametrize("scenario_grid, override, used", [
+    (None, None, 1e-4), (0.01, None, 0.01), (0.01, 0.002, 0.002)])
+def test_integrate_grid_reaches_integrate_survival(monkeypatch, scenario_grid, override, used):
+    # an integrate scenario's "grid" used to be checked and then ignored
+    steps = []
+    real = scenarios.integrate_survival
+
+    def spy(op, sv, grid_step):
+        steps.append(grid_step)
+        return real(op, sv, grid_step=grid_step)
+
+    monkeypatch.setattr(scenarios, "integrate_survival", spy)
+    data = load_scenario("minitive-sugeno-values")
+    if scenario_grid is not None:
+        data["grid"] = scenario_grid
+    code, report = run_scenario(data, grid_step=override)
+    assert code == 0 and report["verdict"] == "computed"
+    assert steps == [used] * len(data["integrals"])
 
 _NAN = float("nan")
 _TABLE_VALUES = st.one_of(
