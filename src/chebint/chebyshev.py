@@ -17,14 +17,12 @@ import numpy as np
 from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
-from .extreal import INF
-from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op
+from .extreal import INF, INF_CAP as _INF_CAP
+from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, prod_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
 from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, scan,
                    scan_separable)
-
-_INF_CAP = 1e6
 
 
 class HypothesisError(Exception):
@@ -542,7 +540,7 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     random function pairs.
     """
     stages = []
-    if cfg.outer is not cfg.inner and cfg.outer.name != cfg.inner.name:
+    if replace(cfg.outer, name=cfg.inner.name) != cfg.inner:  # names aside, as operations
         stages.append(Stage("outer-equals-inner", "hypothesis-failed",
                             "this pipeline requires outer = inner"))
     else:
@@ -678,8 +676,6 @@ def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_00
 def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_step=0.01):
     """Find (a, b, c) where the two argument-order variants of the scalar
     condition for a seminormed integral disagree; None for commutative S."""
-    from .fusion import prod_op
-
     star = star or prod_op()
     xs = axis(0.0, 1.0, grid_step, least=0)
     check_row(len(xs), len(xs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 INF = float("inf")
+INF_CAP = 1e6  # where a grid over [0, inf] stops
 _INF_BITS = 0x7FF0000000000000  # the int64 view of +inf: larger views are NaNs
 # below this many output elements the operand checks of xmul's direct product
 # cost more than the np.where they save

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .exprlang import Expr, eval_expr, parse
-from .extreal import INF, as_scalar, xmul
+from .extreal import INF, INF_CAP, as_scalar, xmul
 from .scan import EQ_TOL, TOL, Verdict, axis, check_row, scan_separable
 
 
@@ -38,83 +38,64 @@ class FusionOp:
     fuzzy_conjunction: bool = False
 
 
-BUILTIN_KINDS = ("min", "prod", "lukasiewicz", "godel", "godel_contra")
+def _lukasiewicz(a, b):
+    out = np.asarray(a, dtype=float) + b
+    if isinstance(out, np.ndarray):  # a fresh array: finish it in place
+        out -= 1.0
+        return np.maximum(out, 0.0, out=out)
+    return as_scalar(np.maximum(out - 1.0, 0.0))
 
-# Exact flag truths for the builtins (case analysis, not grid evidence).
-_BUILTIN_TRUTH = {
-    "min": dict(non_decreasing=True, left_continuous_in_first=True,
-                left_continuous_in_second=True, right_continuous=True,
-                commutative=True, semicopula=True, fuzzy_conjunction=True),
-    "prod": dict(non_decreasing=True, left_continuous_in_first=True,
-                 left_continuous_in_second=True, right_continuous=True,
-                 commutative=True, semicopula=True, fuzzy_conjunction=True),
-    "lukasiewicz": dict(non_decreasing=True, left_continuous_in_first=True,
-                        left_continuous_in_second=True, right_continuous=True,
-                        commutative=True, semicopula=True, fuzzy_conjunction=True),
-    # b*1{a > 1-b}: jumps are from below, so left-continuity holds in both
-    # coordinates while right-continuity fails at the jump.
-    "godel": dict(non_decreasing=True, left_continuous_in_first=True,
-                  left_continuous_in_second=True, right_continuous=False,
-                  commutative=False, semicopula=False, fuzzy_conjunction=True),
-    "godel_contra": dict(non_decreasing=True, left_continuous_in_first=True,
-                         left_continuous_in_second=True, right_continuous=False,
-                         commutative=False, semicopula=False, fuzzy_conjunction=True),
+
+def _godel(a, b, keep_first=False):
+    """b*1{a > 1-b}, or a*1{a > 1-b} with keep_first (godel_contra)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return as_scalar(np.where(a > 1.0 - b, a if keep_first else b, 0.0))
+
+
+_T_NORM = dict(non_decreasing=True, left_continuous_in_first=True,
+               left_continuous_in_second=True, right_continuous=True,
+               commutative=True, semicopula=True, fuzzy_conjunction=True)
+# The godel jumps are from below, so left-continuity holds in both coordinates
+# while right-continuity fails at the jump.
+_GODEL = dict(_T_NORM, right_continuous=False, commutative=False, semicopula=False)
+
+# name -> (array form, exact flag truths on [0,1]^2 by case analysis, not grid evidence)
+_BUILTINS = {
+    "min": (lambda a, b: as_scalar(np.minimum(a, b)), _T_NORM),
+    "prod": (lambda a, b: as_scalar(xmul(a, b)), _T_NORM),
+    "lukasiewicz": (_lukasiewicz, _T_NORM),
+    "godel": (_godel, _GODEL),
+    "godel_contra": (partial(_godel, keep_first=True), _GODEL),
 }
+BUILTIN_KINDS = tuple(_BUILTINS)
 
 
-def min_op(y_bar=1.0) -> FusionOp:
-    truth = dict(_BUILTIN_TRUTH["min"])
-    if y_bar != 1.0:
-        truth["semicopula"] = False
-        truth["fuzzy_conjunction"] = False
-    return FusionOp("min", "min", y_bar=y_bar, **truth)
+def builtin(name, y_bar=1.0) -> FusionOp:
+    """A builtin operation; only min and prod take a y_bar other than 1."""
+    if name not in _BUILTINS:
+        raise FusionError(f"unknown builtin fusion operation {name!r}")
+    truth = _BUILTINS[name][1]
+    if name not in ("min", "prod"):
+        if y_bar != 1.0:
+            raise FusionError(f"builtin {name!r} is only defined on [0,1]^2")
+        y_bar = 1.0
+    elif y_bar != 1.0:  # the boundary identities need the unit square
+        truth = dict(truth, semicopula=False, fuzzy_conjunction=False)
+    return FusionOp(name, name, y_bar=y_bar, **truth)
 
 
-def prod_op(y_bar=1.0) -> FusionOp:
-    truth = dict(_BUILTIN_TRUTH["prod"])
-    if y_bar != 1.0:
-        truth["semicopula"] = False
-        truth["fuzzy_conjunction"] = False
-    return FusionOp("prod", "prod", y_bar=y_bar, **truth)
-
-
-def lukasiewicz_op() -> FusionOp:
-    return FusionOp("lukasiewicz", "lukasiewicz", y_bar=1.0, **_BUILTIN_TRUTH["lukasiewicz"])
-
-
-def godel_op() -> FusionOp:
-    return FusionOp("godel", "godel", y_bar=1.0, **_BUILTIN_TRUTH["godel"])
-
-
-def godel_contra_op() -> FusionOp:
-    return FusionOp("godel_contra", "godel_contra", y_bar=1.0, **_BUILTIN_TRUTH["godel_contra"])
+min_op = partial(builtin, "min")
+prod_op = partial(builtin, "prod")
+lukasiewicz_op = partial(builtin, "lukasiewicz")
+godel_op = partial(builtin, "godel")
+godel_contra_op = partial(builtin, "godel_contra")
 
 
 def expr_op(name, source, y_bar=1.0, arg_names=("a", "b"), **flags) -> FusionOp:
     """Custom fusion operation from an expression in two variables."""
     body = parse(source) if isinstance(source, str) else source
     return FusionOp(name, "expr", y_bar=y_bar, expr=body, arg_names=tuple(arg_names), **flags)
-
-
-BUILTIN_FACTORIES = {
-    "min": min_op,
-    "prod": prod_op,
-    "lukasiewicz": lukasiewicz_op,
-    "godel": godel_op,
-    "godel_contra": godel_contra_op,
-}
-
-
-def builtin(name, y_bar=1.0) -> FusionOp:
-    try:
-        factory = BUILTIN_FACTORIES[name]
-    except KeyError:
-        raise FusionError(f"unknown builtin fusion operation {name!r}") from None
-    if name in ("min", "prod"):
-        return factory(y_bar=y_bar)
-    if y_bar != 1.0:
-        raise FusionError(f"builtin {name!r} is only defined on [0,1]^2")
-    return factory()
 
 
 def apply_op(op: FusionOp, a, b):
@@ -124,24 +105,8 @@ def apply_op(op: FusionOp, a, b):
     one dimension the result is a float64 array of the arguments' broadcast
     shape, also for an expression that uses one argument or none.
     """
-    if op.kind == "min":
-        return as_scalar(np.minimum(a, b))
-    if op.kind == "prod":
-        return as_scalar(xmul(a, b))
-    if op.kind == "lukasiewicz":
-        out = np.asarray(a, dtype=float) + b
-        if isinstance(out, np.ndarray):  # a fresh array: finish it in place
-            out -= 1.0
-            return np.maximum(out, 0.0, out=out)
-        return as_scalar(np.maximum(out - 1.0, 0.0))
-    if op.kind == "godel":
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return as_scalar(np.where(a > 1.0 - b, b, 0.0))
-    if op.kind == "godel_contra":
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return as_scalar(np.where(a > 1.0 - b, a, 0.0))
+    if op.kind in _BUILTINS:
+        return _BUILTINS[op.kind][0](a, b)
     if op.kind == "expr":
         out = eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
         if np.ndim(a) or np.ndim(b):  # spread over an argument the expression does not use
@@ -225,27 +190,33 @@ class FlagReport:
         return all(c.confirmed for c in self.checks if c.declared)
 
 
-def _grid(op: FusionOp, step: float, inf_cap: float):
-    top = op.y_bar if op.y_bar != INF else inf_cap
+def _grid(op: FusionOp, step: float):
+    top = op.y_bar if op.y_bar != INF else INF_CAP
     return np.linspace(0.0, top, max(int(round(min(top / step, 4000))), 1) + 1)
 
 
-def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
+_FUZZY_PROBES = ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+# continuity flag -> (coordinate, shift): the jump to a point moved by 1e-7 from
+# below (left-continuity) or from above (right-continuity, in both coordinates)
+_CONTINUITY = {"left_continuous_in_first": ((0, -1e-7),),
+               "left_continuous_in_second": ((1, -1e-7),),
+               "right_continuous": ((0, 1e-7), (1, 1e-7))}
+
+
+def validate_flags(op: FusionOp, grid_step=0.01) -> FlagReport:
     """Check each declared flag: Confirmed-on-grid or a violating tuple.
 
     Builtins are additionally resolved by exact case analysis, so their
     checks carry exact=True even where grids could not decide (continuity).
     """
-    notes = []
-    xs = _grid(op, grid_step, inf_cap)
-    if op.y_bar == INF:
-        notes.append(f"infinite bound capped at {inf_cap} for grid checks")
+    xs = _grid(op, grid_step)
+    notes = (f"infinite bound capped at {INF_CAP} for grid checks",) if op.y_bar == INF else ()
     table = apply_op(op, xs[:, None], xs[None, :])
-    exact_truth = _BUILTIN_TRUTH.get(op.kind)
+    truth = _BUILTINS[op.kind][1] if op.kind in _BUILTINS else None
     checks = []
 
-    def add(flag, declared, confirmed, witness=None, detail="", exact=False):
-        checks.append(FlagCheck(flag, declared, confirmed, exact, witness, detail))
+    def add(flag, confirmed, witness=None, detail="", exact=truth is not None):
+        checks.append(FlagCheck(flag, getattr(op, flag), confirmed, exact, witness, detail))
 
     def first_bad(mask):
         idx = np.argwhere(mask)
@@ -255,74 +226,46 @@ def validate_flags(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> FlagReport:
         return (float(xs[i]), float(xs[j]))
 
     # non-decreasing in each coordinate implies joint non-decrease
-    bad = (np.diff(table, axis=0) < -TOL) | False
-    w1 = first_bad(bad)
-    bad2 = np.diff(table, axis=1) < -TOL
-    w2 = first_bad(bad2)
-    nondec_ok = w1 is None and w2 is None
-    add("non_decreasing", op.non_decreasing, nondec_ok, w1 or w2,
-        exact=exact_truth is not None)
+    mono_bad = (first_bad(np.diff(table, axis=0) < -TOL)
+                or first_bad(np.diff(table, axis=1) < -TOL))
+    add("non_decreasing", mono_bad is None, mono_bad)
+    comm_bad = first_bad(np.abs(table - table.T) > EQ_TOL)
+    add("commutative", comm_bad is None, comm_bad)
 
-    # commutativity on the grid
-    comm_bad = np.abs(table - table.T) > EQ_TOL
-    wc = first_bad(comm_bad)
-    add("commutative", op.commutative, wc is None, wc, exact=exact_truth is not None)
-
-    # semicopula: y_bar = 1 and boundary identities, checked exactly
-    semi_ok = op.y_bar == 1.0
-    semi_witness = None
-    semi_detail = ""
-    if not semi_ok:
-        semi_detail = "semicopula requires y_bar = 1"
-    else:
-        probes = np.linspace(0.0, 1.0, 21)
-        for t in probes:
-            if abs(float(apply_op(op, t, 1.0)) - t) > TOL:
-                semi_ok, semi_witness = False, (float(t), 1.0)
-                break
-            if abs(float(apply_op(op, 1.0, t)) - t) > TOL:
-                semi_ok, semi_witness = False, (1.0, float(t))
-                break
-        if semi_ok and not nondec_ok:
-            semi_ok, semi_witness = False, w1 or w2
-            semi_detail = "monotonicity failed"
-    add("semicopula", op.semicopula, semi_ok, semi_witness, semi_detail, exact=True)
-
-    # fuzzy conjunction: exact boundary evaluations
-    fc_ok = op.y_bar == 1.0
-    fc_witness = None
-    if fc_ok:
-        for (a, b, want) in ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)):
+    def boundary(flag, probes, bound_detail="", mono_detail=""):
+        """Exact: y_bar = 1, then op(a, b) = want at each probe, then monotone."""
+        if op.y_bar != 1.0:
+            return add(flag, False, None, bound_detail, exact=True)
+        for a, b, want in probes:
             if abs(float(apply_op(op, a, b)) - want) > TOL:
-                fc_ok, fc_witness = False, (a, b)
-                break
-        if fc_ok and not nondec_ok:
-            fc_ok, fc_witness = False, w1 or w2
-    add("fuzzy_conjunction", op.fuzzy_conjunction, fc_ok, fc_witness, exact=True)
+                return add(flag, False, (float(a), float(b)), exact=True)
+        if mono_bad is not None:
+            return add(flag, False, mono_bad, mono_detail, exact=True)
+        add(flag, True, exact=True)
 
-    # continuity flags: exact for builtins, a small-jump probe otherwise
-    for flag in ("left_continuous_in_first", "left_continuous_in_second", "right_continuous"):
-        declared = getattr(op, flag)
-        if exact_truth is not None:
-            add(flag, declared, exact_truth[flag], exact=True)
-            continue
-        delta = 1e-7
-        inner = xs[1:-1]
-        if flag == "left_continuous_in_first":
-            jump = np.abs(table[1:-1, :] - apply_op(op, (inner - delta)[:, None], xs[None, :]))
-        elif flag == "left_continuous_in_second":
-            jump = np.abs(table[:, 1:-1] - apply_op(op, xs[:, None], (inner - delta)[None, :]))
-        else:
-            jump_a = np.abs(table[1:-1, :] - apply_op(op, (inner + delta)[:, None], xs[None, :]))
-            jump_b = np.abs(table[:, 1:-1] - apply_op(op, xs[:, None], (inner + delta)[None, :]))
-            jump = max(float(np.max(jump_a)), float(np.max(jump_b)))
-            add(flag, declared, jump <= 1e-3, None,
-                detail="delta-probe heuristic", exact=False)
-            continue
-        ok = float(np.max(jump)) <= 1e-3
-        add(flag, declared, ok, None, detail="delta-probe heuristic", exact=False)
+    # semicopula: op(t, 1) = op(1, t) = t; fuzzy conjunction: the corners
+    boundary("semicopula", ((a, b, t) for t in np.linspace(0.0, 1.0, 21)
+                            for a, b in ((t, 1.0), (1.0, t))),
+             "semicopula requires y_bar = 1", "monotonicity failed")
+    boundary("fuzzy_conjunction", _FUZZY_PROBES)
 
-    return FlagReport(op.name, tuple(checks), grid_step, tuple(notes))
+    # continuity: exact for builtins, a small-jump probe at the inner grid points otherwise
+    inner = xs[1:-1]
+    for flag, shifts in _CONTINUITY.items():
+        if truth is not None:
+            add(flag, truth[flag])
+            continue
+        jumps = []
+        for coord, delta in shifts:
+            moved = inner + delta
+            if coord == 0:
+                jump = table[1:-1, :] - apply_op(op, moved[:, None], xs[None, :])
+            else:
+                jump = table[:, 1:-1] - apply_op(op, xs[:, None], moved[None, :])
+            jumps.append(float(np.max(np.abs(jump))))
+        add(flag, max(jumps) <= 1e-3, detail="delta-probe heuristic")
+
+    return FlagReport(op.name, tuple(checks), grid_step, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +296,9 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
                           f"grid({grid_step})")
 
 
-def leq_min(op: FusionOp, grid_step=0.01, inf_cap=1e6) -> Verdict:
+def leq_min(op: FusionOp, grid_step=0.01) -> Verdict:
     """Grid check of op(a,b) <= min(a,b); a violation reports lhs = op(a,b), rhs = min(a,b)."""
-    xs = _grid(op, grid_step, inf_cap)
+    xs = _grid(op, grid_step)
     table = apply_op(op, xs[:, None], xs[None, :])
     cap = np.minimum(xs[:, None], xs[None, :])
     idx = np.argwhere(table > cap + TOL)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF
+from .extreal import INF, INF_CAP
 from .fusion import FusionOp, apply_op, builtin, eval_op
 from .measure import FiniteSpace, MeasureError, MonotoneMeasure, SurvivalScenario
 from .scan import EQ_TOL, axis
@@ -21,7 +21,6 @@ class IntegralError(Exception):
     pass
 
 
-_INF_CAP = 1e6
 _BISECT_TOL = 1e-10
 
 
@@ -125,7 +124,7 @@ def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunc
     """Brute-force sup over the t-grid of op(t, m(D & {f >= t}))."""
     if grid_step <= 0:
         raise IntegralError("grid_step must be positive")
-    top = min(op.y_bar, _INF_CAP)
+    top = min(op.y_bar, INF_CAP)
     ts = axis(0.0, top, grid_step, least=0)
     atoms = m.space.atoms_of(D)
     tab = np.asarray(m.table)

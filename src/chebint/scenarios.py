@@ -163,8 +163,8 @@ def build_config(block) -> cheb.InequalityConfig:
         triangle=build_op(block.get("triangle", "min")),
         phis=_triple(block.get("phi", "x"), build_shape),
         psis=_triple(block.get("psi", "x"), build_shape),
-        k=block.get("k", 1.0),
-        y_bar=block.get("y_bar", 1.0),
+        k=_number(block.get("k", 1.0), "config.k"),
+        y_bar=_number(block.get("y_bar", 1.0), "config.y_bar"),
         cd_domain=build_cd(block["cd"]) if "cd" in block else None,
     )
 
@@ -195,6 +195,14 @@ def _choice(data, key, allowed, default):
     if value != default and value not in allowed:
         raise ScenarioError(f"scenario key {key!r} must be one of "
                             f"{', '.join(allowed)}; got {value!r}")
+    return value
+
+
+def _flag(data, key):
+    """data[key] (false when absent), which must be true or false."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"scenario key {key!r} must be true or false, got {value!r}")
     return value
 
 
@@ -245,14 +253,14 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
 def _run_dependence(data, grid_step, seed, budget, tolerance):
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
-    k = data.get("k", 1.0)
+    k = _number(data.get("k", 1.0), "scenario key 'k'")
     f = build_function(data["f"], sp, bound=k)
     g = build_function(data["g"], sp, bound=k)
     A = build_mask(data.get("A", list(sp.labels)), sp)
     B = build_mask(data.get("B", list(sp.labels)), sp)
     tri = build_op(data["triangle"])
     query = DependenceQuery(m, f, g, A, B, tri, k,
-                            allow_range_escape=data.get("allow_range_escape", False))
+                            allow_range_escape=_flag(data, "allow_range_escape"))
     verdict = is_m_positively_dependent(query)
     return {"holds": verdict.holds, "witness": _witness(verdict.witness),
             "warnings": list(verdict.warnings), "detail": verdict.detail,
@@ -275,10 +283,14 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
               "lhs": verdict.lhs, "rhs": verdict.rhs, "detail": verdict.detail,
               "evidence": verdict.evidence, "verdict": verdict.status}
     if "recheck" in data and variant == "c1":
-        point = data["recheck"]["point"]
-        lhs, rhs = cheb.scalar_condition_at(cfg, *point)
-        report["recheck"] = {"point": point, "lhs": lhs, "rhs": rhs,
-                             "violated": lhs < rhs - TOL}
+        point = data["recheck"].get("point") if isinstance(data["recheck"], dict) else None
+        if not isinstance(point, list) or len(point) != 4:
+            raise ScenarioError(f"recheck.point must be four numbers (a, b, c, d), got {point!r}")
+        point = [_number(v, f"recheck.point[{i}]") for i, v in enumerate(point)]
+        if verdict.status != "hypothesis-failed":
+            lhs, rhs = cheb.scalar_condition_at(cfg, *point)
+            report["recheck"] = {"point": point, "lhs": lhs, "rhs": rhs,
+                                 "violated": lhs < rhs - TOL}
     return report
 
 
@@ -288,7 +300,7 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
     sp = build_space(data["space"])
     m = build_measure(data["measure"], sp)
     cfg = None if pipeline == "sugeno" else build_config(data["config"])
-    k = data.get("y_bar", 1.0) if cfg is None else cfg.k
+    k = _number(data.get("y_bar", 1.0), "scenario key 'y_bar'") if cfg is None else cfg.k
     f = build_function(data["f"], sp, bound=k)
     g = build_function(data["g"], sp, bound=k)
     A = build_mask(data.get("A", list(sp.labels)), sp)
@@ -314,7 +326,7 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
         report = {"lhs": outcome.lhs, "rhs": outcome.rhs, "holds": outcome.holds,
                   "trace": outcome.trace, "evidence": "exact",
                   "verdict": "holds" if outcome.holds else "violated"}
-        if data.get("expect_equality"):
+        if _flag(data, "expect_equality"):
             equal = abs(outcome.lhs - outcome.rhs) <= (TOL if tolerance is None else tolerance)
             report["equality"] = equal
             report["verdict"] = "equality-holds" if equal else "equality-violated"

@@ -359,6 +359,21 @@ class TestAnyFunctionsPipeline:
         assert report.status == "hypothesis-failed"
         assert report.stages[0].name == "outer-equals-inner"
 
+    def test_outer_and_inner_compare_as_operations(self):
+        sp = space("w1", "w2")
+        m = from_table(sp, [0.0, 0.5, 0.5, 1.0])
+        mn = min_op()
+        flags = dict(non_decreasing=True, left_continuous_in_first=True,
+                     left_continuous_in_second=True)
+        for outer, inner, status in (
+                (expr_op("custom", "a*b", **flags), expr_op("custom", "min(a, b)", **flags),
+                 "hypothesis-failed"),
+                (expr_op("p", "a*b", **flags), expr_op("q", "a*b", **flags), "pass")):
+            cfg = config(inner, outer, (mn, mn, mn), mn, identity_triple(),
+                         identity_triple(), cd_domain=cd_values(m.value_range()))
+            stage = any_functions_check(cfg, m, trials=1).stages[0]
+            assert (stage.name, stage.status) == ("outer-equals-inner", status)
+
 
 # ---------------------------------------------------------------------------
 # q-integral corollary condition

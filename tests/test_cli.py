@@ -328,6 +328,11 @@ def _one_simple_integral(data):
                           "measure": {"table": {"": 0.0, "w": 1.0}}}]
 
 
+_T_NORM_FLAGS = dict.fromkeys(("non_decreasing", "left_continuous_in_first",
+                               "left_continuous_in_second", "right_continuous", "commutative",
+                               "semicopula", "fuzzy_conjunction"), True)
+
+
 # Inputs that used to end in a traceback with exit 1, which reads as "refuted",
 # or to be misread: the reversed cd interval exited 0 with holds-on-grid (it
 # scanned c, d in {1, 0}), a string cd value was taken through float(), and an
@@ -371,6 +376,35 @@ _EXIT_TWO = {
                          lambda d: d.update(pipeline="nope"),
                          "'pipeline' must be one of sugeno, theorem-forward, any-functions; "
                          "got 'nope'"),
+    # a string or list k / y_bar used to end in a TypeError traceback
+    "dependence-string-k": ("minitive-dependence", "check-dependence", lambda d: d.update(k="1"),
+                            "scenario key 'k' must be a number, got '1'"),
+    "config-string-k": ("w-chebyshev-unit-interval", "check-condition",
+                        lambda d: d["config"].update(k="1"), "config.k must be a number"),
+    "config-list-y-bar": ("w-chebyshev-unit-interval", "check-condition",
+                          lambda d: d["config"].update(y_bar=[1]),
+                          "config.y_bar must be a number, got [1]"),
+    "sugeno-string-y-bar": ("sugeno-phi-origin-hypothesis", "check-inequality",
+                            lambda d: d.update(y_bar="1"), "scenario key 'y_bar' must be a number"),
+    # "no" is truthy: it used to allow range escapes (exit 0, "dependent") and
+    # to switch equality mode on (exit 0, "equality-holds")
+    "string-allow-range-escape": ("minitive-dependence", "check-dependence",
+                                  lambda d: d.update(allow_range_escape="no"),
+                                  "scenario key 'allow_range_escape' must be true or false"),
+    "string-expect-equality": ("equality-power-shapes", "check-inequality",
+                               lambda d: d.update(expect_equality="no"),
+                               "scenario key 'expect_equality' must be true or false"),
+    # used to end in a TypeError traceback from scalar_condition_at
+    "recheck-short-point": ("w-chebyshev-unit-interval", "check-condition",
+                            lambda d: d.update(recheck={"point": [0.5]}),
+                            "recheck.point must be four numbers"),
+    # two different custom ops, both named "custom", used to pass as outer = inner
+    # and exit 1 with "violated"
+    "any-functions-unequal-custom-ops": ("minitive-any-functions", "check-inequality",
+                                         lambda d: d["config"].update(
+                                             inner={"expr": "a*b", "flags": _T_NORM_FLAGS},
+                                             outer={"expr": "min(a, b)", "flags": _T_NORM_FLAGS}),
+                                         "this pipeline requires outer = inner"),
 }
 
 
@@ -390,6 +424,19 @@ def test_input_or_hypothesis_error_exits_two(capsys, tmp_path, case):
         report = json.loads(out)
         assert report["verdict"] == "hypothesis-failed"
         assert needle in out
+
+
+def test_hypothesis_failed_c1_report_has_no_recheck(capsys, tmp_path):
+    # the recheck used to be computed anyway, showing "violated": true beside
+    # the failed hypothesis
+    data = load_scenario("w-chebyshev-unit-interval")
+    data["config"].pop("cd")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "check-condition", str(path), "--json")
+    report = json.loads(out)
+    assert code == 2 and report["verdict"] == "hypothesis-failed"
+    assert "recheck" not in report
 
 
 def test_exit_code_is_the_verdict_table(monkeypatch):
