@@ -251,6 +251,9 @@ def validate_flags(op: FusionOp, grid_step=0.01) -> FlagReport:
 
     # continuity: exact for builtins, a small-jump probe at the inner grid points otherwise
     inner = xs[1:-1]
+    if truth is None and not inner.size:
+        raise FusionError(f"grid step {grid_step} leaves no inner grid point for the "
+                          f"continuity probes of {op.name!r} on [0, {xs[-1]}]")
     for flag, shifts in _CONTINUITY.items():
         if truth is not None:
             add(flag, truth[flag])

@@ -1,4 +1,4 @@
-"""The grid-scan kernel, its verdict, its grid limit and the package's tolerance policy.
+"""The grid scans, their verdict, their grid limit and the package's tolerance policy.
 
 Every scalar condition is checked the same way: walk the first axis in order,
 compare lhs and rhs arrays over the other axes, re-check the first flagged point.
@@ -57,79 +57,98 @@ class Verdict:
         return self.status == "holds-on-grid"
 
 
-def scan(axes, sides, at, evidence, order=None, lhs_index=None, rhs_keys=None) -> Verdict:
+def scan(axes, sides, at, evidence) -> Verdict:
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
     Rows of axes[0] are visited in order; ``sides(i)`` returns the (lhs, rhs)
-    arrays of row i, or anything that broadcasts to the row.  The first
-    flagged point of a row, in C order of axes[1:], is re-checked with
-    ``at(*point)``; if the re-check does not confirm it, the rest of the row
-    is skipped.  A row of more than MAX_ROW_POINTS points is refused.
-
-    ``scan_separable`` lays its rows out in its own way, and says how:
-    - ``order`` lists, for each axis of the row arrays, the index into
-      axes[1:] of the axis it runs along (by default axes[1:] in order);
-    - with ``lhs_index``, an integer array over the leading row axes, the
-      lhs is a table with one row per index value, and the row's lhs is
-      ``table[lhs_index]``;
-    - with ``rhs_keys``, a row of keys per value of axes[0] along the leading
-      row axis, the rhs depends on axes[0] only through the key, and
-      ``sides(i, keys)`` returns one rhs slab per key of ``keys``.  A row of
-      at least ``_BLOCK`` points is gathered from a table of ``slab - TOL``
-      keyed by the key's bit pattern, which holds at most one row's worth
-      and is filled with the keys rows lack; a smaller row, or one whose new
-      keys are more than half the row or do not fit, is evaluated whole,
-      ``sides(i, rhs_keys[i])``.  Both paths compare the same values.
-
-    The scan compares a block of leading slabs at a time, small enough to
-    stay in cache, into buffers it allocates once; it only reads what
-    ``sides`` returns, which may be views of hoisted tables.
+    arrays of row i, or anything that broadcasts to the row.  The row is
+    compared whole, into buffers allocated once per scan, and the first
+    flagged point is re-checked by ``_confirm``.  The scan only reads what
+    ``sides`` returns, which may be views of hoisted tables.  A row of more
+    than MAX_ROW_POINTS points is refused.
     """
     first, rest = axes[0], axes[1:]
-    order = tuple(range(len(rest))) if order is None else tuple(order)
-    back = tuple(int(k) for k in np.argsort(order))
-    row = tuple(len(rest[k]) for k in order)
+    row = tuple(len(ax) for ax in rest)
     check_row(*row)
     viol = np.empty(row, dtype=bool)
-    lead = max(min(_BLOCK // max(math.prod(row[1:]), 1), row[0]), 1)
-    shifted = np.empty((lead,) + row[1:])
-    if lhs_index is not None:
-        gathered = np.empty_like(shifted)
-        table = (int(lhs_index.max()) + 1,) + row[lhs_index.ndim:]
-    if rhs_keys is not None:
-        rhs_keys = np.broadcast_to(np.asarray(rhs_keys, dtype=float), (len(first), row[0]))
-        slabs = _Slabs(row) if viol.size >= _BLOCK else None
+    shifted = np.empty(row)
     for i in range(len(first)):
-        slots = None  # the row's slab indices when it is gathered from the table
-        if rhs_keys is None:
-            lhs, rhs = sides(i)
-        elif (placed := slabs and slabs.place(rhs_keys[i])) is not None:
+        lhs, rhs = sides(i)
+        np.less(lhs, np.subtract(rhs, TOL, out=shifted), out=viol)
+        del lhs, rhs  # free the sides before the next row is built
+        if viol.any() and (verdict := _confirm(viol, first[i], rest, at, evidence)):
+            return verdict
+    return Verdict("holds-on-grid", evidence=evidence)
+
+
+def _confirm(viol, value, rest, at, evidence):
+    """The row's first flagged point, in C order of ``viol`` over the axes
+    ``rest``, re-checked with ``at``: its violated Verdict, or None (the scan
+    goes on to the next row) when the re-check does not confirm it."""
+    index = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    point = (float(value),) + tuple(float(ax[j]) for ax, j in zip(rest, index))
+    wl, wr = at(*point)
+    return Verdict("violated", point, wl, wr, evidence=evidence) if wl < wr - TOL else None
+
+
+def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
+    """Scan ab x ab x cd x cd for a point (a, b, c, d) where
+    ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
+
+    ``u(a)`` is the row function over ab; ``v``, ``p`` and ``q`` are tables
+    hoisted over (c, d), (a, c) and (b, d), which the scan only reads;
+    ``left`` and ``right`` are array operations that broadcast.  Witnesses
+    are those of ``scan`` over (b, c, d) rows, and ``at`` re-checks them.
+
+    Rows run over (c, d, b), compared a cache-sized block of leading slabs at
+    a time.  The left side is taken once per distinct value of v, as a
+    (value, b) table gathered through v's index.  The right side runs over
+    the contiguous (d, b) block of q, one slab per value of p[a, c]; a row
+    of at least ``_BLOCK`` points gathers its slabs from a ``_Slabs`` table
+    and evaluates only the values it lacks, a smaller row or one the table
+    refuses is evaluated whole.  When an evaluation raises, the row is re-run
+    in (b, c, d) order, so the error names the first bad value ``scan`` meets.
+    """
+    rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
+    check_row(*row)
+    v_values, v_index = distinct(v)
+    q_db = np.ascontiguousarray(q.T)
+    keys = np.broadcast_to(np.asarray(p, dtype=float), (len(ab), len(cd)))
+    viol = np.empty(row, dtype=bool)
+    flagged = viol.transpose(2, 0, 1)  # a (b, c, d) view of each row's flags
+    lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
+    shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
+    slabs = _Slabs(row) if viol.size >= _BLOCK else None
+
+    def sides(i, row_keys):  # lhs over (value, b); rhs over (key, d, b)
+        try:
+            return (left(u(ab[i])[None, :], v_values[:, None]),
+                    right(row_keys[:, None, None], q_db[None, :, :]))
+        except Exception:  # re-run over (b, c, d), so that any error is the plain scan's
+            left(u(ab[i])[:, None, None], v[None, :, :])
+            right(p[i][None, :, None], q[:, None, :])
+            raise
+
+    for i in range(len(ab)):
+        if (placed := slabs and slabs.place(keys[i])) is None:
+            lhs, rhs = sides(i, keys[i])
+            rhs = _fit(rhs, row)
+        else:
             slots, fresh, store = placed
             lhs, rhs = sides(i, fresh)
             np.subtract(rhs, TOL, out=store)
-        else:
-            lhs, rhs = sides(i, rhs_keys[i])
-        if slots is None:
-            rhs = _fit(rhs, row)
-        lhs = _fit(lhs, row if lhs_index is None else table)
-        for k in range(0, len(viol), lead):
-            n = min(lead, len(viol) - k)
-            if slots is None:
-                right = np.subtract(rhs[k:k + n], TOL, out=shifted[:n])
+        lhs = _fit(lhs, (len(v_values), len(ab)))
+        for k in range(0, row[0], lead):
+            n = min(lead, row[0] - k)
+            if placed is None:
+                shift = np.subtract(rhs[k:k + n], TOL, out=shifted[:n])
             else:
-                right = _gather(slabs.data, slots[k:k + n], shifted[:n])
-            left = lhs[k:k + n] if lhs_index is None else np.take(
-                lhs, lhs_index[k:k + n], axis=0, out=gathered[:n], mode="clip")
-            np.less(left, right, out=viol[k:k + n])
+                shift = _gather(slabs.data, slots[k:k + n], shifted[:n])
+            np.less(np.take(lhs, v_index[k:k + n], axis=0, out=gathered[:n], mode="clip"),
+                    shift, out=viol[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
-        if not viol.any():
-            continue
-        flagged = viol.transpose(back)
-        index = np.unravel_index(int(np.argmax(flagged)), flagged.shape)
-        point = (float(first[i]),) + tuple(float(ax[j]) for ax, j in zip(rest, index))
-        wl, wr = at(*point)
-        if wl < wr - TOL:
-            return Verdict("violated", point, wl, wr, evidence=evidence)
+        if viol.any() and (verdict := _confirm(flagged, ab[i], rest, at, evidence)):
+            return verdict
     return Verdict("holds-on-grid", evidence=evidence)
 
 
@@ -150,10 +169,10 @@ def _fit(side, shape):
 
 
 class _Slabs:
-    """The rhs slabs of a scan, ``slab - TOL``, keyed by the bit pattern of their key.
+    """The rhs slabs of a separable scan, ``slab - TOL``, keyed by the bit pattern of their key.
 
     Holds at most one row's worth of slabs: the memory of the one rhs row
-    the dense path builds at a time.
+    the whole-row path builds at a time.
     """
 
     def __init__(self, row):
@@ -178,39 +197,6 @@ class _Slabs:
         slot.update(zip(fresh, range(start, end)))
         slots = list(map(slot.__getitem__, bits))
         return slots, np.array(fresh, dtype=np.int64).view(float), self.data[start:end]
-
-
-def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
-    """Scan ab x ab x cd x cd for a point (a, b, c, d) where
-    ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
-
-    ``u(a)`` is the row function over ab; ``v``, ``p`` and ``q`` are tables
-    hoisted over (c, d), (a, c) and (b, d); ``left`` and ``right`` are array
-    operations that broadcast.  Witnesses are those of the plain scan over
-    (b, c, d) rows, and ``at`` re-checks them.
-
-    Rows are laid out as (c, d, b).  The left side is taken once per distinct
-    value of v, as a (value, b) table gathered through v's index; the right
-    side runs over the contiguous (d, b) block of q, once per value of p, and
-    the kernel keeps those slabs in its table.  When that evaluation raises,
-    whether for a whole row or for the keys the table lacks, the row is
-    re-run in (b, c, d) order, so the error names the first bad value the
-    plain scan meets.
-    """
-    v_values, v_index = distinct(v)
-    q_db = np.ascontiguousarray(q.T)
-
-    def sides(i, keys):  # lhs over (value, b); rhs over (key, d, b)
-        try:
-            return (left(u(ab[i])[None, :], v_values[:, None]),
-                    right(keys[:, None, None], q_db[None, :, :]))
-        except Exception:  # re-run over (b, c, d), so that any error is the plain scan's
-            left(u(ab[i])[:, None, None], v[None, :, :])
-            right(p[i][None, :, None], q[:, None, :])
-            raise
-
-    return scan((ab, ab, cd, cd), sides, at, evidence,
-                order=(1, 2, 0), lhs_index=v_index, rhs_keys=p)
 
 
 def distinct(table):

@@ -53,9 +53,10 @@ def build_measure(block, sp: FiniteSpace, path="measure") -> MonotoneMeasure:
                    for key, v in block["table"].items()}
         return from_table(sp, entries)
     if kind == "necessity":
-        return necessity_from_possibility(sp, _atom_numbers(block, "possibility", sp, path))
+        return necessity_from_possibility(sp, _atom_numbers(block.get("possibility"), sp,
+                                                            f"{path}.possibility"))
     if kind == "distorted":
-        p = _atom_numbers(block, "probability", sp, path)
+        p = _atom_numbers(block.get("probability"), sp, f"{path}.probability")
         if not isinstance(block.get("distortion"), str):
             raise ScenarioError(f"{path}.distortion must be an expression string")
         return distorted_probability(sp, p, block["distortion"])
@@ -72,25 +73,24 @@ def _number(value, path) -> float:
         raise ScenarioError(f"{path} is too large: {value!r}") from None
 
 
-def _atom_numbers(block, key, sp: FiniteSpace, path):
-    """The numbers block[key] gives the atoms, in the space's atom order."""
-    values = block.get(key)
+def _atom_numbers(values, sp: FiniteSpace, path):
+    """The numbers a {label: number} block gives the atoms, in the space's atom order."""
     if not isinstance(values, dict):
-        raise ScenarioError(f"{path}.{key} must map atom labels to numbers")
+        raise ScenarioError(f"{path} must map atom labels to numbers")
     for lab in sp.labels:
         if lab not in values:
-            raise ScenarioError(f"{path}.{key}.{lab} is missing")
-    return [_number(values[lab], f"{path}.{key}.{lab}") for lab in sp.labels]
+            raise ScenarioError(f"{path}.{lab} is missing")
+    return [_number(values[lab], f"{path}.{lab}") for lab in sp.labels]
 
 
-def build_op(block) -> fusion.FusionOp:
+def build_op(block, path="op") -> fusion.FusionOp:
     if isinstance(block, str):
         block = {"builtin": block}
+    y_bar = _number(block.get("y_bar", 1.0), f"{path}.y_bar")
     if "builtin" in block:
-        return fusion.builtin(block["builtin"], block.get("y_bar", 1.0))
+        return fusion.builtin(block["builtin"], y_bar)
     flags = block.get("flags", {})
-    return fusion.expr_op(block.get("name", "custom"), block["expr"],
-                          y_bar=block.get("y_bar", 1.0),
+    return fusion.expr_op(block.get("name", "custom"), block["expr"], y_bar=y_bar,
                           arg_names=tuple(block.get("args", ("a", "b"))), **flags)
 
 
@@ -110,20 +110,23 @@ def build_shape(block) -> cheb.ShapeFunction:
                       inverse_domain=block.get("inverse_domain"), **flags)
 
 
-def _triple(block, build):
+def _triple(block, build, path=None):
+    """Three objects built from a list of three blocks or from one block;
+    with a path, ``build`` is given each block's path too."""
     if isinstance(block, list):
         if len(block) != 3:
             raise ScenarioError("expected exactly three entries")
-        return tuple(build(b) for b in block)
-    built = build(block)
+        return tuple(build(b, f"{path}[{i}]") if path else build(b) for i, b in enumerate(block))
+    built = build(block, path) if path else build(block)
     return (built, built, built)
 
 
-def build_function(block, sp: FiniteSpace, bound=None):
+def build_function(block, sp: FiniteSpace, bound=None, path="f"):
     if isinstance(block, dict) and "values" in block:
-        bound = block.get("bound", bound)
-        block = block["values"]
-    values = [block[lab] for lab in sp.labels] if isinstance(block, dict) else list(block)
+        bound = _number(block["bound"], f"{path}.bound") if "bound" in block else bound
+        block, path = block["values"], f"{path}.values"
+    values = (_atom_numbers(block, sp, path) if isinstance(block, dict)
+              else [_number(v, f"{path}[{i}]") for i, v in enumerate(block)])
     return simple_function(sp, values, bound=bound)
 
 
@@ -157,10 +160,10 @@ def build_config(block) -> cheb.InequalityConfig:
         if key not in block:
             raise ScenarioError(f"config.{key} is missing")
     return cheb.config(
-        inner=build_op(block["inner"]),
-        outer=build_op(block["outer"]),
-        circs=_triple(block["circ"], build_op),
-        triangle=build_op(block.get("triangle", "min")),
+        inner=build_op(block["inner"], "config.inner"),
+        outer=build_op(block["outer"], "config.outer"),
+        circs=_triple(block["circ"], build_op, "config.circ"),
+        triangle=build_op(block.get("triangle", "min"), "config.triangle"),
         phis=_triple(block.get("phi", "x"), build_shape),
         psis=_triple(block.get("psi", "x"), build_shape),
         k=_number(block.get("k", 1.0), "config.k"),
@@ -169,8 +172,8 @@ def build_config(block) -> cheb.InequalityConfig:
     )
 
 
-def build_survival(block):
-    return survival_scenario(block.get("y_bar", 1.0),
+def build_survival(block, path):
+    return survival_scenario(_number(block.get("y_bar", 1.0), f"{path}.y_bar"),
                              [(seg[0], seg[1]) for seg in block["segments"]],
                              var=block.get("var", "t"))
 
@@ -223,13 +226,16 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 1e-4)
     results = {}
     for i, item in enumerate(data["integrals"]):
-        op = build_op(item.get("op", "min"))
+        path = f"integrals[{i}]"
+        op = build_op(item.get("op", "min"), f"{path}.op")
         if "survival" in item:
-            res = integrate_survival(op, build_survival(item["survival"]), grid_step=step)
+            res = integrate_survival(op, build_survival(item["survival"], f"{path}.survival"),
+                                     grid_step=step)
         else:
             sp = build_space(item["space"])
-            m = build_measure(item["measure"], sp, f"integrals[{i}].measure")
-            f = build_function(item["f"], sp, bound=item.get("bound"))
+            m = build_measure(item["measure"], sp, f"{path}.measure")
+            bound = _number(item["bound"], f"{path}.bound") if "bound" in item else None
+            f = build_function(item["f"], sp, bound=bound, path=f"{path}.f")
             D = build_mask(item.get("set", list(sp.labels)), sp)
             if item.get("integral") == "q":
                 res = q_integral(op, m, f)
@@ -255,10 +261,10 @@ def _run_dependence(data, grid_step, seed, budget, tolerance):
     m = build_measure(data["measure"], sp)
     k = _number(data.get("k", 1.0), "scenario key 'k'")
     f = build_function(data["f"], sp, bound=k)
-    g = build_function(data["g"], sp, bound=k)
+    g = build_function(data["g"], sp, bound=k, path="g")
     A = build_mask(data.get("A", list(sp.labels)), sp)
     B = build_mask(data.get("B", list(sp.labels)), sp)
-    tri = build_op(data["triangle"])
+    tri = build_op(data["triangle"], "triangle")
     query = DependenceQuery(m, f, g, A, B, tri, k,
                             allow_range_escape=_flag(data, "allow_range_escape"))
     verdict = is_m_positively_dependent(query)
@@ -271,8 +277,8 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     variant = _choice(data, "variant", ("c1", "c2", "q"), "c1")
     if variant == "q":
-        conj = build_op(data["conj"])
-        star = build_op(data["star"])
+        conj = build_op(data["conj"], "conj")
+        star = build_op(data["star"], "star")
         phis = _triple(data.get("phi", {"expr": "x", "inverse": "x"}), build_shape)
         verdict = cheb.q_corollary_condition(conj, phis, star, grid_step=step)
     else:
@@ -302,7 +308,7 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
     cfg = None if pipeline == "sugeno" else build_config(data["config"])
     k = _number(data.get("y_bar", 1.0), "scenario key 'y_bar'") if cfg is None else cfg.k
     f = build_function(data["f"], sp, bound=k)
-    g = build_function(data["g"], sp, bound=k)
+    g = build_function(data["g"], sp, bound=k, path="g")
     A = build_mask(data.get("A", list(sp.labels)), sp)
     B = None if cfg is None else build_mask(data.get("B", list(sp.labels)), sp)
     evidence = f"grid({step})"
@@ -310,7 +316,7 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
         rep = cheb.sugeno_chebyshev(m, f, g, A,
                                     _triple(data.get("phi", "x"), build_shape),
                                     _triple(data.get("psi", "x"), build_shape),
-                                    build_op(data["star"]), grid_step=step, y_bar=k)
+                                    build_op(data["star"], "star"), grid_step=step, y_bar=k)
     elif pipeline == "theorem-forward":
         rep = cheb.theorem1_forward(cfg, m, f, g, A, B, grid_step=step)
     elif pipeline == "any-functions":
@@ -357,13 +363,13 @@ def _run_property(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     prop = data["property"]
     if prop == "dominates":
-        verdict = fusion.dominates(build_op(data["outer"]), build_op(data["inner"]),
-                                   grid_step=step)
+        verdict = fusion.dominates(build_op(data["outer"], "outer"),
+                                   build_op(data["inner"], "inner"), grid_step=step)
         return {"holds": verdict.holds, "witness": _witness(verdict.witness),
                 "verdict": verdict.status, "evidence": verdict.evidence}
     if prop == "commutativity-gap":
         witness = cheb.search_commutativity_gap(build_op(data["op"]),
-                                                build_op(data.get("star", "prod")),
+                                                build_op(data.get("star", "prod"), "star"),
                                                 grid_step=step)
         return {"witness": _witness(witness),
                 "verdict": "gap-found" if witness else "no-gap",

@@ -405,6 +405,40 @@ _EXIT_TWO = {
                                              inner={"expr": "a*b", "flags": _T_NORM_FLAGS},
                                              outer={"expr": "min(a, b)", "flags": _T_NORM_FLAGS}),
                                          "this pipeline requires outer = inner"),
+    # a string op y_bar ended in a TypeError traceback in a simple integral and
+    # was accepted (exit 0) in a survival integral, like a string survival
+    # y_bar; string or boolean function values and bounds were taken as
+    # numbers (exit 0); a missing atom printed a bare "error: 'x3'"
+    "integrate-string-op-y-bar": ("minitive-sugeno-values", "integrate",
+                                  lambda d: (_one_simple_integral(d), d["integrals"][0].update(
+                                      op={"builtin": "min", "y_bar": "2"})),
+                                  "integrals[0].op.y_bar must be a number, got '2'"),
+    "survival-string-op-y-bar": ("minitive-sugeno-values", "integrate",
+                                 lambda d: d["integrals"][1].update(
+                                     op={"builtin": "min", "y_bar": "2"}),
+                                 "integrals[1].op.y_bar must be a number, got '2'"),
+    "survival-string-y-bar": ("minitive-sugeno-values", "integrate",
+                              lambda d: d["integrals"][0]["survival"].update(y_bar="1"),
+                              "integrals[0].survival.y_bar must be a number, got '1'"),
+    "config-circ-string-y-bar": ("w-chebyshev-unit-interval", "check-condition",
+                                 lambda d: d["config"].update(
+                                     circ=["min", {"builtin": "min", "y_bar": "1"}, "min"]),
+                                 "config.circ[1].y_bar must be a number, got '1'"),
+    "function-string-value": ("minitive-dependence", "check-dependence",
+                              lambda d: d["f"].update(x1="0.9"),
+                              "f.x1 must be a number, got '0.9'"),
+    "function-boolean-value": ("minitive-dependence", "check-dependence",
+                               lambda d: d["g"].update(x2=True),
+                               "g.x2 must be a number, got True"),
+    "function-string-bound": ("minitive-dependence", "check-dependence",
+                              lambda d: d.update(f={"values": d["f"], "bound": "1"}),
+                              "f.bound must be a number, got '1'"),
+    "integrate-string-bound": ("minitive-sugeno-values", "integrate",
+                               lambda d: (_one_simple_integral(d),
+                                          d["integrals"][0].update(bound="2")),
+                               "integrals[0].bound must be a number, got '2'"),
+    "function-missing-atom": ("minitive-dependence", "check-dependence",
+                              lambda d: d["f"].pop("x3"), "f.x3 is missing"),
 }
 
 
@@ -450,6 +484,41 @@ def test_exit_code_is_the_verdict_table(monkeypatch):
         monkeypatch.setitem(scenarios._RUNNERS, "integrate", lambda *_: {"verdict": verdict})
         assert run_scenario({"kind": "integrate"}) == (code, {
             "verdict": verdict, "report_version": 1, "scenario": "<inline>", "kind": "integrate"})
+
+
+def test_integrate_q_integral_scenario():
+    # sup over t of prod(m({f >= t}), t): the level t = 0.8 gives m({w2}) * 0.8
+    data = {"kind": "integrate", "integrals": [{
+        "name": "q", "integral": "q", "op": "prod", "space": ["w1", "w2"],
+        "measure": {"table": {"": 0.0, "w1": 0.4, "w2": 0.6, "w1 w2": 1.0}},
+        "f": {"w1": 0.3, "w2": 0.8}}]}
+    code, report = run_scenario(data)
+    assert code == 0
+    assert report["integrals"] == {"q": {"value": 0.6 * 0.8, "method": "exact-candidate-set"}}
+
+
+def _stage(report, name):
+    (stage,) = [s for s in report["stages"] if s["name"] == name]
+    return stage["status"], stage["detail"]
+
+
+@pytest.mark.parametrize("phi, psi, stage, detail", [
+    (["x", "x", "0.5*x"], "x", "phi-tops-equal", "phi tops differ: [1.0, 1.0, 0.5]"),
+    ("x", "x^2", "sandwich", "psi1(phi1(x)) < x at x=0.01"),
+])
+def test_sugeno_pipeline_hypothesis_stages_fail(phi, psi, stage, detail):
+    data = load_scenario("sugeno-phi-origin-hypothesis")
+    data.update(phi=phi, psi=psi)
+    _, report = run_scenario(data)
+    assert _stage(report, stage) == ("hypothesis-failed", detail)
+
+
+def test_theorem_forward_needs_a_left_continuous_outer():
+    data = load_scenario("necessity-sugeno-pipeline")
+    data["config"]["outer"] = {"expr": "a*b", "flags": {"non_decreasing": True}}
+    _, report = run_scenario(data)
+    assert _stage(report, "config-hypotheses") == (
+        "hypothesis-failed", "outer operation 'custom' must be declared left-continuous")
 
 
 @pytest.mark.parametrize("scenario_grid, override, used", [

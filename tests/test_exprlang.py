@@ -50,6 +50,18 @@ class TestParsingAndEvaluation:
         out = ev("x^2", x=xs)
         assert np.allclose(out, xs ** 2)
 
+    def test_unary_minus(self):
+        assert parse("-x + 1") == parse("(-x) + 1") != parse("x + 1")
+        assert ev("-x + 1", x=0.25) == 0.75
+        assert ev("1 - -x", x=0.5) == 1.5
+        assert ev("2^-1") == 0.5
+        xs = np.array([0.0, 0.25, 1.0])
+        assert ev("-x + 1", x=xs).tolist() == [1.0, 0.75, 0.0]
+        assert ev("1 - -x", x=xs).tolist() == [1.0, 1.25, 2.0]
+        assert [pretty(parse(src)) for src in ("-x + 1", "1 - -x", "2^-1")] == [
+            "((-x) + 1)", "(1 - (-x))", "(2 ^ (-1))"]
+        assert parse(pretty(parse("1 - -x"))) == parse("1 - -x")
+
     def test_unbound_variable(self):
         with pytest.raises(EvalError, match="unbound"):
             ev("x + y", x=1.0)

@@ -82,6 +82,17 @@ class TestExprOps:
         bad = [c for c in report.checks if c.flag == "non_decreasing" and not c.confirmed]
         assert bad
 
+    def test_two_point_grid_refused_for_expression_ops(self):
+        # the continuity probe's inner grid is empty at this step: it used to
+        # end in numpy's "zero-size array to reduction operation maximum"
+        for step in (1.0, 0.7):
+            with pytest.raises(FusionError, match=rf"^grid step {step} leaves no inner grid "
+                               r"point for the continuity probes of 'e' on \[0, 1.0\]$"):
+                validate_flags(expr_op("e", "a*b"), grid_step=step)
+        # builtins take their continuity from exact truths, not the probe
+        assert validate_flags(builtin("prod"), grid_step=1.0).all_confirmed
+        assert len(validate_flags(expr_op("e", "a*b"), grid_step=0.5).checks) == 7
+
 
 class TestDomination:
     def test_min_dominates_lukasiewicz(self):

@@ -1,11 +1,15 @@
-"""The grid-scan kernel: row order, C order within a row, and the re-check rule."""
+"""The grid-scan kernels: row order, C order within a row, and the re-check rule.
+
+``scan_separable`` is checked against ``scan`` over the same (b, c, d) rows:
+equal verdicts and the same points re-checked in the same order.
+"""
 
 import numpy as np
 import pytest
 
 import chebint
 from chebint import chebyshev, scan as scan_module
-from chebint.scan import TOL, Verdict, distinct, scan, scan_separable
+from chebint.scan import _BLOCK, TOL, Verdict, _gather, _Slabs, distinct, scan, scan_separable
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -86,68 +90,11 @@ def test_sides_may_be_views_of_hoisted_tables():
     assert np.array_equal(table, before)
 
 
-def test_permuted_row_order_reports_the_plain_first_witness():
-    rng = np.random.default_rng(7)
-    axes = (np.arange(4.0), np.arange(3.0), np.arange(5.0), np.arange(6.0))
-    lhs = rng.uniform(size=(4, 3, 5, 6))
-    rhs = rng.uniform(size=(4, 3, 5, 6)) * 0.6  # some points of every row flagged
-
-    def at(a, b, c, d):
-        return lhs[int(a), int(b), int(c), int(d)], rhs[int(a), int(b), int(c), int(d)]
-
-    plain = scan(axes, lambda i: (lhs[i], rhs[i]), at, "")
-    assert plain.status == "violated"
-    for order in ((1, 2, 0), (2, 0, 1), (0, 2, 1)):
-        # axis k of the row arrays runs along axes[1:][order[k]]
-        permuted = scan(axes, lambda i: (lhs[i].transpose(order), rhs[i].transpose(order)),
-                        at, "", order=order)
-        assert permuted == plain, order
-
-
-def test_rows_broadcast_and_blocks_cover_the_row():
-    # a (c, 1, b) lhs against a (c, d, b) rhs, over more slabs than one block
-    c, d, b = 7, 6000, 3
-    axes = (np.arange(2.0), np.arange(float(b)), np.arange(float(c)), np.arange(float(d)))
-    rhs = np.zeros((c, d, b))
-    rhs[5, 4321, 2] = 1.0  # the only flagged point: (b, c, d) = (2, 5, 4321)
-    verdict = scan(axes, lambda i: (np.zeros((c, 1, b)), rhs), lambda *p: (0.0, 1.0), "",
-                   order=(1, 2, 0))
-    assert verdict.witness == (0.0, 2.0, 5.0, 4321.0)
-
-
 def test_distinct_rebuilds_the_table_bit_for_bit():
     table = np.array([[0.0, -0.0, np.nan], [0.5, 0.0, -np.nan], [np.inf, 0.5, 1.0]])
     values, index = distinct(table)
     assert np.array_equal(values[index].view(np.int64), table.view(np.int64))
     assert len(values) == 7  # +0 and -0, and the two NaNs, stay apart
-
-
-def test_lhs_from_a_table_of_distinct_values():
-    # a lhs given as rows of a table, one per distinct value of a (c, d)
-    # table, flags what the same lhs spread over the row flags
-    rng = np.random.default_rng(3)
-    c, d, b = 70, 60, 9  # more slabs than one block
-    axes = (np.arange(4.0), np.arange(float(b)), np.arange(float(c)), np.arange(float(d)))
-    values, index = distinct(rng.integers(0, 40, size=(c, d)).astype(float))
-    tables = rng.uniform(size=(4, len(values), b))
-    rhs = rng.uniform(0.5, 1.2, size=(4, c, d, b))
-    rhs[:, :65] = 0.0  # flagged points only in the last block of slabs
-
-    def at(a, bb, cc, dd):
-        a, bb, cc, dd = int(a), int(bb), int(cc), int(dd)
-        return tables[a][index[cc, dd], bb], rhs[a, cc, dd, bb]
-
-    want = scan(axes, lambda i: (tables[i][index].transpose(2, 0, 1), rhs[i].transpose(2, 0, 1)),
-                at, "")
-    assert want.status == "violated"
-    order = (1, 2, 0)  # rows over (c, d, b): the index covers the leading (c, d)
-    got = scan(axes, lambda i: (tables[i], rhs[i]), at, "", order=order, lhs_index=index)
-    assert got == want
-    table = tables[0]
-    before = table.copy()
-    scan(axes, lambda i: (table, np.zeros((c, d, b))), lambda *p: (1.0, 0.0), "",
-         order=order, lhs_index=index)
-    assert np.array_equal(table, before)
 
 
 def test_separable_row_errors_come_from_the_plain_row():
@@ -220,49 +167,155 @@ def test_constant_operations_give_complete_witnesses():
     assert verdict.lhs == 0.5 and verdict.lhs < verdict.rhs
 
 
-def keyed_scan(keys, calls, raise_on=None):
-    """A scan whose rhs depends on the leading axis only through `keys`.
+def separable_and_plain(u, v, p, q, left=np.add, right=np.multiply, confirm=None):
+    """(verdict, points re-checked) of ``scan_separable`` and of ``scan`` over
+    (b, c, d) rows, for ab = 0..len(u)-1 and cd = 0..len(v)-1.
 
-    Rows are (c, d, b) = (8, 64, 64), `_BLOCK` points, so the slab table is
-    in play.  Every row flags points, but only a point of the last row
-    confirms, so every row is compared and re-checked.  `calls` records
-    (row, keys asked for); asking for row `raise_on` raises.
+    ``at`` re-checks a point with the same operations, and does not confirm
+    the points where ``confirm(a, b, c, d)`` is false.
     """
-    c, d, b = keys.shape[1], 64, 64
-    assert c * d * b >= scan_module._BLOCK
+    ab, cd = np.arange(float(len(u))), np.arange(float(len(v)))
+
+    def run(scanner):
+        rechecked = []
+
+        def at(*point):
+            rechecked.append(point)
+            a, b, c, d = map(int, point)
+            if confirm is not None and not confirm(a, b, c, d):
+                return 1.0, 1.0
+            return float(left(u[a, b], v[c, d])), float(right(p[a, c], q[b, d]))
+
+        return scanner(at), rechecked
+
+    def plain_sides(i):
+        return left(u[i][:, None, None], v[None]), right(p[i][None, :, None], q[:, None, :])
+
+    return (run(lambda at: scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, left, right,
+                                          at, "e")),
+            run(lambda at: scan((ab, ab, cd, cd), plain_sides, at, "e")))
+
+
+def separable_tables(seed, nab, ncd):
+    """u + v against p * q: repeated values in v and p, a few flagged points per row."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(size=(nab, nab)), rng.integers(1, 4, size=(ncd, ncd)) / 4,
+            rng.integers(0, 4, size=(nab, ncd)) / 2, rng.uniform(size=(nab, ncd)) ** 6 * 2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("nab, ncd", [(40, 32), (7, 5)])
+def test_separable_witnesses_are_the_plain_scans(seed, nab, ncd):
+    # rows of 32^2 * 40 points (two blocks of slabs, gathered from the slab
+    # table) and of 5^2 * 7 (evaluated whole); in most rows the first flagged
+    # point in (c, d, b) order is not the one in (b, c, d) order, and
+    # re-checks fail on rows 0 and 1 and on about a third of the later points
+    u, v, p, q = tables = separable_tables(seed, nab, ncd)
+    before = [t.copy() for t in tables]
+    assert (ncd * ncd * nab >= _BLOCK) == (nab == 40)
+    got, want = separable_and_plain(u, v, p, q,
+                                    confirm=lambda a, b, c, d: a > 1 and (b + c + d) % 3)
+    assert got == want
+    assert len(want[1]) >= 3  # rows 0 and 1 re-checked and passed over
+    assert all(np.array_equal(t, b) for t, b in zip(tables, before))  # only read
+
+
+def test_rows_broadcast_and_blocks_cover_the_row():
+    # a constant left side against a right side flagged at one point, in
+    # the last slab of the last block: rows (c, d, b) of 32 x 32 x 40 points
+    # are compared in blocks of 25 and 7 slabs, rows of 26 x 26 x 49 in
+    # blocks of 25 and 1
+    for nab, ncd in ((40, 32), (49, 26)):
+        u, v = np.zeros((nab, nab)), np.zeros((ncd, ncd))
+        p, q = np.zeros((nab, ncd)), np.zeros((nab, ncd))
+        p[3, ncd - 1], q[7, 11] = 1.0, 1.0  # the only flagged (a, b, c, d): (3, 7, ncd - 1, 11)
+        got, want = separable_and_plain(u, v, p, q, left=lambda x, t: 0.0)
+        assert got == want
+        assert got[0].witness == (3.0, 7.0, ncd - 1.0, 11.0)
+
+
+def test_lhs_from_a_table_of_distinct_values():
+    # left runs once per row over the distinct values of v (which repeat),
+    # and what it returns (here a view of a hoisted table) is only read
+    u, v, p, q = separable_tables(3, 40, 32)
+    values = distinct(v)[0]
+    assert len(values) < v.size
+    hoisted = u[:, None, :] + values[None, :, None]  # (a, value, b)
+    before = hoisted.copy()
+    calls = []
+
+    def left(x, t):
+        if np.ndim(t) == 2:  # the (value, b) table of the separable scan
+            calls.append(t.ravel().tolist())
+            return hoisted[int(np.flatnonzero((u == x).all(axis=1))[0])]
+        return x + t
+
+    # nothing confirms, so every row's first flagged point is re-checked
+    got, want = separable_and_plain(u, v, p, q, left=left, confirm=lambda *point: False)
+    assert got == want and want[0].holds and len(want[1]) == len(u)
+    assert calls == [values.tolist()] * len(u)
+    assert np.array_equal(hoisted, before)
+
+
+def test_slabs_place_keys_in_first_seen_order_up_to_half_a_row():
+    slabs = _Slabs((4, 2, 3))
+    empty = slabs.data
+    slots, fresh, store = slabs.place(np.array([2.0, 1.0, 2.0, 1.0]))
+    assert slots == [0, 1, 0, 1] and fresh.tolist() == [2.0, 1.0]  # half, into an empty table
+    assert np.shares_memory(store, empty) and store.shape == (2, 2, 3)
+    assert slabs.place(np.array([0.0, 1.0, 3.0, 4.0])) is None  # three new keys: over half
+    slots, fresh, store = slabs.place(np.array([-0.0, 0.0, 1.0, 2.0]))  # -0 is its own key
+    assert slots == [2, 3, 1, 0] and fresh.tolist() == [-0.0, 0.0] and store.shape == (2, 2, 3)
+    assert np.signbit(fresh[0]) and not np.signbit(fresh[1])
+    assert slabs.place(np.array([5.0, 1.0, 2.0, 1.0])) is None  # the table is full
+    assert slabs.slot == {b: i for i, b in enumerate(
+        np.array([2.0, 1.0, -0.0, 0.0]).view(np.int64).tolist())}
+    slots, fresh, _ = slabs.place(np.array([0.0, 0.0, 0.0, 0.0]))
+    assert slots == [3] * 4 and fresh.size == 0
+
+
+def test_gather_views_repeats_and_copies():
+    data = np.arange(24.0).reshape(4, 2, 3)
+    out = np.empty((3, 2, 3))
+    view = _gather(data, [1, 2, 3], out)
+    assert np.shares_memory(view, data) and np.array_equal(view, data[1:4])
+    repeat = _gather(data, [2, 2, 2], out)
+    assert repeat.shape == (1, 2, 3) and np.shares_memory(repeat, data)
+    assert np.array_equal(np.broadcast_to(repeat, (3, 2, 3)), data[[2, 2, 2]])
+    copy = _gather(data, [3, 0, 3], out)
+    assert copy is out and np.array_equal(copy, data[[3, 0, 3]])
+    assert np.array_equal(_gather(data, [0], out[:1]), data[:1])
+
+
+def keyed_tables(rows, nab=512):
+    """Tables whose p rows are `rows` (8 keys each, then zeros): rows of
+    8 * 8 * 512 = _BLOCK points, so the slab table is in play."""
+    ncd = len(rows[0])
+    assert ncd * ncd * nab == _BLOCK
     rng = np.random.default_rng(5)
-    lhs = rng.uniform(size=(len(keys), c, d, b))
-    base = rng.uniform(size=(d, b))
-    axes = (np.arange(float(len(keys))), np.arange(float(c)), np.arange(float(d)),
-            np.arange(float(b)))
-    rechecked = []
+    p = np.zeros((nab, ncd))
+    p[:len(rows)] = rows
+    u, v = rng.uniform(size=(nab, nab)), rng.uniform(size=(ncd, ncd))
+    return u, v, p, rng.uniform(size=(nab, ncd))
 
-    def fill(values):  # one (d, b) slab per key value
-        return values[:, None, None] * base[None, :, :]
 
-    def at(*point):
-        rechecked.append(point)
-        return (0.0, 1.0) if point[0] == len(keys) - 1 else (1.0, 1.0)
-
-    def keyed(i, row_keys):
-        calls.append((i, row_keys.tolist()))
-        if i == raise_on:
-            raise KeyError(f"keys of row {i}")
-        return lhs[i], fill(row_keys)
-
-    def dense(i):
-        return lhs[i], fill(keys[i])
-
-    return (lambda: scan(axes, keyed, at, "", rhs_keys=keys),
-            lambda: scan(axes, dense, at, ""), rechecked)
+def recording_right(calls, raise_at=None):
+    """A multiply that records the keys of each (key, d, b) evaluation and
+    raises on `raise_at`, naming the shape of the argument that holds it."""
+    def right(x, y):
+        if np.ndim(x) == 3 and np.shape(x)[1:] == (1, 1):
+            calls.append(np.ravel(x).tolist())
+        if raise_at is not None and np.any(np.asarray(x) == raise_at):
+            raise KeyError(f"key {raise_at} in an argument of shape {np.shape(x)}")
+        return np.multiply(x, y)
+    return right
 
 
 def test_rhs_slab_table_overflow_matches_the_dense_scan():
     # rows 0-3 bring new keys that fill the table's 8 slabs; row 4's two new
     # keys do not fit, so it is evaluated whole; row 5 reuses keys and is
-    # gathered again; row 6 is all new keys, more than half the row.  Row 0
-    # repeats one slab, row 5 runs over the slabs in table order, and the
-    # other gathered rows mix them, so all three ways of gathering are met.
+    # gathered again; row 6 is all new keys, more than half the row.  Every
+    # row flags points, but only row 6 confirms one, so all are compared.
     rows = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
             [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, 2.0],
             [2.0, 2.0, 2.0, 2.0, 0.5, 1.0, 2.5, 3.0],
@@ -270,55 +323,53 @@ def test_rhs_slab_table_overflow_matches_the_dense_scan():
             [4.5, 4.5, 4.5, 4.5, 0.5, 0.5, 0.5, 5.0],
             [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0],
             [6.0, 6.5, 7.0, 7.5, 8.0, 8.5, 9.0, 9.5]]
-    keys = np.array(rows)
+    u, v, p, q = keyed_tables(rows)
     calls = []
-    gathered, dense, rechecked = keyed_scan(keys, calls)
-    got = gathered()
-    got_points, rechecked[:] = list(rechecked), []
-    assert got == dense() and got.status == "violated"
-    assert got_points == rechecked and len(got_points) == len(rows)
-    asked = dict(calls)
-    whole = [i for i in asked if asked[i] == rows[i]]
-    assert whole == [4, 6]
-    assert asked[5] == [] and asked[0] == [0.5]
+    got, want = separable_and_plain(u, v, p, q, right=recording_right(calls),
+                                    confirm=lambda a, b, c, d: a == 6)
+    assert got == want and got[0].status == "violated" and len(got[1]) == len(rows)
+    whole = [i for i, keys in enumerate(calls) if keys == rows[i]]
+    assert whole == [4, 6] and len(calls) == len(rows)
+    assert calls[5] == [] and calls[0] == [0.5]
     # the table holds at most one row's worth of slabs
-    assert sum(len(asked[i]) for i in asked if i not in whole) == keys.shape[1]
+    assert sum(len(calls[i]) for i in range(len(rows)) if i not in whole) == len(rows[0])
     # a row may bring new keys up to half its slabs, even into an empty table
     rows = [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]]
+    u, v, p, q = keyed_tables(rows)
     calls = []
-    gathered, dense, _ = keyed_scan(np.array(rows), calls)
-    assert gathered() == dense()
-    assert calls == [(0, rows[0]), (1, [0.0, 1.0, 2.0, 3.0])]
+    got, want = separable_and_plain(u, v, p, q, right=recording_right(calls),
+                                    confirm=lambda a, b, c, d: a == 1)
+    assert got == want
+    assert calls == [rows[0], [0.0, 1.0, 2.0, 3.0]]
 
 
 def test_rhs_slab_table_errors_surface_in_row_order():
-    # an error for the keys the table lacks surfaces from the row that asked
-    keys = np.tile([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0], (3, 1)) * [[1.0], [1.0], [3.0]]
+    # row 2's new keys raise; the row is re-run over (b, c, d), and that
+    # evaluation's error surfaces
+    rows = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0]] * 2 + [[1.5] * 6 + [3.0, 6.0]]
+    u, v, p, q = keyed_tables(rows)
+    ab, cd = np.arange(512.0), np.arange(8.0)
     calls = []
-    gathered, _, _ = keyed_scan(keys, calls, raise_on=2)
-    with pytest.raises(KeyError, match="keys of row 2"):
-        gathered()
-    assert calls[-1] == (2, [1.5, 3.0, 6.0])  # the table lacked row 2's keys
+    right = recording_right(calls, raise_at=6.0)
+    with pytest.raises(KeyError, match=r"shape \(1, 8, 1\)"):
+        scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, np.add, right,
+                       lambda *point: (1.0, 1.0), "")
+    assert calls == [[0.5, 1.0, 2.0], [], [1.5, 3.0, 6.0]]  # the table lacked row 2's keys
     # a violation in an earlier row is returned before the later row is built
-    rng = np.random.default_rng(1)
-    axes = (np.arange(3.0), np.arange(8.0), np.arange(64.0), np.arange(64.0))
     built = []
 
-    def sides(i, row_keys):
-        built.append(i)
-        if i == 2:
-            raise ValueError("fast")
-        return rng.uniform(size=(8, 64, 64)), row_keys[:, None, None] * np.ones((64, 64))
+    def row(a):
+        built.append(a)
+        return u[int(a)]
 
-    verdict = scan(axes, sides, lambda *p: (0.0, 1.0), "", rhs_keys=keys)
+    verdict = scan_separable(ab, cd, row, v, p, q, np.add, right, lambda *point: (0.0, 1.0), "")
     assert verdict.status == "violated" and verdict.witness[0] == 0.0
-    assert built == [0]
+    assert built == [0.0]
 
 
 def test_constant_rhs_fills_the_slab_table():
     # a constant rhs for the new keys broadcasts into their slabs
-    axes = (np.arange(2.0), np.arange(8.0), np.arange(64.0), np.arange(64.0))
-    keys = np.zeros((2, 8))
-    verdict = scan(axes, lambda i, row_keys: (0.0, 1.0), lambda *p: (0.0, 1.0), "",
-                   rhs_keys=keys)
-    assert verdict.witness == (0.0, 0.0, 0.0, 0.0)
+    u, v, p, q = keyed_tables([[0.0] * 8])
+    got, want = separable_and_plain(u, v, p, q, left=lambda x, t: 0.0, right=lambda x, y: 1.0)
+    assert got == want
+    assert got[0].witness == (0.0, 0.0, 0.0, 0.0)
