@@ -18,7 +18,7 @@ from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF, INF_CAP as _INF_CAP
-from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, prod_op
+from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box, prod_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
 from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, scan,
@@ -260,12 +260,26 @@ def scalar_condition_at(cfg: InequalityConfig, a, b, c, d):
     return float(lhs), float(rhs)
 
 
+def _right_tables(cfg: InequalityConfig, ab, cd):
+    """phi2(a), phi3(b), psi2(phi2(a) circ2 c) and psi3(phi3(b) circ3 c) over
+    ab and ab x cd: the right-side tables c1 and c2 hoist, in the order both build them."""
+    phi2_a = cfg.phi2.apply(ab)
+    phi3_b = cfg.phi3.apply(ab)
+    return (phi2_a, phi3_b, cfg.psi2.apply(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :])),
+            cfg.psi3.apply(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :])))
+
+
 def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
     """Scan a, b over [0, k] and c, d over the c/d-domain.
 
     Deterministic lexicographic first witness; Violated witnesses are
     re-checked by direct evaluation before being reported.
     """
+    return _check_c1(cfg, grid_step, _right_tables)
+
+
+def _check_c1(cfg, grid_step, tables):
+    """check_scalar_condition, with ``tables`` building the right-side tables."""
     try:
         cfg.validate()
         ab = _k_grid(cfg, grid_step)
@@ -273,15 +287,12 @@ def check_scalar_condition(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
         check_row(len(ab), len(cd), len(cd))
         evidence = f"a,b grid({grid_step}) x c,d {cfg.cd_domain.describe(grid_step)}"
         tri_cd = apply_op(cfg.triangle, cd[:, None], cd[None, :])
-        phi2_a = cfg.phi2.apply(ab)
-        phi3_b = cfg.phi3.apply(ab)
-        psi2_ac = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]))
-        psi3_bd = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]))
+        _, _, psi2_ac, psi3_bd = tables(cfg, ab, cd)
         return scan_separable(
             ab, cd, lambda a: cfg.phi1.apply(apply_op(cfg.inner, a, ab)),
             tri_cd, psi2_ac, psi3_bd,
             lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
-            partial(scalar_condition_at, cfg), evidence)
+            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer))
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -300,6 +311,11 @@ def c2_condition_at(cfg: InequalityConfig, a, b, c):
 
 def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
     """One-variable-c form with the domain supremum substituted for d."""
+    return _check_c2(cfg, grid_step, _right_tables)
+
+
+def _check_c2(cfg, grid_step, tables):
+    """check_condition_C2, with ``tables`` building the right-side tables."""
     try:
         cfg.validate()
         ab = _k_grid(cfg, grid_step)
@@ -307,10 +323,7 @@ def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
         check_row(len(ab), len(cd))
         dbar = min(cfg.cd_domain.sup, _INF_CAP)
         evidence = f"a,b grid({grid_step}) x c {cfg.cd_domain.describe(grid_step)}"
-        phi2_a = cfg.phi2.apply(ab)
-        phi3_b = cfg.phi3.apply(ab)
-        psi2_ac = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a[:, None], cd[None, :]))
-        psi3_bc = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b[:, None], cd[None, :]))
+        phi2_a, phi3_b, psi2_ac, psi3_bc = tables(cfg, ab, cd)
         psi2_adbar = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a, dbar))
         psi3_bdbar = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b, dbar))
 
@@ -344,8 +357,14 @@ class EquivalenceReport:
 
 
 def c1_iff_c2(cfg: InequalityConfig, grid_step=0.01) -> EquivalenceReport:
-    return EquivalenceReport(check_scalar_condition(cfg, grid_step),
-                             check_condition_C2(cfg, grid_step))
+    built = []  # the right-side tables, built by c1 and read again by c2
+
+    def tables(*args):
+        if not built:
+            built.append(_right_tables(*args))
+        return built[0]
+
+    return EquivalenceReport(_check_c1(cfg, grid_step, tables), _check_c2(cfg, grid_step, tables))
 
 
 # ---------------------------------------------------------------------------

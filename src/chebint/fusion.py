@@ -71,6 +71,12 @@ _BUILTINS = {
 BUILTIN_KINDS = tuple(_BUILTINS)
 
 
+def monotone_box(op: FusionOp):
+    """(0, y_bar), where a builtin is non-decreasing in both arguments by case
+    analysis; None for an expression, whose flag is only grid evidence."""
+    return (0.0, op.y_bar) if op.kind in _BUILTINS else None
+
+
 def builtin(name, y_bar=1.0) -> FusionOp:
     """A builtin operation; only min and prod take a y_bar other than 1."""
     if name not in _BUILTINS:
@@ -296,7 +302,7 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
 
     return scan_separable(xs, xs, lambda a: apply_op(inner, a, xs), inner_cd, outer_cd, outer_cd,
                           partial(apply_op, outer), partial(apply_op, inner), at,
-                          f"grid({grid_step})")
+                          f"grid({grid_step})", monotone_box(inner))
 
 
 def leq_min(op: FusionOp, grid_step=0.01) -> Verdict:

@@ -91,7 +91,7 @@ def _confirm(viol, value, rest, at, evidence):
     return Verdict("violated", point, wl, wr, evidence=evidence) if wl < wr - TOL else None
 
 
-def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
+def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None) -> Verdict:
     """Scan ab x ab x cd x cd for a point (a, b, c, d) where
     ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
 
@@ -108,34 +108,49 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
     and evaluates only the values it lacks, a smaller row or one the table
     refuses is evaluated whole.  When an evaluation raises, the row is re-run
     in (b, c, d) order, so the error names the first bad value ``scan`` meets.
+
+    ``box`` is None or a box (lo, hi) on which ``right`` is non-decreasing in
+    both arguments.  Inside a level set of v the left side is constant, so
+    when p and q lie in the box and do not decrease along their second axis,
+    a point's rhs is at most that of the level set's maximal point reached by
+    stepping c or d up inside the set.  When at most half the (c, d) points
+    are maximal, a row first compares only those and is skipped when none
+    flags; a row that flags is scanned whole as above, for its witness.
     """
     rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
     check_row(*row)
     v_values, v_index = distinct(v)
     q_db = np.ascontiguousarray(q.T)
     keys = np.broadcast_to(np.asarray(p, dtype=float), (len(ab), len(cd)))
+    if (maxima := _level_set_maxima(v_index, p, q, box)) is not None:
+        kc, kd = maxima
+        levels, kept_keys, kept_q = v_index[kc, kd], keys[:, kc, None], q_db[kd]
     viol = np.empty(row, dtype=bool)
     flagged = viol.transpose(2, 0, 1)  # a (b, c, d) view of each row's flags
     lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
     shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
     slabs = _Slabs(row) if viol.size >= _BLOCK else None
 
-    def sides(i, row_keys):  # lhs over (value, b); rhs over (key, d, b)
+    def sides(i, row_keys, q_side):  # lhs over (value, b); rhs of right(row_keys, q_side)
         try:
-            return (left(u(ab[i])[None, :], v_values[:, None]),
-                    right(row_keys[:, None, None], q_db[None, :, :]))
+            return left(u(ab[i])[None, :], v_values[:, None]), right(row_keys, q_side)
         except Exception:  # re-run over (b, c, d), so that any error is the plain scan's
             left(u(ab[i])[:, None, None], v[None, :, :])
             right(p[i][None, :, None], q[:, None, :])
             raise
 
     for i in range(len(ab)):
+        if maxima is not None:  # (maximal point, b)
+            lhs, rhs = sides(i, kept_keys[i], kept_q)
+            lhs = np.take(_fit(lhs, (len(v_values), len(ab))), levels, axis=0, mode="clip")
+            if not np.less(lhs, np.subtract(rhs, TOL)).any():
+                continue
         if (placed := slabs and slabs.place(keys[i])) is None:
-            lhs, rhs = sides(i, keys[i])
+            lhs, rhs = sides(i, keys[i][:, None, None], q_db[None, :, :])
             rhs = _fit(rhs, row)
         else:
             slots, fresh, store = placed
-            lhs, rhs = sides(i, fresh)
+            lhs, rhs = sides(i, fresh[:, None, None], q_db[None, :, :])
             np.subtract(rhs, TOL, out=store)
         lhs = _fit(lhs, (len(v_values), len(ab)))
         for k in range(0, row[0], lead):
@@ -150,6 +165,29 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence) -> Verdict:
         if viol.any() and (verdict := _confirm(flagged, ab[i], rest, at, evidence)):
             return verdict
     return Verdict("holds-on-grid", evidence=evidence)
+
+
+def _level_set_maxima(v_index, p, q, box):
+    """The (c, d) indices of the points that are maximal in their level set
+    of v: neither v[c + 1, d] nor v[c, d + 1] has v[c, d]'s bits.
+
+    None, for a scan of every point, when there is no box, when p or q is not
+    a 2-D table of finite values inside the box that does not decrease along
+    axis 1, or when more than half the points are maximal.
+    """
+    if box is None:
+        return None
+    lo, hi = box
+    for table in (p, q):
+        table = np.asarray(table, dtype=float)
+        if (table.ndim != 2 or not (np.isfinite(table) & (table >= lo) & (table <= hi)).all()
+                or (np.diff(table, axis=1) < 0).any()):
+            return None
+    keep = np.ones(v_index.shape, dtype=bool)
+    keep[:-1] &= v_index[1:] != v_index[:-1]
+    keep[:, :-1] &= v_index[:, 1:] != v_index[:, :-1]
+    kc, kd = np.nonzero(keep)
+    return (kc, kd) if 2 * len(kc) <= keep.size else None
 
 
 def _gather(data, slots, out):

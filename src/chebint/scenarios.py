@@ -73,6 +73,20 @@ def _number(value, path) -> float:
         raise ScenarioError(f"{path} is too large: {value!r}") from None
 
 
+def _object(block, path) -> dict:
+    """A JSON object; anything else is an error naming its path."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{path} must be an object, got {block!r}")
+    return block
+
+
+def _array(block, path) -> list:
+    """A JSON list; anything else is an error naming its path."""
+    if not isinstance(block, list):
+        raise ScenarioError(f"{path} must be a list, got {block!r}")
+    return block
+
+
 def _atom_numbers(values, sp: FiniteSpace, path):
     """The numbers a {label: number} block gives the atoms, in the space's atom order."""
     if not isinstance(values, dict):
@@ -84,25 +98,24 @@ def _atom_numbers(values, sp: FiniteSpace, path):
 
 
 def build_op(block, path="op") -> fusion.FusionOp:
-    if isinstance(block, str):
-        block = {"builtin": block}
+    block = _object({"builtin": block} if isinstance(block, str) else block, path)
     y_bar = _number(block.get("y_bar", 1.0), f"{path}.y_bar")
     if "builtin" in block:
         return fusion.builtin(block["builtin"], y_bar)
-    flags = block.get("flags", {})
+    flags = _object(block.get("flags", {}), f"{path}.flags")
     return fusion.expr_op(block.get("name", "custom"), block["expr"], y_bar=y_bar,
-                          arg_names=tuple(block.get("args", ("a", "b"))), **flags)
+                          arg_names=tuple(_array(block.get("args", ["a", "b"]), f"{path}.args")),
+                          **flags)
 
 
 _SHAPE_DEFAULTS = {"non_decreasing": True, "increasing": True,
                    "left_continuous": True, "right_continuous": True}
 
 
-def build_shape(block) -> cheb.ShapeFunction:
-    if isinstance(block, str):
-        block = {"expr": block}
+def build_shape(block, path="shape") -> cheb.ShapeFunction:
+    block = _object({"expr": block} if isinstance(block, str) else block, path)
     flags = dict(_SHAPE_DEFAULTS)
-    flags.update(block.get("flags", {}))
+    flags.update(_object(block.get("flags", {}), f"{path}.flags"))
     return cheb.shape(block.get("name", block["expr"]), block["expr"],
                       inverse=block.get("inverse"),
                       var=block.get("var", "x"),
@@ -110,14 +123,14 @@ def build_shape(block) -> cheb.ShapeFunction:
                       inverse_domain=block.get("inverse_domain"), **flags)
 
 
-def _triple(block, build, path=None):
-    """Three objects built from a list of three blocks or from one block;
-    with a path, ``build`` is given each block's path too."""
+def _triple(block, build, path):
+    """Three objects built from a list of three blocks or from one block,
+    each given its path."""
     if isinstance(block, list):
         if len(block) != 3:
-            raise ScenarioError("expected exactly three entries")
-        return tuple(build(b, f"{path}[{i}]") if path else build(b) for i, b in enumerate(block))
-    built = build(block, path) if path else build(block)
+            raise ScenarioError(f"{path} must hold exactly three entries")
+        return tuple(build(b, f"{path}[{i}]") for i, b in enumerate(block))
+    built = build(block, path)
     return (built, built, built)
 
 
@@ -126,12 +139,12 @@ def build_function(block, sp: FiniteSpace, bound=None, path="f"):
         bound = _number(block["bound"], f"{path}.bound") if "bound" in block else bound
         block, path = block["values"], f"{path}.values"
     values = (_atom_numbers(block, sp, path) if isinstance(block, dict)
-              else [_number(v, f"{path}[{i}]") for i, v in enumerate(block)])
+              else [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(block, path))])
     return simple_function(sp, values, bound=bound)
 
 
-def build_mask(block, sp: FiniteSpace) -> int:
-    return sp.mask_of(block)
+def build_mask(block, sp: FiniteSpace, path) -> int:
+    return sp.mask_of(_array(block, path))
 
 
 def build_cd(block) -> cheb.CdDomain:
@@ -164,8 +177,8 @@ def build_config(block) -> cheb.InequalityConfig:
         outer=build_op(block["outer"], "config.outer"),
         circs=_triple(block["circ"], build_op, "config.circ"),
         triangle=build_op(block.get("triangle", "min"), "config.triangle"),
-        phis=_triple(block.get("phi", "x"), build_shape),
-        psis=_triple(block.get("psi", "x"), build_shape),
+        phis=_triple(block.get("phi", "x"), build_shape, "config.phi"),
+        psis=_triple(block.get("psi", "x"), build_shape, "config.psi"),
         k=_number(block.get("k", 1.0), "config.k"),
         y_bar=_number(block.get("y_bar", 1.0), "config.y_bar"),
         cd_domain=build_cd(block["cd"]) if "cd" in block else None,
@@ -236,7 +249,7 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
             m = build_measure(item["measure"], sp, f"{path}.measure")
             bound = _number(item["bound"], f"{path}.bound") if "bound" in item else None
             f = build_function(item["f"], sp, bound=bound, path=f"{path}.f")
-            D = build_mask(item.get("set", list(sp.labels)), sp)
+            D = build_mask(item.get("set", list(sp.labels)), sp, f"{path}.set")
             if item.get("integral") == "q":
                 res = q_integral(op, m, f)
             else:
@@ -262,8 +275,8 @@ def _run_dependence(data, grid_step, seed, budget, tolerance):
     k = _number(data.get("k", 1.0), "scenario key 'k'")
     f = build_function(data["f"], sp, bound=k)
     g = build_function(data["g"], sp, bound=k, path="g")
-    A = build_mask(data.get("A", list(sp.labels)), sp)
-    B = build_mask(data.get("B", list(sp.labels)), sp)
+    A = build_mask(data.get("A", list(sp.labels)), sp, "A")
+    B = build_mask(data.get("B", list(sp.labels)), sp, "B")
     tri = build_op(data["triangle"], "triangle")
     query = DependenceQuery(m, f, g, A, B, tri, k,
                             allow_range_escape=_flag(data, "allow_range_escape"))
@@ -279,7 +292,7 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
     if variant == "q":
         conj = build_op(data["conj"], "conj")
         star = build_op(data["star"], "star")
-        phis = _triple(data.get("phi", {"expr": "x", "inverse": "x"}), build_shape)
+        phis = _triple(data.get("phi", {"expr": "x", "inverse": "x"}), build_shape, "phi")
         verdict = cheb.q_corollary_condition(conj, phis, star, grid_step=step)
     else:
         cfg = build_config(data["config"])
@@ -309,13 +322,13 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
     k = _number(data.get("y_bar", 1.0), "scenario key 'y_bar'") if cfg is None else cfg.k
     f = build_function(data["f"], sp, bound=k)
     g = build_function(data["g"], sp, bound=k, path="g")
-    A = build_mask(data.get("A", list(sp.labels)), sp)
-    B = None if cfg is None else build_mask(data.get("B", list(sp.labels)), sp)
+    A = build_mask(data.get("A", list(sp.labels)), sp, "A")
+    B = None if cfg is None else build_mask(data.get("B", list(sp.labels)), sp, "B")
     evidence = f"grid({step})"
     if pipeline == "sugeno":
         rep = cheb.sugeno_chebyshev(m, f, g, A,
-                                    _triple(data.get("phi", "x"), build_shape),
-                                    _triple(data.get("psi", "x"), build_shape),
+                                    _triple(data.get("phi", "x"), build_shape, "phi"),
+                                    _triple(data.get("psi", "x"), build_shape, "psi"),
                                     build_op(data["star"], "star"), grid_step=step, y_bar=k)
     elif pipeline == "theorem-forward":
         rep = cheb.theorem1_forward(cfg, m, f, g, A, B, grid_step=step)

@@ -201,6 +201,18 @@ class TestConditionC2:
         assert rep.agree
         assert not rep.disagreement_is_bug
 
+    def test_equivalence_builds_the_right_tables_once(self, monkeypatch):
+        built = []
+        real = chebyshev._right_tables
+        monkeypatch.setattr(chebyshev, "_right_tables",
+                            lambda *args: built.append(args) or real(*args))
+        for cfg in (w_config(cd_values([0.0, 1.0])), w_config(cd_interval(0.0, 1.0))):
+            built.clear()
+            rep = c1_iff_c2(cfg, grid_step=0.1)
+            assert len(built) == 1
+            assert (rep.c1, rep.c2) == (check_scalar_condition(cfg, 0.1),
+                                        check_condition_C2(cfg, 0.1))
+
 
 # ---------------------------------------------------------------------------
 # Integral inequality

@@ -439,6 +439,32 @@ _EXIT_TWO = {
                                "integrals[0].bound must be a number, got '2'"),
     "function-missing-atom": ("minitive-dependence", "check-dependence",
                               lambda d: d["f"].pop("x3"), "f.x3 is missing"),
+    # an op, function or mask block of the wrong container type used to end
+    # in an AttributeError or TypeError traceback with exit 1
+    "number-triangle": ("minitive-dependence", "check-dependence",
+                        lambda d: d.update(triangle=5), "triangle must be an object, got 5"),
+    "list-triangle": ("minitive-dependence", "check-dependence",
+                      lambda d: d.update(triangle=["min"]),
+                      "triangle must be an object, got ['min']"),
+    "null-triangle": ("minitive-dependence", "check-dependence",
+                      lambda d: d.update(triangle=None), "triangle must be an object, got None"),
+    "number-function": ("minitive-dependence", "check-dependence", lambda d: d.update(f=5),
+                        "f must be a list, got 5"),
+    "null-function": ("minitive-dependence", "check-dependence", lambda d: d.update(g=None),
+                      "g must be a list, got None"),
+    "number-mask": ("minitive-dependence", "check-dependence", lambda d: d.update(A=5),
+                    "A must be a list, got 5"),
+    "null-mask": ("minitive-dependence", "check-dependence", lambda d: d.update(B=None),
+                  "B must be a list, got None"),
+    "number-op-flags": ("w-chebyshev-unit-interval", "check-condition",
+                        lambda d: d["config"].update(inner={"expr": "a*b", "flags": 5}),
+                        "config.inner.flags must be an object, got 5"),
+    "number-shape": ("w-chebyshev-unit-interval", "check-condition",
+                     lambda d: d["config"].update(phi=["x", 5, "x"]),
+                     "config.phi[1] must be an object, got 5"),
+    "two-circs": ("w-chebyshev-unit-interval", "check-condition",
+                  lambda d: d["config"].update(circ=["min", "min"]),
+                  "config.circ must hold exactly three entries"),
 }
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import chebint
 from chebint import chebyshev, scan as scan_module
-from chebint.scan import _BLOCK, TOL, Verdict, _gather, _Slabs, distinct, scan, scan_separable
+from chebint.scan import (_BLOCK, TOL, Verdict, _gather, _level_set_maxima, _Slabs, distinct,
+                          scan, scan_separable)
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -373,3 +374,23 @@ def test_constant_rhs_fills_the_slab_table():
     got, want = separable_and_plain(u, v, p, q, left=lambda x, t: 0.0, right=lambda x, y: 1.0)
     assert got == want
     assert got[0].witness == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_level_set_maxima_and_their_guard():
+    cd = np.linspace(0.0, 1.0, 5)
+    rising = np.tile(cd, (3, 1))  # a p or q table over (a, c) or (b, d)
+    _, v_min = distinct(np.minimum(cd[:, None], cd[None, :]))
+    # the level set min(c, d) = cd[i] ends at (i, 4) and (4, i)
+    kc, kd = _level_set_maxima(v_min, rising, rising, (0.0, 1.0))
+    assert sorted(zip(kc.tolist(), kd.tolist())) == sorted(
+        [(i, 4) for i in range(5)] + [(4, i) for i in range(4)])
+    # the zero level of Lukasiewicz keeps its antidiagonal: 15 of 25 points
+    _, v_luk = distinct(np.maximum(cd[:, None] + cd[None, :] - 1.0, 0.0))
+    assert _level_set_maxima(v_luk, rising, rising, (0.0, 1.0)) is None
+    # no box, or a table that is not 2-D, finite, inside the box and non-decreasing along axis 1
+    for box, table in [(None, rising), ((0.0, 0.5), rising), ((0.0, 1.0), rising - 0.5),
+                       ((0.0, 1.0), rising[:, ::-1]), ((0.0, 1.0), rising[0]),
+                       ((0.0, 1.0), np.where(rising > 0.5, np.nan, rising)),
+                       ((0.0, np.inf), np.where(rising == 1.0, np.inf, rising))]:
+        assert _level_set_maxima(v_min, table, rising, box) is None
+        assert _level_set_maxima(v_min, rising, table, box) is None

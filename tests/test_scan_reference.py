@@ -8,6 +8,7 @@ rhs, detail, evidence) or raise the same exception with the same message.
 """
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from chebint import chebyshev as cheb
 from chebint import fusion
+from chebint import scan as scan_module
 from chebint.chebyshev import HypothesisError, _k_grid
 from chebint.fusion import apply_op, eval_op
 from chebint.scan import EQ_TOL, TOL, Verdict
@@ -313,3 +315,118 @@ def test_row_errors_name_the_reference_first_bad_value():
     got = outcome(fusion.dominates, lift, skew, 0.1)
     assert got == ("EvalError", "negative final value -0.20000000000000018")
     assert got == outcome(reference_dominates, lift, skew, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Level-set pruning of the separable scans
+# ---------------------------------------------------------------------------
+
+
+def unpruned(fn, *args):
+    """``outcome`` with every separable scan comparing every point."""
+    with mock.patch.object(scan_module, "_level_set_maxima", lambda *tables: None):
+        return outcome(fn, *args)
+
+
+def pruned_regardless(fn, *args):
+    """``outcome`` with the maximal points compared whatever the guard says:
+    what a scan without its guard would report."""
+    def maxima(v_index, p, q, box):
+        keep = np.ones(v_index.shape, dtype=bool)
+        keep[:-1] &= v_index[1:] != v_index[:-1]
+        keep[:, :-1] &= v_index[:, 1:] != v_index[:, :-1]
+        return np.nonzero(keep)
+
+    with mock.patch.object(scan_module, "_level_set_maxima", maxima):
+        return outcome(fn, *args)
+
+
+BUILTINS = st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin)
+
+
+@st.composite
+def builtin_configs(draw):
+    """Builtin operations, identity and power shapes (the narrow one raises
+    past 0.8), a min triangle half the time: min level sets are what prunes."""
+    ops = [draw(BUILTINS) for _ in range(6)]
+    triangle = _MN if draw(st.booleans()) else ops[5]
+    shapes = [draw(SHAPES) for _ in range(6)]
+    return cheb.config(ops[0], ops[1], tuple(ops[2:5]), triangle, tuple(shapes[:3]),
+                       tuple(shapes[3:]), k=draw(st.sampled_from([1.0, 0.6])),
+                       cd_domain=draw(CD))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=builtin_configs(), outer=BUILTINS, inner=BUILTINS, h=STEPS)
+def test_pruned_scans_match_the_unpruned_scans(cfg, outer, inner, h):
+    assert (outcome(cheb.check_scalar_condition, cfg, h)
+            == unpruned(cheb.check_scalar_condition, cfg, h))
+    assert outcome(fusion.dominates, outer, inner, h) == unpruned(fusion.dominates, outer, inner, h)
+
+
+# (x, t) -> t: the left side is min(c, d) and the right side outer(psi2(c), psi3(d))
+_SECOND = fusion.expr_op("second", "b", **_FLAGS)
+
+
+def test_an_expression_outer_is_not_pruned():
+    # declared non-decreasing, but 0 at both ends of each axis: every maximal
+    # point of a min level set, (t, 1) or (1, t), has rhs 0
+    bump = fusion.expr_op("bump", "16*a*(1 - a)*b*(1 - b)", **_FLAGS)
+    cfg = cheb.config(_MN, bump, (_SECOND,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT)
+    got = outcome(cheb.check_scalar_condition, cfg, 0.1)
+    assert got[1].status == "violated" and got[1].witness == (0.0, 0.0, 0.1, 0.1)
+    assert got == unpruned(cheb.check_scalar_condition, cfg, 0.1)
+    assert pruned_regardless(cheb.check_scalar_condition, cfg, 0.1)[1].holds
+
+
+def test_a_psi_decreasing_along_c_is_not_pruned():
+    # psi2 = psi3 = 1 - x, declared non-decreasing: the right side is largest at (t, t)
+    falling = cheb.shape("1-x", "1 - x", domain=(0.0, 1.0), non_decreasing=True)
+    ident = cheb.identity_shape()
+    cfg = cheb.config(_MN, _MN, (_SECOND,) * 3, _MN, _IDS, (ident, falling, falling),
+                      cd_domain=_UNIT)
+    got = outcome(cheb.check_scalar_condition, cfg, 0.1)
+    assert got[1].status == "violated" and got[1].witness == (0.0, 0.0, 0.0, 0.0)
+    assert got == unpruned(cheb.check_scalar_condition, cfg, 0.1)
+    assert pruned_regardless(cheb.check_scalar_condition, cfg, 0.1)[1].holds
+
+
+def test_prod_on_a_negative_table_is_not_pruned():
+    # p = q = x - 1 rise along c and d, but prod falls in one argument where
+    # the other is negative: (0, 0) flags, no maximal point does (9 of 25 points)
+    cd = np.linspace(0.0, 1.0, 5)
+    v = np.minimum(cd[:, None], cd[None, :])
+    p = q = (cd - 1.0)[None, :]
+    prod = fusion.prod_op()
+
+    def at(a, b, c, d):
+        return min(c, d), (c - 1.0) * (d - 1.0)
+
+    def run():
+        return scan_module.scan_separable(np.zeros(1), cd, lambda a: np.zeros(1), v, p, q,
+                                          lambda x, t: x + t, partial(apply_op, prod), at, "",
+                                          fusion.monotone_box(prod))
+
+    got = outcome(run)
+    assert got == ("verdict", Verdict("violated", (0.0, 0.0, 0.0, 0.0), 0.0, 1.0))
+    assert got == unpruned(run)
+    assert pruned_regardless(run)[1].holds
+
+
+def test_pruned_row_errors_name_the_reference_first_bad_value():
+    """psi1 = x^2 on [0, 0.8] raises first at 0.816 in the order of v's
+    distinct values, at 0.9 in (b, c, d) order.  phi1 is evaluated in the
+    row function, the same in both layouts, so its errors cannot tell the
+    orders apart."""
+    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
+                        non_decreasing=True, increasing=True)
+    ident = cheb.identity_shape()
+    circ1 = fusion.expr_op("sum", "min(1, a + b)", **_FLAGS)
+    triangle = fusion.expr_op("skew", "min(a, 1 - b)", **_FLAGS)  # min-like level sets
+    cfg = cheb.config(_PR, _MN, (circ1, _MN, _MN), triangle,
+                      (cheb.power_shape(0.5), ident, ident), (narrow, ident, ident),
+                      cd_domain=cheb.cd_values([1.0, 0.2, 0.5, 0.5, 0.9]))
+    got = outcome(cheb.check_scalar_condition, cfg, 0.1)
+    assert got[1].detail == "the value sq-0.8(0.9) is not defined (domain [0.0, 0.8])"
+    assert got == outcome(reference_c1, cfg, 0.1)
+    assert got == unpruned(cheb.check_scalar_condition, cfg, 0.1)
