@@ -91,7 +91,8 @@ def _confirm(viol, value, rest, at, evidence):
     return Verdict("violated", point, wl, wr, evidence=evidence) if wl < wr - TOL else None
 
 
-def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None) -> Verdict:
+def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
+                   left_box=None) -> Verdict:
     """Scan ab x ab x cd x cd for a point (a, b, c, d) where
     ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
 
@@ -116,13 +117,21 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None) -> V
     stepping c or d up inside the set.  When at most half the (c, d) points
     are maximal, a row first compares only those and is skipped when none
     flags; a row that flags is scanned whole as above, for its witness.
+
+    ``left_box`` is the dual: None or a box on which ``left`` is
+    non-decreasing in both arguments.  Inside level sets of p over (a, c)
+    and q over (b, d) the right side is constant, and where v and the rows
+    u(a) lie in the box and do not decrease, the left side only falls as a,
+    b, c or d step down inside the sets.  So every row before the first
+    whose minimal points flag holds (``_level_set_minima``), and the rows
+    run as above from that one.
     """
     rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
     check_row(*row)
     v_values, v_index = distinct(v)
     q_db = np.ascontiguousarray(q.T)
     keys = np.broadcast_to(np.asarray(p, dtype=float), (len(ab), len(cd)))
-    if (maxima := _level_set_maxima(v_index, p, q, box)) is not None:
+    if (maxima := _level_set_maxima(v, p, q, box)) is not None:
         kc, kd = maxima
         levels, kept_keys, kept_q = v_index[kc, kd], keys[:, kc, None], q_db[kd]
     viol = np.empty(row, dtype=bool)
@@ -139,7 +148,12 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None) -> V
             right(p[i][None, :, None], q[:, None, :])
             raise
 
-    for i in range(len(ab)):
+    # minimal points are compared when at most half the points and no more than
+    # the maximal points' rows compare; an equal q shares p's level sets
+    most = len(levels) * len(ab) ** 2 if maxima is not None else keys.size ** 2 // 2
+    first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
+                              left_box, most)
+    for i in range(first, len(ab)):
         if maxima is not None:  # (maximal point, b)
             lhs, rhs = sides(i, kept_keys[i], kept_q)
             lhs = np.take(_fit(lhs, (len(v_values), len(ab))), levels, axis=0, mode="clip")
@@ -167,7 +181,7 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None) -> V
     return Verdict("holds-on-grid", evidence=evidence)
 
 
-def _level_set_maxima(v_index, p, q, box):
+def _level_set_maxima(v, p, q, box):
     """The (c, d) indices of the points that are maximal in their level set
     of v: neither v[c + 1, d] nor v[c, d + 1] has v[c, d]'s bits.
 
@@ -175,19 +189,68 @@ def _level_set_maxima(v_index, p, q, box):
     a 2-D table of finite values inside the box that does not decrease along
     axis 1, or when more than half the points are maximal.
     """
-    if box is None:
+    if box is None or not (_monotone(p, box, (1,)) and _monotone(q, box, (1,))):
         return None
-    lo, hi = box
-    for table in (p, q):
-        table = np.asarray(table, dtype=float)
-        if (table.ndim != 2 or not (np.isfinite(table) & (table >= lo) & (table <= hi)).all()
-                or (np.diff(table, axis=1) < 0).any()):
-            return None
-    keep = np.ones(v_index.shape, dtype=bool)
-    keep[:-1] &= v_index[1:] != v_index[:-1]
-    keep[:, :-1] &= v_index[:, 1:] != v_index[:, :-1]
-    kc, kd = np.nonzero(keep)
-    return (kc, kd) if 2 * len(kc) <= keep.size else None
+    kc, kd = np.nonzero(_level_set_ends(v, up=True))
+    return (kc, kd) if 2 * len(kc) <= np.size(v) else None
+
+
+def _level_set_minima(ab, u, v, p, q, left, right, box, left_box, most):
+    """The first row of a separable scan with a flagged point that is minimal
+    in its level sets of p over (a, c) and q over (b, d), or len(ab): every
+    row before it holds.  A point is minimal when neither p[a - 1, c] nor
+    p[a, c - 1] has p[a, c]'s bits, and the same for q.  The minimal points
+    are compared in row order, in blocks that double from ``_BLOCK / 8``
+    points up to ``_BLOCK``.
+
+    0, for a scan of every row, when either box is missing (both operations
+    must be builtins: exact, elementwise and unable to raise), when q does
+    not have p's shape, when more than ``most`` (a, b, c, d) points are
+    minimal, or when v or the (a, b) table ``u(ab[:, None])`` is not a 2-D
+    table of finite values inside ``left_box`` that does not decrease along
+    either axis.
+    """
+    if box is None or left_box is None or np.shape(q) != p.shape:
+        return 0
+    ends_p = _level_set_ends(p, up=False)
+    ends_q = ends_p if q is p else _level_set_ends(q, up=False)
+    if (np.count_nonzero(ends_p) * np.count_nonzero(ends_q) > most
+            or not _monotone(v, left_box, (0, 1))
+            or not _monotone(u_ab := _fit(u(ab[:, None]), (len(ab), len(ab))), left_box, (0, 1))):
+        return 0
+    (ka, kc), (kb, kd) = np.nonzero(ends_p), np.nonzero(ends_q)
+    p_k, q_k = p[ka, kc, None], q[kb, kd]
+    start, size, block = 0, max(_BLOCK // 8 // len(kb), 1), max(_BLOCK // len(kb), 1)
+    while start < len(ka):  # a block below _BLOCK / 8 points costs about its call overhead
+        ks = slice(start, start + size)
+        flags = np.less(left(np.take(u_ab[ka[ks]], kb, axis=1), np.take(v[kc[ks]], kd, axis=1)),
+                        np.subtract(right(p_k[ks], q_k), TOL))
+        if flags.any():
+            return int(ka[start + np.argmax(flags) // len(kb)])
+        start, size = start + size, min(2 * size, block)
+    return len(ab)
+
+
+def _level_set_ends(table, up):
+    """The points of a 2-D table whose bit pattern no neighbour one step up
+    (``up``), or one step down, along either axis shares."""
+    ids = np.ascontiguousarray(table, dtype=float).view(np.int64)
+    keep = np.ones(ids.shape, dtype=bool)
+    end = slice(None, -1) if up else slice(1, None)
+    keep[end] &= ids[1:] != ids[:-1]
+    keep[:, end] &= ids[:, 1:] != ids[:, :-1]
+    return keep
+
+
+def _monotone(table, box, axes):
+    """Whether ``table`` is a 2-D table of finite values inside ``box`` that
+    does not decrease along ``axes``."""
+    table = np.asarray(table, dtype=float)
+    steps = (table.T if ax else table for ax in axes)
+    if table.ndim != 2 or not all((t[1:] >= t[:-1]).all() for t in steps):  # NaN fails
+        return False
+    ends = np.array([table.min(initial=box[1]), table.max(initial=box[0])])
+    return bool(np.isfinite(ends).all() and box[0] <= ends[0] and ends[1] <= box[1])
 
 
 def _gather(data, slots, out):

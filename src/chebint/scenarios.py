@@ -87,13 +87,19 @@ def _array(block, path) -> list:
     return block
 
 
+def _key(block, key, path):
+    """block[key]; a missing key is an error naming its path."""
+    if key not in block:
+        raise ScenarioError(f"{path}.{key} is missing")
+    return block[key]
+
+
 def _atom_numbers(values, sp: FiniteSpace, path):
     """The numbers a {label: number} block gives the atoms, in the space's atom order."""
     if not isinstance(values, dict):
         raise ScenarioError(f"{path} must map atom labels to numbers")
     for lab in sp.labels:
-        if lab not in values:
-            raise ScenarioError(f"{path}.{lab} is missing")
+        _key(values, lab, path)
     return [_number(values[lab], f"{path}.{lab}") for lab in sp.labels]
 
 
@@ -103,7 +109,7 @@ def build_op(block, path="op") -> fusion.FusionOp:
     if "builtin" in block:
         return fusion.builtin(block["builtin"], y_bar)
     flags = _object(block.get("flags", {}), f"{path}.flags")
-    return fusion.expr_op(block.get("name", "custom"), block["expr"], y_bar=y_bar,
+    return fusion.expr_op(block.get("name", "custom"), _key(block, "expr", path), y_bar=y_bar,
                           arg_names=tuple(_array(block.get("args", ["a", "b"]), f"{path}.args")),
                           **flags)
 
@@ -116,7 +122,8 @@ def build_shape(block, path="shape") -> cheb.ShapeFunction:
     block = _object({"expr": block} if isinstance(block, str) else block, path)
     flags = dict(_SHAPE_DEFAULTS)
     flags.update(_object(block.get("flags", {}), f"{path}.flags"))
-    return cheb.shape(block.get("name", block["expr"]), block["expr"],
+    expr = _key(block, "expr", path)
+    return cheb.shape(block.get("name", expr), expr,
                       inverse=block.get("inverse"),
                       var=block.get("var", "x"),
                       domain=tuple(block.get("domain", (0.0, 1.0))),
@@ -170,8 +177,7 @@ def build_config(block) -> cheb.InequalityConfig:
         if key not in _CONFIG_KEYS:
             raise ScenarioError(f"config.{key}: unknown key")
     for key in _CONFIG_KEYS[:3]:  # inner, outer, circ
-        if key not in block:
-            raise ScenarioError(f"config.{key} is missing")
+        _key(block, key, "config")
     return cheb.config(
         inner=build_op(block["inner"], "config.inner"),
         outer=build_op(block["outer"], "config.outer"),
@@ -186,9 +192,14 @@ def build_config(block) -> cheb.InequalityConfig:
 
 
 def build_survival(block, path):
+    block = _object(block, path)
+    segments = _array(_key(block, "segments", path), f"{path}.segments")
+    for j, seg in enumerate(segments):
+        if not (isinstance(seg, list) and len(seg) == 2 and all(isinstance(x, str) for x in seg)):
+            raise ScenarioError(f"{path}.segments[{j}] must be two strings, "
+                                f"[interval, expression], got {seg!r}")
     return survival_scenario(_number(block.get("y_bar", 1.0), f"{path}.y_bar"),
-                             [(seg[0], seg[1]) for seg in block["segments"]],
-                             var=block.get("var", "t"))
+                             [tuple(seg) for seg in segments], var=block.get("var", "t"))
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,38 @@ _EXIT_TWO = {
     "two-circs": ("w-chebyshev-unit-interval", "check-condition",
                   lambda d: d["config"].update(circ=["min", "min"]),
                   "config.circ must hold exactly three entries"),
+    # an op or shape object without "expr" printed a bare "error: 'expr'"
+    "op-without-expr": ("minitive-dependence", "check-dependence",
+                        lambda d: d.update(triangle={"flags": {}}), "triangle.expr is missing"),
+    "shape-without-expr": ("w-chebyshev-unit-interval", "check-condition",
+                           lambda d: d["config"].update(phi=["x", {"flags": {}}, "x"]),
+                           "config.phi[1].expr is missing"),
+    # survival blocks of the wrong type used to end in an AttributeError,
+    # TypeError or IndexError traceback with exit 1; a missing segments
+    # list printed a bare "error: 'segments'"
+    "number-survival": ("minitive-sugeno-values", "integrate",
+                        lambda d: d["integrals"][0].update(survival=5),
+                        "integrals[0].survival must be an object, got 5"),
+    "survival-without-segments": ("minitive-sugeno-values", "integrate",
+                                  lambda d: d["integrals"][0]["survival"].pop("segments"),
+                                  "integrals[0].survival.segments is missing"),
+    "number-segments": ("minitive-sugeno-values", "integrate",
+                        lambda d: d["integrals"][0]["survival"].update(segments=5),
+                        "integrals[0].survival.segments must be a list, got 5"),
+    "number-segment": ("minitive-sugeno-values", "integrate",
+                       lambda d: d["integrals"][0]["survival"].update(segments=[5]),
+                       "integrals[0].survival.segments[0] must be two strings"),
+    "one-string-segment": ("minitive-sugeno-values", "integrate",
+                           lambda d: d["integrals"][0]["survival"].update(segments=[["[0, 1]"]]),
+                           "integrals[0].survival.segments[0] must be two strings"),
+    "number-segment-interval": ("minitive-sugeno-values", "integrate",
+                                lambda d: d["integrals"][0]["survival"].update(
+                                    segments=[[5, "1-t"]]),
+                                "integrals[0].survival.segments[0] must be two strings"),
+    "number-segment-expr": ("minitive-sugeno-values", "integrate",
+                            lambda d: d["integrals"][2]["survival"].update(
+                                segments=[["[0, 1]", 5]]),
+                            "integrals[2].survival.segments[0] must be two strings"),
 }
 
 

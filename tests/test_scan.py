@@ -4,13 +4,17 @@
 equal verdicts and the same points re-checked in the same order.
 """
 
+import math
+from functools import partial
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import chebint
 from chebint import chebyshev, scan as scan_module
-from chebint.scan import (_BLOCK, TOL, Verdict, _gather, _level_set_maxima, _Slabs, distinct,
-                          scan, scan_separable)
+from chebint.scan import (_BLOCK, TOL, Verdict, _gather, _level_set_ends, _level_set_maxima,
+                          _level_set_minima, _Slabs, distinct, scan, scan_separable)
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -394,3 +398,41 @@ def test_level_set_maxima_and_their_guard():
                        ((0.0, np.inf), np.where(rising == 1.0, np.inf, rising))]:
         assert _level_set_maxima(v_min, table, rising, box) is None
         assert _level_set_maxima(v_min, rising, table, box) is None
+
+
+def test_level_set_minima_and_their_guard():
+    xs = np.linspace(0.0, 1.0, 5)
+    table = np.minimum(xs[:, None], xs[None, :])
+    # the level set min(a, c) = xs[i] ends at (i, i) going down, at (i, 4) and (4, i) going up
+    assert (_level_set_ends(table, up=False) == np.eye(5, dtype=bool)).all()
+    assert _level_set_ends(table, up=True).sum() == 9
+    mn = partial(chebint.fusion.apply_op, chebint.fusion.min_op())
+    prod = partial(chebint.fusion.apply_op, chebint.fusion.prod_op())
+    unit = (0.0, 1.0)
+
+    def first(left=mn, right=prod, **changes):
+        args = dict(ab=xs, u=lambda a: np.minimum(a, xs), v=table, p=table, q=table, box=unit,
+                    left_box=unit, most=math.inf)
+        args.update(changes)
+        return _level_set_minima(left=left, right=right, **args)
+
+    # min(a, b, c, d) >= min(a, c) * min(b, d) clears every row; the reverse
+    # first flags in row 1, at its minimal point (1/4, 1/4, 1/4, 1/4)
+    assert first() == 5
+    assert first(left=prod, right=mn) == 1
+    assert first(most=25) == 5  # 5 x 5 minimal points
+    with mock.patch.object(scan_module, "_BLOCK", 8):  # one minimal (a, c) point per block
+        assert first(left=prod, right=mn) == 1
+    # q = d has the minimal points (0, d), which flag at (1/4, 0, 1/4, d) for
+    # every d > 0; the diagonal, p's, would not flag at all
+    assert first(q=np.tile(xs, (5, 1))) == 1
+    # no box, q not shaped like p, too many minimal points, or v or the rows
+    # u(a) not 2-D, finite, inside the box and non-decreasing along both axes
+    for changes in [dict(box=None), dict(left_box=None), dict(q=table[:, :4]), dict(most=24),
+                    dict(v=table[:, ::-1]), dict(v=table[::-1]), dict(v=table + 0.5),
+                    dict(v=np.where(table > 0.5, np.nan, table)), dict(v=table[0]),
+                    dict(u=lambda a: np.minimum(1.0 - a, xs)),
+                    dict(u=lambda a: np.minimum(a, xs[::-1])),
+                    dict(u=lambda a: np.minimum(a, xs) - 0.5),
+                    dict(u=lambda a: np.where(a + xs > 1.5, np.inf, a + xs), left_box=(0.0, np.inf))]:
+        assert first(**changes) == 0, changes

@@ -7,10 +7,12 @@ power-shape configurations must give the same Verdict (status, witness, lhs,
 rhs, detail, evidence) or raise the same exception with the same message.
 """
 
+import math
 from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -323,8 +325,10 @@ def test_row_errors_name_the_reference_first_bad_value():
 
 
 def unpruned(fn, *args):
-    """``outcome`` with every separable scan comparing every point."""
-    with mock.patch.object(scan_module, "_level_set_maxima", lambda *tables: None):
+    """``outcome`` with every separable scan comparing every point: no maximal
+    points and no rows cleared by minimal points."""
+    with mock.patch.object(scan_module, "_level_set_maxima", lambda *tables: None), \
+            mock.patch.object(scan_module, "_level_set_minima", lambda *tables: 0):
         return outcome(fn, *args)
 
 
@@ -339,6 +343,32 @@ def pruned_regardless(fn, *args):
 
     with mock.patch.object(scan_module, "_level_set_maxima", maxima):
         return outcome(fn, *args)
+
+
+def minima_regardless(fn, *args):
+    """``outcome`` with the rows cleared by minimal points whatever the guard
+    says: what a scan without that guard would report."""
+    real = scan_module._level_set_minima
+
+    def minima(ab, u, v, p, q, left, right, box, left_box, most):
+        with mock.patch.object(scan_module, "_monotone", lambda *args: True):
+            return real(ab, u, v, p, q, left, right, (0.0, 1.0), (0.0, 1.0), math.inf)
+
+    with mock.patch.object(scan_module, "_level_set_minima", minima):
+        return outcome(fn, *args)
+
+
+def cleared_rows(fn, *args):
+    """The rows each separable scan of ``fn(*args)`` cleared by its minimal points."""
+    real, cleared = scan_module._level_set_minima, []
+
+    def minima(*args):
+        cleared.append(real(*args))
+        return cleared[-1]
+
+    with mock.patch.object(scan_module, "_level_set_minima", minima):
+        outcome(fn, *args)
+    return cleared
 
 
 BUILTINS = st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin)
@@ -430,3 +460,89 @@ def test_pruned_row_errors_name_the_reference_first_bad_value():
     assert got[1].detail == "the value sq-0.8(0.9) is not defined (domain [0.0, 0.8])"
     assert got == outcome(reference_c1, cfg, 0.1)
     assert got == unpruned(cheb.check_scalar_condition, cfg, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Rows cleared by the minimal points of the separable scans
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+@pytest.mark.parametrize("inner", fusion.BUILTIN_KINDS)
+@pytest.mark.parametrize("outer", fusion.BUILTIN_KINDS)
+def test_dominates_with_cleared_rows_matches_the_unpruned_scan(outer, inner, h):
+    """Every builtin pair, godel and godel_contra included, in both orders."""
+    outer, inner = fusion.builtin(outer), fusion.builtin(inner)
+    got = outcome(fusion.dominates, outer, inner, h)
+    assert got == unpruned(fusion.dominates, outer, inner, h)
+    if outer.kind == "min":  # min dominates every non-decreasing operation: the diagonal
+        assert got[1].holds  # clears every row
+        assert cleared_rows(fusion.dominates, outer, inner, h) == [round(1 / h) + 1]
+
+
+def test_a_row_whose_minimal_points_flag_hands_over_to_the_whole_row():
+    """Row 0 holds and row 1 flags at its minimal point (1/4, 1/4, 1/4, 1/4),
+    where the scan starts.  ``at`` rejects row 1's first flagged point, so the
+    witness is row 2's, as in the unpruned scan."""
+    xs = np.linspace(0.0, 1.0, 5)
+    table = np.minimum(xs[:, None], xs[None, :])
+    prod, mn = partial(apply_op, fusion.prod_op()), partial(apply_op, _MN)
+
+    def at(a, b, c, d):
+        return (1.0, 0.0) if a == 0.25 else (min(a, b) * min(c, d), min(a, b, c, d))
+
+    def run():
+        return scan_module.scan_separable(xs, xs, lambda a: np.minimum(a, xs), table, table,
+                                          table, prod, mn, at, "", (0.0, 1.0), (0.0, 1.0))
+
+    got = outcome(run)
+    assert got == ("verdict", Verdict("violated", (0.5, 0.25, 0.25, 0.25), 0.0625, 0.25))
+    assert got == unpruned(run)
+    assert cleared_rows(run) == [1]
+
+
+def test_an_expression_outer_clears_no_rows():
+    # declared non-decreasing, but it falls in its second argument: the
+    # minimal points hold and (1/2, 1/2, 1/2, 1) does not
+    falls = fusion.expr_op("falls", "max(0, a*b + (a - b)/2)", **_FLAGS)
+    got = outcome(fusion.dominates, falls, _PR, 0.5)
+    assert got[1].status == "violated" and got[1].witness == (0.5, 0.5, 0.5, 1.0)
+    assert got == unpruned(fusion.dominates, falls, _PR, 0.5)
+    assert minima_regardless(fusion.dominates, falls, _PR, 0.5)[1].holds
+
+
+# The synthetic scans below have a constant rhs = min(r, r), so p and q have
+# one level set each and (0, 0, 0, 0) is the one minimal point, where lhs >= r.
+_XS = np.linspace(0.0, 1.0, 3)
+
+
+def _constant_rhs_scan(u, v, left, r):
+    left, pq = partial(apply_op, left), np.full((3, 3), r)
+
+    def at(a, b, c, d):
+        j, k, m = (int(round(2 * x)) for x in (b, c, d))
+        return float(left(np.asarray(u(a), dtype=float)[j], v[k, m])), r
+
+    def run():
+        return scan_module.scan_separable(_XS, _XS, u, v, pq, pq, left, partial(apply_op, _MN),
+                                          at, "", (0.0, 1.0), (0.0, 1.0))
+    return run
+
+
+@pytest.mark.parametrize("u,v,left,r,witness", [
+    # v falls along c: lhs = v[c, d] = 0 away from c = 0
+    (lambda a: np.ones(3), np.array([[1.0] * 3, [0.0] * 3, [0.0] * 3]), _MN, 0.5,
+     (0.0, 0.0, 0.5, 0.0)),
+    # the row u(1/2) falls below u(0)
+    (lambda a: np.where(np.asarray(a) == 0.0, 1.0, 0.0) * np.ones(3), np.ones((3, 3)), _MN, 0.5,
+     (0.5, 0.0, 0.0, 0.0)),
+    # u = -1 lies outside the box, where prod falls in its second argument
+    (lambda a: -np.ones(3), np.tile(_XS, (3, 1)), fusion.prod_op(), -0.5, (0.0, 0.0, 0.0, 1.0)),
+], ids=["v-falls-along-c", "u-row-falls", "u-outside-the-box"])
+def test_a_broken_guard_clears_no_rows(u, v, left, r, witness):
+    run = _constant_rhs_scan(u, v, left, r)
+    got = outcome(run)
+    assert got[1].status == "violated" and got[1].witness == witness
+    assert got == unpruned(run)
+    assert cleared_rows(run) == [0]
+    assert minima_regardless(run)[1].holds
