@@ -124,7 +124,9 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     u(a) lie in the box and do not decrease, the left side only falls as a,
     b, c or d step down inside the sets.  So every row before the first
     whose minimal points flag holds (``_level_set_minima``), and the rows
-    run as above from that one.
+    run as above from that one.  With a ``left_box``, ``u`` must also take
+    the column ``ab[:, None]`` and return the (a, b) table whose rows are
+    the row calls' values bit for bit.
     """
     rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
     check_row(*row)
@@ -200,34 +202,32 @@ def _level_set_minima(ab, u, v, p, q, left, right, box, left_box, most):
     in its level sets of p over (a, c) and q over (b, d), or len(ab): every
     row before it holds.  A point is minimal when neither p[a - 1, c] nor
     p[a, c - 1] has p[a, c]'s bits, and the same for q.  The minimal points
-    are compared in row order, in blocks that double from ``_BLOCK / 8``
-    points up to ``_BLOCK``.
+    are compared in row order, ``_BLOCK`` points at a time.
 
     0, for a scan of every row, when either box is missing (both operations
-    must be builtins: exact, elementwise and unable to raise), when q does
-    not have p's shape, when more than ``most`` (a, b, c, d) points are
-    minimal, or when v or the (a, b) table ``u(ab[:, None])`` is not a 2-D
-    table of finite values inside ``left_box`` that does not decrease along
-    either axis.
+    must be builtins: exact, elementwise and unable to raise), when more
+    than ``most`` (a, b, c, d) points are minimal, when ``u(ab[:, None])``
+    is not an (a, b) table, or when it or v is not a table of finite values
+    inside ``left_box`` that does not decrease along either axis.
     """
-    if box is None or left_box is None or np.shape(q) != p.shape:
+    if box is None or left_box is None:
         return 0
     ends_p = _level_set_ends(p, up=False)
     ends_q = ends_p if q is p else _level_set_ends(q, up=False)
     if (np.count_nonzero(ends_p) * np.count_nonzero(ends_q) > most
             or not _monotone(v, left_box, (0, 1))
-            or not _monotone(u_ab := _fit(u(ab[:, None]), (len(ab), len(ab))), left_box, (0, 1))):
+            or np.shape(u_ab := u(ab[:, None])) != (len(ab), len(ab))
+            or not _monotone(u_ab, left_box, (0, 1))):
         return 0
     (ka, kc), (kb, kd) = np.nonzero(ends_p), np.nonzero(ends_q)
     p_k, q_k = p[ka, kc, None], q[kb, kd]
-    start, size, block = 0, max(_BLOCK // 8 // len(kb), 1), max(_BLOCK // len(kb), 1)
-    while start < len(ka):  # a block below _BLOCK / 8 points costs about its call overhead
-        ks = slice(start, start + size)
+    block = max(_BLOCK // len(kb), 1)  # minimal (a, c) points per comparison
+    for start in range(0, len(ka), block):
+        ks = slice(start, start + block)
         flags = np.less(left(np.take(u_ab[ka[ks]], kb, axis=1), np.take(v[kc[ks]], kd, axis=1)),
                         np.subtract(right(p_k[ks], q_k), TOL))
         if flags.any():
             return int(ka[start + np.argmax(flags) // len(kb)])
-        start, size = start + size, min(2 * size, block)
     return len(ab)
 
 

@@ -426,9 +426,11 @@ def test_level_set_minima_and_their_guard():
     # q = d has the minimal points (0, d), which flag at (1/4, 0, 1/4, d) for
     # every d > 0; the diagonal, p's, would not flag at all
     assert first(q=np.tile(xs, (5, 1))) == 1
-    # no box, q not shaped like p, too many minimal points, or v or the rows
-    # u(a) not 2-D, finite, inside the box and non-decreasing along both axes
-    for changes in [dict(box=None), dict(left_box=None), dict(q=table[:, :4]), dict(most=24),
+    # no box, too many minimal points, a u that ignores the column of a values,
+    # or v or the rows u(a) not 2-D, finite, inside the box and non-decreasing
+    # along both axes
+    for changes in [dict(box=None), dict(left_box=None), dict(most=24),
+                    dict(u=lambda a: np.minimum(np.max(a), xs)),
                     dict(v=table[:, ::-1]), dict(v=table[::-1]), dict(v=table + 0.5),
                     dict(v=np.where(table > 0.5, np.nan, table)), dict(v=table[0]),
                     dict(u=lambda a: np.minimum(1.0 - a, xs)),

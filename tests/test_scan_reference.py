@@ -513,6 +513,7 @@ def test_an_expression_outer_clears_no_rows():
 
 # The synthetic scans below have a constant rhs = min(r, r), so p and q have
 # one level set each and (0, 0, 0, 0) is the one minimal point, where lhs >= r.
+# Each u broadcasts over a column of a values, as the guard requires.
 _XS = np.linspace(0.0, 1.0, 3)
 
 
@@ -531,13 +532,15 @@ def _constant_rhs_scan(u, v, left, r):
 
 @pytest.mark.parametrize("u,v,left,r,witness", [
     # v falls along c: lhs = v[c, d] = 0 away from c = 0
-    (lambda a: np.ones(3), np.array([[1.0] * 3, [0.0] * 3, [0.0] * 3]), _MN, 0.5,
+    (lambda a: np.ones(3) + 0.0 * np.asarray(a), np.array([[1.0] * 3, [0.0] * 3, [0.0] * 3]),
+     _MN, 0.5,
      (0.0, 0.0, 0.5, 0.0)),
     # the row u(1/2) falls below u(0)
     (lambda a: np.where(np.asarray(a) == 0.0, 1.0, 0.0) * np.ones(3), np.ones((3, 3)), _MN, 0.5,
      (0.5, 0.0, 0.0, 0.0)),
     # u = -1 lies outside the box, where prod falls in its second argument
-    (lambda a: -np.ones(3), np.tile(_XS, (3, 1)), fusion.prod_op(), -0.5, (0.0, 0.0, 0.0, 1.0)),
+    (lambda a: -np.ones(3) + 0.0 * np.asarray(a), np.tile(_XS, (3, 1)), fusion.prod_op(), -0.5,
+     (0.0, 0.0, 0.0, 1.0)),
 ], ids=["v-falls-along-c", "u-row-falls", "u-outside-the-box"])
 def test_a_broken_guard_clears_no_rows(u, v, left, r, witness):
     run = _constant_rhs_scan(u, v, left, r)
