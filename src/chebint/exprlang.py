@@ -208,11 +208,12 @@ class _Parser:
         if not self.accept(text):
             self.error(f"expected {text!r}, found {self.cur.text!r}")
 
-    def parse(self) -> Expr:
-        e = self.expr()
+    def whole(self, rule):
+        """What ``rule()`` parses, which must be the whole source."""
+        result = rule()
         if self.cur.kind != "eof":
             self.error(f"unexpected trailing input {self.cur.text!r}")
-        return e
+        return result
 
     def expr(self) -> Expr:
         e = self.term()
@@ -339,7 +340,14 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse a source string into an AST; raises ParseError with location."""
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    return parser.whole(parser.expr)
+
+
+def parse_interval(source: str) -> Interval:
+    """Parse an interval such as ``(0.25, 1]``; raises ParseError with location."""
+    parser = _Parser(source)
+    return parser.whole(parser.interval)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import compress
 
 import numpy as np
 
-from .exprlang import EvalError, Expr, Interval, eval_expr, parse
+from .exprlang import EvalError, Expr, Interval, eval_expr, parse, parse_interval
 from .scan import EQ_TOL, TOL, axis
 
 
@@ -326,15 +326,9 @@ def survival_scenario(y_bar, segments, var="t") -> SurvivalScenario:
     """Build a SurvivalScenario from (interval-text, expr-text) pairs."""
     parsed = []
     for interval, source in segments:
-        iv = interval if isinstance(interval, Interval) else _parse_interval(interval)
+        iv = interval if isinstance(interval, Interval) else parse_interval(interval)
         expr = parse(source) if isinstance(source, str) else source
         parsed.append((iv, expr))
     scenario = SurvivalScenario(float(y_bar), tuple(parsed), var)
     scenario.validate()
     return scenario
-
-
-def _parse_interval(text) -> Interval:
-    from .exprlang import _Parser
-
-    return _Parser(text).interval()

@@ -103,12 +103,12 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
 
     Rows run over (c, d, b), compared a cache-sized block of leading slabs at
     a time.  The left side is taken once per distinct value of v, as a
-    (value, b) table gathered through v's index.  The right side runs over
-    the contiguous (d, b) block of q, one slab per value of p[a, c]; a row
-    of at least ``_BLOCK`` points gathers its slabs from a ``_Slabs`` table
-    and evaluates only the values it lacks, a smaller row or one the table
-    refuses is evaluated whole.  When an evaluation raises, the row is re-run
-    in (b, c, d) order, so the error names the first bad value ``scan`` meets.
+    (value, b) table gathered through v's index.  The right side is taken
+    once per distinct bit pattern of the row's p[a, :], as a (key, d, b)
+    table over the contiguous (d, b) block of q, and each block gathers its
+    slabs from it (``_gather``).  When an evaluation raises, the row is
+    re-run in (b, c, d) order, so the error names the first bad value
+    ``scan`` meets.
 
     ``box`` is None or a box (lo, hi) on which ``right`` is non-decreasing in
     both arguments.  Inside a level set of v the left side is constant, so
@@ -140,7 +140,6 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     flagged = viol.transpose(2, 0, 1)  # a (b, c, d) view of each row's flags
     lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
     shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
-    slabs = _Slabs(row) if viol.size >= _BLOCK else None
 
     def sides(i, row_keys, q_side):  # lhs over (value, b); rhs of right(row_keys, q_side)
         try:
@@ -161,22 +160,16 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
             lhs = np.take(_fit(lhs, (len(v_values), len(ab))), levels, axis=0, mode="clip")
             if not np.less(lhs, np.subtract(rhs, TOL)).any():
                 continue
-        if (placed := slabs and slabs.place(keys[i])) is None:
-            lhs, rhs = sides(i, keys[i][:, None, None], q_db[None, :, :])
-            rhs = _fit(rhs, row)
-        else:
-            slots, fresh, store = placed
-            lhs, rhs = sides(i, fresh[:, None, None], q_db[None, :, :])
-            np.subtract(rhs, TOL, out=store)
-        lhs = _fit(lhs, (len(v_values), len(ab)))
+        values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
+        lhs, rhs = sides(i, values[:, None, None], q_db[None, :, :])
+        lhs, rhs = _fit(lhs, (len(v_values), len(ab))), _fit(rhs, (len(values),) + row[1:])
+        slots = index.tolist()
         for k in range(0, row[0], lead):
             n = min(lead, row[0] - k)
-            if placed is None:
-                shift = np.subtract(rhs[k:k + n], TOL, out=shifted[:n])
-            else:
-                shift = _gather(slabs.data, slots[k:k + n], shifted[:n])
+            slabs = _gather(rhs, slots[k:k + n], shifted[:n])
+            slabs = np.subtract(slabs, TOL, out=shifted[:len(slabs)])  # a repeat stays one slab
             np.less(np.take(lhs, v_index[k:k + n], axis=0, out=gathered[:n], mode="clip"),
-                    shift, out=viol[k:k + n])
+                    slabs, out=viol[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
         if viol.any() and (verdict := _confirm(flagged, ab[i], rest, at, evidence)):
             return verdict
@@ -267,37 +260,6 @@ def _gather(data, slots, out):
 def _fit(side, shape):
     """``side`` as an array of ``shape``: itself if it has that shape, else a broadcast view."""
     return side if np.shape(side) == shape else np.broadcast_to(side, shape)
-
-
-class _Slabs:
-    """The rhs slabs of a separable scan, ``slab - TOL``, keyed by the bit pattern of their key.
-
-    Holds at most one row's worth of slabs: the memory of the one rhs row
-    the whole-row path builds at a time.
-    """
-
-    def __init__(self, row):
-        self.data = np.empty(row)
-        self.slot = {}  # key bit pattern -> index of its slab in data
-
-    def place(self, keys):
-        """The slab index of each key, the keys the table lacks (in first-seen
-        order) and the slabs to write their ``slab - TOL`` into.
-
-        None, and no change, when the keys the table lacks are more than half
-        the row or do not fit.
-        """
-        slot = self.slot
-        bits = np.ascontiguousarray(keys).view(np.int64).tolist()
-        fresh = [b for b in dict.fromkeys(bits) if b not in slot]
-        start, end = len(slot), len(slot) + len(fresh)
-        # a row that reuses less than half its slabs gains little from the
-        # table, and storing them would cost up to a row of extra memory
-        if 2 * len(fresh) > len(bits) or end > len(self.data):
-            return None
-        slot.update(zip(fresh, range(start, end)))
-        slots = list(map(slot.__getitem__, bits))
-        return slots, np.array(fresh, dtype=np.int64).view(float), self.data[start:end]
 
 
 def distinct(table):

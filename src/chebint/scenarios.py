@@ -23,7 +23,7 @@ from .integral import (integrate_simple, integrate_survival, q_integral,
 from .measure import (FiniteSpace, MonotoneMeasure, distorted_probability,
                       from_table, necessity_from_possibility,
                       survival_scenario)
-from .exprlang import eval_expr, parse
+from .exprlang import ParseError, eval_expr, free_vars, parse, parse_interval
 from .scan import TOL
 
 REPORT_VERSION = 1
@@ -193,13 +193,22 @@ def build_config(block) -> cheb.InequalityConfig:
 
 def build_survival(block, path):
     block = _object(block, path)
-    segments = _array(_key(block, "segments", path), f"{path}.segments")
-    for j, seg in enumerate(segments):
+    var = block.get("var", "t")
+    if not isinstance(var, str):
+        raise ScenarioError(f"{path}.var must be a string, got {var!r}")
+    segments = []
+    for j, seg in enumerate(_array(_key(block, "segments", path), f"{path}.segments")):
         if not (isinstance(seg, list) and len(seg) == 2 and all(isinstance(x, str) for x in seg)):
             raise ScenarioError(f"{path}.segments[{j}] must be two strings, "
                                 f"[interval, expression], got {seg!r}")
-    return survival_scenario(_number(block.get("y_bar", 1.0), f"{path}.y_bar"),
-                             [tuple(seg) for seg in segments], var=block.get("var", "t"))
+        try:
+            interval, expr = parse_interval(seg[0]), parse(seg[1])
+        except ParseError as exc:
+            raise ScenarioError(f"{path}.segments[{j}]: {exc}") from None
+        if unbound := sorted(free_vars(expr) - {var}):
+            raise ScenarioError(f"{path}.segments[{j}]: unbound variable {unbound[0]!r}")
+        segments.append((interval, expr))
+    return survival_scenario(_number(block.get("y_bar", 1.0), f"{path}.y_bar"), segments, var=var)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ class TestConstantOperations:
         assert code in (0, 1) and err == ""
         return code, json.loads(out)
 
-    # h = 0.02 gives c1 rows of 51^3 points, which the rhs slab table serves
+    # h = 0.02 gives c1 rows of 51^3 points, several blocks of rhs slabs each
     @pytest.mark.parametrize("variant, slot, value, grid", [
         ("c1", "inner", "0.5", 0.02), ("c1", "outer", "0.5", 0.02), ("c1", "circ", "0", 0.1),
         ("c2", "inner", "0.5", 0.1), ("c2", "circ", "0", 0.1)])
@@ -497,6 +497,28 @@ _EXIT_TWO = {
                             lambda d: d["integrals"][2]["survival"].update(
                                 segments=[["[0, 1]", 5]]),
                             "integrals[2].survival.segments[0] must be two strings"),
+    # a segment whose text does not parse, or whose expression reads another
+    # variable than var, exited 2 without naming the segment; text after an
+    # interval was ignored; a number var printed "unbound variable 't'"
+    "unclosed-segment-interval": ("minitive-sugeno-values", "integrate",
+                                  lambda d: d["integrals"][0]["survival"].update(
+                                      segments=[["[0, 1", "1-t"]]),
+                                  "integrals[0].survival.segments[0]: expected ']' or ')'"),
+    "segment-interval-trailing-text": ("minitive-sugeno-values", "integrate",
+                                       lambda d: d["integrals"][2]["survival"].update(
+                                           segments=[["[0, 1] x", "1 - sqrt(t)"]]),
+                                       "integrals[2].survival.segments[0]: unexpected trailing"),
+    "unfinished-segment-expr": ("minitive-sugeno-values", "integrate",
+                                lambda d: d["integrals"][1]["survival"]["segments"][1].__setitem__(
+                                    1, "1 -"),
+                                "integrals[1].survival.segments[1]: "),
+    "unbound-segment-variable": ("minitive-sugeno-values", "integrate",
+                                 lambda d: d["integrals"][2]["survival"].update(
+                                     segments=[["[0, 1]", "1 - sqrt(x)"]]),
+                                 "integrals[2].survival.segments[0]: unbound variable 'x'"),
+    "number-survival-var": ("minitive-sugeno-values", "integrate",
+                            lambda d: d["integrals"][0]["survival"].update(var=5),
+                            "integrals[0].survival.var must be a string, got 5"),
 }
 
 

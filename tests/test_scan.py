@@ -5,16 +5,19 @@ equal verdicts and the same points re-checked in the same order.
 """
 
 import math
+import tracemalloc
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chebint
 from chebint import chebyshev, scan as scan_module
 from chebint.scan import (_BLOCK, TOL, Verdict, _gather, _level_set_ends, _level_set_maxima,
-                          _level_set_minima, _Slabs, distinct, scan, scan_separable)
+                          _level_set_minima, distinct, scan, scan_separable)
 
 
 def recording_scan(axes, flagged, confirmed):
@@ -211,9 +214,9 @@ def separable_tables(seed, nab, ncd):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("nab, ncd", [(40, 32), (7, 5)])
 def test_separable_witnesses_are_the_plain_scans(seed, nab, ncd):
-    # rows of 32^2 * 40 points (two blocks of slabs, gathered from the slab
-    # table) and of 5^2 * 7 (evaluated whole); in most rows the first flagged
-    # point in (c, d, b) order is not the one in (b, c, d) order, and
+    # rows of 32^2 * 40 points (two blocks of slabs) and of 5^2 * 7 (one
+    # block), gathered from one slab per distinct key; in most rows the first
+    # flagged point in (c, d, b) order is not the one in (b, c, d) order, and
     # re-checks fail on rows 0 and 1 and on about a third of the later points
     u, v, p, q = tables = separable_tables(seed, nab, ncd)
     before = [t.copy() for t in tables]
@@ -262,23 +265,6 @@ def test_lhs_from_a_table_of_distinct_values():
     assert np.array_equal(hoisted, before)
 
 
-def test_slabs_place_keys_in_first_seen_order_up_to_half_a_row():
-    slabs = _Slabs((4, 2, 3))
-    empty = slabs.data
-    slots, fresh, store = slabs.place(np.array([2.0, 1.0, 2.0, 1.0]))
-    assert slots == [0, 1, 0, 1] and fresh.tolist() == [2.0, 1.0]  # half, into an empty table
-    assert np.shares_memory(store, empty) and store.shape == (2, 2, 3)
-    assert slabs.place(np.array([0.0, 1.0, 3.0, 4.0])) is None  # three new keys: over half
-    slots, fresh, store = slabs.place(np.array([-0.0, 0.0, 1.0, 2.0]))  # -0 is its own key
-    assert slots == [2, 3, 1, 0] and fresh.tolist() == [-0.0, 0.0] and store.shape == (2, 2, 3)
-    assert np.signbit(fresh[0]) and not np.signbit(fresh[1])
-    assert slabs.place(np.array([5.0, 1.0, 2.0, 1.0])) is None  # the table is full
-    assert slabs.slot == {b: i for i, b in enumerate(
-        np.array([2.0, 1.0, -0.0, 0.0]).view(np.int64).tolist())}
-    slots, fresh, _ = slabs.place(np.array([0.0, 0.0, 0.0, 0.0]))
-    assert slots == [3] * 4 and fresh.size == 0
-
-
 def test_gather_views_repeats_and_copies():
     data = np.arange(24.0).reshape(4, 2, 3)
     out = np.empty((3, 2, 3))
@@ -294,7 +280,7 @@ def test_gather_views_repeats_and_copies():
 
 def keyed_tables(rows, nab=512):
     """Tables whose p rows are `rows` (8 keys each, then zeros): rows of
-    8 * 8 * 512 = _BLOCK points, so the slab table is in play."""
+    8 * 8 * 512 = _BLOCK points, compared in one block."""
     ncd = len(rows[0])
     assert ncd * ncd * nab == _BLOCK
     rng = np.random.default_rng(5)
@@ -317,9 +303,8 @@ def recording_right(calls, raise_at=None):
 
 
 def test_rhs_slab_table_overflow_matches_the_dense_scan():
-    # rows 0-3 bring new keys that fill the table's 8 slabs; row 4's two new
-    # keys do not fit, so it is evaluated whole; row 5 reuses keys and is
-    # gathered again; row 6 is all new keys, more than half the row.  Every
+    # each row's rhs is evaluated once per distinct key, in first-seen order:
+    # one key, keys that repeat in runs or scattered, all-new keys.  Every
     # row flags points, but only row 6 confirms one, so all are compared.
     rows = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5],
             [0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.5, 2.0],
@@ -333,12 +318,8 @@ def test_rhs_slab_table_overflow_matches_the_dense_scan():
     got, want = separable_and_plain(u, v, p, q, right=recording_right(calls),
                                     confirm=lambda a, b, c, d: a == 6)
     assert got == want and got[0].status == "violated" and len(got[1]) == len(rows)
-    whole = [i for i, keys in enumerate(calls) if keys == rows[i]]
-    assert whole == [4, 6] and len(calls) == len(rows)
-    assert calls[5] == [] and calls[0] == [0.5]
-    # the table holds at most one row's worth of slabs
-    assert sum(len(calls[i]) for i in range(len(rows)) if i not in whole) == len(rows[0])
-    # a row may bring new keys up to half its slabs, even into an empty table
+    assert calls == [list(dict.fromkeys(keys)) for keys in rows]
+    # all-new keys, then keys that each repeat once
     rows = [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]]
     u, v, p, q = keyed_tables(rows)
     calls = []
@@ -349,7 +330,7 @@ def test_rhs_slab_table_overflow_matches_the_dense_scan():
 
 
 def test_rhs_slab_table_errors_surface_in_row_order():
-    # row 2's new keys raise; the row is re-run over (b, c, d), and that
+    # row 2's keys raise; the row is re-run over (b, c, d), and that
     # evaluation's error surfaces
     rows = [[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 2.0]] * 2 + [[1.5] * 6 + [3.0, 6.0]]
     u, v, p, q = keyed_tables(rows)
@@ -359,7 +340,7 @@ def test_rhs_slab_table_errors_surface_in_row_order():
     with pytest.raises(KeyError, match=r"shape \(1, 8, 1\)"):
         scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, np.add, right,
                        lambda *point: (1.0, 1.0), "")
-    assert calls == [[0.5, 1.0, 2.0], [], [1.5, 3.0, 6.0]]  # the table lacked row 2's keys
+    assert calls == [[0.5, 1.0, 2.0], [0.5, 1.0, 2.0], [1.5, 3.0, 6.0]]  # each row's keys
     # a violation in an earlier row is returned before the later row is built
     built = []
 
@@ -378,6 +359,61 @@ def test_constant_rhs_fills_the_slab_table():
     got, want = separable_and_plain(u, v, p, q, left=lambda x, t: 0.0, right=lambda x, y: 1.0)
     assert got == want
     assert got[0].witness == (0.0, 0.0, 0.0, 0.0)
+
+
+# keys told apart only by bit pattern: -0.0 and 0.0 give two slabs, which
+# a right side that reads the sign of its key tells apart
+_KEYS = [-0.0, 0.0] + [k / 8 for k in range(1, 80)]
+_RIGHTS = [np.multiply, lambda x, y: np.copysign(y, x), lambda x, y: 0.75]
+
+
+@st.composite
+def keyed_scans(draw):
+    """Tables for ``separable_and_plain`` whose p rows draw keys from a small
+    pool: one key, distinct keys, distinct keys then one repeated, or a few
+    keys in any order.  Rows (c, d, b) of 5 x 5 x 7 points are one block;
+    of 72 x 72 x 8 (above ``_BLOCK``) they are blocks of 56 and 16 slabs."""
+    nab, ncd = draw(st.sampled_from([(7, 5), (8, 72)]))
+    runs = st.integers(1, ncd).map(lambda m: _KEYS[:m] + [_KEYS[0]] * (ncd - m))
+    rows = st.one_of(st.sampled_from(_KEYS[:4]).map(lambda key: [key] * ncd),
+                     st.permutations(_KEYS[:ncd]), runs,
+                     st.lists(st.sampled_from(_KEYS[:4]), min_size=ncd, max_size=ncd))
+    p = np.array(draw(st.lists(rows, min_size=nab, max_size=nab)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u, v = rng.uniform(size=(nab, nab)), rng.integers(1, 4, size=(ncd, ncd)) / 4
+    return u, v, p, rng.uniform(size=(nab, ncd)), draw(st.sampled_from(_RIGHTS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables=keyed_scans())
+def test_separable_scan_matches_the_plain_scan_on_repeated_keys(tables):
+    # each row's rhs comes from one slab per distinct key, through a view,
+    # one broadcast slab or a copy; every row is compared, since only the
+    # last row's points confirm
+    u, v, p, q, right = tables
+    got, want = separable_and_plain(u, v, p, q, right=right,
+                                    confirm=lambda a, b, c, d: a == len(u) - 1)
+    assert got == want
+
+
+@pytest.mark.parametrize("outer, inner, status, rows", [
+    ("lukasiewicz", "min", "violated", 1.4), ("prod", "prod", "holds-on-grid", 2.65)])
+def test_separable_scan_holds_one_rhs_row_at_a_time(outer, inner, status, rows):
+    # at h = 0.02 a row holds 51^3 points.  Its rhs is a table of its
+    # distinct keys' slabs, freed before the next row is built: a violated
+    # Lukasiewicz/min scan peaks near one row of float64, a holding prod/prod
+    # scan (every key distinct) near two; a scan-wide slab table, or a view
+    # that keeps a row's rhs alive, adds a row
+    outer, inner = chebint.fusion.builtin(outer), chebint.fusion.builtin(inner)
+    chebint.fusion.dominates(outer, inner, 0.02)  # any one-time setup outside the trace
+    tracemalloc.start()
+    try:
+        verdict = chebint.fusion.dominates(outer, inner, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.status == status
+    assert peak < rows * 51 ** 3 * 8
 
 
 def test_level_set_maxima_and_their_guard():

@@ -247,9 +247,10 @@ def test_dominates_matches_reference(outer, inner, h):
 
 
 # At h = 0.02 the 4-D scans' rows have 51^3 points (36^2 * 51 on [0, 0.7]),
-# enough for the kernel to gather the rhs from its slab table.  The examples
-# name a table that serves every row, and one that fills up mid-scan: with
-# phi = x^2 and psi = x^0.5, psi2(min(phi2(a), c)) takes about 100 values.
+# compared in several blocks of rhs slabs, one slab per distinct key of the
+# row.  The examples name rows whose keys repeat (all min) and rows with
+# more keys: with phi = x^2 and psi = x^0.5, psi2(min(phi2(a), c)) takes
+# about 100 values.
 _MN, _PR = fusion.min_op(), fusion.prod_op()
 _IDS = (cheb.identity_shape(),) * 3
 _UNIT = cheb.cd_interval(0.0, 1.0)
