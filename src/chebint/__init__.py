@@ -12,9 +12,8 @@ from .chebyshev import (CdDomain, HypothesisError, InequalityConfig,
                         scalar_condition_at, search_commutativity_gap,
                         search_counterexample, shape, sugeno_chebyshev,
                         theorem1_forward)
-from .dependence import (DependenceError, DependenceQuery, DependenceVerdict,
-                         RangeEscapeError, condition_Z1, is_comonotone,
-                         is_m_positively_dependent,
+from .dependence import (DependenceError, DependenceQuery, RangeEscapeError,
+                         condition_Z1, is_comonotone, is_m_positively_dependent,
                          measure_supports_all_pairs)
 from .exprlang import (EvalError, ExprError, Interval, ParseError,
                        check_monotone, eval_expr, free_vars, parse, pretty)

@@ -21,8 +21,8 @@ from .extreal import INF, INF_CAP as _INF_CAP
 from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box, prod_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
-from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, scan,
-                   scan_separable)
+from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step, first_flagged,
+                   scan, scan_separable)
 
 
 class HypothesisError(Exception):
@@ -59,7 +59,7 @@ def _checked_eval(expr, var, x, name, domain):
     # out-of-range value still ends in a ShapeDomainError
     if arr.size and (np.fmin.reduce(arr, axis=None) < lo - TOL
                      or np.fmax.reduce(arr, axis=None) > hi + TOL):
-        bad = arr[(arr < lo - TOL) | (arr > hi + TOL)].flat[0]
+        bad = arr[first_flagged((arr < lo - TOL) | (arr > hi + TOL))]
         raise ShapeDomainError(name, float(bad), domain)
     clipped = np.clip(arr, lo, hi)
     out = eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
@@ -435,11 +435,14 @@ class PipelineReport:
         return all(s.status == "pass" for s in self.stages[:-1])
 
 
-def _scalar_stage(cfg: InequalityConfig, grid_step) -> Stage:
-    scal = check_scalar_condition(cfg, grid_step)
-    return Stage("scalar-condition",
-                 {"holds-on-grid": "pass", "violated": "fail"}.get(scal.status, "hypothesis-failed"),
-                 f"witness {scal.witness}" if scal.witness else scal.detail)
+def _stage(name, verdict: Verdict, fail="fail") -> Stage:
+    """The stage of a verdict: pass when it holds, ``fail`` when it is
+    violated, else hypothesis-failed.  Its detail is the witness, else the
+    verdict's detail, else its warnings."""
+    status = ("pass" if verdict.holds else fail if verdict.status == "violated"
+              else "hypothesis-failed")
+    return Stage(name, status, f"witness {verdict.witness}" if verdict.witness
+                 else verdict.detail or "; ".join(verdict.warnings))
 
 
 def _integral_stage(cfg: InequalityConfig, m, f, g, A, B):
@@ -472,12 +475,10 @@ def theorem1_forward(cfg: InequalityConfig, m: MonotoneMeasure,
         stages.append(Stage("config-hypotheses", "hypothesis-failed", str(exc)))
     try:
         query = DependenceQuery(m, f, g, A, B, cfg.triangle, cfg.k, allow_range_escape=True)
-        dep = is_m_positively_dependent(query)
-        stages.append(Stage("m-positive-dependence", "pass" if dep.holds else "fail",
-                            f"witness {dep.witness}" if dep.witness else "; ".join(dep.warnings)))
+        stages.append(_stage("m-positive-dependence", is_m_positively_dependent(query)))
     except Exception as exc:  # noqa: BLE001 - reported, not raised
         stages.append(Stage("m-positive-dependence", "hypothesis-failed", str(exc)))
-    stages.append(_scalar_stage(cfg, grid_step))
+    stages.append(_stage("scalar-condition", check_scalar_condition(cfg, grid_step)))
     stage, outcome = _integral_stage(cfg, m, f, g, A, B)
     return PipelineReport(tuple(stages) + (stage,), outcome)
 
@@ -493,9 +494,7 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     phi1, phi2, phi3 = phis
     psi1, psi2, psi3 = psis
     stages = []
-    lm = leq_min(star, grid_step)
-    stages.append(Stage("star-leq-min", "pass" if lm.holds else "hypothesis-failed",
-                        f"witness {lm.witness}" if lm.witness else ""))
+    stages.append(_stage("star-leq-min", leq_min(star, grid_step), fail="hypothesis-failed"))
     try:
         tops = [float(p.apply(min(y_bar, p.domain[1]))) for p in phis]
         if abs(tops[0] - tops[1]) > TOL or abs(tops[0] - tops[2]) > TOL:
@@ -508,31 +507,22 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
             lo = max(psi1.domain[0], psij.domain[0])
             hi = min(psi1.domain[1], psij.domain[1])
             xs = axis(lo, hi, grid_step)
-            v1 = psi1.apply(xs)
-            vj = psij.apply(xs)
-            if np.any(v1 < vj - TOL):
-                bad = float(xs[v1 < vj - TOL][0])
-                raise HypothesisError(f"psi1 < psi{j} at x={bad}")
+            if (bad := first_flagged(psi1.apply(xs) < psij.apply(xs) - TOL)) is not None:
+                raise HypothesisError(f"psi1 < psi{j} at x={float(xs[bad])}")
         stages.append(Stage("psi1-dominates", "pass"))
     except HypothesisError as exc:
         stages.append(Stage("psi1-dominates", "hypothesis-failed", str(exc)))
     try:
         xs = axis(0.0, y_bar, grid_step)
-        upper = psi1.apply(phi1.apply(xs))
-        if np.any(upper < xs - TOL):
-            bad = float(xs[upper < xs - TOL][0])
-            raise HypothesisError(f"psi1(phi1(x)) < x at x={bad}")
+        if (bad := first_flagged(psi1.apply(phi1.apply(xs)) < xs - TOL)) is not None:
+            raise HypothesisError(f"psi1(phi1(x)) < x at x={float(xs[bad])}")
         for j, phij, psij in ((2, phi2, psi2), (3, phi3, psi3)):
-            lower = psij.apply(phij.apply(xs))
-            if np.any(lower > xs + TOL):
-                bad = float(xs[lower > xs + TOL][0])
-                raise HypothesisError(f"psi{j}(phi{j}(x)) > x at x={bad}")
+            if (bad := first_flagged(psij.apply(phij.apply(xs)) > xs + TOL)) is not None:
+                raise HypothesisError(f"psi{j}(phi{j}(x)) > x at x={float(xs[bad])}")
         stages.append(Stage("sandwich", "pass"))
     except HypothesisError as exc:
         stages.append(Stage("sandwich", "hypothesis-failed", str(exc)))
-    como = is_comonotone(f, g, A)
-    stages.append(Stage("comonotonicity", "pass" if como.holds else "fail",
-                        f"witness {como.witness}" if como.witness else ""))
+    stages.append(_stage("comonotonicity", is_comonotone(f, g, A)))
     mn = min_op(y_bar=y_bar)
     cfg = config(star, star, (mn, mn, mn), mn, phis, psis,
                  k=y_bar, y_bar=y_bar, cd_domain=cd_values(m.value_range()))
@@ -565,12 +555,12 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     else:
         stages.append(Stage("outer-equals-inner", "pass"))
     try:
-        sup = measure_supports_all_pairs(m, cfg.triangle, allow_range_escape=True)
-        stages.append(Stage("measure-supports-all-pairs", "pass" if sup.holds else "fail",
-                            f"witness {sup.witness}" if sup.witness else ""))
+        stages.append(_stage("measure-supports-all-pairs",
+                             measure_supports_all_pairs(m, cfg.triangle, allow_range_escape=True)))
     except Exception as exc:  # noqa: BLE001
         stages.append(Stage("measure-supports-all-pairs", "hypothesis-failed", str(exc)))
-    stages.append(_scalar_stage(replace(cfg, cd_domain=cd_values(m.value_range())), grid_step))
+    stages.append(_stage("scalar-condition", check_scalar_condition(
+        replace(cfg, cd_domain=cd_values(m.value_range())), grid_step)))
     rng = np.random.default_rng(seed)
     n = m.space.n
     failures = 0
@@ -673,6 +663,7 @@ def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_00
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    check_step(grid_step)  # a bad last step would only be priced out, not refused
     cfg.validate()
     steps = [s for s in (0.25, 0.1, 0.05, 0.02) if s > grid_step] + [grid_step]
     spent = 0
@@ -712,8 +703,6 @@ def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_ste
         u1 = apply_op(star, S_ac[:, i][None, :], xs[:, None])
         u2 = apply_op(star, a, S_ac.T)
         ok2 = lhs2 >= np.maximum(u1, u2) - TOL
-        differ = ok1 != ok2
-        if np.any(differ):
-            j, p = (int(v) for v in np.argwhere(differ)[0])
-            return (float(a), float(xs[j]), float(xs[p]))
+        if (index := first_flagged(ok1 != ok2)) is not None:
+            return (float(a),) + tuple(float(xs[i]) for i in index)
     return None

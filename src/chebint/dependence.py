@@ -7,7 +7,7 @@ maps are step functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .fusion import FusionOp, apply_op, clip_args, eval_op
 from .integral import SimpleFunction
 from .measure import (MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure,
                       _pair_scan_tables)
-from .scan import EQ_TOL, TOL
+from .scan import EQ_TOL, TOL, Verdict, first_flagged
 
 
 class DependenceError(Exception):
@@ -25,14 +25,6 @@ class DependenceError(Exception):
 
 class RangeEscapeError(DependenceError):
     """The triangle operation leaves the measure's range on range(m)^2."""
-
-
-@dataclass(frozen=True)
-class DependenceVerdict:
-    holds: bool
-    witness: tuple | None = None
-    warnings: tuple = ()
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -53,14 +45,20 @@ class DependenceQuery:
             raise DependenceError("f and g must be bounded by k")
 
 
-def is_comonotone(f: SimpleFunction, g: SimpleFunction, D: int) -> DependenceVerdict:
+def _exact(witness=None, lhs=None, rhs=None, detail="", warnings=()) -> Verdict:
+    """An exact verdict: violated at ``witness``, or holds when there is none."""
+    return Verdict("holds" if witness is None else "violated", witness, lhs, rhs, detail,
+                   "exact", tuple(warnings))
+
+
+def is_comonotone(f: SimpleFunction, g: SimpleFunction, D: int) -> Verdict:
     """Exhaustive pairwise check of (f(x)-f(y))(g(x)-g(y)) >= 0 on D."""
     atoms = f.space.atoms_of(D)
     for i in atoms:
         for j in atoms:
             if (f.values[i] - f.values[j]) * (g.values[i] - g.values[j]) < 0:
-                return DependenceVerdict(False, (f.space.labels[i], f.space.labels[j]))
-    return DependenceVerdict(True)
+                return _exact((f.space.labels[i], f.space.labels[j]))
+    return _exact()
 
 
 def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
@@ -85,10 +83,9 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
     below = values[np.maximum(right - 1, 0)]
     above = values[np.minimum(right, len(values) - 1)]
     inside = (np.abs(out - below) <= TOL) | (np.abs(out - above) <= TOL)
-    escapes = np.flatnonzero(~inside)
-    if escapes.size == 0:
+    if (index := first_flagged(~inside)) is None:
         return None
-    i, j = divmod(int(escapes[0]), len(rng))
+    i, j = index
     return rng[i], rng[j], eval_op(tri, rng[i], rng[j])
 
 
@@ -115,7 +112,7 @@ def _level_grid(f: SimpleFunction, k: float):
     return levels
 
 
-def is_m_positively_dependent(q: DependenceQuery) -> DependenceVerdict:
+def is_m_positively_dependent(q: DependenceQuery) -> Verdict:
     """Decide m-positive dependence of f|_A and g|_B w.r.t. the triangle op.
 
     Exact: levels alpha (beta) range over {0} + distinct values of f (g),
@@ -131,30 +128,26 @@ def is_m_positively_dependent(q: DependenceQuery) -> DependenceVerdict:
             lhs = m(f_mask & g_mask)
             rhs = eval_op(q.triangle, m(f_mask), m(g_mask))
             if lhs < rhs - TOL:
-                return DependenceVerdict(False, (alpha, beta), tuple(warnings),
-                                         f"m(...)={lhs} < {rhs}")
-    return DependenceVerdict(True, None, tuple(warnings))
+                return _exact((alpha, beta), lhs, rhs, f"m(...)={lhs} < {rhs}", warnings)
+    return _exact(warnings=warnings)
 
 
 def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
-                               allow_range_escape: bool = False) -> DependenceVerdict:
+                               allow_range_escape: bool = False) -> Verdict:
     """Exhaustive check of m(C & D) >= tri(m(C), m(D)) over all set pairs."""
     tab, inter_masks, _ = _pair_scan_tables(m)
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
     inter = tab[inter_masks]
     combo = apply_op(tri, tab[:, None], tab[None, :])
-    viol = inter < combo - TOL
-    idx = np.argwhere(viol)
-    if idx.size:
-        i, j = (int(v) for v in idx[0])
-        witness = (m.space.labels_of(i), m.space.labels_of(j))
-        return DependenceVerdict(False, witness, tuple(warnings),
-                                 f"m(C&D)={inter[i, j]} < {combo[i, j]}")
-    return DependenceVerdict(True, None, tuple(warnings))
+    if (index := first_flagged(inter < combo - TOL)) is None:
+        return _exact(warnings=warnings)
+    i, j = (int(v) for v in index)
+    return _exact((m.space.labels_of(i), m.space.labels_of(j)), float(inter[i, j]),
+                  float(combo[i, j]), f"m(C&D)={inter[i, j]} < {combo[i, j]}", warnings)
 
 
 def condition_Z1(m: MonotoneMeasure, tri: FusionOp,
-                 allow_range_escape: bool = False) -> DependenceVerdict:
+                 allow_range_escape: bool = False) -> Verdict:
     """Condition (Z1): every (c, d) in range(m)^2 is realized by sets C, D
     with m(C)=c, m(D)=d and m(C & D) = tri(c, d)."""
     if m.space.n > MAX_SCAN_ATOMS:
@@ -170,6 +163,6 @@ def condition_Z1(m: MonotoneMeasure, tri: FusionOp,
             target = eval_op(tri, c, d)
             inter = tab[cs[:, None] & ds[None, :]]
             if not np.any(np.abs(inter - target) <= TOL):
-                return DependenceVerdict(False, (c, d), tuple(warnings),
-                                         f"no sets realize m(C&D)={target}")
-    return DependenceVerdict(True, None, tuple(warnings))
+                return _exact((c, d), detail=f"no sets realize m(C&D)={target}",
+                              warnings=warnings)
+    return _exact(warnings=warnings)

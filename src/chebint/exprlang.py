@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF, as_scalar, xmul
-from .scan import EQ_TOL, axis
+from .scan import EQ_TOL, Verdict, axis, first_flagged
 
 
 class ExprError(Exception):
@@ -526,7 +526,7 @@ def _compile_piecewise(guard, pieces):
                 result = np.where(hit, sub(bindings), result)
             covered |= hit
         if not np.all(covered):
-            bad = float(x[~covered].flat[0])
+            bad = float(x[first_flagged(~covered)])
             raise EvalError(f"point {bad} outside all piecewise intervals")
         return result
     return piecewise
@@ -550,8 +550,7 @@ def eval_expr(e: Expr, bindings: dict):
     if low != low:
         raise EvalError("indeterminate form in evaluation")
     if low < 0.0:
-        bad = float(arr[arr < 0.0].flat[0]) if arr.ndim else float(arr)
-        raise EvalError(f"negative final value {bad}")
+        raise EvalError(f"negative final value {float(arr[first_flagged(arr < 0.0)])}")
     return as_scalar(val)
 
 
@@ -586,23 +585,13 @@ def pretty(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotoneVerdict:
-    holds: bool
-    witness: tuple | None  # ((x1, v1), (x2, v2)) on failure
-    direction: str
-    step: float
-    note: str = "grid evidence, not a proof"
-
-
 def check_monotone(e, var, lo, hi, direction="nondecreasing", grid_step=0.01):
     """Sample e on a grid over [lo, hi]; report monotonicity in `direction`.
 
     direction is one of nondecreasing | increasing | nonincreasing |
-    decreasing.  The result is labelled grid evidence, never a proof.
+    decreasing.  The verdict is holds-on-grid, grid evidence and never a
+    proof, or violated with witness ((x1, v1), (x2, v2)) at the first bad step.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
     xs = axis(lo, hi, grid_step)
     vals = np.broadcast_to(eval_expr(e, {var: xs}), xs.shape)  # a constant e gives a float
     diffs = np.diff(vals)
@@ -616,9 +605,8 @@ def check_monotone(e, var, lo, hi, direction="nondecreasing", grid_step=0.01):
         bad = diffs >= -EQ_TOL
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    idx = np.flatnonzero(bad)
-    if idx.size:
-        i = int(idx[0])
-        witness = ((float(xs[i]), float(vals[i])), (float(xs[i + 1]), float(vals[i + 1])))
-        return MonotoneVerdict(False, witness, direction, grid_step)
-    return MonotoneVerdict(True, None, direction, grid_step)
+    if (index := first_flagged(bad)) is None:
+        return Verdict("holds-on-grid", evidence=f"grid({grid_step})")
+    i = index[0]
+    witness = ((float(xs[i]), float(vals[i])), (float(xs[i + 1]), float(vals[i + 1])))
+    return Verdict("violated", witness, evidence=f"grid({grid_step})")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF, INF_CAP, as_scalar, xmul
-from .scan import EQ_TOL, TOL, Verdict, axis, check_row, scan_separable
+from .scan import (EQ_TOL, TOL, Verdict, axis, check_row, check_step, first_flagged,
+                   scan_separable)
 
 
 class FusionError(Exception):
@@ -165,7 +166,7 @@ def clip_args(op: FusionOp, values):
     arr = np.asarray(values, dtype=float)
     ok = (arr >= -TOL) & (arr <= op.y_bar + TOL)
     if not np.all(ok):
-        raise _argument_error(op, float(arr[~ok].flat[0]))
+        raise _argument_error(op, float(arr[first_flagged(~ok)]))
     return np.minimum(np.maximum(arr, 0.0), op.y_bar)
 
 
@@ -197,6 +198,7 @@ class FlagReport:
 
 
 def _grid(op: FusionOp, step: float):
+    check_step(step)
     top = op.y_bar if op.y_bar != INF else INF_CAP
     return np.linspace(0.0, top, max(int(round(min(top / step, 4000))), 1) + 1)
 
@@ -225,11 +227,8 @@ def validate_flags(op: FusionOp, grid_step=0.01) -> FlagReport:
         checks.append(FlagCheck(flag, getattr(op, flag), confirmed, exact, witness, detail))
 
     def first_bad(mask):
-        idx = np.argwhere(mask)
-        if idx.size == 0:
-            return None
-        i, j = idx[0]
-        return (float(xs[i]), float(xs[j]))
+        index = first_flagged(mask)
+        return None if index is None else tuple(float(xs[i]) for i in index)
 
     # non-decreasing in each coordinate implies joint non-decrease
     mono_bad = (first_bad(np.diff(table, axis=0) < -TOL)
@@ -310,9 +309,7 @@ def leq_min(op: FusionOp, grid_step=0.01) -> Verdict:
     xs = _grid(op, grid_step)
     table = apply_op(op, xs[:, None], xs[None, :])
     cap = np.minimum(xs[:, None], xs[None, :])
-    idx = np.argwhere(table > cap + TOL)
-    if idx.size:
-        i, j = idx[0]
-        return Verdict("violated", (float(xs[i]), float(xs[j])), float(table[i, j]),
-                       float(cap[i, j]), evidence=f"grid({grid_step})")
-    return Verdict("holds-on-grid", evidence=f"grid({grid_step})")
+    if (index := first_flagged(table > cap + TOL)) is None:
+        return Verdict("holds-on-grid", evidence=f"grid({grid_step})")
+    return Verdict("violated", tuple(float(xs[i]) for i in index), float(table[index]),
+                   float(cap[index]), evidence=f"grid({grid_step})")

@@ -14,7 +14,7 @@ import numpy as np
 from .extreal import INF, INF_CAP
 from .fusion import FusionOp, apply_op, builtin, eval_op
 from .measure import FiniteSpace, MeasureError, MonotoneMeasure, SurvivalScenario
-from .scan import EQ_TOL, axis
+from .scan import EQ_TOL, axis, check_step
 
 
 class IntegralError(Exception):
@@ -78,15 +78,6 @@ class IntegralResult:
         return self.value
 
 
-def _max_term(entries):
-    """Max over (t, level, term) with ties broken toward smaller t."""
-    best = None
-    for entry in entries:
-        if best is None or entry[2] > best[2]:
-            best = entry
-    return best
-
-
 def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction) -> IntegralResult:
     """sup over t of op(t, m(D & {f >= t})) for a simple function f.
 
@@ -112,7 +103,7 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
         level = m(mask)
         cands.append((t, level, eval_op(op, t, level)))
     cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
-    best = _max_term(cands)
+    best = max(cands, key=lambda c: c[2])  # the first maximal term
     method = "exact-candidate-set"
     if not op.left_continuous_in_first:
         method += ";warning:left-continuity-not-declared"
@@ -159,7 +150,7 @@ def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> Integra
     for t in levels:
         level = m(f.level_mask(t))
         cands.append((t, level, eval_op(conj, level, t)))
-    best = _max_term(cands)
+    best = max(cands, key=lambda c: c[2])  # the first maximal term
     return IntegralResult(best[2], "exact-candidate-set", tuple(cands))
 
 
@@ -198,6 +189,7 @@ def integrate_survival(op: FusionOp, scenario: SurvivalScenario, grid_step=1e-4)
     """
     if not op.non_decreasing:
         raise IntegralError(f"operation {op.name!r} must be declared non-decreasing")
+    check_step(grid_step)
     scenario.validate(max(grid_step, 1e-4))
     if op.kind == "min":
         return _survival_min(scenario)

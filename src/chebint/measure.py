@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .exprlang import EvalError, Expr, Interval, eval_expr, parse, parse_interval
-from .scan import EQ_TOL, TOL, axis
+from .scan import EQ_TOL, TOL, axis, first_flagged
 
 
 class MeasureError(Exception):
@@ -127,17 +127,16 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
     upper = arr + EQ_TOL
     for bit in range(sp.n):
         bad = arr.reshape(-1, 2, 1 << bit)[:, 0, :] > upper.reshape(-1, 2, 1 << bit)[:, 1, :]
-        if np.count_nonzero(bad):
-            k, j = divmod(int(np.argmax(bad)), 1 << bit)
-            a = k * (2 << bit) + j
+        if (index := first_flagged(bad)) is not None:
+            k, j = index
+            a = int(k * (2 << bit) + j)
             raise MeasureError(
                 f"monotonicity violation: m({sp.labels_of(a)})={arr[a]} > "
                 f"m({sp.labels_of(a | (1 << bit))})={arr[a | (1 << bit)]}"
             )
     # NaN fails every comparison above, so it is looked for last
-    nan = np.isnan(arr)
-    if np.count_nonzero(nan):
-        a = int(np.argmax(nan))
+    if (index := first_flagged(np.isnan(arr))) is not None:
+        a = int(index[0])
         raise MeasureError(f"measure value m({sp.labels_of(a)}) at mask {a} is NaN")
     return MonotoneMeasure(sp, tuple(table))
 
@@ -306,11 +305,10 @@ class SurvivalScenario:
                 vals = np.broadcast_to(eval_expr(expr, {self.var: ts}), ts.shape)
             except EvalError as exc:
                 raise MeasureError(f"survival segment on {interval}: {exc}") from exc
-            if np.any(vals < -EQ_TOL):
-                bad = float(ts[vals < -EQ_TOL][0])
-                raise MeasureError(f"survival function negative at t={bad}")
-            if np.any(np.diff(vals) > TOL):
-                i = int(np.flatnonzero(np.diff(vals) > TOL)[0])
+            if (bad := first_flagged(vals < -EQ_TOL)) is not None:
+                raise MeasureError(f"survival function negative at t={float(ts[bad])}")
+            if (up := first_flagged(np.diff(vals) > TOL)) is not None:
+                i = int(up[0])
                 raise MeasureError(
                     f"survival function increases between t={ts[i]} and t={ts[i + 1]}"
                 )

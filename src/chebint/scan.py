@@ -1,4 +1,5 @@
-"""The grid scans, their verdict, their grid limit and the package's tolerance policy.
+"""The verdict of every check, its first-witness rule, the grid scans, their
+grid limits and the package's tolerance policy.
 
 Every scalar condition is checked the same way: walk the first axis in order,
 compare lhs and rhs arrays over the other axes, re-check the first flagged point.
@@ -19,15 +20,23 @@ MAX_ROW_POINTS = 1 << 24
 
 
 class GridError(ValueError):
-    """A grid the scans refuse to build: more than MAX_ROW_POINTS points in a row."""
+    """A grid the scans refuse to build: a step that is not a finite positive
+    number, or more than MAX_ROW_POINTS points in a row."""
+
+
+def check_step(step):
+    """Refuse (GridError) a grid step that is not a finite positive number."""
+    if not 0 < step < math.inf:  # NaN included
+        raise GridError(f"grid step {step} is not a finite positive number")
 
 
 def axis(lo, hi, step, least=1):
     """``np.linspace(lo, hi, max(round((hi - lo) / step), least) + 1)``.
 
-    Refused with a GridError, before anything is allocated, when that is
-    more than MAX_ROW_POINTS points.
+    Refused with a GridError, before anything is allocated, when the step is
+    not a finite positive number or that is more than MAX_ROW_POINTS points.
     """
+    check_step(step)
     spans = (hi - lo) / step
     if not spans <= MAX_ROW_POINTS - 1:  # NaN and inf included
         raise GridError(f"grid step {step} gives more than {MAX_ROW_POINTS} points on [{lo}, {hi}]")
@@ -45,16 +54,27 @@ def check_row(*lengths):
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # holds-on-grid | violated | hypothesis-failed
+    """The result of every check: it holds (exactly or on a grid), or it is
+    violated at a first witness, or a hypothesis failed."""
+
+    status: str  # holds | holds-on-grid | violated | hypothesis-failed
     witness: tuple | None = None
     lhs: float | None = None
     rhs: float | None = None
     detail: str = ""
     evidence: str = ""
+    warnings: tuple = ()
 
     @property
     def holds(self):
-        return self.status == "holds-on-grid"
+        return self.status in ("holds", "holds-on-grid")
+
+
+def first_flagged(mask):
+    """The C-order index tuple of the first flagged point of ``mask``, or None."""
+    if not np.count_nonzero(mask):  # cheaper than argmax when nothing is flagged
+        return None
+    return np.unravel_index(int(np.argmax(mask)), np.shape(mask))
 
 
 def scan(axes, sides, at, evidence) -> Verdict:
@@ -84,8 +104,10 @@ def scan(axes, sides, at, evidence) -> Verdict:
 def _confirm(viol, value, rest, at, evidence):
     """The row's first flagged point, in C order of ``viol`` over the axes
     ``rest``, re-checked with ``at``: its violated Verdict, or None (the scan
-    goes on to the next row) when the re-check does not confirm it."""
-    index = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    goes on to the next row) when the re-check does not confirm it.  The
+    callers test ``viol.any()`` first, which is faster than ``first_flagged``'s
+    count on a whole row."""
+    index = first_flagged(viol)
     point = (float(value),) + tuple(float(ax[j]) for ax, j in zip(rest, index))
     wl, wr = at(*point)
     return Verdict("violated", point, wl, wr, evidence=evidence) if wl < wr - TOL else None
@@ -219,8 +241,8 @@ def _level_set_minima(ab, u, v, p, q, left, right, box, left_box, most):
         ks = slice(start, start + block)
         flags = np.less(left(np.take(u_ab[ka[ks]], kb, axis=1), np.take(v[kc[ks]], kd, axis=1)),
                         np.subtract(right(p_k[ks], q_k), TOL))
-        if flags.any():
-            return int(ka[start + np.argmax(flags) // len(kb)])
+        if (hit := first_flagged(flags)) is not None:
+            return int(ka[start + hit[0]])
     return len(ab)
 
 

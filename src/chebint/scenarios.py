@@ -469,13 +469,15 @@ def _bundle_dir():
     return resources.files("chebint") / "scenarios"
 
 
-def list_scenarios():
-    names = []
+def _bundled_blocks():
+    """Every scenario block of the bundled JSON files."""
     for entry in _bundle_dir().iterdir():
         if entry.name.endswith(".json"):
-            for block in _load_blocks(entry.read_text()):
-                names.append(block["name"])
-    return sorted(names)
+            yield from _load_blocks(entry.read_text())
+
+
+def list_scenarios():
+    return sorted(block["name"] for block in _bundled_blocks())
 
 
 def _load_blocks(text):
@@ -484,11 +486,9 @@ def _load_blocks(text):
 
 
 def load_scenario(name):
-    for entry in _bundle_dir().iterdir():
-        if entry.name.endswith(".json"):
-            for block in _load_blocks(entry.read_text()):
-                if block.get("name") == name:
-                    return block
+    for block in _bundled_blocks():
+        if block.get("name") == name:
+            return block
     raise ScenarioError(f"unknown scenario {name!r}")
 
 

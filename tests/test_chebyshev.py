@@ -386,6 +386,19 @@ class TestAnyFunctionsPipeline:
             stage = any_functions_check(cfg, m, trials=1).stages[0]
             assert (stage.name, stage.status) == ("outer-equals-inner", status)
 
+    def test_measure_stage_reports_its_range_escape_warnings(self):
+        # prod leaves range(m) = {0, 0.3, 1} at 0.3 * 0.3, yet every pair of
+        # sets supports it: the passing stage names the escape, as the
+        # theorem-forward dependence stage does (its detail used to be empty)
+        m = from_table(space("w1", "w2"), [0.0, 0.0, 0.3, 1.0])
+        pr, mn = prod_op(), min_op()
+        cfg = config(pr, pr, (mn, mn, mn), pr, identity_triple(), identity_triple(),
+                     cd_domain=cd_values(m.value_range()))
+        stage = any_functions_check(cfg, m, trials=1).stages[1]
+        assert (stage.name, stage.status, stage.detail) == (
+            "measure-supports-all-pairs", "pass",
+            "triangle 'prod' leaves range(m) at (c,d)=(0.3, 0.3)")
+
 
 # ---------------------------------------------------------------------------
 # q-integral corollary condition

@@ -83,9 +83,118 @@ def test_flags_only_beyond_the_tolerance():
     assert verdict.witness == (0.0, 1.0)
 
 
-def test_one_verdict_type():
+def _verdict_checks():
+    """(name, call, status, evidence): every public check that returns a Verdict."""
+    sp = chebint.space("w1", "w2")
+    m = chebint.from_table(sp, [0.0, 0.4, 0.4, 1.0])
+    f = chebint.simple_function(sp, [0.1, 0.6])
+    g = chebint.simple_function(sp, [0.9, 0.2])
+    pr, mn, lu = chebint.prod_op(), chebint.min_op(), chebint.lukasiewicz_op()
+    big = chebint.expr_op("max", "max(a, b)")
+    ids = (chebint.identity_shape(),) * 3
+    cfg = chebint.config(pr, pr, (lu, lu, lu), mn, ids, ids,
+                         cd_domain=chebint.cd_values([0.0, 0.5, 1.0]))
+    no_cd = chebint.config(pr, pr, (lu, lu, lu), mn, ids, ids)
+    full = sp.full_mask
+    query = partial(chebint.DependenceQuery, m, f, A=full, B=full, triangle=pr, k=1.0,
+                    allow_range_escape=True)
+    grid, exact = "grid(0.25)", "exact"
+    return [
+        ("leq_min", lambda: chebint.leq_min(pr, 0.25), "holds-on-grid", grid),
+        ("leq_min", lambda: chebint.leq_min(big, 0.25), "violated", grid),
+        ("dominates", lambda: chebint.dominates(mn, pr, 0.25), "holds-on-grid", grid),
+        ("dominates", lambda: chebint.dominates(pr, mn, 0.25), "violated", grid),
+        ("check_scalar_condition", lambda: chebint.check_scalar_condition(cfg, 0.25),
+         "violated", "a,b grid(0.25) x c,d exact finite domain"),
+        ("check_scalar_condition", lambda: chebint.check_scalar_condition(no_cd, 0.25),
+         "hypothesis-failed", ""),
+        ("check_condition_C2", lambda: chebint.check_condition_C2(cfg, 0.25),
+         "violated", "a,b grid(0.25) x c exact finite domain"),
+        ("c1_iff_c2", lambda: chebint.c1_iff_c2(cfg, 0.25).c2,
+         "violated", "a,b grid(0.25) x c exact finite domain"),
+        ("q_corollary_condition", lambda: chebint.q_corollary_condition(pr, ids, pr, 0.25),
+         "holds-on-grid", "grid(0.25), boundary slice b=1 scanned first"),
+        ("q_corollary_condition", lambda: chebint.q_corollary_condition(lu, ids, pr, 0.25),
+         "violated", "grid(0.25), boundary slice b=1 scanned first"),
+        ("is_comonotone", lambda: chebint.is_comonotone(f, f, full), "holds", exact),
+        ("is_comonotone", lambda: chebint.is_comonotone(f, g, full), "violated", exact),
+        ("is_m_positively_dependent", lambda: chebint.is_m_positively_dependent(query(f)),
+         "holds", exact),
+        ("is_m_positively_dependent", lambda: chebint.is_m_positively_dependent(query(g)),
+         "violated", exact),
+        ("measure_supports_all_pairs", lambda: chebint.measure_supports_all_pairs(
+            chebint.from_table(sp, [0.0, 0.0, 0.3, 1.0]), pr, True), "holds", exact),
+        ("measure_supports_all_pairs", lambda: chebint.measure_supports_all_pairs(m, mn),
+         "violated", exact),
+        ("condition_Z1", lambda: chebint.condition_Z1(m, mn), "holds", exact),
+        ("condition_Z1", lambda: chebint.condition_Z1(m, pr, True), "violated", exact),
+        ("check_monotone", lambda: chebint.check_monotone(chebint.parse("x^2"), "x", 0.0, 1.0,
+                                                          grid_step=0.25), "holds-on-grid", grid),
+        ("check_monotone", lambda: chebint.check_monotone(chebint.parse("1 - x"), "x", 0.0, 1.0,
+                                                          grid_step=0.25), "violated", grid),
+    ]
+
+
+_VERDICT_CHECKS = _verdict_checks()
+
+
+@pytest.mark.parametrize("name, call, status, evidence", _VERDICT_CHECKS,
+                         ids=[f"{name}-{status}" for name, _, status, _ in _VERDICT_CHECKS])
+def test_one_verdict_type(name, call, status, evidence):
     assert chebint.Verdict is chebyshev.Verdict is scan_module.Verdict
-    assert isinstance(chebint.leq_min(chebint.prod_op(), grid_step=0.25), Verdict)
+    assert not hasattr(chebint, "DependenceVerdict")
+    assert not hasattr(chebint.exprlang, "MonotoneVerdict")
+    verdict = call()
+    assert type(verdict) is Verdict
+    assert (verdict.status, verdict.evidence) == (status, evidence)
+    assert verdict.holds == (status in ("holds", "holds-on-grid"))
+    assert (verdict.witness is not None) == (status == "violated")
+
+
+@pytest.mark.parametrize("step", [-0.1, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_every_grid_refuses_a_step_that_is_not_a_finite_positive_number(step):
+    # -0.1 used to give a 2-point grid labelled grid(-0.1) and a holds-on-grid
+    # verdict, 0 a ZeroDivisionError, NaN "gives more than 16777216 points"
+    pr, mn = chebint.prod_op(), chebint.min_op()
+    ids = (chebint.identity_shape(),) * 3
+    cfg = chebint.config(pr, pr, (mn, mn, mn), mn, ids, ids,
+                         cd_domain=chebint.cd_interval(0.0, 1.0))
+    scenario = chebint.survival_scenario(1.0, [("[0, 1]", "1 - t")])
+    for call in (lambda: scan_module.axis(0.0, 1.0, step),
+                 lambda: chebint.check_scalar_condition(cfg, step),
+                 lambda: chebint.check_condition_C2(cfg, step),
+                 lambda: chebint.c1_iff_c2(cfg, step),
+                 lambda: chebint.q_corollary_condition(pr, ids, pr, step),
+                 lambda: chebint.search_counterexample(cfg, step),
+                 lambda: chebint.search_commutativity_gap(pr, pr, step),
+                 lambda: chebint.dominates(mn, pr, step),
+                 lambda: chebint.leq_min(pr, step),
+                 lambda: chebint.validate_flags(pr, step),
+                 lambda: chebint.check_monotone(chebint.parse("x"), "x", 0.0, 1.0,
+                                                grid_step=step),
+                 lambda: chebint.integrate_survival(pr, scenario, step),
+                 lambda: ids[0].validate_inverse(step)):
+        with pytest.raises(scan_module.GridError,
+                           match=f"^grid step {step} is not a finite positive number$"):
+            call()
+
+
+def test_violated_leq_min_builds_no_index_array():
+    # max(a, b) > min(a, b) at half the 1001^2 points of h = 1e-3.  Only the
+    # first flagged point is looked up: the op table, the cap, cap + TOL and
+    # the mask peak near 3.1 tables of float64, where an index array of every
+    # flagged point (np.argwhere) took the peak to 6.1
+    op = chebint.expr_op("max", "max(a, b)")
+    chebint.leq_min(op, 0.25)  # any one-time setup outside the trace
+    tracemalloc.start()
+    try:
+        verdict = chebint.leq_min(op, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.witness, verdict.lhs, verdict.rhs) == (
+        "violated", (0.0, 0.001), 0.001, 0.0)
+    assert peak < 4 * 1001 ** 2 * 8
 
 
 def test_sides_may_be_views_of_hoisted_tables():
