@@ -17,7 +17,7 @@ import numpy as np
 from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
-from .extreal import INF, INF_CAP as _INF_CAP
+from .extreal import INF_CAP as _INF_CAP
 from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box, prod_op
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure

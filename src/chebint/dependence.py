@@ -14,8 +14,7 @@ import numpy as np
 from .exprlang import EvalError
 from .fusion import FusionOp, apply_op, clip_args, eval_op
 from .integral import SimpleFunction
-from .measure import (MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure,
-                      _pair_scan_tables)
+from .measure import MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure, _pair_blocks
 from .scan import EQ_TOL, TOL, Verdict, first_flagged
 
 
@@ -134,16 +133,26 @@ def is_m_positively_dependent(q: DependenceQuery) -> Verdict:
 
 def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
                                allow_range_escape: bool = False) -> Verdict:
-    """Exhaustive check of m(C & D) >= tri(m(C), m(D)) over all set pairs."""
-    tab, inter_masks, _ = _pair_scan_tables(m)
+    """Exhaustive check of m(C & D) >= tri(m(C), m(D)) over all set pairs.
+
+    The witness is the first violating pair in C order.  An expression is
+    evaluated over all pairs at once: array evaluation can raise on one point
+    for another's sake (a piecewise branch sees every point), so row blocks
+    would change whether it raises.
+    """
+    blocks = _pair_blocks(m, rows=(1 << m.space.n) if tri.kind == "expr" else None)
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
-    inter = tab[inter_masks]
-    combo = apply_op(tri, tab[:, None], tab[None, :])
-    if (index := first_flagged(inter < combo - TOL)) is None:
-        return _exact(warnings=warnings)
-    i, j = (int(v) for v in index)
-    return _exact((m.space.labels_of(i), m.space.labels_of(j)), float(inter[i, j]),
-                  float(combo[i, j]), f"m(C&D)={inter[i, j]} < {combo[i, j]}", warnings)
+    tab = np.asarray(m.table)
+    for c, d in blocks:
+        inter = tab[c & d]
+        combo = apply_op(tri, tab[c], tab[d])
+        if (index := first_flagged(inter < combo - TOL)) is not None:
+            i, j = index
+            C, D = int(c[i, 0]), int(d[j])
+            return _exact((m.space.labels_of(C), m.space.labels_of(D)), float(inter[i, j]),
+                          float(combo[i, j]), f"m(C&D)={inter[i, j]} < {combo[i, j]}",
+                          warnings)
+    return _exact(warnings=warnings)
 
 
 def condition_Z1(m: MonotoneMeasure, tri: FusionOp,

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, INF_CAP
+from .extreal import INF_CAP
 from .fusion import FusionOp, apply_op, builtin, eval_op
-from .measure import FiniteSpace, MeasureError, MonotoneMeasure, SurvivalScenario
+from .measure import FiniteSpace, MonotoneMeasure, SurvivalScenario
 from .scan import EQ_TOL, axis, check_step
 
 
@@ -113,8 +113,8 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
 def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction,
                          grid_step: float) -> float:
     """Brute-force sup over the t-grid of op(t, m(D & {f >= t}))."""
-    if grid_step <= 0:
-        raise IntegralError("grid_step must be positive")
+    if not 0 < grid_step < np.inf:  # NaN included
+        raise IntegralError(f"grid_step {grid_step} is not a finite positive number")
     top = min(op.y_bar, INF_CAP)
     ts = axis(0.0, top, grid_step, least=0)
     atoms = m.space.atoms_of(D)

@@ -8,7 +8,7 @@ from itertools import compress
 import numpy as np
 
 from .exprlang import EvalError, Expr, Interval, eval_expr, parse, parse_interval
-from .scan import EQ_TOL, TOL, axis, first_flagged
+from .scan import _BLOCK, EQ_TOL, TOL, axis, first_flagged
 
 
 class MeasureError(Exception):
@@ -17,7 +17,8 @@ class MeasureError(Exception):
 
 MAX_ATOMS = 24
 MAX_SCAN_ATOMS = 12  # exhaustive pair scans are 4^n; refuse beyond this
-# value_range's numpy dedupe only beats the Python loop from about 2^10 values
+# value_range's gap test beats the Python loop from about 2^8 distinct values,
+# but on tables with about 100 distinct values the loop is as fast up to 2^12
 _VECTOR_MIN = 1 << 10
 
 
@@ -79,17 +80,30 @@ class MonotoneMeasure:
         """
         vals = sorted(self.table)
         if len(vals) >= _VECTOR_MIN:
-            gaps = np.diff(np.fromiter(vals, float, len(vals)))
-            if np.all((gaps > EQ_TOL) | (gaps == 0.0)):
+            # the gaps come from a copy sorted in place: reading the floats
+            # in sorted order instead would miss the cache at every value
+            arr = np.fromiter(self.table, float, len(vals))
+            arr.sort()
+            gaps = np.diff(arr)
+            wide, flat = gaps > EQ_TOL, gaps == 0.0
+            del arr, gaps  # freed before the result tuple is built
+            if wide.all():
+                return tuple(vals)
+            if np.all(wide | flat):
                 # every gap is 0 or above EQ_TOL, so the last kept value
                 # equals the previous sorted one and the rule is a gap test
-                keep = np.concatenate(([True], gaps > EQ_TOL))
-                return tuple(compress(vals, keep.tolist()))
+                return tuple(compress(vals, np.concatenate(([True], wide)).tolist()))
         out = [vals[0]]
         for v in vals[1:]:
             if v - out[-1] > EQ_TOL:
                 out.append(v)
         return tuple(out)
+
+
+def _above_superset(arr, upper, bit):
+    """``arr[a] > upper[a | 1 << bit]`` for the masks a without ``bit``, shaped
+    (k, j) for mask k * (2 << bit) + j."""
+    return arr.reshape(-1, 2, 1 << bit)[:, 0, :] > upper.reshape(-1, 2, 1 << bit)[:, 1, :]
 
 
 def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
@@ -123,11 +137,16 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
     arr = np.fromiter(table, float, size)
     if np.count_nonzero(arr < 0.0):
         raise MeasureError("measure values must be nonnegative")
-    # rows k, halves s, columns j: mask k * (2 << bit) + s * (1 << bit) + j
     upper = arr + EQ_TOL
-    for bit in range(sp.n):
-        bad = arr.reshape(-1, 2, 1 << bit)[:, 0, :] > upper.reshape(-1, 2, 1 << bit)[:, 1, :]
-        if (index := first_flagged(bad)) is not None:
+    # in a table larger than _BLOCK, a bit below _BLOCK pairs masks inside one
+    # _BLOCK-aligned chunk, so those bits are compared a cached chunk at a
+    # time; on a violation the per-bit loop runs from bit 0 and names the first
+    low = _BLOCK.bit_length() - 1 if size > _BLOCK else 0
+    if low and any(np.count_nonzero(_above_superset(arr[s:s + _BLOCK], upper[s:s + _BLOCK], b))
+                   for s in range(0, size, _BLOCK) for b in range(low)):
+        low = 0
+    for bit in range(low, sp.n):
+        if (index := first_flagged(_above_superset(arr, upper, bit))) is not None:
             k, j = index
             a = int(k * (2 << bit) + j)
             raise MeasureError(
@@ -222,36 +241,43 @@ def _sole_var(expr: Expr):
 # ---------------------------------------------------------------------------
 
 
-def _pair_scan_tables(m: MonotoneMeasure):
-    if m.space.n > MAX_SCAN_ATOMS:
-        raise MeasureError(
-            f"exhaustive pair scan refused for n > {MAX_SCAN_ATOMS} atoms"
-        )
-    # uint16 holds every mask below 2^MAX_SCAN_ATOMS and quarters the index
-    # tables; below 2^16 pairs its cast to intp when indexing costs more
-    masks = np.arange(1 << m.space.n, dtype=np.uint16 if m.space.n >= 8 else np.intp)
-    tab = np.asarray(m.table)
-    inter = masks[:, None] & masks[None, :]
-    union = masks[:, None] | masks[None, :]
-    return tab, inter, union
+def _pair_blocks(m: MonotoneMeasure, symmetric=False, rows=None):
+    """The set pairs (C, D) of ``m`` in C order, in blocks of ``rows`` masks C
+    (about ``_BLOCK`` pairs by default): intp mask arrays C, shaped (rows, 1),
+    and D.
+
+    A ``symmetric`` predicate gets only the masks D from the block's first C
+    on, which covers every pair with D >= C.  Beyond MAX_SCAN_ATOMS atoms the
+    call, not the first block, raises a MeasureError.
+    """
+    n = m.space.n
+    if n > MAX_SCAN_ATOMS:
+        raise MeasureError(f"exhaustive pair scan refused for n > {MAX_SCAN_ATOMS} atoms")
+    masks = np.arange(1 << n, dtype=np.intp)
+    rows = rows or max(_BLOCK >> n, 1)
+    return ((masks[s:s + rows, None], masks[s:] if symmetric else masks)
+            for s in range(0, 1 << n, rows))
 
 
 def is_minitive(m: MonotoneMeasure) -> bool:
     """m(C & D) == min(m(C), m(D)) for all set pairs."""
-    tab, inter, _ = _pair_scan_tables(m)
-    return bool(np.all(np.abs(tab[inter] - np.minimum(tab[:, None], tab[None, :])) <= EQ_TOL))
+    tab = np.asarray(m.table)
+    return all(np.all(np.abs(tab[c & d] - np.minimum(tab[c], tab[d])) <= EQ_TOL)
+               for c, d in _pair_blocks(m, symmetric=True))
 
 
 def is_subadditive(m: MonotoneMeasure) -> bool:
     """m(C | D) <= m(C) + m(D) for all set pairs."""
-    tab, _, union = _pair_scan_tables(m)
-    return bool(np.all(tab[union] <= tab[:, None] + tab[None, :] + EQ_TOL))
+    tab = np.asarray(m.table)
+    return all(np.all(tab[c | d] <= tab[c] + tab[d] + EQ_TOL)
+               for c, d in _pair_blocks(m, symmetric=True))
 
 
 def is_supermodular(m: MonotoneMeasure) -> bool:
     """m(C | D) + m(C & D) >= m(C) + m(D) for all set pairs."""
-    tab, inter, union = _pair_scan_tables(m)
-    return bool(np.all(tab[union] + tab[inter] >= tab[:, None] + tab[None, :] - EQ_TOL))
+    tab = np.asarray(m.table)
+    return all(np.all(tab[c | d] + tab[c & d] >= tab[c] + tab[d] - EQ_TOL)
+               for c, d in _pair_blocks(m, symmetric=True))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,13 @@ class TestOracleAgreement:
             assert res.value == oracle_grid_integral(op, m, D, f, grid_step=0.01)
 
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_oracle_refuses_a_step_that_is_not_finite_positive(self, sp, m, step):
+        f = simple_function(sp, [0.9, 0.6, 0.3])
+        with pytest.raises(IntegralError, match="not a finite positive number"):
+            oracle_grid_integral(min_op(), m, sp.full_mask, f, step)
+
+
 class TestQIntegral:
     def test_measure_in_first_slot(self, sp, m):
         f = simple_function(sp, [0.9, 0.6, 0.3])

@@ -1,16 +1,19 @@
+import operator
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chebint import fusion, randgen
 from chebint.dependence import measure_supports_all_pairs
 from chebint.measure import (MAX_SCAN_ATOMS, FiniteSpace, MeasureError,
-                             MonotoneMeasure, _pair_scan_tables,
+                             MonotoneMeasure,
                              distorted_probability, dual, from_table,
                              is_minitive, is_subadditive, is_supermodular,
                              necessity_from_possibility, space,
                              survival_scenario)
-from chebint.exprlang import eval_expr, parse
-from chebint.scan import EQ_TOL, TOL
+from chebint.exprlang import EvalError, eval_expr, parse
+from chebint.scan import _BLOCK, EQ_TOL, TOL
 
 
 @pytest.fixture
@@ -281,11 +284,16 @@ class TestArrayPathsMatchLoops:
         rng = np.random.default_rng(16)
         sp = atoms(16)
         base = additive_table(rng, 16)
-        table = list(base)
-        table[0b0111_1111_0000_0000] = 0.99 * table[-1]
-        want = outcome(reference_from_table, sp, table)
-        assert want[0] == "error" and "monotonicity" in want[1]
-        assert outcome(from_table, sp, table) == want
+        # above its supersets in low and high bits; then, for each bit, the
+        # mask without only that bit above its one superset X
+        full = (1 << 16) - 1
+        planted = [(0b0111_1111_0000_0000, 0.99)] + [(full ^ 1 << bit, 1.01) for bit in range(16)]
+        for mask, share in planted:
+            table = list(base)
+            table[mask] = share * table[-1]
+            want = outcome(reference_from_table, sp, table)
+            assert want[0] == "error" and "monotonicity" in want[1]
+            assert outcome(from_table, sp, table) == want
         m = from_table(sp, base)
         assert repr(m.value_range()) == repr(reference_value_range(m.table))
 
@@ -319,12 +327,66 @@ class TestArrayPathsMatchLoops:
             vals = np.concatenate([rng.uniform(0, 1, size // 2),
                                    0.5 + 0.7 * EQ_TOL * np.arange(size - size // 2)])
         m = MonotoneMeasure(atoms(int(size).bit_length() - 1), tuple(vals.tolist()))
-        assert repr(m.value_range()) == repr(reference_value_range(m.table))
+        got, want = m.value_range(), reference_value_range(m.table)
+        assert repr(got) == repr(want)
+        # the table's own floats, not copies: 2^20 new floats cost about 24 MB
+        assert all(map(operator.is_, got, want))
 
 
-def reference_pair_tables(m):
-    masks = np.arange(1 << m.space.n, dtype=np.int64)
-    return np.asarray(m.table), masks[:, None] & masks[None, :], masks[:, None] | masks[None, :]
+def reference_first_rows(m):
+    """Whole rows of int64 masks, one row at a time: the first mask C whose row
+    breaks each pair predicate, or None where it holds."""
+    tab = np.asarray(m.table)
+    masks = np.arange(len(tab), dtype=np.int64)
+    first = dict.fromkeys(["minitive", "subadditive", "supermodular"])
+    for c in range(len(tab)):
+        inter, union, pair_sum = tab[c & masks], tab[c | masks], tab[c] + tab
+        holds = {"minitive": np.all(np.abs(inter - np.minimum(tab[c], tab)) <= EQ_TOL),
+                 "subadditive": np.all(union <= pair_sum + EQ_TOL),
+                 "supermodular": np.all(union + inter >= pair_sum - EQ_TOL)}
+        for name, ok in holds.items():
+            if not ok and first[name] is None:
+                first[name] = c
+    return first
+
+
+def scanned_predicates(m):
+    return {"minitive": is_minitive(m), "subadditive": is_subadditive(m),
+            "supermodular": is_supermodular(m)}
+
+
+def planted(name, n, last):
+    """A table on n atoms that breaks predicate ``name`` inside the first or
+    the ``last`` row block of the pair scans, and nowhere else.
+
+    Both blocks are closed under & and |: the first holds the subsets of the
+    low bits, the last the supersets of the high bits.
+    """
+    rows = _BLOCK >> n
+    low = rows - 1
+    top = (1 << n) - 1 if last else low  # the largest mask of the block
+    masks = np.arange(1 << n)
+    inside = masks >= top - low if last else masks <= low
+    if name == "minitive":
+        # a necessity measure whose low atoms are the least possible: every
+        # mask outside the last block has a lower value than those inside
+        pi = [0.1 + 0.05 * i for i in range(rows.bit_length() - 1)]
+        table = list(necessity_from_possibility(atoms(n), pi + np.linspace(
+            0.6, 1.0, n - len(pi)).tolist()).table)
+        bottom = top - low if last else 1
+        table[bottom] += 0.01
+    elif name == "subadditive":
+        # m(top) > m(C) + m(D) only for the pairs of the block that join to top
+        table = np.where(inside, 1.0, 1.2)
+        table[0], table[top] = 0.0, 2.1
+    else:
+        # P^2 has slack 2 P(C - D) P(D - C): about 2e-6 where C and D differ
+        # only in low atoms, above 2e-4 otherwise
+        w = np.where(np.arange(n) < rows.bit_length() - 1, 1e-3, 1.0)
+        bits = (masks[:, None] >> np.arange(n)[None, :]) & 1
+        table = (bits @ (w / w.sum())) ** 2
+        table[top] -= 1e-5
+    return MonotoneMeasure(atoms(n), tuple(np.asarray(table, dtype=float).tolist()))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -335,15 +397,12 @@ def test_pair_scans_match_int64_reference(n):
                 randgen.random_monotone_measure(rng, sp),
                 MonotoneMeasure(sp, tuple(additive_table(rng, n)))]
     for m in measures:
-        tab, inter, union = reference_pair_tables(m)
-        lo = np.minimum(tab[:, None], tab[None, :])
-        pair_sum = tab[:, None] + tab[None, :]
-        assert is_minitive(m) == bool(np.all(np.abs(tab[inter] - lo) <= EQ_TOL))
-        assert is_subadditive(m) == bool(np.all(tab[union] <= pair_sum + EQ_TOL))
-        assert is_supermodular(m) == bool(np.all(tab[union] + tab[inter] >= pair_sum - EQ_TOL))
-        prod = fusion.prod_op()
-        short = np.argwhere(tab[inter] < tab[:, None] * tab[None, :] - TOL)
-        verdict = measure_supports_all_pairs(m, prod, allow_range_escape=True)
+        first = reference_first_rows(m)
+        assert scanned_predicates(m) == {name: row is None for name, row in first.items()}
+        tab = np.asarray(m.table)
+        masks = np.arange(1 << n, dtype=np.int64)
+        short = np.argwhere(tab[masks[:, None] & masks[None, :]] < tab[:, None] * tab[None, :] - TOL)
+        verdict = measure_supports_all_pairs(m, fusion.prod_op(), allow_range_escape=True)
         if short.size:
             i, j = (int(v) for v in short[0])
             assert verdict.witness == (sp.labels_of(i), sp.labels_of(j))
@@ -351,10 +410,74 @@ def test_pair_scans_match_int64_reference(n):
             assert verdict.holds
 
 
-def test_pair_scan_tables_at_max_atoms_match_int64():
-    m = MonotoneMeasure(atoms(MAX_SCAN_ATOMS), tuple(range(1 << MAX_SCAN_ATOMS)))
-    tab, inter, union = _pair_scan_tables(m)
-    masks = np.arange(1 << MAX_SCAN_ATOMS, dtype=np.int64)
-    for rows in (slice(0, 3), slice(-3, None)):
-        assert np.array_equal(inter[rows], masks[rows, None] & masks[None, :])
-        assert np.array_equal(union[rows], masks[rows, None] | masks[None, :])
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("last", [False, True], ids=["first-block", "last-block"])
+def test_pair_scans_find_a_violation_planted_in_one_row_block(n, last):
+    rows = _BLOCK >> n
+    for name in ("minitive", "subadditive", "supermodular"):
+        m = planted(name, n, last)
+        first = reference_first_rows(m)
+        block = first[name] // rows
+        assert block == ((1 << n) // rows - 1 if last else 0), (name, first)
+        assert scanned_predicates(m) == {key: row is None for key, row in first.items()}
+
+
+def test_supports_all_pairs_witness_is_first_in_whole_rows():
+    # only C = X has m(C) = 1, so godel_contra (a if a > 1 - b) is broken only
+    # in the last row, and first at D = {a0} < C
+    sp = atoms(10)
+    masks = np.arange(1 << 10)
+    table = np.where(masks & 1, 0.3 + 0.1 * (masks >> 1 & 1), 0.0)
+    table[-1] = 1.0
+    m = MonotoneMeasure(sp, tuple(table.tolist()))
+    tri = fusion.godel_contra_op()
+    short = np.argwhere(table[masks[:, None] & masks[None, :]]
+                        < fusion.apply_op(tri, table[:, None], table[None, :]) - TOL)
+    assert short[0].tolist() == [1023, 1]
+    verdict = measure_supports_all_pairs(m, tri)
+    assert (verdict.witness, verdict.lhs, verdict.rhs) == (
+        (sp.labels_of(1023), sp.labels_of(1)), 0.3, 1.0)
+
+
+def test_supports_all_pairs_keeps_an_expression_error_after_the_witness():
+    # m(C) is the largest weight in C; 0.5 is m(C) only for masks with a7 and
+    # without a0, all in the second row block of n = 8.  The first branch
+    # divides by 0.5 - a over every point once any point takes it, so the
+    # whole table raises, though neither block does on its own
+    sp = atoms(8)
+    w = np.array([0.6, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.5])
+    masks = np.arange(1 << 8)
+    table = np.where((masks[:, None] >> np.arange(8)) & 1, w, 0.0).max(axis=1)
+    m = MonotoneMeasure(sp, tuple(table.tolist()))
+    tri = fusion.expr_op("split", "piecewise a { [0, 0.5): 0 / (0.5 - a) ; [0.5, 1]: b }")
+    rows = _BLOCK >> 8
+    first = fusion.apply_op(tri, table[:rows, None], table[None, :])
+    assert np.any(table[masks[:rows, None] & masks] < first - TOL)
+    fusion.apply_op(tri, table[rows:, None], table[None, :])
+    with pytest.raises(EvalError, match="division by zero"):
+        measure_supports_all_pairs(m, tri, allow_range_escape=True)
+
+
+def test_pair_scans_at_max_atoms_hold_small_blocks():
+    # 4^12 pairs: a whole-table pass holds 16.8M-entry index and value
+    # tables; the row blocks hold about _BLOCK pairs each
+    n = MAX_SCAN_ATOMS
+    sp = atoms(n)
+    rng = np.random.default_rng(12)
+    pi = randgen.random_possibility(rng, sp)
+    necessity = necessity_from_possibility(sp, pi)
+    masks = np.arange(1 << n)
+    possibility = np.where((masks[:, None] >> np.arange(n)) & 1, pi, 0.0).max(axis=1)
+    possibility = MonotoneMeasure(sp, tuple(possibility.tolist()))
+    squared = MonotoneMeasure(sp, tuple((np.array(additive_table(rng, n)) ** 2).tolist()))
+    checks = [(is_minitive, necessity), (is_subadditive, possibility),
+              (is_supermodular, squared),
+              (lambda m: measure_supports_all_pairs(m, fusion.min_op()).holds, necessity)]
+    for check, m in checks:
+        tracemalloc.start()
+        try:
+            assert check(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * _BLOCK * 8
