@@ -18,7 +18,8 @@ from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF_CAP as _INF_CAP
-from .fusion import FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box, prod_op
+from .fusion import (BUILTIN_KINDS, FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box,
+                     prod_op)
 from .integral import SimpleFunction, integrate_simple, simple_function
 from .measure import MonotoneMeasure
 from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step, first_flagged,
@@ -246,6 +247,24 @@ def config(inner, outer, circs, triangle, phis, psis, k=1.0, y_bar=1.0,
 # ---------------------------------------------------------------------------
 
 
+def _row_values(table, rows, ndim):
+    """The block ``rows`` of a table over a scan's first axis, ``table[rows]``
+    with ``ndim`` unit axes after the first, or for a one-row block the row
+    itself (a scalar for a 1-D table), as a row-by-row scan passes it."""
+    if rows.stop - rows.start == 1:
+        return table[rows.start]
+    block = table[rows]
+    return block.reshape(block.shape[:1] + (1,) * ndim + block.shape[1:])
+
+
+def _builtin(*ops):
+    """Whether every operation is a builtin, so that a scan may take blocks of
+    rows: an expression evaluates a sub-term in a scalar argument alone, such
+    as ``a^0.7``, with libm's pow, and in an array with ``np.power``, whose
+    last bits differ."""
+    return all(op.kind in BUILTIN_KINDS for op in ops)
+
+
 def _k_grid(cfg, grid_step):
     return axis(0.0, cfg.k, grid_step)
 
@@ -327,14 +346,16 @@ def _check_c2(cfg, grid_step, tables):
         psi2_adbar = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a, dbar))
         psi3_bdbar = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b, dbar))
 
-        def sides(i):  # over (b, c)
-            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, ab[i], ab))
-            lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[:, None], cd[None, :]))
-            t1 = apply_op(cfg.outer, psi2_ac[i][None, :], psi3_bdbar[:, None])
-            t2 = apply_op(cfg.outer, psi2_adbar[i], psi3_bc)
+        def sides(rows):  # over (rows, b, c)
+            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, _row_values(ab, rows, 1), ab))
+            lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[..., None], cd))
+            t1 = apply_op(cfg.outer, _row_values(psi2_ac, rows, 1), psi3_bdbar[:, None])
+            t2 = apply_op(cfg.outer, _row_values(psi2_adbar, rows, 2), psi3_bc)
             return lhs, np.maximum(t1, t2)
 
-        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
+        # inner and outer take a row's a and psi2(a circ2 dbar) as scalars
+        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence,
+                    blocks=_builtin(cfg.inner, cfg.outer))
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -635,16 +656,17 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
         inv3_1c = phi3.apply_inverse(apply_op(conj, 1.0, phi3_c))
         phi1_bc = phi1.apply(apply_op(star, b_values[:, None], xs[None, :]))
 
-        def sides(i):  # over (b, c)
-            a = xs[i]
-            lhs = phi1.apply_inverse(apply_op(conj, a, phi1_bc))
+        def sides(rows):  # over (rows, b, c)
+            a = _row_values(xs, rows, 1)
+            lhs = phi1.apply_inverse(apply_op(conj, _row_values(xs, rows, 2), phi1_bc))
             inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
             inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
-            r1 = apply_op(star, inv2_ab[:, None], inv3_1c[None, :])
-            r2 = apply_op(star, inv2_1b[:, None], inv3_ac[None, :])
+            r1 = apply_op(star, inv2_ab[..., None], inv3_1c)
+            r2 = apply_op(star, inv2_1b[:, None], inv3_ac[..., None, :])
             return lhs, np.maximum(r1, r2)
 
-        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence)
+        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence,
+                    blocks=_builtin(conj))
 
     verdict = scan_b(np.asarray([1.0]))
     return verdict if not verdict.holds else scan_b(xs)

@@ -20,7 +20,9 @@ def xmul(a, b):
     zero product is +0, so the plain product is returned, bit for bit what
     the patched one gives.
     """
-    if np.isscalar(a) and np.isscalar(b):
+    # an ndarray is never a scalar, and np.isscalar costs about 1 us a call
+    arrays = type(a) is np.ndarray or type(b) is np.ndarray
+    if not arrays and np.isscalar(a) and np.isscalar(b):
         if a == 0.0 or b == 0.0:
             return 0.0
         return a * b
@@ -41,6 +43,8 @@ def _finite_unsigned(x):
 
 def as_scalar(x):
     """Collapse a 0-d numpy value to a plain float; pass arrays through."""
+    if type(x) is np.ndarray:
+        return float(x) if x.ndim == 0 else x
     if np.isscalar(x):
         return float(x)
     arr = np.asarray(x)

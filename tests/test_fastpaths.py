@@ -5,6 +5,7 @@ import itertools
 import json
 import pickle
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from chebint.chebyshev import ShapeDomainError
 from chebint.dependence import triangle_range_escapes
 from chebint.exprlang import (EvalError, compile_expr, eval_expr, free_vars, parse,
                               pretty)
-from chebint.extreal import xmul
+from chebint.extreal import as_scalar, xmul
 from chebint.fusion import (BUILTIN_KINDS, FusionError, apply_op, builtin,
                             clip_args, eval_op, expr_op)
 from chebint.measure import FiniteSpace, MonotoneMeasure
@@ -374,6 +375,33 @@ def test_xmul_direct_product_leaves_operands_alone():
     out = xmul(a[:, None], a[None, :])
     assert out.shape == (100, 100) and not np.shares_memory(out, a)
     assert np.array_equal(a, before)
+
+
+def as_scalar_reference(x):
+    """as_scalar as it was, asking np.isscalar first."""
+    if np.isscalar(x):
+        return float(x)
+    arr = np.asarray(x)
+    return float(arr) if arr.ndim == 0 else arr
+
+
+@pytest.mark.parametrize("x", [0.5, -0.0, 3, np.float64(-0.0), np.asarray(0.25),
+                               np.asarray(-np.nan), np.array([0.0, -0.0, np.inf]), [1.0, 2.0],
+                               np.ma.masked_array([1.0, 2.0])])
+def test_as_scalar_is_the_isscalar_form(x):
+    got, want = as_scalar(x), as_scalar_reference(x)
+    assert type(got) is type(want) and same_bits(got, want)
+
+
+def test_ndarray_arguments_skip_isscalar():
+    # np.isscalar costs about 1 us a call, and an ndarray is never a scalar
+    a = np.linspace(0.0, 1.0, 21)
+    with mock.patch.object(np, "isscalar", side_effect=AssertionError("np.isscalar called")):
+        got = [xmul(a, a), xmul(a, 0.5), xmul(0.5, a[:, None]), as_scalar(np.asarray(0.5))]
+        assert as_scalar(a) is a
+    for value, want in zip(got, [xmul_reference(a, a), xmul_reference(a, 0.5),
+                                 xmul_reference(0.5, a[:, None]), 0.5]):
+        assert same_bits(value, want)
 
 
 @pytest.mark.parametrize("a, b", [

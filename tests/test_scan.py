@@ -4,6 +4,7 @@
 equal verdicts and the same points re-checked in the same order.
 """
 
+import gc
 import math
 import tracemalloc
 from functools import partial
@@ -24,17 +25,18 @@ def recording_scan(axes, flagged, confirmed):
     """Scan with lhs = 0 and rhs = 1 at the `flagged` (row, *rest) indices.
 
     `confirmed` holds the points whose re-check succeeds.  Returns the
-    verdict, the rows built and the points re-checked.
+    verdict, the blocks built as (start, stop) row ranges and the points
+    re-checked.
     """
-    rows, rechecked = [], []
+    blocks, rechecked = [], []
     shape = tuple(len(ax) for ax in axes[1:])
 
-    def sides(i):
-        rows.append(i)
-        rhs = np.zeros(shape)
+    def sides(rows):
+        blocks.append((rows.start, rows.stop))
+        rhs = np.zeros((rows.stop - rows.start,) + shape)
         for index in flagged:
-            if index[0] == i:
-                rhs[index[1:]] = 1.0
+            if rows.start <= index[0] < rows.stop:
+                rhs[(index[0] - rows.start,) + index[1:]] = 1.0
         return np.zeros(shape), rhs
 
     def at(*point):
@@ -42,7 +44,7 @@ def recording_scan(axes, flagged, confirmed):
         return (0.0, 1.0) if point in confirmed else (1.0, 1.0)
 
     verdict = scan(axes, sides, at, "evidence text")
-    return verdict, rows, rechecked
+    return verdict, blocks, rechecked
 
 
 def test_rows_in_order_and_first_point_in_c_order():
@@ -50,8 +52,8 @@ def test_rows_in_order_and_first_point_in_c_order():
             np.array([20.0, 21.0, 22.0, 23.0]))
     flagged = [(1, 2, 0), (1, 0, 3), (1, 1, 1), (2, 0, 0)]
     confirmed = {(0.5, 10.0, 23.0), (0.5, 11.0, 21.0), (0.5, 12.0, 20.0), (1.0, 10.0, 20.0)}
-    verdict, rows, rechecked = recording_scan(axes, flagged, confirmed)
-    assert rows == [0, 1]
+    verdict, blocks, rechecked = recording_scan(axes, flagged, confirmed)
+    assert blocks == [(0, 3)]
     assert rechecked == [(0.5, 10.0, 23.0)]
     assert verdict == Verdict("violated", (0.5, 10.0, 23.0), 0.0, 1.0, evidence="evidence text")
 
@@ -61,24 +63,106 @@ def test_failed_recheck_abandons_the_row():
     # row 1: the first flagged point (1, 0) does not confirm; (1, 2) would
     flagged = [(1, 0), (1, 2), (2, 1)]
     confirmed = {(1.0, 2.0), (2.0, 1.0)}
-    verdict, rows, rechecked = recording_scan(axes, flagged, confirmed)
-    assert rows == [0, 1, 2]
+    verdict, blocks, rechecked = recording_scan(axes, flagged, confirmed)
+    assert blocks == [(0, 3)]
     assert rechecked == [(1.0, 0.0), (2.0, 1.0)]
     assert verdict.status == "violated" and verdict.witness == (2.0, 1.0)
 
 
 def test_holds_when_nothing_confirms():
     axes = (np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-    verdict, rows, rechecked = recording_scan(axes, [(0, 1)], set())
-    assert rows == [0, 1]
+    verdict, blocks, rechecked = recording_scan(axes, [(0, 1)], set())
+    assert blocks == [(0, 2)]
     assert rechecked == [(0.0, 1.0)]
     assert verdict.holds and verdict.witness is None
     assert verdict.evidence == "evidence text"
 
 
+def test_blocks_take_as_many_rows_as_half_a_block_holds():
+    # rows of 64^2 points: _BLOCK // 2 of them make a block of 4 rows, the
+    # last block takes what is left; without blocks, or with rows of more
+    # than _BLOCK // 2 points, every block is one row
+    lead = _BLOCK // 2 // 64 ** 2
+    assert lead == 4
+    axes = (np.arange(10.0), np.arange(64.0), np.arange(64.0))
+    assert recording_scan(axes, [], set())[1] == [(0, 4), (4, 8), (8, 10)]
+    one_row = [(i, i + 1) for i in range(10)]
+    seen = []
+    scan(axes, lambda rows: seen.append((rows.start, rows.stop)) or (1.0, 0.0), None, "",
+         blocks=False)
+    assert seen == one_row
+    wide = (np.arange(3.0), np.arange(_BLOCK // 2 + 1.0))
+    assert recording_scan(wide, [], set())[1] == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_flagged_rows_of_a_block_in_order():
+    # a block of 4 rows with flags in rows 1, 2 and 3: row 1's first point
+    # is not confirmed, row 2's is; rows 0 and 3 are never re-checked
+    axes = (np.arange(10.0), np.arange(64.0), np.arange(64.0))
+    flagged = [(3, 0, 0), (2, 5, 1), (1, 0, 9), (1, 0, 2), (2, 5, 0)]
+    verdict, blocks, rechecked = recording_scan(axes, flagged, {(2.0, 5.0, 0.0)})
+    assert blocks == [(0, 4)]
+    assert rechecked == [(1.0, 0.0, 2.0), (2.0, 5.0, 0.0)]
+    assert verdict.witness == (2.0, 5.0, 0.0)
+
+
+def test_a_raising_block_is_re_run_one_row_at_a_time():
+    # rows 0..9 of 8 points are one block.  Row 6 raises; a block raises
+    # when it holds row 6, or (`block_only`) whenever it has several rows
+    axes = (np.arange(10.0), np.arange(8.0))
+
+    def result(call):
+        try:
+            return call().witness
+        except Exception as exc:  # noqa: BLE001 - the type and message are compared
+            return type(exc).__name__, str(exc)
+
+    def run(violated_row, block_only=False):
+        blocks = []
+
+        def sides(rows):
+            blocks.append((rows.start, rows.stop))
+            if rows.stop - rows.start > 1 and block_only:
+                raise ValueError("block")
+            if rows.start <= 6 < rows.stop and not block_only:
+                raise KeyError(f"row 6 of {rows.start}..{rows.stop - 1}")
+            rhs = (np.arange(rows.start, rows.stop) == violated_row)[:, None] * np.ones(8)
+            return 0.0, rhs
+
+        return result(lambda: scan(axes, sides, lambda *point: (0.0, 1.0), "")), blocks
+
+    # an earlier row's witness beats the block's error, a later row's does not
+    assert run(4) == ((4.0, 0.0), [(0, 10)] + [(i, i + 1) for i in range(5)])
+    assert run(8) == (("KeyError", "'row 6 of 6..6'"), [(0, 10)] + [(i, i + 1) for i in range(7)])
+    # no row raises alone: the rows' witness, or the scan goes on and holds
+    assert run(4, block_only=True) == ((4.0, 0.0), [(0, 10)] + [(i, i + 1) for i in range(5)])
+    assert run(-1, block_only=True) == (None, [(0, 10)] + [(i, i + 1) for i in range(10)])
+
+
+def test_a_scan_leaves_no_reference_cycle():
+    # what a cycle holds, such as the buffers seen by a closure that calls
+    # itself, stays allocated until the cyclic collector runs
+    axes = (np.arange(10.0), np.arange(64.0), np.arange(64.0))
+
+    def raising(rows, rhs=1.0):
+        if rows.stop - rows.start > 1:
+            raise ValueError("block")
+        return 0.0, rhs
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert recording_scan(axes, [], set())[0].holds
+        assert scan(axes, raising, lambda *point: (0.0, 1.0), "").witness == (0.0, 0.0, 0.0)
+        assert scan(axes, partial(raising, rhs=0.0), lambda *point: (0.0, 0.0), "").holds
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_flags_only_beyond_the_tolerance():
     axes = (np.array([0.0]), np.array([0.0, 1.0]))
-    verdict = scan(axes, lambda i: (np.zeros(2), np.array([TOL / 2, 2 * TOL])),
+    verdict = scan(axes, lambda rows: (np.zeros(2), np.array([TOL / 2, 2 * TOL])),
                    lambda *p: (0.0, 2 * TOL), "")
     assert verdict.witness == (0.0, 1.0)
 
@@ -202,7 +286,7 @@ def test_sides_may_be_views_of_hoisted_tables():
     axes = (np.arange(3.0), np.arange(4.0), np.arange(5.0))
     table = np.linspace(0.0, 1.0, 60).reshape(3, 4, 5)
     before = table.copy()
-    verdict = scan(axes, lambda i: (table[i], table[i][::-1]), lambda *p: (0.0, 0.0), "")
+    verdict = scan(axes, lambda rows: (table[rows], table[rows, ::-1]), lambda *p: (0.0, 0.0), "")
     assert verdict.holds
     assert np.array_equal(table, before)
 
@@ -249,8 +333,9 @@ def test_separable_scan_matches_the_plain_scan():
         a, b, c, d = int(a), int(b), int(c), int(d)
         return u[a, b] * v[c, d], p[a, c] + q[b, d]
 
-    def plain_sides(i):
-        return u[i][:, None, None] * v[None], p[i][None, :, None] + q[:, None, :]
+    def plain_sides(rows):
+        return (u[rows, :, None, None] * v[None, None],
+                p[rows, None, :, None] + q[None, :, None, :])
 
     want = scan((ab, ab, cd, cd), plain_sides, at, "e")
     assert want.status == "violated"
@@ -262,7 +347,7 @@ def test_constant_sides_flag_the_first_point_of_the_row():
     # sides that do not depend on the row's axes broadcast over the whole row,
     # so the witness has every coordinate
     axes = (np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0]))
-    verdict = scan(axes, lambda i: (0.0, 1.0), lambda a, b, c: (0.0, 1.0), "")
+    verdict = scan(axes, lambda rows: (0.0, 1.0), lambda a, b, c: (0.0, 1.0), "")
     assert verdict.witness == (0.0, 2.0, 4.0)
 
 
@@ -305,8 +390,9 @@ def separable_and_plain(u, v, p, q, left=np.add, right=np.multiply, confirm=None
 
         return scanner(at), rechecked
 
-    def plain_sides(i):
-        return left(u[i][:, None, None], v[None]), right(p[i][None, :, None], q[:, None, :])
+    def plain_sides(rows):
+        return (left(u[rows, :, None, None], v[None, None]),
+                right(p[rows, None, :, None], q[None, :, None, :]))
 
     return (run(lambda at: scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, left, right,
                                           at, "e")),
@@ -523,6 +609,28 @@ def test_separable_scan_holds_one_rhs_row_at_a_time(outer, inner, status, rows):
         tracemalloc.stop()
     assert verdict.status == status
     assert peak < rows * 51 ** 3 * 8
+
+
+def test_a_pruned_row_that_flags_computes_its_lhs_once():
+    # min(c, d) has 9 maximal points of 25; every row's maximal points flag
+    # (lhs 0 against c * d) and nothing confirms, so each row is compared
+    # twice, kept points then whole, from one evaluation of u and of left
+    xs = np.linspace(0.0, 1.0, 5)
+    v, pq = np.minimum(xs[:, None], xs[None, :]), np.tile(xs, (5, 1))
+    calls = []
+
+    def u(a):
+        calls.append("u")
+        return np.zeros(5)
+
+    def left(x, t):
+        calls.append("left")
+        return x * t
+
+    verdict = scan_separable(xs, xs, u, v, pq, pq, left, np.multiply, lambda *p: (1.0, 0.0), "",
+                             (0.0, 1.0))
+    assert verdict.holds
+    assert calls == ["u", "left"] * 5
 
 
 def test_level_set_maxima_and_their_guard():

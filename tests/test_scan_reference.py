@@ -5,9 +5,13 @@ their own order, psi1 and outer evaluated on whole rows, and a kernel that
 compares ``lhs < rhs - TOL`` in one go.  Random builtin, expression and
 power-shape configurations must give the same Verdict (status, witness, lhs,
 rhs, detail, evidence) or raise the same exception with the same message.
+The c2 and q scans compare blocks of several rows at once; they are also
+checked against the same scans taking one row at a time.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -184,8 +188,12 @@ def outcome(fn, *args):
 
 _FLAGS = dict(non_decreasing=True, left_continuous_in_first=True,
               left_continuous_in_second=True, fuzzy_conjunction=True)
+# A piecewise evaluates a branch on the whole array once any of its points
+# takes it: _CROSS_ROW's middle branch is undefined above a = 0.5, so an
+# array can raise where each of its rows, taken alone, does not
+_CROSS_ROW = "piecewise a { [0, 0.02): a*b; [0.02, 0.04]: a*b + 0*sqrt(0.5 - a); (0.04, 1]: a*b }"
 _EXPRS = ["a*b^2", "min(a, b)^2", "sqrt(a*b)", "max(a + b - 1, 0)", "min(1, a + b)",
-          "piecewise a { [0, 0.5]: a*b; (0.5, 1]: b }", "a*b*(1 + 0)"]
+          "piecewise a { [0, 0.5]: a*b; (0.5, 1]: b }", "a*b*(1 + 0)", _CROSS_ROW]
 # operations with a negative or undefined value on part of the grid: at most
 # one per configuration, so that most configurations reach a verdict
 _RISKY = ["a - b", "min(a, b) - 0.25", "a*b/(a + b - a*b)"]
@@ -195,8 +203,8 @@ def _expr_ops(sources):
     return st.sampled_from(sources).map(lambda s: fusion.expr_op(s, s, **_FLAGS))
 
 
-SAFE_OPS = st.one_of(st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin),
-                     _expr_ops(_EXPRS))
+BUILTINS = st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin)
+SAFE_OPS = st.one_of(BUILTINS, _expr_ops(_EXPRS))
 OPS = st.one_of(SAFE_OPS, SAFE_OPS, _expr_ops(_RISKY))
 # shapes with inverses; "x^2" on [0, 0.8] raises ShapeDomainError above 0.8
 _NARROW = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
@@ -271,6 +279,219 @@ def test_c1_matches_reference_on_slab_table_rows(cfg):
 @example(outer=_MN, inner=fusion.lukasiewicz_op())
 def test_dominates_matches_reference_on_slab_table_rows(outer, inner):
     assert outcome(fusion.dominates, outer, inner, 0.02) == outcome(reference_dominates, outer, inner, 0.02)
+
+
+# ---------------------------------------------------------------------------
+# Multi-row blocks of the plain scan (c2 and q)
+# ---------------------------------------------------------------------------
+
+
+def one_row_at_a_time(fn, *args):
+    """``outcome`` with every plain scan comparing one row per block."""
+    with mock.patch.object(scan_module, "_BLOCK", 1):
+        return outcome(fn, *args)
+
+
+def blocks_built(fn, *args):
+    """(``outcome``, the (start, stop) row ranges of the blocks its plain scans built)."""
+    real, built = scan_module.scan, []
+
+    def recording(axes, sides, at, evidence, blocks=True):
+        def recorded(rows):
+            built.append((rows.start, rows.stop))
+            return sides(rows)
+        return real(axes, recorded, at, evidence, blocks)
+
+    with mock.patch.object(cheb, "scan", recording):
+        return outcome(fn, *args), built
+
+
+def c2_rows(h):
+    """The rows of a c2 scan's block at step h on [0, 1]."""
+    return scan_module._BLOCK // 2 // (round(1 / h) + 1) ** 2
+
+
+@st.composite
+def block_configs(draw):
+    """``configs`` with a builtin inner and outer half the time: the scans that take blocks."""
+    cfg = draw(configs())
+    if draw(st.booleans()):
+        cfg = replace(cfg, inner=draw(BUILTINS), outer=draw(BUILTINS))
+    return cfg
+
+
+BLOCK_STEPS = st.sampled_from([0.1, 0.05, 0.02])
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=block_configs(), h=BLOCK_STEPS)
+@example(cfg=cheb.config(_PR, _PR, (fusion.expr_op(_CROSS_ROW, _CROSS_ROW, **_FLAGS), _PR, _PR),
+                         _MN, _IDS, _IDS, cd_domain=_UNIT), h=0.1)
+def test_c2_blocks_match_the_row_by_row_scans(cfg, h):
+    got = outcome(cheb.check_condition_C2, cfg, h)
+    assert got == outcome(reference_c2, cfg, h)
+    assert got == one_row_at_a_time(cheb.check_condition_C2, cfg, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conj=st.one_of(BUILTINS, OPS), star=OPS, phis=st.tuples(SHAPES, SHAPES, SHAPES),
+       h=BLOCK_STEPS)
+def test_q_blocks_match_the_row_by_row_scans(conj, star, phis, h):
+    got = outcome(cheb.q_corollary_condition, conj, phis, star, h)
+    assert got == outcome(reference_q, conj, phis, star, h)
+    assert got == one_row_at_a_time(cheb.q_corollary_condition, conj, phis, star, h)
+
+
+# prod inner and outer, Lukasiewicz circs: violated at (0.1, 0.2, 0.9) on the grid 0.1
+_W_CIRC = cheb.config(_PR, _PR, (fusion.lukasiewicz_op(),) * 3, _MN, _IDS, _IDS,
+                      cd_domain=_UNIT)
+
+
+def test_an_earlier_witness_beats_a_later_rows_shape_error():
+    # phi1 = x^2 on [0, 0.8] is undefined at prod(0.9, 0.9): the one block of
+    # rows 0..10 raises, and its rows re-run one at a time give row 1's witness
+    cfg = replace(_W_CIRC, phi1=_NARROW)
+    got, built = blocks_built(cheb.check_condition_C2, cfg, 0.1)
+    assert got == ("verdict", Verdict("violated", (0.1, 0.1, 1.0), 9.999999999998899e-05,
+                                      0.010000000000000018,
+                                      evidence="a,b grid(0.1) x c grid(0.1)"))
+    assert built == [(0, 11), (0, 1), (1, 2)]
+    assert got == outcome(reference_c2, cfg, 0.1)
+    # with row 1 no longer confirmed, a row before 9 supplies the witness;
+    # with every row rejected, the first error of the rows surfaces
+    for rejected, witness_row in [(0.1, 2), (None, None)]:
+        at = cheb.c2_condition_at
+
+        def rejecting(cfg, a, b, c):
+            return (1.0, 0.0) if rejected is None or a == rejected else at(cfg, a, b, c)
+
+        with mock.patch.object(cheb, "c2_condition_at", rejecting):
+            got, built = blocks_built(cheb.check_condition_C2, cfg, 0.1)
+            assert got == outcome(reference_c2, cfg, 0.1)
+        if witness_row is None:
+            assert got[1].status == "hypothesis-failed"
+            assert got[1].detail == "the value sq-0.8(0.81) is not defined (domain [0.0, 0.8])"
+            assert built == [(0, 11)] + [(i, i + 1) for i in range(10)]
+        else:
+            assert got[1].witness[0] == 0.2
+            assert built == [(0, 11)] + [(i, i + 1) for i in range(witness_row + 1)]
+
+
+@pytest.mark.parametrize("source, h, first_block", [
+    (_CROSS_ROW, 0.1, 11),
+    # at h = 0.02 only row 1 (a = 0.02) reaches the middle branch, through
+    # a*b = 0.0004, and the first block's sab reaches 0.1
+    ("piecewise a { [0, 0.0003): a*b; [0.0003, 0.0005]: a*b + 0*sqrt(0.05 - a); (0.0005, 1]: a*b }",
+     0.02, c2_rows(0.02))])
+def test_a_block_that_raises_where_no_row_does_goes_on_to_the_next_block(source, h, first_block):
+    # circ1 is a piecewise whose middle branch the first block reaches and,
+    # evaluated on the whole block, raises on a later row's values; every
+    # row alone holds, so the scan goes on past the block and holds
+    pw = fusion.expr_op("pw", source, **_FLAGS)
+    cfg = cheb.config(_PR, _PR, (pw, _PR, _PR), _MN, _IDS, _IDS, cd_domain=_UNIT)
+    got, built = blocks_built(cheb.check_condition_C2, cfg, h)
+    assert got == ("verdict", Verdict("holds-on-grid", evidence=f"a,b grid({h}) x c grid({h})"))
+    assert got == outcome(reference_c2, cfg, h)
+    assert got == one_row_at_a_time(cheb.check_condition_C2, cfg, h)
+    rows = len(_k_grid(cfg, h))
+    assert built == ([(0, first_block)] + [(i, i + 1) for i in range(first_block)]
+                     + [(i, min(i + first_block, rows)) for i in range(first_block, rows, first_block)])
+
+
+def test_a_failed_recheck_hands_over_to_the_next_flagged_row_of_the_block():
+    # rows 1 and 2 flag; row 1's first flagged point is not confirmed, so
+    # the scan passes over its other points to row 2, in the same block
+    at, rechecked = cheb.c2_condition_at, []
+
+    def rejecting(cfg, a, b, c):
+        rechecked.append((a, b, c))
+        return (1.0, 0.0) if a == 0.1 else at(cfg, a, b, c)
+
+    with mock.patch.object(cheb, "c2_condition_at", rejecting):
+        got, built = blocks_built(cheb.check_condition_C2, _W_CIRC, 0.1)
+        want = outcome(reference_c2, _W_CIRC, 0.1)
+    assert built == [(0, 11)]
+    assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)] * 2  # the scan, then the reference
+    assert got == want and got[1].witness == (0.2, 0.1, 0.9)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_a_block_boundary_right_after_the_flagged_row(last):
+    # at h = 0.02 a block holds c2_rows(0.02) rows of 51^2 points; the rows
+    # before the witness's are rejected, so it is the last row of the first
+    # block, or the first row of the second
+    lead = c2_rows(0.02)
+    assert 1 < lead < 51
+    row = lead - 1 if last else lead
+    at = cheb.c2_condition_at
+
+    def rejecting(cfg, a, b, c):
+        return (1.0, 0.0) if a < row * 0.02 - 1e-12 else at(cfg, a, b, c)
+
+    with mock.patch.object(cheb, "c2_condition_at", rejecting):
+        got, built = blocks_built(cheb.check_condition_C2, _W_CIRC, 0.02)
+        assert got == outcome(reference_c2, _W_CIRC, 0.02)
+        assert got == one_row_at_a_time(cheb.check_condition_C2, _W_CIRC, 0.02)
+    assert got[1].witness[0] == _k_grid(_W_CIRC, 0.02)[row]
+    assert built == [(0, lead)] + ([(lead, 2 * lead)] if not last else [])
+
+
+def test_blocks_give_the_rows_sides_bit_for_bit():
+    # every block's sides, for builtin inner and outer (c2) or conj (q), are
+    # its rows' sides stacked.  An expression that powers its first argument
+    # alone would not give them (np.power on the block, libm's pow on a
+    # row's scalar), which is why such scans keep one row per block
+    real = scan_module.scan
+
+    def block_against_rows(axes, sides, at, evidence, blocks=True):
+        rows = slice(0, len(axes[0]))
+        block = [np.broadcast_to(side, (len(axes[0]),) + tuple(map(len, axes[1:])))
+                 for side in sides(rows)]
+        stacked = [np.stack([np.broadcast_to(s, block[0].shape[1:]) for s in side])
+                   for side in zip(*(sides(slice(i, i + 1)) for i in range(rows.stop)))]
+        seen.append((blocks, [not np.array_equal(b.view(np.int64), s.view(np.int64))
+                              for b, s in zip(block, stacked)]))
+        return real(axes, sides, at, evidence, blocks)
+
+    power = fusion.expr_op("power", "a^0.7 * b", **_FLAGS)
+    for cfg, blocks, differs in [
+            (replace(_W_CIRC, phi1=cheb.power_shape(0.5), psi1=cheb.power_shape(3)), True,
+             [False, False]),
+            (cheb.config(_PR, _MN, (power,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), True,
+             [False, False]),
+            (cheb.config(power, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), False,
+             [True, False]),
+            (cheb.config(_PR, power, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), False,
+             [False, True])]:
+        seen = []
+        with mock.patch.object(cheb, "scan", block_against_rows):
+            cheb.check_condition_C2(cfg, 0.01)
+        assert seen == [(blocks, differs)]
+    product = fusion.expr_op("product", "a*b", **_FLAGS)
+    for conj, star, blocks, differs in [(_MN, _PR, True, [False, False]),
+                                        (_MN, product, True, [False, False]),
+                                        (power, _PR, False, [True, True])]:
+        seen = []
+        with mock.patch.object(cheb, "scan", block_against_rows):
+            assert cheb.q_corollary_condition(conj, _IDS, star, 0.05).holds
+        assert seen[1] == (blocks, differs)  # every b, after the b = 1 slice
+
+
+def test_a_c2_scan_holds_one_block_at_a_time():
+    # at h = 0.01 a row has 101^2 points and two rows exceed half of _BLOCK,
+    # so a block is one row: the two buffers and the sides' temporaries stay
+    # under six arrays of one block, beside two hoisted (a, c) tables
+    cfg = cheb.config(_MN, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT)
+    assert c2_rows(0.01) == 1
+    cheb.check_condition_C2(cfg, 0.01)  # any one-time setup outside the trace
+    tracemalloc.start()
+    try:
+        verdict = cheb.check_condition_C2(cfg, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < (2 + 6) * 101 ** 2 * 8
 
 
 def test_reference_covers_every_outcome():
@@ -370,9 +591,6 @@ def cleared_rows(fn, *args):
     with mock.patch.object(scan_module, "_level_set_minima", minima):
         outcome(fn, *args)
     return cleared
-
-
-BUILTINS = st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin)
 
 
 @st.composite
