@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -120,12 +120,16 @@ def shape(name, source, inverse=None, var="x", domain=(0.0, 1.0),
                          **flags)
 
 
+# Memoized: a shape is frozen, and building one parses its source and compiles
+# fresh closures.  typed, so y_bar=1 and y_bar=1.0 keep their own domains.
+@lru_cache(maxsize=64, typed=True)
 def identity_shape(y_bar=1.0) -> ShapeFunction:
     return shape("id", "x", inverse="x", domain=(0.0, y_bar),
                  non_decreasing=True, increasing=True,
                  left_continuous=True, right_continuous=True)
 
 
+@lru_cache(maxsize=64, typed=True)  # a raised ValueError is not cached
 def power_shape(p, y_bar=1.0) -> ShapeFunction:
     if p <= 0:
         raise ValueError("exponent must be positive")
@@ -406,9 +410,9 @@ def check_integral_inequality(cfg: InequalityConfig, m: MonotoneMeasure,
                               A: int, B: int) -> InequalityOutcome:
     """Compare psi1(I(phi1(f*g), A&B)) against psi2(I(phi2 f, A)) outer psi3(I(phi3 g, B))."""
     fg = f.combine(g, cfg.inner)
-    i1 = integrate_simple(cfg.circ1, m, A & B, fg.transform(lambda v: float(cfg.phi1.apply(v))))
-    i2 = integrate_simple(cfg.circ2, m, A, f.transform(lambda v: float(cfg.phi2.apply(v))))
-    i3 = integrate_simple(cfg.circ3, m, B, g.transform(lambda v: float(cfg.phi3.apply(v))))
+    i1 = integrate_simple(cfg.circ1, m, A & B, fg.transform(cfg.phi1.apply))
+    i2 = integrate_simple(cfg.circ2, m, A, f.transform(cfg.phi2.apply))
+    i3 = integrate_simple(cfg.circ3, m, B, g.transform(cfg.phi3.apply))
     lhs = float(cfg.psi1.apply(i1.value))
     rhs = eval_op(cfg.outer, float(cfg.psi2.apply(i2.value)), float(cfg.psi3.apply(i3.value)))
     trace = {

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exprlang import EvalError
 from .fusion import FusionOp, apply_op, clip_args, eval_op
-from .integral import SimpleFunction
+from .integral import SimpleFunction, level_sets
 from .measure import MAX_SCAN_ATOMS, MeasureError, MonotoneMeasure, _pair_blocks
 from .scan import EQ_TOL, TOL, Verdict, first_flagged
 
@@ -103,11 +103,12 @@ def _range_escape_warnings(m: MonotoneMeasure, tri: FusionOp, allow: bool,
     return [msg]
 
 
-def _level_grid(f: SimpleFunction, k: float):
-    """Representative levels: 0, the distinct values, and k when k > max f."""
-    levels = sorted({0.0} | set(f.values))
+def _level_grid(f: SimpleFunction, k: float, D: int):
+    """Representative (level, {f >= level} & D) pairs: 0, the distinct values
+    of f on the whole space, and k with the empty set when k > max f."""
+    levels = [(t, mask & D) for t, mask in level_sets(f, f.space.full_mask)]
     if k > max(f.values) + EQ_TOL:
-        levels.append(k)
+        levels.append((k, 0))
     return levels
 
 
@@ -119,13 +120,13 @@ def is_m_positively_dependent(q: DependenceQuery) -> Verdict:
     lexicographically first violating (alpha, beta) is the witness.
     """
     warnings = _range_escape_warnings(q.m, q.triangle, q.allow_range_escape, with_value=True)
-    m, f, g = q.m, q.f, q.g
-    for alpha in _level_grid(f, q.k):
-        f_mask = f.level_mask(alpha) & q.A
-        for beta in _level_grid(g, q.k):
-            g_mask = g.level_mask(beta) & q.B
-            lhs = m(f_mask & g_mask)
-            rhs = eval_op(q.triangle, m(f_mask), m(g_mask))
+    table, tri = q.m.table, q.triangle
+    g_levels = [(beta, g_mask, table[g_mask]) for beta, g_mask in _level_grid(q.g, q.k, q.B)]
+    for alpha, f_mask in _level_grid(q.f, q.k, q.A):
+        m_f = table[f_mask]
+        for beta, g_mask, m_g in g_levels:
+            lhs = table[f_mask & g_mask]
+            rhs = eval_op(tri, m_f, m_g)
             if lhs < rhs - TOL:
                 return _exact((alpha, beta), lhs, rhs, f"m(...)={lhs} < {rhs}", warnings)
     return _exact(warnings=warnings)

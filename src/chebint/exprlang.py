@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, as_scalar, xmul
+from .extreal import INF, as_scalar, both_scalar, is_scalar, xmul
 from .scan import EQ_TOL, Verdict, axis, first_flagged
 
 
@@ -453,7 +453,7 @@ def _compile_bin(op, left, right):
             if type(x) is float and type(y) is float:
                 return x**y
             with np.errstate(invalid="ignore"):
-                return np.power(x, y) if not (np.isscalar(x) and np.isscalar(y)) else x**y
+                return x**y if both_scalar(x, y) else np.power(x, y)
         return power
     raise EvalError(f"unknown operator {op!r}")
 
@@ -467,16 +467,16 @@ def _compile_call(fn, args):
                 negative = v < 0 if type(v) is float else np.any(np.asarray(v) < 0)
                 if negative:
                     raise EvalError("sqrt of a negative value")
-                return v**0.5 if type(v) is float or np.isscalar(v) else np.sqrt(v)
+                return v**0.5 if type(v) is float or is_scalar(v) else np.sqrt(v)
             return sqrt
         if fn == "abs":
             def abs_(bindings):
                 v = arg(bindings)
-                return abs(v) if type(v) is float or np.isscalar(v) else np.abs(v)
+                return abs(v) if type(v) is float or is_scalar(v) else np.abs(v)
             return abs_
         def pos(bindings):
             v = arg(bindings)
-            return max(v, 0.0) if type(v) is float or np.isscalar(v) else np.maximum(v, 0.0)
+            return max(v, 0.0) if type(v) is float or is_scalar(v) else np.maximum(v, 0.0)
         return pos
     if fn in BINARY_FNS:
         first, second = args[0], args[1]
@@ -484,7 +484,7 @@ def _compile_call(fn, args):
 
         def extremum(bindings):
             x, y = first(bindings), second(bindings)
-            if (type(x) is float and type(y) is float) or (np.isscalar(x) and np.isscalar(y)):
+            if (type(x) is float and type(y) is float) or both_scalar(x, y):
                 return scalar_fn(x, y)
             return array_fn(x, y)
         return extremum
@@ -494,7 +494,7 @@ def _compile_call(fn, args):
 def _compile_ind(interval, arg):
     def ind(bindings):
         hit = interval.contains(arg(bindings))
-        if type(hit) is bool or np.isscalar(hit) or isinstance(hit, np.bool_):
+        if type(hit) is bool or is_scalar(hit) or isinstance(hit, np.bool_):
             return 1.0 if hit else 0.0
         return np.where(hit, 1.0, 0.0)
     return ind
@@ -512,7 +512,7 @@ def _compile_piecewise(guard, pieces):
         if var not in bindings:
             raise EvalError(f"unbound variable {var!r}")
         x = bindings[var]
-        if type(x) is float or np.isscalar(x):
+        if type(x) is float or is_scalar(x):
             for interval, sub in pieces:
                 if interval.contains(x):
                     return sub(bindings)

@@ -20,9 +20,7 @@ def xmul(a, b):
     zero product is +0, so the plain product is returned, bit for bit what
     the patched one gives.
     """
-    # an ndarray is never a scalar, and np.isscalar costs about 1 us a call
-    arrays = type(a) is np.ndarray or type(b) is np.ndarray
-    if not arrays and np.isscalar(a) and np.isscalar(b):
+    if both_scalar(a, b):
         if a == 0.0 or b == 0.0:
             return 0.0
         return a * b
@@ -33,6 +31,19 @@ def xmul(a, b):
     if out.size >= _DIRECT_MIN and _finite_unsigned(a) and _finite_unsigned(b):
         return out
     return np.where((a == 0.0) | (b == 0.0), 0.0, out)
+
+
+# An ndarray is never a scalar, and np.isscalar costs about 1 us a call, so
+# these two ask it only when no argument is an ndarray.
+def is_scalar(x):
+    """np.isscalar(x)."""
+    return type(x) is not np.ndarray and np.isscalar(x)
+
+
+def both_scalar(a, b):
+    """np.isscalar(a) and np.isscalar(b)."""
+    return (type(a) is not np.ndarray and type(b) is not np.ndarray
+            and np.isscalar(a) and np.isscalar(b))
 
 
 def _finite_unsigned(x):

@@ -134,11 +134,16 @@ def eval_op(op: FusionOp, a: float, b: float) -> float:
     Float arguments of the builtins are computed in plain float arithmetic,
     bit for bit what ``apply_op`` gives on the same values.
     """
-    for val in (a, b):
-        if not (-TOL <= val <= op.y_bar + TOL):
-            raise _argument_error(op, val)
-    a = min(max(a, 0.0), op.y_bar)
-    b = min(max(b, 0.0), op.y_bar)
+    y_bar = op.y_bar
+    if not -TOL <= a <= y_bar + TOL:  # NaN refused
+        raise _argument_error(op, a)
+    if not -TOL <= b <= y_bar + TOL:
+        raise _argument_error(op, b)
+    # min(max(v, 0.0), y_bar), which keeps v on ties (-0.0 stays -0.0)
+    a = 0.0 if 0.0 > a else a
+    a = y_bar if y_bar < a else a
+    b = 0.0 if 0.0 > b else b
+    b = y_bar if y_bar < b else b
     kind = op.kind
     if type(a) is float and type(b) is float:
         if kind == "min":  # np.minimum returns b on ties, which decides the sign of zero

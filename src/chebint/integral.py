@@ -40,13 +40,6 @@ class SimpleFunction:
         if any(not 0.0 <= v <= self.bound for v in self.values):
             raise IntegralError(f"values must lie in [0, {self.bound}]")
 
-    def level_mask(self, t: float) -> int:
-        mask = 0
-        for i, v in enumerate(self.values):
-            if v >= t:
-                mask |= 1 << i
-        return mask
-
     def transform(self, fn) -> "SimpleFunction":
         """Apply a pointwise map; the bound becomes the max transformed value."""
         vals = tuple(float(fn(v)) for v in self.values)
@@ -59,6 +52,29 @@ class SimpleFunction:
         vals = tuple(eval_op(op, a, b) for a, b in zip(self.values, other.values))
         bound = max(max(vals), 1e-300) if max(vals) > 0 else 1.0
         return SimpleFunction(self.space, vals, bound)
+
+
+def level_sets(f: SimpleFunction, D: int) -> list:
+    """Ascending (t, {f >= t} & D) over t in {0} and the distinct values of f on D.
+
+    One descending sort of the atoms of D, ORed into a running mask.  Tied
+    values give one level, whose t is the value at the lowest atom index;
+    t = 0 is the literal 0.0 (a -0.0 value ties with it) and its set is D.
+    """
+    vals = f.values
+    desc = []
+    mask = 0
+    for i in sorted(f.space.atoms_of(D), key=vals.__getitem__, reverse=True):
+        mask |= 1 << i
+        if desc and desc[-1][0] == vals[i]:
+            desc[-1] = (desc[-1][0], mask)
+        else:
+            desc.append((vals[i], mask))
+    if desc and desc[-1][0] == 0.0:
+        desc.pop()
+    desc.append((0.0, D))
+    desc.reverse()
+    return desc
 
 
 def simple_function(space, values, bound=None) -> SimpleFunction:
@@ -96,12 +112,8 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
     if f.bound > op.y_bar + EQ_TOL:
         raise IntegralError("function bound exceeds the operation's y_bar")
 
-    levels = sorted({0.0} | {f.values[i] for i in m.space.atoms_of(D)})
-    cands = []
-    for t in levels:
-        mask = f.level_mask(t) & D
-        level = m(mask)
-        cands.append((t, level, eval_op(op, t, level)))
+    table = m.table
+    cands = [(t, table[mask], eval_op(op, t, table[mask])) for t, mask in level_sets(f, D)]
     cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
     best = max(cands, key=lambda c: c[2])  # the first maximal term
     method = "exact-candidate-set"
@@ -145,11 +157,15 @@ def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> Integra
         raise IntegralError("q-integral requires a capacity (m(X)=1)")
     if f.bound > 1.0 + EQ_TOL:
         raise IntegralError("q-integral requires f bounded by 1")
-    levels = sorted({0.0, 1.0} | set(f.values))
-    cands = []
-    for t in levels:
-        level = m(f.level_mask(t))
-        cands.append((t, level, eval_op(conj, level, t)))
+    levels = level_sets(f, m.space.full_mask)
+    # the t=1 candidate: the literal 1.0, on the least level set at or above it
+    i = next((i for i, (t, _) in enumerate(levels) if t >= 1.0), len(levels))
+    if i < len(levels) and levels[i][0] == 1.0:
+        levels[i] = (1.0, levels[i][1])
+    else:
+        levels.insert(i, (1.0, levels[i][1] if i < len(levels) else 0))
+    table = m.table
+    cands = [(t, table[mask], eval_op(conj, table[mask], t)) for t, mask in levels]
     best = max(cands, key=lambda c: c[2])  # the first maximal term
     return IntegralResult(best[2], "exact-candidate-set", tuple(cands))
 

@@ -1,6 +1,7 @@
 """Scalar conditions, integral inequalities, pipelines and searches."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -57,6 +58,30 @@ class TestShapeFunction:
         sq = power_shape(2)
         with pytest.raises(ShapeDomainError, match="is not defined"):
             sq.apply(1.5)
+
+    def test_memoized_shapes_equal_fresh_constructions(self):
+        flags = dict(non_decreasing=True, increasing=True,
+                     left_continuous=True, right_continuous=True)
+        assert identity_shape() is identity_shape()
+        assert identity_shape() == shape("id", "x", inverse="x", domain=(0.0, 1.0), **flags)
+        assert power_shape(2, 3.0) is power_shape(2, 3.0)
+        assert power_shape(2, 3.0) == shape("x^2", "x^2", inverse="x^0.5",
+                                            domain=(0.0, 3.0), **flags)
+        assert power_shape(0.5).apply(0.25) == 0.5
+
+    def test_memoized_shapes_keep_the_argument_types(self):
+        # y_bar=1 and y_bar=1.0 are equal keys unless the cache is typed
+        for build in (identity_shape, lambda y: identity_shape(y_bar=y), partial(power_shape, 2)):
+            assert type(build(1).domain[1]) is int
+            assert type(build(1.0).domain[1]) is float
+            assert type(build(1).domain[1]) is int
+        assert power_shape(2).name == "x^2" and power_shape(2.0).name == "x^2.0"
+
+    @pytest.mark.parametrize("p", [0, 0.0, -1.5])
+    def test_power_shape_refuses_a_nonpositive_exponent_on_every_call(self, p):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="exponent must be positive"):
+                power_shape(p)
 
     def test_inverse_domain_error(self):
         sq = power_shape(2)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chebint.dependence import (DependenceQuery, RangeEscapeError,
+from chebint.dependence import (DependenceQuery, RangeEscapeError, _range_escape_warnings,
                                 condition_Z1, is_comonotone,
                                 is_m_positively_dependent,
                                 measure_supports_all_pairs)
-from chebint.fusion import godel_op, lukasiewicz_op, min_op, prod_op
-from chebint.integral import simple_function
+from chebint.fusion import builtin, eval_op, godel_op, lukasiewicz_op, min_op, prod_op
+from chebint.integral import SimpleFunction, simple_function
 from chebint.measure import from_table, necessity_from_possibility, space
 from chebint.randgen import random_comonotone_pair, random_monotone_measure
+from chebint.scan import EQ_TOL, TOL, Verdict
 
 
 @pytest.fixture
@@ -142,3 +145,81 @@ class TestConditionZ1:
         verdict = condition_Z1(m, min_op())
         assert not verdict.holds
         assert verdict.witness == (0.5, 0.7)
+
+
+# ---------------------------------------------------------------------------
+# The sorted level walk against the per-level loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def level_mask_reference(f, t):
+    mask = 0
+    for i, v in enumerate(f.values):
+        if v >= t:
+            mask |= 1 << i
+    return mask
+
+
+def m_positive_reference(q):
+    """is_m_positively_dependent with every level set rebuilt inside the loops."""
+    warnings = tuple(_range_escape_warnings(q.m, q.triangle, q.allow_range_escape,
+                                            with_value=True))
+
+    def grid(f):
+        levels = sorted({0.0} | set(f.values))
+        if q.k > max(f.values) + EQ_TOL:
+            levels.append(q.k)
+        return levels
+
+    for alpha in grid(q.f):
+        f_mask = level_mask_reference(q.f, alpha) & q.A
+        for beta in grid(q.g):
+            g_mask = level_mask_reference(q.g, beta) & q.B
+            lhs = q.m(f_mask & g_mask)
+            rhs = eval_op(q.triangle, q.m(f_mask), q.m(g_mask))
+            if lhs < rhs - TOL:
+                return Verdict("violated", (alpha, beta), lhs, rhs, f"m(...)={lhs} < {rhs}",
+                               "exact", warnings)
+    return Verdict("holds", None, None, None, "", "exact", warnings)
+
+
+LEVEL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def dependence_queries(draw):
+    n = draw(st.integers(1, 4))
+    sp = space(*[f"x{i}" for i in range(n)])
+    m = random_monotone_measure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), sp,
+                                capacity=draw(st.booleans()))
+    f, g = (simple_function(sp, draw(st.lists(LEVEL_VALUES, min_size=n, max_size=n)),
+                            bound=1.0) for _ in range(2))
+    A, B = (draw(st.integers(0, sp.full_mask)) for _ in range(2))  # 0 included
+    k = draw(st.sampled_from([1.0, 1.5]))  # k > max f unless a value is 1.0 at k = 1.0
+    tri = builtin(draw(st.sampled_from(["min", "prod", "lukasiewicz", "godel"])))
+    return DependenceQuery(m, f, g, A, B, tri, k, allow_range_escape=True)
+
+
+_SP2 = space("a", "b")
+_M2 = from_table(_SP2, [0.0, 0.5, 0.5, 1.0])
+_SP3 = space("a", "b", "c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=dependence_queries())
+@example(q=DependenceQuery(_M2, simple_function(_SP2, [1.0, -0.0]),
+                           simple_function(_SP2, [0.0, 1.0]), 0b11, 0b11, min_op(), 1.0))
+@example(q=DependenceQuery(_M2, simple_function(_SP2, [0.5, 0.5]),
+                           simple_function(_SP2, [0.25, 0.0]), 0, 0b10, prod_op(), 1.5,
+                           allow_range_escape=True))
+# tied levels whose first atom holds an int: the witness keeps the int
+@example(q=DependenceQuery(from_table(_SP3, [0.0, 0.2, 0.2, 0.5, 0.2, 0.5, 0.4, 1.0]),
+                           SimpleFunction(_SP3, (1, 0.0, 1.0), 1.0),
+                           SimpleFunction(_SP3, (0.0, 1, 1.0), 1.0), 0b111, 0b111, min_op(), 1.0))
+# the first violating alpha, 0.9, is a value of f outside A
+@example(q=DependenceQuery(from_table(_SP3, [0.0, 0.3, 0.2, 0.5, 0.6, 0.6, 0.7, 1.0]),
+                           simple_function(_SP3, [1.0, 0.9, 0.8]),
+                           simple_function(_SP3, [0.0, 1.0, 1.0]), 0b101, 0b111, min_op(), 1.0))
+def test_level_walk_matches_the_per_level_loops(q):
+    got, want = is_m_positively_dependent(q), m_positive_reference(q)
+    assert got == want and repr(got) == repr(want)  # repr tells 0.0 from -0.0

@@ -18,6 +18,7 @@ from chebint.extreal import as_scalar, xmul
 from chebint.fusion import (BUILTIN_KINDS, FusionError, apply_op, builtin,
                             clip_args, eval_op, expr_op)
 from chebint.measure import FiniteSpace, MonotoneMeasure
+from chebint.scan import TOL
 from chebint.randgen import random_capacity
 from chebint.scenarios import build_op, build_shape
 
@@ -174,6 +175,55 @@ def test_eval_op_clamps_within_tolerance():
     op = builtin("lukasiewicz")
     assert eval_op(op, 1.0 + 5e-10, 0.5) == float(apply_op(op, 1.0, 0.5))
     assert eval_op(op, -5e-10, 1.0) == float(apply_op(op, 0.0, 1.0))
+
+
+def eval_op_reference(op, a, b):
+    """eval_op with its argument guard as a loop over (a, b) and its clamp as min/max."""
+    for val in (a, b):
+        if not (-TOL <= val <= op.y_bar + TOL):
+            raise FusionError(f"argument {val} outside [0, {op.y_bar}] for operation {op.name!r}")
+    a = min(max(a, 0.0), op.y_bar)
+    b = min(max(b, 0.0), op.y_bar)
+    return eval_op(op, a, b)  # in range, so its own guard and clamp pass them through
+
+
+def typed_outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except FusionError as exc:
+        return ("error", str(exc))
+    return ("value", type(value), bits(value))
+
+
+_GUARD_POINTS = [0.0, -0.0, 0.5, 1.0, 2.0, 1.0 + 5e-10, -5e-10, 1.0 + 2e-9, -2e-9, 1, 0,
+                 np.float64(-0.0), np.float64(0.3), np.float64(-5e-10), np.float64(1.5),
+                 float("nan"), np.float64("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("op", [builtin(kind) for kind in BUILTIN_KINDS]
+                         + [builtin("prod", y_bar=float("inf")), builtin("min", y_bar=2.0),
+                            expr_op("ab2", "a*b^2")],
+                         ids=lambda op: f"{op.name}-{op.y_bar}")
+def test_eval_op_guard_is_the_loop_form(op):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in itertools.product(_GUARD_POINTS, repeat=2):
+            assert typed_outcome(eval_op, op, a, b) == \
+                typed_outcome(eval_op_reference, op, a, b), (a, b)
+
+
+@pytest.mark.parametrize("a, b, bad", [
+    (-0.5, 0.5, "-0.5"),  # a bad a
+    (0.5, 1.5, "1.5"),  # a bad b
+    (1.5, -0.5, "1.5"),  # both bad: a is checked first
+    (float("nan"), 0.5, "nan"),
+    (0.5, float("nan"), "nan"),
+    (np.float64(-0.5), np.float64(0.5), "-0.5"),
+    (np.float64(0.5), np.float64(1.5), "1.5"),
+])
+def test_eval_op_guard_messages(a, b, bad):
+    with pytest.raises(FusionError) as exc:
+        eval_op(builtin("prod"), a, b)
+    assert str(exc.value) == f"argument {bad} outside [0, 1.0] for operation 'prod'"
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +452,31 @@ def test_ndarray_arguments_skip_isscalar():
     for value, want in zip(got, [xmul_reference(a, a), xmul_reference(a, 0.5),
                                  xmul_reference(0.5, a[:, None]), 0.5]):
         assert same_bits(value, want)
+
+
+_ARRAY_NODES = [  # compiled nodes that test for a scalar, with their numpy forms
+    ("x^2", lambda x: np.power(x, 2.0)),
+    ("2^x", lambda x: np.power(2.0, x)),
+    ("x^x", lambda x: np.power(x, x)),
+    ("sqrt(x)", np.sqrt),
+    ("abs(x - 0.5)", lambda x: np.abs(x - 0.5)),
+    ("pos(x - 0.5)", lambda x: np.maximum(x - 0.5, 0.0)),
+    ("min(x, 0.5)", lambda x: np.minimum(x, 0.5)),
+    ("max(0.5, x)", lambda x: np.maximum(0.5, x)),
+    ("ind[0.25, 0.75)(x)", lambda x: np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0)),
+    ("piecewise x { [0, 0.5]: x ; (0.5, 1]: 1 - x }", lambda x: np.where(x <= 0.5, x, 1 - x)),
+]
+
+
+@pytest.mark.parametrize("source, numpy_form", _ARRAY_NODES, ids=[s for s, _ in _ARRAY_NODES])
+def test_ndarray_operands_skip_isscalar_in_compiled_nodes(source, numpy_form):
+    x = np.linspace(0.0, 1.0, 21)
+    e = parse(source)
+    with mock.patch.object(np, "isscalar", side_effect=AssertionError("np.isscalar called")):
+        got = eval_expr(e, {"x": x})
+    assert type(got) is np.ndarray and same_bits(got, numpy_form(x))
+    # a numpy scalar still takes the scalar branch
+    assert same_bits(eval_expr(e, {"x": np.float64(0.3)}), eval_expr(e, {"x": 0.3}))
 
 
 @pytest.mark.parametrize("a, b", [

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chebint.fusion import (builtin, expr_op, godel_op, lukasiewicz_op,
-                            min_op, prod_op)
-from chebint.integral import (IntegralError, integrate_simple,
+from chebint.fusion import (BUILTIN_KINDS, builtin, eval_op, expr_op, godel_op,
+                            lukasiewicz_op, min_op, prod_op)
+from chebint.integral import (IntegralError, SimpleFunction, integrate_simple,
                               integrate_survival, opposite_sugeno,
                               oracle_grid_integral, q_integral, seminormed,
                               shilkret, simple_function, sugeno)
 from chebint.measure import from_table, space, survival_scenario
 from chebint.randgen import random_monotone_measure, random_simple_function
+from chebint.scan import EQ_TOL
 
 
 @pytest.fixture
@@ -197,3 +200,79 @@ class TestLemmaSupCommutes:
             terms = [t for (_, _, t) in res.candidates]
             assert math.sqrt(res.value) == pytest.approx(
                 max(math.sqrt(t) for t in terms), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The sorted level walk against the per-level loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def level_mask_reference(f, t):
+    mask = 0
+    for i, v in enumerate(f.values):
+        if v >= t:
+            mask |= 1 << i
+    return mask
+
+
+def integrate_simple_reference(op, m, D, f):
+    """(value, candidates) with every level set rebuilt by its own loop."""
+    levels = sorted({0.0} | {f.values[i] for i in m.space.atoms_of(D)})
+    cands = []
+    for t in levels:
+        level = m(level_mask_reference(f, t) & D)
+        cands.append((t, level, eval_op(op, t, level)))
+    cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
+    return max(cands, key=lambda c: c[2])[2], tuple(cands)
+
+
+def q_integral_reference(conj, m, f):
+    levels = sorted({0.0, 1.0} | set(f.values))
+    cands = []
+    for t in levels:
+        level = m(level_mask_reference(f, t))
+        cands.append((t, level, eval_op(conj, level, t)))
+    return max(cands, key=lambda c: c[2])[2], tuple(cands)
+
+
+def exact_bits(value, cands):
+    """Types and bit patterns, so that 0.0 and -0.0 differ."""
+    return (type(value), float(value).hex(),
+            tuple(tuple((type(x), float(x).hex()) for x in c) for c in cands))
+
+
+# ties, both zeros, 1.0 and values on either side of it, up to the bound's tolerance
+_TOP = 1.0 + EQ_TOL
+LEVEL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.0 - 2**-53, _TOP]),
+                         st.floats(0.0, _TOP))
+
+
+@st.composite
+def level_instances(draw):
+    n = draw(st.integers(1, 5))
+    sp = space(*[f"x{i}" for i in range(n)])
+    m = random_monotone_measure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), sp,
+                                capacity=True)
+    f = simple_function(sp, draw(st.lists(LEVEL_VALUES, min_size=n, max_size=n)), bound=_TOP)
+    D = draw(st.integers(0, sp.full_mask))  # D = 0 included
+    return m, f, D
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=level_instances(), kind=st.sampled_from(BUILTIN_KINDS))
+@example(inst=(from_table(space("a", "b"), [0.0, 0.3, 0.6, 1.0]),
+               simple_function(space("a", "b"), [-0.0, 0.0], bound=1.0), 0b11), kind="min")
+@example(inst=(from_table(space("a", "b"), [0.0, 0.3, 0.6, 1.0]),
+               simple_function(space("a", "b"), [0.5, 0.5], bound=1.0), 0), kind="prod")
+# tied levels whose first atom holds an int: the level keeps the int, but t = 1
+# of the q-integral stays the literal 1.0
+@example(inst=(from_table(space("a", "b", "c"), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 1.0]),
+               SimpleFunction(space("a", "b", "c"), (1, 0.5, 1.0), 1.0), 0b111), kind="min")
+def test_level_walk_matches_the_per_level_loops(inst, kind):
+    m, f, D = inst
+    op = builtin(kind)
+    res = integrate_simple(op, m, D, f)
+    assert exact_bits(res.value, res.candidates) == \
+        exact_bits(*integrate_simple_reference(op, m, D, f))
+    res = q_integral(op, m, f)
+    assert exact_bits(res.value, res.candidates) == exact_bits(*q_integral_reference(op, m, f))
