@@ -315,7 +315,8 @@ def _check_c1(cfg, grid_step, tables):
             ab, cd, lambda a: cfg.phi1.apply(apply_op(cfg.inner, a, ab)),
             tri_cd, psi2_ac, psi3_bd,
             lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
-            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer))
+            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer),
+            blocks=_builtin(cfg.inner))
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 

@@ -129,15 +129,10 @@ def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunc
         raise IntegralError(f"grid_step {grid_step} is not a finite positive number")
     top = min(op.y_bar, INF_CAP)
     ts = axis(0.0, top, grid_step, least=0)
-    atoms = m.space.atoms_of(D)
-    tab = np.asarray(m.table)
-    if atoms:
-        vals = np.asarray([f.values[i] for i in atoms])
-        bits = np.asarray([1 << i for i in atoms], dtype=np.int64)
-        masks = ((ts[:, None] <= vals[None, :]) * bits[None, :]).sum(axis=1)
-    else:
-        masks = np.zeros(ts.shape, dtype=np.int64)
-    return float(np.max(apply_op(op, ts, tab[masks])))
+    masks = np.zeros(ts.shape, dtype=np.int64)
+    for i in m.space.atoms_of(D):  # the atom is in {f >= t} for the grid's t up to f(i)
+        masks[:int(np.searchsorted(ts, f.values[i], "right"))] += 1 << i
+    return float(np.max(apply_op(op, ts, np.asarray(m.table)[masks])))
 
 
 def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> IntegralResult:

@@ -15,6 +15,9 @@ Callers whose operations are expressions keep one row per block
 (``blocks=False``): a row's value reaches them as a scalar, and a sub-term in
 it alone goes through libm's pow where a block's column goes through
 ``np.power`` (``a^0.7 * b`` at h = 0.01 differs in 814 of 10,201 entries).
+``scan_separable`` compares the maximal points of its rows in blocks the
+same way, under the same rules: a c1 row over a few exact c/d values is a
+few thousand points, and its maxima a few hundred.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def _confirm(viol, value, rest, at, evidence):
 
 
 def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
-                   left_box=None) -> Verdict:
+                   left_box=None, blocks=False) -> Verdict:
     """Scan ab x ab x cd x cd for a point (a, b, c, d) where
     ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
 
@@ -186,6 +189,13 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     stepping c or d up inside the set.  When at most half the (c, d) points
     are maximal, a row first compares only those and is skipped when none
     flags; a row that flags is scanned whole as above, for its witness.
+    With ``blocks``, that pass takes as many consecutive rows as keep each
+    (row, maximal point, b) array within ``_BLOCK // 2`` points: ``u`` gets
+    the column ``ab[rows, None]`` and must return the (row, b) table whose
+    rows are the row calls' values bit for bit, and a block that raises is
+    re-run one row at a time, as in ``scan``.  Without it each row's value
+    reaches ``u`` as a scalar.  The flagged rows of a block are then scanned
+    whole in order, each with its row of the block's left side.
 
     ``left_box`` is the dual: None or a box on which ``left`` is
     non-decreasing in both arguments.  Inside level sets of p over (a, c)
@@ -210,30 +220,29 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
     shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
 
-    def sides(i, row_keys, q_side, lhs=None):  # lhs over (value, b); rhs of right(row_keys, q_side)
+    def sides(i, n, row_keys, q_side, lhs=None):  # lhs over (value, b), (row, value, b) if n > 1
         try:
             if lhs is None:  # it does not depend on the keys: a row computes it once
-                lhs = left(u(ab[i])[None, :], v_values[:, None])
+                lhs = left(u(ab[i] if n == 1 else ab[i:i + n, None])[..., None, :],
+                           v_values[:, None])
             return lhs, right(row_keys, q_side)
-        except Exception:  # re-run over (b, c, d), so that any error is the plain scan's
-            left(u(ab[i])[:, None, None], v[None, :, :])
-            right(p[i][None, :, None], q[:, None, :])
+        except Exception:
+            if n == 1:  # re-run over (b, c, d), so that any error is the plain scan's
+                left(u(ab[i])[:, None, None], v[None, :, :])
+                right(p[i][None, :, None], q[:, None, :])
             raise
 
-    # minimal points are compared when at most half the points and no more than
-    # the maximal points' rows compare; an equal q shares p's level sets
-    most = len(levels) * len(ab) ** 2 if maxima is not None else keys.size ** 2 // 2
-    first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
-                              left_box, most)
-    for i in range(first, len(ab)):
-        lhs = None
-        if maxima is not None:  # (maximal point, b)
-            lhs, rhs = sides(i, kept_keys[i], kept_q)
-            kept = np.take(_fit(lhs, (len(v_values), len(ab))), levels, axis=0, mode="clip")
-            if not np.less(kept, np.subtract(rhs, TOL)).any():
-                continue
+    def pruned(i, n):  # (row, lhs) of the rows i..i+n-1 whose maximal points flag
+        if maxima is None:
+            return [(i, None)]
+        lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q)
+        lhs, rhs = _fit(lhs, (n, len(v_values), len(ab))), np.subtract(rhs, TOL)  # frees right's
+        kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
+        return [(i + j, lhs[j]) for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
+
+    def whole(i, lhs):  # the row's witness over every point, or None
         values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
-        lhs, rhs = sides(i, values[:, None, None], q_db[None, :, :], lhs)
+        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, :], lhs)
         lhs, rhs = _fit(lhs, (len(v_values), len(ab))), _fit(rhs, (len(values),) + row[1:])
         slots = index.tolist()
         for k in range(0, row[0], lead):
@@ -243,8 +252,28 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
             np.less(np.take(lhs, v_index[k:k + n], axis=0, out=gathered[:n], mode="clip"),
                     slabs, out=viol[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
-        if viol.any() and (verdict := _confirm(flagged, ab[i], rest, at, evidence)):
-            return verdict
+        return _confirm(flagged, ab[i], rest, at, evidence) if viol.any() else None
+
+    # minimal points are compared when at most half the points and no more than
+    # the maximal points' rows compare; an equal q shares p's level sets
+    most = len(levels) * len(ab) ** 2 if maxima is not None else keys.size ** 2 // 2
+    first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
+                              left_box, most)
+    # the maximal points of as many rows as fit in half a block, when u takes a column
+    block_rows = max(min(_BLOCK // 2 // max(len(levels) * len(ab), 1), len(ab) - first), 1) \
+        if blocks and maxima is not None else 1
+    for start in range(first, len(ab), block_rows):
+        n = min(block_rows, len(ab) - start)
+        try:
+            hits = pruned(start, n)
+        except Exception:
+            if n == 1:
+                raise
+            # one row at a time, lazily: an earlier row's witness, or the first row's error
+            hits = (hit for i in range(start, start + n) for hit in pruned(i, 1))
+        for i, lhs in hits:
+            if verdict := whole(i, lhs):
+                return verdict
     return Verdict("holds-on-grid", evidence=evidence)
 
 

@@ -1,19 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chebint import integral
+from chebint.extreal import INF_CAP
 from chebint.fusion import (BUILTIN_KINDS, builtin, eval_op, expr_op, godel_op,
                             lukasiewicz_op, min_op, prod_op)
 from chebint.integral import (IntegralError, SimpleFunction, integrate_simple,
                               integrate_survival, opposite_sugeno,
                               oracle_grid_integral, q_integral, seminormed,
                               shilkret, simple_function, sugeno)
-from chebint.measure import from_table, space, survival_scenario
+from chebint.measure import MonotoneMeasure, from_table, space, survival_scenario
 from chebint.randgen import random_monotone_measure, random_simple_function
-from chebint.scan import EQ_TOL
+from chebint.scan import EQ_TOL, axis
 
 
 @pytest.fixture
@@ -276,3 +279,43 @@ def test_level_walk_matches_the_per_level_loops(inst, kind):
         exact_bits(*integrate_simple_reference(op, m, D, f))
     res = q_integral(op, m, f)
     assert exact_bits(res.value, res.candidates) == exact_bits(*q_integral_reference(op, m, f))
+
+
+def oracle_grid_reference(op, m, D, f, grid_step):
+    """``oracle_grid_integral`` in its earlier form: each grid level's mask is
+    the axis-1 sum of a (len(ts), n) product of flags and atom bits."""
+    ts = axis(0.0, min(op.y_bar, INF_CAP), grid_step, least=0)
+    atoms = m.space.atoms_of(D)
+    if atoms:
+        vals = np.asarray([f.values[i] for i in atoms])
+        bits = np.asarray([1 << i for i in atoms], dtype=np.int64)
+        masks = ((ts[:, None] <= vals[None, :]) * bits[None, :]).sum(axis=1)
+    else:
+        masks = np.zeros(ts.shape, dtype=np.int64)
+    return float(np.max(integral.apply_op(op, ts, np.asarray(m.table)[masks])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=level_instances(), kind=st.sampled_from(BUILTIN_KINDS),
+       step=st.sampled_from([0.3, 0.1, 0.05, 0.01]))
+@example(inst=(from_table(space("a", "b"), [0.0, 0.3, 0.6, 1.0]),
+               simple_function(space("a", "b"), [-0.0, 0.0], bound=1.0), 0b11),
+         kind="min", step=0.1)
+@example(inst=(from_table(space("a", "b"), [0.0, 0.3, 0.6, 1.0]),
+               SimpleFunction(space("a", "b"), (1, 0.5), 1.0), 0b11), kind="prod", step=0.1)
+@example(inst=(from_table(space("a", "b"), [0.0, 0.3, 0.6, 1.0]),
+               simple_function(space("a", "b"), [0.5, 0.2], bound=1.0), 0), kind="prod", step=0.1)
+def test_oracle_prefix_masks_match_the_product_form(inst, kind, step):
+    # the value bit for bit, and the level masks as ints: read through a
+    # table that holds each mask's own number, the levels are the masks
+    m, f, D = inst
+    op = builtin(kind)
+    assert oracle_grid_integral(op, m, D, f, step).hex() == \
+        oracle_grid_reference(op, m, D, f, step).hex()
+    numbered = MonotoneMeasure(m.space, tuple(float(mask) for mask in range(1 << m.space.n)))
+    levels = []
+    with mock.patch.object(integral, "apply_op", lambda op, ts, level: levels.append(level) or ts):
+        oracle_grid_integral(op, numbered, D, f, step)
+        oracle_grid_reference(op, numbered, D, f, step)
+    new, old = levels
+    assert new.dtype == old.dtype and np.array_equal(new, old)

@@ -691,3 +691,65 @@ def test_level_set_minima_and_their_guard():
                     dict(u=lambda a: np.minimum(a, xs) - 0.5),
                     dict(u=lambda a: np.where(a + xs > 1.5, np.inf, a + xs), left_box=(0.0, np.inf))]:
         assert first(**changes) == 0, changes
+
+
+def maxima_blocks(nab, u, at, blocks=True):
+    """``scan_separable`` of u(a)[b] + min(c, d) against c + d over
+    ab = 0..nab-1 and cd = 0, 1/4, ..., 1, where 9 of the 25 (c, d) points
+    are maximal in their level sets.  Returns the verdict and, per call to
+    u, the (start, stop) rows it took and the sizes of what left and right
+    returned."""
+    ab, cd = np.arange(float(nab)), np.linspace(0.0, 1.0, 5)
+    v, pq = np.minimum(cd[:, None], cd[None, :]), np.tile(cd, (nab, 1))
+    calls = []
+
+    def row(a):
+        rows = np.ravel(a).astype(int)
+        calls.append([(int(rows[0]), int(rows[-1]) + 1)])
+        return u(a)
+
+    def recorded(op):
+        def side(x, y):
+            out = op(x, y)
+            calls[-1].append(np.size(out))
+            return out
+        return side
+
+    verdict = scan_separable(ab, cd, row, v, pq, pq, recorded(np.add), recorded(np.add), at, "",
+                             (0.0, 1.0), blocks=blocks)
+    return verdict, calls
+
+
+def test_maxima_blocks_take_as_many_rows_as_half_a_block_holds():
+    # rows of 9 maximal points x 100 b values: a block takes 18 rows, and
+    # left's and right's arrays stay within half of _BLOCK; nothing flags
+    lead = _BLOCK // 2 // (9 * 100)
+    assert lead == 18
+    verdict, calls = maxima_blocks(100, lambda a: 2.0 + 0.0 * a + np.zeros(100),
+                                   lambda *point: (2.0, 1.0))
+    assert verdict.holds
+    assert [c[0] for c in calls] == [(k, min(k + lead, 100)) for k in range(0, 100, lead)]
+    assert all(0 < size <= _BLOCK // 2 for c in calls for size in c[1:])
+    assert [len(c) for c in calls] == [3] * len(calls)  # one left and one right per block
+    # one row per call when blocks are off
+    assert [c[0] for c in maxima_blocks(100, lambda a: 2.0 + 0.0 * a + np.zeros(100),
+                                        lambda *point: (2.0, 1.0), blocks=False)[1]] == \
+        [(k, k + 1) for k in range(100)]
+
+
+@pytest.mark.parametrize("blocks", [True, False])
+def test_a_violation_just_past_tol_at_a_maximal_point_flags(blocks):
+    # lhs - rhs = u - max(c, d): 0 or more everywhere, but u(3)[2] = 1 - 1.5 TOL
+    # puts row 3's maximal points with max(c, d) = 1 between TOL and 2 TOL
+    # below their rhs; the first, in (b, c, d) order, is (3, 2, 0, 1)
+    def u(a):
+        return 1.0 - 1.5 * TOL * ((np.asarray(a) == 3.0) & (np.arange(5.0) == 2.0))
+
+    def at(a, b, c, d):
+        return float(u(a)[int(b)]) + min(c, d), c + d
+
+    verdict, calls = maxima_blocks(5, u, at, blocks)
+    lhs = float(u(3.0)[2])
+    assert verdict == Verdict("violated", (3.0, 2.0, 0.0, 1.0), lhs, 1.0)
+    assert 1.0 - 2 * TOL < lhs < 1.0 - TOL
+    assert [c[0] for c in calls] == ([(0, 5)] if blocks else [(i, i + 1) for i in range(4)])

@@ -768,3 +768,121 @@ def test_a_broken_guard_clears_no_rows(u, v, left, r, witness):
     assert got == unpruned(run)
     assert cleared_rows(run) == [0]
     assert minima_regardless(run)[1].holds
+
+
+# ---------------------------------------------------------------------------
+# Multi-row blocks of the separable scans' maxima pass (c1 and dominates)
+# ---------------------------------------------------------------------------
+
+
+def _separable(fn, *args, blocks=None):
+    """(``outcome``, the shapes of the values handed to each separable scan's
+    row function u), with ``blocks`` forced on every scan unless it is None."""
+    real, shapes = scan_module.scan_separable, []
+
+    def recording(ab, cd, u, *rest, **kwargs):
+        def row(a):
+            shapes.append(np.shape(a))
+            return u(a)
+        if blocks is not None:
+            kwargs = dict(kwargs, blocks=blocks)
+        return real(ab, cd, row, *rest, **kwargs)
+
+    with mock.patch.object(cheb, "scan_separable", recording), \
+            mock.patch.object(fusion, "scan_separable", recording):
+        return outcome(fn, *args), shapes
+
+
+def blocked_and_row_by_row(fn, *args):
+    """The reprs of ``fn(*args)``'s outcome as it runs and with one row per call
+    to u: a float's repr gives its bits back, signed zeros included."""
+    return repr(_separable(fn, *args)[0]), repr(_separable(fn, *args, blocks=False)[0])
+
+
+@st.composite
+def builtin_value_configs(draw):
+    """``builtin_configs`` over a c/d value set: exact domains of a few values
+    give the coarse rows (|cd|^2 * |ab| points) that blocks of rows take."""
+    values = st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]), min_size=1,
+                      max_size=6)
+    return replace(draw(builtin_configs()), cd_domain=cheb.cd_values(draw(values)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=st.one_of(builtin_value_configs(), builtin_configs()), h=STEPS)
+def test_c1_maxima_blocks_match_one_row_per_call(cfg, h):
+    got, want = blocked_and_row_by_row(cheb.check_scalar_condition, cfg, h)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer=BUILTINS, inner=BUILTINS, h=STEPS)
+def test_dominates_maxima_blocks_match_one_row_per_call(outer, inner, h):
+    got, want = blocked_and_row_by_row(fusion.dominates, outer, inner, h)
+    assert got == want
+
+
+def test_an_expression_inner_never_hands_u_a_column():
+    # a^0.7 differs in its last bits between libm's pow on a row's scalar
+    # and np.power on a column, so every row's value reaches u as a scalar
+    power = fusion.expr_op("power", "a^0.7 * b", **_FLAGS)
+    cfg = cheb.config(power, _PR, (_MN,) * 3, _MN, _IDS, _IDS,
+                      cd_domain=cheb.cd_values([0.2, 0.5, 0.9, 1.0]))
+    got, shapes = _separable(cheb.check_scalar_condition, cfg, 0.05)
+    assert got[1].holds and shapes == [()] * 21
+    got, shapes = _separable(fusion.dominates, _MN, power, 0.1)
+    assert got[1].holds and shapes == [()] * 11
+    # a builtin inner takes the 21 rows in one block: 7 of the 16 (c, d)
+    # points are maximal in their min level sets, so the maxima pass runs
+    got, shapes = _separable(cheb.check_scalar_condition, replace(cfg, inner=_PR), 0.05)
+    assert got[1].holds and shapes == [(21, 1)]
+
+
+def test_a_later_rows_shape_error_in_a_block_loses_to_an_earlier_witness():
+    # phi1 = x^2 on [0, 0.8] is undefined at prod(0.9, 0.9): the one block of
+    # rows 0..10 raises, and its rows re-run one at a time give row 1's witness
+    cfg = replace(_W_CIRC, phi1=_NARROW)
+    got, shapes = _separable(cheb.check_scalar_condition, cfg, 0.1)
+    assert got == ("verdict", Verdict("violated", (0.1, 0.1, 1.0, 1.0), 9.999999999998899e-05,
+                                      0.010000000000000018,
+                                      evidence="a,b grid(0.1) x c,d grid(0.1)"))
+    assert shapes == [(11, 1), (), ()]
+    assert got == outcome(reference_c1, cfg, 0.1)
+    assert got == _separable(cheb.check_scalar_condition, cfg, 0.1, blocks=False)[0]
+
+
+def test_a_block_without_a_witness_gives_the_row_by_row_error():
+    # psi1 = x^2 on [0, 0.8] raises first at 0.816 in the block's (row,
+    # value, b) order and at 0.9 in a row's (b, c, d) order; the block is
+    # re-run one row at a time, up to row 0.5, the first that raises
+    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
+                        non_decreasing=True, increasing=True)
+    circ1 = fusion.expr_op("sum", "min(1, a + b)", **_FLAGS)
+    triangle = fusion.expr_op("skew", "min(a, 1 - b)", **_FLAGS)  # min-like level sets
+    cfg = cheb.config(_PR, _MN, (circ1, _MN, _MN), triangle,
+                      (cheb.power_shape(0.5), *_IDS[1:]), (narrow, *_IDS[1:]),
+                      cd_domain=cheb.cd_values([1.0, 0.2, 0.5, 0.5, 0.9]))
+    got, shapes = _separable(cheb.check_scalar_condition, cfg, 0.1)
+    assert got[1].detail == "the value sq-0.8(0.9) is not defined (domain [0.0, 0.8])"
+    assert shapes[0] == (11, 1) and shapes[1:] == [()] * (len(shapes) - 1)
+    assert got == _separable(cheb.check_scalar_condition, cfg, 0.1, blocks=False)[0]
+    assert got == outcome(reference_c1, cfg, 0.1)
+
+
+def test_a_c1_scan_over_four_values_holds_a_block_at_a_time():
+    # at h = 0.01 over 4 c/d values a row has 4^2 * 101 points and 7 maximal
+    # (c, d) points: a block takes 23 rows, whose maximal points' sides stay
+    # within half of _BLOCK each.  The trace stays under five such arrays
+    # beside the whole-row buffers; blocks of a whole _BLOCK go past it
+    cfg = cheb.config(_MN, _MN, (_MN,) * 3, _MN, _IDS, _IDS,
+                      cd_domain=cheb.cd_values([0.0, 0.3, 0.6, 1.0]))
+    assert scan_module._BLOCK // 2 // (7 * 101) == 23
+    cheb.check_scalar_condition(cfg, 0.01)  # any one-time setup outside the trace
+    tracemalloc.start()
+    try:
+        verdict = cheb.check_scalar_condition(cfg, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds
+    assert peak < 5 * scan_module._BLOCK // 2 * 8
