@@ -20,7 +20,8 @@ from .exprlang import Expr, eval_expr, parse
 from .extreal import INF_CAP as _INF_CAP
 from .fusion import (BUILTIN_KINDS, FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box,
                      prod_op)
-from .integral import SimpleFunction, integrate_simple, simple_function
+from .integral import (IntegralError, SimpleFunction, _integrate_values, fitted_bound,
+                       simple_function)
 from .measure import MonotoneMeasure
 from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step, first_flagged,
                    scan, scan_separable)
@@ -153,6 +154,8 @@ class CdDomain:
     def __post_init__(self):
         if (self.values is None) == (self.interval is None):
             raise ValueError("exactly one of values/interval must be given")
+        if self.values is not None and len(self.values) == 0:
+            raise ValueError("the finite c/d domain needs at least one value")
 
     @property
     def exact(self):
@@ -409,18 +412,29 @@ class InequalityOutcome:
 def check_integral_inequality(cfg: InequalityConfig, m: MonotoneMeasure,
                               f: SimpleFunction, g: SimpleFunction,
                               A: int, B: int) -> InequalityOutcome:
-    """Compare psi1(I(phi1(f*g), A&B)) against psi2(I(phi2 f, A)) outer psi3(I(phi3 g, B))."""
-    fg = f.combine(g, cfg.inner)
-    i1 = integrate_simple(cfg.circ1, m, A & B, fg.transform(cfg.phi1.apply))
-    i2 = integrate_simple(cfg.circ2, m, A, f.transform(cfg.phi2.apply))
-    i3 = integrate_simple(cfg.circ3, m, B, g.transform(cfg.phi3.apply))
-    lhs = float(cfg.psi1.apply(i1.value))
-    rhs = eval_op(cfg.outer, float(cfg.psi2.apply(i2.value)), float(cfg.psi3.apply(i3.value)))
-    trace = {
-        "integral_product": {"value": i1.value, "method": i1.method, "candidates": i1.candidates},
-        "integral_f": {"value": i2.value, "method": i2.method, "candidates": i2.candidates},
-        "integral_g": {"value": i3.value, "method": i3.method, "candidates": i3.candidates},
-    }
+    """Compare psi1(I(phi1(f*g), A&B)) against psi2(I(phi2 f, A)) outer psi3(I(phi3 g, B)).
+
+    The floats, the trace and the exceptions are those of integrating
+    ``f.combine(g, inner).transform(phi1.apply)``, ``f.transform(phi2.apply)``
+    and ``g.transform(phi3.apply)``, in that order, without building them.
+    Their values need no range check: ``eval_op`` and ``eval_expr`` give
+    no negative value and no NaN.
+    """
+    if g.space != f.space:
+        raise IntegralError("functions live on different spaces")
+    fg = [eval_op(cfg.inner, a, b) for a, b in zip(f.values, g.values)]
+    trace = {}
+    for key, op, D, phi, values in (("integral_product", cfg.circ1, A & B, cfg.phi1, fg),
+                                    ("integral_f", cfg.circ2, A, cfg.phi2, f.values),
+                                    ("integral_g", cfg.circ3, B, cfg.phi3, g.values)):
+        vals = [float(phi.apply(v)) for v in values]
+        if f.space != m.space:
+            raise IntegralError("function and measure live on different spaces")
+        value, method, cands = _integrate_values(op, m, D, vals, fitted_bound(vals))
+        trace[key] = {"value": value, "method": method, "candidates": cands}
+    lhs = float(cfg.psi1.apply(trace["integral_product"]["value"]))
+    rhs = eval_op(cfg.outer, float(cfg.psi2.apply(trace["integral_f"]["value"])),
+                  float(cfg.psi3.apply(trace["integral_g"]["value"])))
     return InequalityOutcome(lhs, float(rhs), lhs >= rhs - TOL, trace)
 
 
@@ -574,6 +588,8 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     m(C&D) >= triangle(m(C), m(D)), the scalar condition, then `trials`
     random function pairs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be a positive count, got {trials}")
     stages = []
     if replace(cfg.outer, name=cfg.inner.name) != cfg.inner:  # names aside, as operations
         stages.append(Stage("outer-equals-inner", "hypothesis-failed",
@@ -593,8 +609,11 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     first = None
     outcome = None
     for _ in range(trials):
-        f = simple_function(m.space, rng.uniform(0.0, cfg.k, n), bound=cfg.k)
-        g = simple_function(m.space, rng.uniform(0.0, cfg.k, n), bound=cfg.k)
+        # one draw of both functions' values gives what a draw per function
+        # gives; the masks keep a scalar draw each, cheaper than one sized draw
+        fg = rng.uniform(0.0, cfg.k, 2 * n).tolist()
+        f = simple_function(m.space, fg[:n], bound=cfg.k)
+        g = simple_function(m.space, fg[n:], bound=cfg.k)
         A = int(rng.integers(1, m.space.full_mask + 1))
         B = int(rng.integers(1, m.space.full_mask + 1))
         try:

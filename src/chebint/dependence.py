@@ -106,7 +106,7 @@ def _range_escape_warnings(m: MonotoneMeasure, tri: FusionOp, allow: bool,
 def _level_grid(f: SimpleFunction, k: float, D: int):
     """Representative (level, {f >= level} & D) pairs: 0, the distinct values
     of f on the whole space, and k with the empty set when k > max f."""
-    levels = [(t, mask & D) for t, mask in level_sets(f, f.space.full_mask)]
+    levels = [(t, mask & D) for t, mask in level_sets(f.values, f.space, f.space.full_mask)]
     if k > max(f.values) + EQ_TOL:
         levels.append((k, 0))
     return levels

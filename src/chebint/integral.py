@@ -37,34 +37,40 @@ class SimpleFunction:
             raise IntegralError("one value per atom required")
         if not self.bound > 0:
             raise IntegralError("bound k must be positive")
-        if any(not 0.0 <= v <= self.bound for v in self.values):
-            raise IntegralError(f"values must lie in [0, {self.bound}]")
+        for v in self.values:
+            if not 0.0 <= v <= self.bound:
+                raise IntegralError(f"values must lie in [0, {self.bound}]")
 
     def transform(self, fn) -> "SimpleFunction":
         """Apply a pointwise map; the bound becomes the max transformed value."""
         vals = tuple(float(fn(v)) for v in self.values)
-        bound = max(max(vals), 1e-300) if max(vals) > 0 else 1.0
-        return SimpleFunction(self.space, vals, bound)
+        return SimpleFunction(self.space, vals, fitted_bound(vals))
 
     def combine(self, other: "SimpleFunction", op: FusionOp) -> "SimpleFunction":
         if other.space != self.space:
             raise IntegralError("functions live on different spaces")
         vals = tuple(eval_op(op, a, b) for a, b in zip(self.values, other.values))
-        bound = max(max(vals), 1e-300) if max(vals) > 0 else 1.0
-        return SimpleFunction(self.space, vals, bound)
+        return SimpleFunction(self.space, vals, fitted_bound(vals))
 
 
-def level_sets(f: SimpleFunction, D: int) -> list:
-    """Ascending (t, {f >= t} & D) over t in {0} and the distinct values of f on D.
+def fitted_bound(vals) -> float:
+    """The bound of transformed or combined values: the largest of them, or
+    1.0 when none is positive."""
+    top = max(vals)
+    return max(top, 1e-300) if top > 0 else 1.0
+
+
+def level_sets(vals, space: FiniteSpace, D: int) -> list:
+    """Ascending (t, {vals >= t} & D) over t in {0} and the distinct values
+    on D of the atom-indexed ``vals``, such as a SimpleFunction's values.
 
     One descending sort of the atoms of D, ORed into a running mask.  Tied
     values give one level, whose t is the value at the lowest atom index;
     t = 0 is the literal 0.0 (a -0.0 value ties with it) and its set is D.
     """
-    vals = f.values
     desc = []
     mask = 0
-    for i in sorted(f.space.atoms_of(D), key=vals.__getitem__, reverse=True):
+    for i in sorted(space.atoms_of(D), key=vals.__getitem__, reverse=True):
         mask |= 1 << i
         if desc and desc[-1][0] == vals[i]:
             desc[-1] = (desc[-1][0], mask)
@@ -78,7 +84,7 @@ def level_sets(f: SimpleFunction, D: int) -> list:
 
 
 def simple_function(space, values, bound=None) -> SimpleFunction:
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if bound is None:
         bound = max(vals) if vals and max(vals) > 0 else 1.0
     return SimpleFunction(space, vals, float(bound))
@@ -105,21 +111,28 @@ def integrate_simple(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction
     """
     if f.space != m.space:
         raise IntegralError("function and measure live on different spaces")
+    return IntegralResult(*_integrate_values(op, m, D, f.values, f.bound))
+
+
+def _integrate_values(op: FusionOp, m: MonotoneMeasure, D: int, vals, bound):
+    """(value, method, candidates) of ``integrate_simple`` for the function
+    with values ``vals`` and bound ``bound`` on the space of m."""
     if not 0 <= D <= m.space.full_mask:
         raise IntegralError(f"invalid subset mask {D}")
     if not op.non_decreasing:
         raise IntegralError(f"operation {op.name!r} must be declared non-decreasing")
-    if f.bound > op.y_bar + EQ_TOL:
+    if bound > op.y_bar + EQ_TOL:
         raise IntegralError("function bound exceeds the operation's y_bar")
 
     table = m.table
-    cands = [(t, table[mask], eval_op(op, t, table[mask])) for t, mask in level_sets(f, D)]
+    cands = [(t, table[mask], eval_op(op, t, table[mask]))
+             for t, mask in level_sets(vals, m.space, D)]
     cands.append((op.y_bar, 0.0, eval_op(op, op.y_bar, 0.0)))
-    best = max(cands, key=lambda c: c[2])  # the first maximal term
+    value = max([term for _, _, term in cands])  # the first maximal term
     method = "exact-candidate-set"
     if not op.left_continuous_in_first:
         method += ";warning:left-continuity-not-declared"
-    return IntegralResult(best[2], method, tuple(cands))
+    return value, method, tuple(cands)
 
 
 def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction,
@@ -152,7 +165,7 @@ def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> Integra
         raise IntegralError("q-integral requires a capacity (m(X)=1)")
     if f.bound > 1.0 + EQ_TOL:
         raise IntegralError("q-integral requires f bounded by 1")
-    levels = level_sets(f, m.space.full_mask)
+    levels = level_sets(f.values, f.space, m.space.full_mask)
     # the t=1 candidate: the literal 1.0, on the least level set at or above it
     i = next((i for i, (t, _) in enumerate(levels) if t >= 1.0), len(levels))
     if i < len(levels) and levels[i][0] == 1.0:

@@ -5,13 +5,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chebint import chebyshev, fusion, scan
 
 from chebint.chebyshev import (
     CdDomain,
     HypothesisError,
+    PipelineReport,
     ShapeDomainError,
+    Stage,
     any_functions_check,
     c1_iff_c2,
     c2_condition_at,
@@ -33,8 +37,9 @@ from chebint.chebyshev import (
     theorem1_forward,
 )
 from chebint.fusion import expr_op, godel_contra_op, godel_op, lukasiewicz_op, min_op, prod_op
-from chebint.integral import simple_function
+from chebint.integral import SimpleFunction, integrate_simple, simple_function
 from chebint.measure import from_table, necessity_from_possibility, space
+from chebint.randgen import random_monotone_measure
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,12 @@ class TestCdDomain:
             CdDomain()
         with pytest.raises(ValueError):
             CdDomain(values=(0.0,), interval=(0.0, 1.0))
+
+    def test_empty_values_refused(self):
+        # an empty set has no supremum for the scalar scan to read
+        for build in (lambda: cd_values([]), lambda: CdDomain(values=())):
+            with pytest.raises(ValueError, match="at least one value"):
+                build()
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +302,101 @@ class TestIntegralInequality:
         assert out.rhs == pytest.approx(0.0)
 
 
+def check_integral_inequality_reference(cfg, m, f, g, A, B):
+    """``check_integral_inequality`` in its earlier form: each integrand is a
+    SimpleFunction built by ``combine`` and ``transform``, each integral an
+    IntegralResult of ``integrate_simple``."""
+    fg = f.combine(g, cfg.inner)
+    i1 = integrate_simple(cfg.circ1, m, A & B, fg.transform(cfg.phi1.apply))
+    i2 = integrate_simple(cfg.circ2, m, A, f.transform(cfg.phi2.apply))
+    i3 = integrate_simple(cfg.circ3, m, B, g.transform(cfg.phi3.apply))
+    lhs = float(cfg.psi1.apply(i1.value))
+    rhs = fusion.eval_op(cfg.outer, float(cfg.psi2.apply(i2.value)),
+                         float(cfg.psi3.apply(i3.value)))
+    trace = {
+        "integral_product": {"value": i1.value, "method": i1.method, "candidates": i1.candidates},
+        "integral_f": {"value": i2.value, "method": i2.method, "candidates": i2.candidates},
+        "integral_g": {"value": i3.value, "method": i3.method, "candidates": i3.candidates},
+    }
+    return chebyshev.InequalityOutcome(lhs, float(rhs), lhs >= rhs - scan.TOL, trace)
+
+
+def outcome_or_error(check, *args):
+    """The repr of an outcome's fields, or the type and message of what it raised."""
+    try:
+        out = check(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return repr((out.lhs, out.rhs, out.holds, out.trace))
+
+
+_FLAGS = dict(non_decreasing=True, left_continuous_in_first=True,
+              left_continuous_in_second=True)
+DIFF_OPS = (min_op(), prod_op(), lukasiewicz_op(), godel_op(), godel_contra_op(),
+            expr_op("e-prod", "a*b", **_FLAGS), expr_op("e-root", "(a*b)^0.5", non_decreasing=True))
+DIFF_SHAPES = (identity_shape(), power_shape(2), power_shape(0.5))
+# ties, both zeros and an int among arbitrary values
+DIFF_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1, 1.0]), st.floats(0.0, 1.0))
+# what an instance may get wrong; two faults show which one is raised first
+FAULTS = ("undeclared-op", "low-y-bar", "narrow-shape", "double-shape", "g-space", "m-space",
+          "mask")
+
+
+@st.composite
+def inequality_instances(draw):
+    n = draw(st.integers(1, 3))
+    sp = space(*[f"x{i}" for i in range(n)])
+    other = space(*[f"y{i}" for i in range(n)])
+    faults = draw(st.sets(st.sampled_from(FAULTS), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = random_monotone_measure(rng, other if "m-space" in faults else sp,
+                                capacity=draw(st.booleans()))
+    values = st.lists(DIFF_VALUES, min_size=n, max_size=n).map(tuple)
+    f = SimpleFunction(sp, draw(values), 1.0)
+    g = SimpleFunction(other if "g-space" in faults else sp, draw(values), 1.0)
+    ops = [draw(st.sampled_from(DIFF_OPS)) for _ in range(5)]  # inner, outer, circ1..3
+    shapes = [draw(st.sampled_from(DIFF_SHAPES)) for _ in range(6)]  # phi1..3, psi1..3
+    if "undeclared-op" in faults:
+        ops[draw(st.integers(0, 4))] = expr_op("e-undeclared", "min(a, b)")
+    if "low-y-bar" in faults:
+        ops[draw(st.integers(0, 4))] = min_op(y_bar=0.5)
+    if "narrow-shape" in faults:
+        shapes[draw(st.integers(0, 5))] = shape("narrow", "x", domain=(0.0, 0.5))
+    if "double-shape" in faults:  # values past y_bar
+        shapes[draw(st.integers(0, 5))] = shape("double", "2*x")
+    cfg = config(ops[0], ops[1], ops[2:], min_op(), shapes[:3], shapes[3:],
+                 cd_domain=cd_values([0.0, 1.0]))
+    A, B = draw(st.integers(0, sp.full_mask)), draw(st.integers(0, sp.full_mask))  # 0 included
+    if "mask" in faults:
+        A = sp.full_mask + 1
+    return cfg, m, f, g, A, B
+
+
+_SP2 = space("a", "b")
+_M2 = from_table(_SP2, [0.0, 0.3, 0.6, 1.0])
+_IDENT = config(min_op(), min_op(), (min_op(),) * 3, min_op(), (identity_shape(),) * 3,
+                (identity_shape(),) * 3, cd_domain=cd_values([0.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=inequality_instances())
+# tied signed zeros: the level keeps the value at the lowest atom
+@example(inst=(_IDENT, _M2, SimpleFunction(_SP2, (-0.0, 0.0), 1.0),
+               SimpleFunction(_SP2, (0.0, -0.0), 1.0), 0b11, 0b11))
+# a value outside the narrow shape's domain
+@example(inst=(replace(_IDENT, phi2=shape("narrow", "x", domain=(0.0, 0.5))), _M2,
+               SimpleFunction(_SP2, (0.75, 0.25), 1.0), SimpleFunction(_SP2, (0.5, 1), 1.0),
+               0b01, 0b10))
+# two faults: the shape refuses f*g before the measure's space is compared
+@example(inst=(replace(_IDENT, phi1=shape("narrow", "x", domain=(0.0, 0.5))),
+               from_table(space("c", "d"), [0.0, 0.3, 0.6, 1.0]),
+               SimpleFunction(_SP2, (0.75, 0.25), 1.0), SimpleFunction(_SP2, (1.0, 1.0), 1.0),
+               0b11, 0b11))
+def test_lean_inequality_matches_the_object_building_form(inst):
+    assert outcome_or_error(check_integral_inequality, *inst) == \
+        outcome_or_error(check_integral_inequality_reference, *inst)
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -423,6 +529,63 @@ class TestAnyFunctionsPipeline:
         assert (stage.name, stage.status, stage.detail) == (
             "measure-supports-all-pairs", "pass",
             "triangle 'prod' leaves range(m) at (c,d)=(0.3, 0.3)")
+
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_refuses_a_trial_count_below_one(self, trials):
+        # a count below one would make a passing stage out of no trials
+        m = from_table(space("w1", "w2"), [0.0, 0.5, 0.5, 1.0])
+        mn = min_op()
+        cfg = config(mn, mn, (mn, mn, mn), mn, identity_triple(),
+                     identity_triple(), cd_domain=cd_values(m.value_range()))
+        with pytest.raises(ValueError, match="trials must be a positive count"):
+            any_functions_check(cfg, m, trials=trials)
+
+
+def random_trials_reference(cfg, m, trials, seed):
+    """The random-trials stage and outcome of ``any_functions_check`` as its
+    earlier loop drew them: one draw call per function and per mask, each
+    instance checked by ``check_integral_inequality_reference``."""
+    rng = np.random.default_rng(seed)
+    n = m.space.n
+    failures = 0
+    first = None
+    outcome = None
+    for _ in range(trials):
+        f = simple_function(m.space, rng.uniform(0.0, cfg.k, n), bound=cfg.k)
+        g = simple_function(m.space, rng.uniform(0.0, cfg.k, n), bound=cfg.k)
+        A = int(rng.integers(1, m.space.full_mask + 1))
+        B = int(rng.integers(1, m.space.full_mask + 1))
+        try:
+            outcome = check_integral_inequality_reference(cfg, m, f, g, A, B)
+        except HypothesisError as exc:
+            return Stage("random-trials", "hypothesis-failed", str(exc)), None
+        if not outcome.holds:
+            failures += 1
+            if first is None:
+                first = (f.values, g.values, A, B, outcome.lhs, outcome.rhs)
+    return Stage("random-trials", "pass" if failures == 0 else "fail",
+                 f"{trials} trials, {failures} violations, seed {seed}"
+                 + (f", first {first}" if first else "")), outcome
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_batched_draws_match_the_per_call_loop(n):
+    sp = space(*[f"w{i}" for i in range(n)])
+    m = random_monotone_measure(np.random.default_rng(n), sp, capacity=True)
+    mn, w = min_op(), lukasiewicz_op()
+    configs = (  # holds; violated, so the detail names the first violation; a shape refusal
+        config(mn, mn, (mn, mn, mn), mn, identity_triple(), identity_triple()),
+        config(prod_op(), prod_op(), (w, w, w), mn, (power_shape(2),) * 3,
+               (power_shape(0.5),) * 3),
+        config(mn, mn, (mn, mn, mn), mn, (shape("narrow", "x", domain=(0.0, 0.5)),) * 3,
+               identity_triple()))
+    for cfg in configs:
+        for k, seed, trials in ((0.7, 0, 1), (0.7, 3, 25), (1.0, 7, 40), (0.35, 11, 8)):
+            cfg = replace(cfg, k=k)
+            report = any_functions_check(cfg, m, trials=trials, seed=seed, grid_step=0.1)
+            stage, outcome = random_trials_reference(cfg, m, trials, seed)
+            assert repr(report) == repr(PipelineReport(report.stages[:-1] + (stage,), outcome))
 
 
 # ---------------------------------------------------------------------------
