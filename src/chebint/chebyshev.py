@@ -18,7 +18,7 @@ from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF_CAP as _INF_CAP
-from .fusion import (BUILTIN_KINDS, FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box,
+from .fusion import (FusionError, FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box,
                      prod_op)
 from .integral import (IntegralError, SimpleFunction, _integrate_values, fitted_bound,
                        simple_function)
@@ -224,7 +224,10 @@ class InequalityConfig:
         top = min(self.cd_domain.sup, _INF_CAP)
         for i, (phi, circ) in enumerate(zip(self.phis, self.circs), start=1):
             phi_top = float(phi.apply(min(self.y_bar, phi.domain[1])))
-            val = eval_op(circ, phi_top, top)
+            try:
+                val = eval_op(circ, phi_top, top)
+            except FusionError as exc:
+                raise HypothesisError(f"phi{i}(y_bar) circ{i} sup(cd): {exc}") from None
             if val > phi_top + TOL:
                 raise HypothesisError(
                     f"phi{i}(y_bar) circ{i} sup(cd) = {val} exceeds phi{i}(y_bar) = {phi_top}"
@@ -256,20 +259,9 @@ def config(inner, outer, circs, triangle, phis, psis, k=1.0, y_bar=1.0,
 
 def _row_values(table, rows, ndim):
     """The block ``rows`` of a table over a scan's first axis, ``table[rows]``
-    with ``ndim`` unit axes after the first, or for a one-row block the row
-    itself (a scalar for a 1-D table), as a row-by-row scan passes it."""
-    if rows.stop - rows.start == 1:
-        return table[rows.start]
+    with ``ndim`` unit axes after the first."""
     block = table[rows]
     return block.reshape(block.shape[:1] + (1,) * ndim + block.shape[1:])
-
-
-def _builtin(*ops):
-    """Whether every operation is a builtin, so that a scan may take blocks of
-    rows: an expression evaluates a sub-term in a scalar argument alone, such
-    as ``a^0.7``, with libm's pow, and in an array with ``np.power``, whose
-    last bits differ."""
-    return all(op.kind in BUILTIN_KINDS for op in ops)
 
 
 def _k_grid(cfg, grid_step):
@@ -318,8 +310,7 @@ def _check_c1(cfg, grid_step, tables):
             ab, cd, lambda a: cfg.phi1.apply(apply_op(cfg.inner, a, ab)),
             tri_cd, psi2_ac, psi3_bd,
             lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
-            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer),
-            blocks=_builtin(cfg.inner))
+            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer))
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -361,9 +352,7 @@ def _check_c2(cfg, grid_step, tables):
             t2 = apply_op(cfg.outer, _row_values(psi2_adbar, rows, 2), psi3_bc)
             return lhs, np.maximum(t1, t2)
 
-        # inner and outer take a row's a and psi2(a circ2 dbar) as scalars
-        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence,
-                    blocks=_builtin(cfg.inner, cfg.outer))
+        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -489,7 +478,7 @@ def _integral_stage(cfg: InequalityConfig, m, f, g, A, B):
     """The closing integral-inequality stage and its outcome (None on a hypothesis failure)."""
     try:
         outcome = check_integral_inequality(cfg, m, f, g, A, B)
-    except HypothesisError as exc:
+    except (HypothesisError, IntegralError, FusionError) as exc:
         return Stage("integral-inequality", "hypothesis-failed", str(exc)), None
     return Stage("integral-inequality", "pass" if outcome.holds else "fail",
                  f"lhs={outcome.lhs} rhs={outcome.rhs}"), outcome
@@ -618,7 +607,7 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
         B = int(rng.integers(1, m.space.full_mask + 1))
         try:
             outcome = check_integral_inequality(cfg, m, f, g, A, B)
-        except HypothesisError as exc:
+        except (HypothesisError, IntegralError, FusionError) as exc:
             return PipelineReport(tuple(stages) + (Stage("random-trials", "hypothesis-failed",
                                                          str(exc)),))
         if not outcome.holds:
@@ -689,8 +678,7 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
             r2 = apply_op(star, inv2_1b[:, None], inv3_ac[..., None, :])
             return lhs, np.maximum(r1, r2)
 
-        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence,
-                    blocks=_builtin(conj))
+        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence)
 
     verdict = scan_b(np.asarray([1.0]))
     return verdict if not verdict.holds else scan_b(xs)
@@ -731,24 +719,33 @@ def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_00
 
 def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_step=0.01):
     """Find (a, b, c) where the two argument-order variants of the scalar
-    condition for a seminormed integral disagree; None for commutative S."""
+    condition for a seminormed integral disagree; None for commutative S.
+
+    Variant 1 is S(a*b, c) >= (S(a,c)*b) v (a*S(b,c)), variant 2 is
+    S(c, a*b) >= (S(c,a)*b) v (a*S(c,b)), with * = star.  ``scan`` flags the
+    (a, b, c) grid points where they disagree, and the first flagged point
+    that the same test on floats confirms is the witness.
+    """
     star = star or prod_op()
     xs = axis(0.0, 1.0, grid_step, least=0)
     check_row(len(xs), len(xs))
-    S_ac = apply_op(S, xs[:, None], xs[None, :])  # S(x, y)
-    for a in xs:
-        ab = apply_op(star, a, xs)  # over b
-        # variant 1: S(a*b, c) >= (S(a,c)*b) v (a*S(b,c))
-        lhs1 = apply_op(S, ab[:, None], xs[None, :])
-        i = int(round(a / grid_step))
-        t1 = apply_op(star, S_ac[i][None, :], xs[:, None])
-        t2 = apply_op(star, a, S_ac)
-        ok1 = lhs1 >= np.maximum(t1, t2) - TOL
-        # variant 2: S(c, a*b) >= (S(c,a)*b) v (a*S(c,b))
-        lhs2 = apply_op(S, xs[None, :], ab[:, None])
-        u1 = apply_op(star, S_ac[:, i][None, :], xs[:, None])
-        u2 = apply_op(star, a, S_ac.T)
-        ok2 = lhs2 >= np.maximum(u1, u2) - TOL
-        if (index := first_flagged(ok1 != ok2)) is not None:
-            return (float(a),) + tuple(float(xs[i]) for i in index)
-    return None
+    S_xy = apply_op(S, xs[:, None], xs[None, :])  # S(x, y)
+
+    def disagree(a, b, c, S_ac, S_bc, S_ca, S_cb):  # S at (a, c), (b, c), (c, a), (c, b)
+        ab = apply_op(star, a, b)
+        ok1 = (apply_op(S, ab, c)
+               >= np.maximum(apply_op(star, S_ac, b), apply_op(star, a, S_bc)) - TOL)
+        ok2 = (apply_op(S, c, ab)
+               >= np.maximum(apply_op(star, S_ca, b), apply_op(star, a, S_cb)) - TOL)
+        return ok1 != ok2
+
+    def sides(rows):  # over (rows, b, c): rhs 1 where the variants disagree
+        return 0.0, disagree(xs[rows, None, None], xs[:, None], xs, S_xy[rows, None, :], S_xy,
+                             S_xy.T[rows, None, :], S_xy.T)
+
+    def at(a, b, c):
+        return 0.0, float(disagree(a, b, c, apply_op(S, a, c), apply_op(S, b, c),
+                                   apply_op(S, c, a), apply_op(S, c, b)))
+
+    verdict = scan((xs, xs, xs), sides, at, f"grid({grid_step})")
+    return verdict.witness if verdict.status == "violated" else None

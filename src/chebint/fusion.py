@@ -306,8 +306,7 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
 
     return scan_separable(xs, xs, lambda a: apply_op(inner, a, xs), inner_cd, outer_cd, outer_cd,
                           partial(apply_op, outer), partial(apply_op, inner), at,
-                          f"grid({grid_step})", monotone_box(inner), monotone_box(outer),
-                          blocks=inner.kind in BUILTIN_KINDS)
+                          f"grid({grid_step})", monotone_box(inner), monotone_box(outer))
 
 
 def leq_min(op: FusionOp, grid_step=0.01) -> Verdict:

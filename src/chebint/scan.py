@@ -7,17 +7,16 @@ compare lhs and rhs arrays over the other axes, re-check the first flagged point
 ``scan`` hands its ``sides`` a slice of consecutive rows, as many as fit in
 half of ``_BLOCK`` points, and compares the block in one pass: a small row
 (441 points for c2 at h = 0.05) costs a dozen numpy calls whose fixed cost
-outweighs their arithmetic.  The witness is still the first flagged row's
-first flagged point in C order, re-checked, then the next flagged row's.  A
-block whose sides raise is re-run one row at a time, so an earlier row's
-witness, or the first error a row raises, comes out as in a row-by-row scan.
-Callers whose operations are expressions keep one row per block
-(``blocks=False``): a row's value reaches them as a scalar, and a sub-term in
-it alone goes through libm's pow where a block's column goes through
-``np.power`` (``a^0.7 * b`` at h = 0.01 differs in 814 of 10,201 entries).
+outweighs their arithmetic.  Every block, of one row or more, passes its
+operations the column of its rows' values, so a row's points are the same
+whatever block holds it.  The witness is still the first flagged row's first
+flagged point in C order, re-checked, then the next flagged row's.
 ``scan_separable`` compares the maximal points of its rows in blocks the
-same way, under the same rules: a c1 row over a few exact c/d values is a
-few thousand points, and its maxima a few hundred.
+same way: a c1 row over a few exact c/d values is a few thousand points, and
+its maxima a few hundred.  Both run their blocks through one loop,
+``_flagged_rows``: a block whose comparison raises is re-run one row at a
+time, so an earlier row's witness, or the first error a row raises, comes out
+as in a row-by-row scan.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def first_flagged(mask):
     return np.unravel_index(int(np.argmax(mask)), np.shape(mask))
 
 
-def scan(axes, sides, at, evidence, blocks=True) -> Verdict:
+def scan(axes, sides, at, evidence) -> Verdict:
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
     ``sides(rows)`` returns the (lhs, rhs) arrays of ``rows``, a slice of
@@ -100,55 +99,59 @@ def scan(axes, sides, at, evidence, blocks=True) -> Verdict:
     (number of rows,) + the row's shape.  A block holds as many rows as fit in
     ``_BLOCK // 2`` points, and at least one: each float64 temporary then
     stays within 128 KB, glibc's default mmap threshold, past which a scan
-    in a fresh process page-faults every block.  ``blocks=False`` takes one row
-    at a time, for sides that pass a row's value to an expression as a
-    scalar.  The block is compared in one pass, into buffers allocated once
-    per scan; its flagged rows are visited in order, each row's first
-    flagged point in C order is re-checked by ``_confirm``, and the first
-    confirmed one is the witness.
+    in a fresh process page-faults every block.  The block is compared in
+    one pass, into buffers allocated once per scan; its flagged rows are
+    visited in order, each row's first flagged point in C order is
+    re-checked by ``_confirm``, and the first confirmed one is the witness.
 
-    When a block's ``sides`` raises, its rows are re-run one at a time, as
-    in a row-by-row scan: an earlier row's witness is returned, or the error
-    of the first row that raises surfaces, and when neither comes the scan
-    goes on to the next block.  A block may raise where none of its rows
-    does: an expression's piecewise evaluates a branch on the whole array
-    once any of its points takes that branch.  The scan only reads what
-    ``sides`` returns, which may be views of hoisted tables.  A row of more
-    than MAX_ROW_POINTS points is refused.
+    A block whose ``sides`` raises is re-run one row at a time
+    (``_flagged_rows``).  A block may raise where none of its rows does: an
+    expression's piecewise evaluates a branch on the whole array once any of
+    its points takes that branch.  The scan only reads what ``sides``
+    returns, which may be views of hoisted tables.  A row of more than
+    MAX_ROW_POINTS points is refused.
     """
     first, rest = axes[0], axes[1:]
     row = tuple(len(ax) for ax in rest)
     check_row(*row)
-    lead = max(min(_BLOCK // 2 // max(math.prod(row), 1), len(first)), 1) if blocks else 1
+    lead = max(min(_BLOCK // 2 // max(math.prod(row), 1), len(first)), 1)
     viol = np.empty((lead,) + row, dtype=bool)
     shifted = np.empty((lead,) + row)
 
-    def compare(start, n):  # flag the points of rows start..start+n-1 in viol[:n]
+    def flagged(start, n):  # (row, its flags) of the rows start..start+n-1 that flag
         lhs, rhs = sides(slice(start, start + n))
         np.less(lhs, np.subtract(rhs, TOL, out=shifted[:n]), out=viol[:n])
+        if not viol[:n].any():
+            return ()
+        return [(start + j, viol[j])
+                for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist()]
 
-    def witness(start, n):  # the first confirmed witness of the flagged rows, or None
-        if viol[:n].any():
-            for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist():
-                if verdict := _confirm(viol[j], first[start + j], rest, at, evidence):
-                    return verdict
-        return None
+    for i, flags in _flagged_rows(0, len(first), lead, flagged):
+        if verdict := _confirm(flags, first[i], rest, at, evidence):
+            return verdict
+    return Verdict("holds-on-grid", evidence=evidence)
 
-    for start in range(0, len(first), lead):
-        n = min(lead, len(first) - start)
+
+def _flagged_rows(start, stop, lead, flagged):
+    """The items ``flagged(i, n)`` lists for the rows i..i+n-1, over blocks of
+    ``lead`` consecutive rows from start to stop, in row order.
+
+    When a block raises, its rows are re-run one at a time, lazily, as in a
+    row-by-row scan: the caller takes an earlier row's items before a later
+    row is run, the error of the first row that raises surfaces, and when
+    no row raises the loop goes on to the next block.  The caller takes each
+    item before the next block or row is run, so items may be views of
+    buffers that the next run overwrites.
+    """
+    for i in range(start, stop, lead):
+        n = min(lead, stop - i)
         try:
-            compare(start, n)
+            items = flagged(i, n)
         except Exception:
             if n == 1:
                 raise
-            for i in range(start, start + n):  # a row's witness or error, as row by row
-                compare(i, 1)
-                if verdict := witness(i, 1):
-                    return verdict
-            continue
-        if verdict := witness(start, n):
-            return verdict
-    return Verdict("holds-on-grid", evidence=evidence)
+            items = (item for j in range(i, i + n) for item in flagged(j, 1))
+        yield from items
 
 
 def _confirm(viol, value, rest, at, evidence):
@@ -164,22 +167,24 @@ def _confirm(viol, value, rest, at, evidence):
 
 
 def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
-                   left_box=None, blocks=False) -> Verdict:
+                   left_box=None) -> Verdict:
     """Scan ab x ab x cd x cd for a point (a, b, c, d) where
     ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
 
-    ``u(a)`` is the row function over ab; ``v``, ``p`` and ``q`` are tables
-    hoisted over (c, d), (a, c) and (b, d), which the scan only reads;
-    ``left`` and ``right`` are array operations that broadcast.  Witnesses
-    are those of ``scan`` over (b, c, d) rows, and ``at`` re-checks them.
+    ``u`` is the row function: it takes the column ``ab[rows, None]`` of a
+    block of rows and returns their (row, b) table over ab.  ``v``, ``p``
+    and ``q`` are tables hoisted over (c, d), (a, c) and (b, d), which the
+    scan only reads; ``left`` and ``right`` are array operations that
+    broadcast.  Witnesses are those of ``scan`` over (b, c, d) rows, and
+    ``at`` re-checks them.
 
     Rows run over (c, d, b), compared a cache-sized block of leading slabs at
     a time.  The left side is taken once per distinct value of v, as a
     (value, b) table gathered through v's index.  The right side is taken
     once per distinct bit pattern of the row's p[a, :], as a (key, d, b)
     table over the contiguous (d, b) block of q, and each block gathers its
-    slabs from it (``_gather``).  When an evaluation raises, the row is
-    re-run in (b, c, d) order, so the error names the first bad value
+    slabs from it (``_gather``).  When an evaluation of one row raises, the
+    row is re-run in (b, c, d) order, so the error names the first bad value
     ``scan`` meets.
 
     ``box`` is None or a box (lo, hi) on which ``right`` is non-decreasing in
@@ -187,15 +192,11 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     when p and q lie in the box and do not decrease along their second axis,
     a point's rhs is at most that of the level set's maximal point reached by
     stepping c or d up inside the set.  When at most half the (c, d) points
-    are maximal, a row first compares only those and is skipped when none
-    flags; a row that flags is scanned whole as above, for its witness.
-    With ``blocks``, that pass takes as many consecutive rows as keep each
-    (row, maximal point, b) array within ``_BLOCK // 2`` points: ``u`` gets
-    the column ``ab[rows, None]`` and must return the (row, b) table whose
-    rows are the row calls' values bit for bit, and a block that raises is
-    re-run one row at a time, as in ``scan``.  Without it each row's value
-    reaches ``u`` as a scalar.  The flagged rows of a block are then scanned
-    whole in order, each with its row of the block's left side.
+    are maximal, the rows first compare only those, in blocks of as many
+    consecutive rows as keep each (row, maximal point, b) array within
+    ``_BLOCK // 2`` points, through ``scan``'s loop (``_flagged_rows``).
+    A row that flags is then scanned whole as above, for its witness, with
+    its row of the block's left side; the other rows are skipped.
 
     ``left_box`` is the dual: None or a box on which ``left`` is
     non-decreasing in both arguments.  Inside level sets of p over (a, c)
@@ -203,9 +204,7 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     u(a) lie in the box and do not decrease, the left side only falls as a,
     b, c or d step down inside the sets.  So every row before the first
     whose minimal points flag holds (``_level_set_minima``), and the rows
-    run as above from that one.  With a ``left_box``, ``u`` must also take
-    the column ``ab[:, None]`` and return the (a, b) table whose rows are
-    the row calls' values bit for bit.
+    run as above from that one.
     """
     rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
     check_row(*row)
@@ -220,30 +219,31 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
     shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
 
-    def sides(i, n, row_keys, q_side, lhs=None):  # lhs over (value, b), (row, value, b) if n > 1
+    def sides(i, n, row_keys, q_side, lhs=None):  # lhs over (row, value, b)
         try:
             if lhs is None:  # it does not depend on the keys: a row computes it once
-                lhs = left(u(ab[i] if n == 1 else ab[i:i + n, None])[..., None, :],
-                           v_values[:, None])
+                lhs = _fit(left(u(ab[i:i + n, None])[..., None, :], v_values[:, None]),
+                           (n, len(v_values), len(ab)))
             return lhs, right(row_keys, q_side)
         except Exception:
             if n == 1:  # re-run over (b, c, d), so that any error is the plain scan's
-                left(u(ab[i])[:, None, None], v[None, :, :])
+                left(u(ab[i:i + 1, None])[0][:, None, None], v[None, :, :])
                 right(p[i][None, :, None], q[:, None, :])
             raise
 
-    def pruned(i, n):  # (row, lhs) of the rows i..i+n-1 whose maximal points flag
+    def pruned(i, n):  # (row, its lhs) of the rows i..i+n-1 whose maximal points flag
         if maxima is None:
             return [(i, None)]
         lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q)
-        lhs, rhs = _fit(lhs, (n, len(v_values), len(ab))), np.subtract(rhs, TOL)  # frees right's
+        rhs = np.subtract(rhs, TOL)  # frees right's
         kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
-        return [(i + j, lhs[j]) for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
+        return [(i + j, lhs[j:j + 1])
+                for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
 
     def whole(i, lhs):  # the row's witness over every point, or None
         values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
         lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, :], lhs)
-        lhs, rhs = _fit(lhs, (len(v_values), len(ab))), _fit(rhs, (len(values),) + row[1:])
+        lhs, rhs = lhs[0], _fit(rhs, (len(values),) + row[1:])
         slots = index.tolist()
         for k in range(0, row[0], lead):
             n = min(lead, row[0] - k)
@@ -259,21 +259,12 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     most = len(levels) * len(ab) ** 2 if maxima is not None else keys.size ** 2 // 2
     first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
                               left_box, most)
-    # the maximal points of as many rows as fit in half a block, when u takes a column
+    # the maximal points of as many rows as fit in half a block
     block_rows = max(min(_BLOCK // 2 // max(len(levels) * len(ab), 1), len(ab) - first), 1) \
-        if blocks and maxima is not None else 1
-    for start in range(first, len(ab), block_rows):
-        n = min(block_rows, len(ab) - start)
-        try:
-            hits = pruned(start, n)
-        except Exception:
-            if n == 1:
-                raise
-            # one row at a time, lazily: an earlier row's witness, or the first row's error
-            hits = (hit for i in range(start, start + n) for hit in pruned(i, 1))
-        for i, lhs in hits:
-            if verdict := whole(i, lhs):
-                return verdict
+        if maxima is not None else 1
+    for i, lhs in _flagged_rows(first, len(ab), block_rows, pruned):
+        if verdict := whole(i, lhs):
+            return verdict
     return Verdict("holds-on-grid", evidence=evidence)
 
 

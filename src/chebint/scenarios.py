@@ -38,8 +38,12 @@ class ScenarioError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def build_space(block) -> FiniteSpace:
-    return FiniteSpace(tuple(block))
+def build_space(block, path="space") -> FiniteSpace:
+    labels = _array(block, path)
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ScenarioError(f"{path}[{i}] must be a string, got {label!r}")
+    return FiniteSpace(tuple(labels))
 
 
 def build_measure(block, sp: FiniteSpace, path="measure") -> MonotoneMeasure:
@@ -258,14 +262,15 @@ def _check_count(value, source, least):
 def _run_integrate(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 1e-4)
     results = {}
-    for i, item in enumerate(data["integrals"]):
+    for i, item in enumerate(_array(_key(data, "integrals", "scenario"), "integrals")):
         path = f"integrals[{i}]"
+        item = _object(item, path)
         op = build_op(item.get("op", "min"), f"{path}.op")
         if "survival" in item:
             res = integrate_survival(op, build_survival(item["survival"], f"{path}.survival"),
                                      grid_step=step)
         else:
-            sp = build_space(item["space"])
+            sp = build_space(item["space"], f"{path}.space")
             m = build_measure(item["measure"], sp, f"{path}.measure")
             bound = _number(item["bound"], f"{path}.bound") if "bound" in item else None
             f = build_function(item["f"], sp, bound=bound, path=f"{path}.f")
@@ -274,10 +279,12 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
                 res = q_integral(op, m, f)
             else:
                 res = integrate_simple(op, m, D, f)
-        results[item["name"]] = {"value": res.value, "method": res.method}
+        if not isinstance(name := _key(item, "name", path), str):
+            raise ScenarioError(f"{path}.name must be a string, got {name!r}")
+        results[name] = {"value": res.value, "method": res.method}
     report = {"integrals": results, "verdict": "computed"}
     if "equality" in data:
-        eq = data["equality"]
+        eq = _object(data["equality"], "equality")
         values = {name: r["value"] for name, r in results.items()}
         lhs = float(eval_expr(parse(eq["lhs"]), values))
         rhs = float(eval_expr(parse(eq["rhs"]), values))
@@ -439,7 +446,7 @@ def run_scenario(data, grid_step=None, seed=None, budget=None, tolerance=None):
     "equality" and an inequality's "expect_equality").  The exit code is
     EXIT_CODES[report["verdict"]], or 2 for a verdict missing from it.
     """
-    kind = data.get("kind")
+    kind = _object(data, "scenario").get("kind")
     if kind not in _RUNNERS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     if tolerance is not None:
@@ -482,7 +489,9 @@ def list_scenarios():
 
 def _load_blocks(text):
     data = json.loads(text)
-    return data if isinstance(data, list) else [data]
+    if not isinstance(data, list):
+        return [_object(data, "scenario")]
+    return [_object(block, f"scenario[{i}]") for i, block in enumerate(data)]
 
 
 def load_scenario(name):

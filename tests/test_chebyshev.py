@@ -185,6 +185,41 @@ class TestConfigValidate:
     def test_valid_config_passes(self):
         w_config(cd_values([0.0, 1.0])).validate()
 
+    def test_phi_top_past_circ_y_bar_is_a_hypothesis_failure(self):
+        # phi(y_bar) = 2 lies outside min's [0, 1]: eval_op's FusionError
+        # used to escape validate
+        cfg = replace(_double_phi_config(), cd_domain=cd_values([0.0, 1.0]))
+        with pytest.raises(HypothesisError, match=r"^phi1\(y_bar\) circ1 sup\(cd\): argument 2.0 "
+                                                  r"outside \[0, 1.0\] for operation 'min'$"):
+            cfg.validate()
+
+
+def _double_phi_config():
+    """phi = 2*x, min everywhere: phi(y_bar) and phi's values lie past min's y_bar."""
+    mn, double = min_op(), shape("2x", "2*x")
+    return config(mn, mn, (mn,) * 3, mn, (double,) * 3, identity_triple())
+
+
+def test_config_failures_are_report_entries(sp2):
+    # theorem1_forward and any_functions_check used to raise the FusionError
+    # of validate's probes, and the IntegralError of the integrals ("function
+    # bound exceeds the operation's y_bar"); check_scalar_condition raised the
+    # first.  Each now reports them as hypothesis-failed
+    cfg, m = _double_phi_config(), from_table(sp2, [0.0, 0.4, 0.6, 1.0])
+    f, g = simple_function(sp2, [0.3, 0.8]), simple_function(sp2, [0.5, 0.2])
+    probe = "phi1(y_bar) circ1 sup(cd): argument 2.0 outside [0, 1.0] for operation 'min'"
+    bound = "function bound exceeds the operation's y_bar"
+    verdict = check_scalar_condition(replace(cfg, cd_domain=cd_values(m.value_range())), 0.1)
+    assert (verdict.status, verdict.detail) == ("hypothesis-failed", probe)
+    report = theorem1_forward(cfg, m, f, g, 0b11, 0b11, grid_step=0.1)
+    stages = {s.name: (s.status, s.detail) for s in report.stages}
+    assert stages["config-hypotheses"] == stages["scalar-condition"] == ("hypothesis-failed", probe)
+    assert stages["integral-inequality"] == ("hypothesis-failed", bound)
+    assert report.status == "hypothesis-failed" and report.outcome is None
+    report = any_functions_check(cfg, m, trials=3, grid_step=0.1)
+    assert report.stages[-1] == Stage("random-trials", "hypothesis-failed", bound)
+    assert report.stages[-2] == Stage("scalar-condition", "hypothesis-failed", probe)
+
 
 # ---------------------------------------------------------------------------
 # Scalar conditions

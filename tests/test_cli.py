@@ -519,7 +519,57 @@ _EXIT_TWO = {
     "number-survival-var": ("minitive-sugeno-values", "integrate",
                             lambda d: d["integrals"][0]["survival"].update(var=5),
                             "integrals[0].survival.var must be a string, got 5"),
+    # an integrals, integral, space or equality block of the wrong container
+    # type, a space label or integral name that is not a string, ended in an
+    # AttributeError or TypeError traceback with exit 1; a string space was
+    # read as one atom per character
+    "number-integral": ("minitive-sugeno-values", "integrate",
+                        lambda d: d.update(integrals=[5]), "integrals[0] must be an object, got 5"),
+    "object-integrals": ("minitive-sugeno-values", "integrate",
+                         lambda d: d.update(integrals={"i": 1}),
+                         "integrals must be a list, got {'i': 1}"),
+    "integral-without-name": ("minitive-sugeno-values", "integrate",
+                              lambda d: d["integrals"][0].pop("name"),
+                              "integrals[0].name is missing"),
+    "integrate-number-space": ("minitive-sugeno-values", "integrate",
+                               lambda d: (_one_simple_integral(d),
+                                          d["integrals"][0].update(space=5)),
+                               "integrals[0].space must be a list, got 5"),
+    "number-space": ("minitive-dependence", "check-dependence", lambda d: d.update(space=5),
+                     "space must be a list, got 5"),
+    "nested-space-label": ("minitive-dependence", "check-dependence",
+                           lambda d: d["space"].__setitem__(1, [d["space"][1]]),
+                           "space[1] must be a string, got ['x2']"),
+    "string-space": ("minitive-dependence", "check-dependence",
+                     lambda d: d.update(space="ab"), "space must be a list, got 'ab'"),
+    "number-space-label": ("minitive-dependence", "check-dependence",
+                           lambda d: d["space"].__setitem__(2, 3), "space[2] must be a string, got 3"),
+    "list-integral-name": ("minitive-sugeno-values", "integrate",
+                           lambda d: d["integrals"][0].update(name=["a"]),
+                           "integrals[0].name must be a string, got ['a']"),
+    "number-equality": ("minitive-sugeno-values", "integrate", lambda d: d.update(equality=5),
+                        "equality must be an object, got 5"),
+    # phi = 2*x puts phi(y_bar) and the integrands past min's y_bar: the
+    # pipeline raised a FusionError (exit 2 without a report)
+    "theorem-forward-phi-past-circ": ("counterexample-daraby-ghadimi", "check-inequality",
+                                      lambda d: (d.update(pipeline="theorem-forward"),
+                                                 d["config"].update(phi="2*x")),
+                                      "phi1(y_bar) circ1 sup(cd): argument 2.0 outside"),
 }
+
+
+@pytest.mark.parametrize("content, needle", [
+    ("5", "error: scenario must be an object, got 5"),
+    ("[5]", "error: scenario[0] must be an object, got 5"),
+    ('[{"kind": "integrate", "integrals": []}, "x"]',
+     "error: scenario[1] must be an object, got 'x'")])
+def test_a_file_that_holds_no_scenario_object_exits_two(capsys, tmp_path, content, needle):
+    # used to end in an AttributeError traceback with exit 1
+    path = tmp_path / "scenario.json"
+    path.write_text(content)
+    for command in ("integrate", "check-dependence"):
+        code, out, err = run_cli(capsys, command, str(path))
+        TestRunOptionValidation.assert_input_error(code, out, err, needle)
 
 
 @pytest.mark.parametrize("case", sorted(_EXIT_TWO))

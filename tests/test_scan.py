@@ -80,17 +80,12 @@ def test_holds_when_nothing_confirms():
 
 def test_blocks_take_as_many_rows_as_half_a_block_holds():
     # rows of 64^2 points: _BLOCK // 2 of them make a block of 4 rows, the
-    # last block takes what is left; without blocks, or with rows of more
-    # than _BLOCK // 2 points, every block is one row
+    # last block takes what is left; with rows of more than _BLOCK // 2
+    # points, every block is one row
     lead = _BLOCK // 2 // 64 ** 2
     assert lead == 4
     axes = (np.arange(10.0), np.arange(64.0), np.arange(64.0))
     assert recording_scan(axes, [], set())[1] == [(0, 4), (4, 8), (8, 10)]
-    one_row = [(i, i + 1) for i in range(10)]
-    seen = []
-    scan(axes, lambda rows: seen.append((rows.start, rows.stop)) or (1.0, 0.0), None, "",
-         blocks=False)
-    assert seen == one_row
     wide = (np.arange(3.0), np.arange(_BLOCK // 2 + 1.0))
     assert recording_scan(wide, [], set())[1] == [(0, 1), (1, 2), (2, 3)]
 
@@ -299,15 +294,16 @@ def test_distinct_rebuilds_the_table_bit_for_bit():
 
 
 def test_separable_row_errors_come_from_the_plain_row():
-    # left raises on the (value, b) layout of the fast path; the error that
-    # surfaces is the one the row over (b, c, d) raises, or the fast one when
-    # that row raises nothing
+    # left raises on the (value, b) layout of the fast path, where v's
+    # distinct values come as a 2-D column; the error that surfaces is the
+    # one the row over (b, c, d) raises, or the fast one when that row
+    # raises nothing
     ab, cd = np.array([0.0, 1.0]), np.array([0.0, 0.5])
     table = np.zeros((2, 2))
 
     def separable(plain_error):
         def left(x, t):
-            if np.ndim(x) == 2:
+            if np.ndim(t) == 2:
                 raise ValueError("fast")
             if plain_error:
                 raise KeyError("plain row")
@@ -339,7 +335,7 @@ def test_separable_scan_matches_the_plain_scan():
 
     want = scan((ab, ab, cd, cd), plain_sides, at, "e")
     assert want.status == "violated"
-    got = scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, np.multiply, np.add, at, "e")
+    got = scan_separable(ab, cd, table_rows(u), v, p, q, np.multiply, np.add, at, "e")
     assert got == want
 
 
@@ -369,6 +365,12 @@ def test_constant_operations_give_complete_witnesses():
     assert verdict.lhs == 0.5 and verdict.lhs < verdict.rhs
 
 
+def table_rows(u):
+    """The row function over ab = 0, 1, ... of the (a, b) table u: the rows
+    of u at a column of a values."""
+    return lambda a: u[a[:, 0].astype(int)]
+
+
 def separable_and_plain(u, v, p, q, left=np.add, right=np.multiply, confirm=None):
     """(verdict, points re-checked) of ``scan_separable`` and of ``scan`` over
     (b, c, d) rows, for ab = 0..len(u)-1 and cd = 0..len(v)-1.
@@ -394,7 +396,7 @@ def separable_and_plain(u, v, p, q, left=np.add, right=np.multiply, confirm=None
         return (left(u[rows, :, None, None], v[None, None]),
                 right(p[rows, None, :, None], q[None, :, None, :]))
 
-    return (run(lambda at: scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, left, right,
+    return (run(lambda at: scan_separable(ab, cd, table_rows(u), v, p, q, left, right,
                                           at, "e")),
             run(lambda at: scan((ab, ab, cd, cd), plain_sides, at, "e")))
 
@@ -450,7 +452,7 @@ def test_lhs_from_a_table_of_distinct_values():
     def left(x, t):
         if np.ndim(t) == 2:  # the (value, b) table of the separable scan
             calls.append(t.ravel().tolist())
-            return hoisted[int(np.flatnonzero((u == x).all(axis=1))[0])]
+            return hoisted[int(np.flatnonzero((u == np.ravel(x)).all(axis=1))[0])]
         return x + t
 
     # nothing confirms, so every row's first flagged point is re-checked
@@ -533,19 +535,19 @@ def test_rhs_slab_table_errors_surface_in_row_order():
     calls = []
     right = recording_right(calls, raise_at=6.0)
     with pytest.raises(KeyError, match=r"shape \(1, 8, 1\)"):
-        scan_separable(ab, cd, lambda a: u[int(a)], v, p, q, np.add, right,
+        scan_separable(ab, cd, table_rows(u), v, p, q, np.add, right,
                        lambda *point: (1.0, 1.0), "")
     assert calls == [[0.5, 1.0, 2.0], [0.5, 1.0, 2.0], [1.5, 3.0, 6.0]]  # each row's keys
     # a violation in an earlier row is returned before the later row is built
     built = []
 
     def row(a):
-        built.append(a)
-        return u[int(a)]
+        built.append(a.tolist())
+        return table_rows(u)(a)
 
     verdict = scan_separable(ab, cd, row, v, p, q, np.add, right, lambda *point: (0.0, 1.0), "")
     assert verdict.status == "violated" and verdict.witness[0] == 0.0
-    assert built == [0.0]
+    assert built == [[[0.0]]]
 
 
 def test_constant_rhs_fills_the_slab_table():
@@ -615,13 +617,14 @@ def test_a_pruned_row_that_flags_computes_its_lhs_once():
     # min(c, d) has 9 maximal points of 25; every row's maximal points flag
     # (lhs 0 against c * d) and nothing confirms, so each row is compared
     # twice, kept points then whole, from one evaluation of u and of left
+    # for the one block of all five rows
     xs = np.linspace(0.0, 1.0, 5)
     v, pq = np.minimum(xs[:, None], xs[None, :]), np.tile(xs, (5, 1))
     calls = []
 
     def u(a):
         calls.append("u")
-        return np.zeros(5)
+        return np.zeros((len(a), 5))
 
     def left(x, t):
         calls.append("left")
@@ -630,7 +633,7 @@ def test_a_pruned_row_that_flags_computes_its_lhs_once():
     verdict = scan_separable(xs, xs, u, v, pq, pq, left, np.multiply, lambda *p: (1.0, 0.0), "",
                              (0.0, 1.0))
     assert verdict.holds
-    assert calls == ["u", "left"] * 5
+    assert calls == ["u", "left"]
 
 
 def test_level_set_maxima_and_their_guard():
@@ -693,7 +696,7 @@ def test_level_set_minima_and_their_guard():
         assert first(**changes) == 0, changes
 
 
-def maxima_blocks(nab, u, at, blocks=True):
+def maxima_blocks(nab, u, at):
     """``scan_separable`` of u(a)[b] + min(c, d) against c + d over
     ab = 0..nab-1 and cd = 0, 1/4, ..., 1, where 9 of the 25 (c, d) points
     are maximal in their level sets.  Returns the verdict and, per call to
@@ -716,7 +719,7 @@ def maxima_blocks(nab, u, at, blocks=True):
         return side
 
     verdict = scan_separable(ab, cd, row, v, pq, pq, recorded(np.add), recorded(np.add), at, "",
-                             (0.0, 1.0), blocks=blocks)
+                             (0.0, 1.0))
     return verdict, calls
 
 
@@ -731,10 +734,6 @@ def test_maxima_blocks_take_as_many_rows_as_half_a_block_holds():
     assert [c[0] for c in calls] == [(k, min(k + lead, 100)) for k in range(0, 100, lead)]
     assert all(0 < size <= _BLOCK // 2 for c in calls for size in c[1:])
     assert [len(c) for c in calls] == [3] * len(calls)  # one left and one right per block
-    # one row per call when blocks are off
-    assert [c[0] for c in maxima_blocks(100, lambda a: 2.0 + 0.0 * a + np.zeros(100),
-                                        lambda *point: (2.0, 1.0), blocks=False)[1]] == \
-        [(k, k + 1) for k in range(100)]
 
 
 @pytest.mark.parametrize("blocks", [True, False])
@@ -748,7 +747,9 @@ def test_a_violation_just_past_tol_at_a_maximal_point_flags(blocks):
     def at(a, b, c, d):
         return float(u(a)[int(b)]) + min(c, d), c + d
 
-    verdict, calls = maxima_blocks(5, u, at, blocks)
+    # without blocks, a _BLOCK of 1, every block is one row
+    with mock.patch.object(scan_module, "_BLOCK", _BLOCK if blocks else 1):
+        verdict, calls = maxima_blocks(5, u, at)
     lhs = float(u(3.0)[2])
     assert verdict == Verdict("violated", (3.0, 2.0, 0.0, 1.0), lhs, 1.0)
     assert 1.0 - 2 * TOL < lhs < 1.0 - TOL

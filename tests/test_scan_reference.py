@@ -5,8 +5,9 @@ their own order, psi1 and outer evaluated on whole rows, and a kernel that
 compares ``lhs < rhs - TOL`` in one go.  Random builtin, expression and
 power-shape configurations must give the same Verdict (status, witness, lhs,
 rhs, detail, evidence) or raise the same exception with the same message.
-The c2 and q scans compare blocks of several rows at once; they are also
-checked against the same scans taking one row at a time.
+Every scan compares blocks of several rows at once; each is also checked
+against itself with one row per block.  The commutativity-gap search is
+checked against its earlier form, a loop over the rows of its own.
 """
 
 import math
@@ -296,11 +297,11 @@ def blocks_built(fn, *args):
     """(``outcome``, the (start, stop) row ranges of the blocks its plain scans built)."""
     real, built = scan_module.scan, []
 
-    def recording(axes, sides, at, evidence, blocks=True):
+    def recording(axes, sides, at, evidence):
         def recorded(rows):
             built.append((rows.start, rows.stop))
             return sides(rows)
-        return real(axes, recorded, at, evidence, blocks)
+        return real(axes, recorded, at, evidence)
 
     with mock.patch.object(cheb, "scan", recording):
         return outcome(fn, *args), built
@@ -313,7 +314,7 @@ def c2_rows(h):
 
 @st.composite
 def block_configs(draw):
-    """``configs`` with a builtin inner and outer half the time: the scans that take blocks."""
+    """``configs`` with a builtin inner and outer half the time."""
     cfg = draw(configs())
     if draw(st.booleans()):
         cfg = replace(cfg, inner=draw(BUILTINS), outer=draw(BUILTINS))
@@ -330,7 +331,7 @@ BLOCK_STEPS = st.sampled_from([0.1, 0.05, 0.02])
 def test_c2_blocks_match_the_row_by_row_scans(cfg, h):
     got = outcome(cheb.check_condition_C2, cfg, h)
     assert got == outcome(reference_c2, cfg, h)
-    assert got == one_row_at_a_time(cheb.check_condition_C2, cfg, h)
+    assert repr(got) == repr(one_row_at_a_time(cheb.check_condition_C2, cfg, h))
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,7 +340,7 @@ def test_c2_blocks_match_the_row_by_row_scans(cfg, h):
 def test_q_blocks_match_the_row_by_row_scans(conj, star, phis, h):
     got = outcome(cheb.q_corollary_condition, conj, phis, star, h)
     assert got == outcome(reference_q, conj, phis, star, h)
-    assert got == one_row_at_a_time(cheb.q_corollary_condition, conj, phis, star, h)
+    assert repr(got) == repr(one_row_at_a_time(cheb.q_corollary_condition, conj, phis, star, h))
 
 
 # prod inner and outer, Lukasiewicz circs: violated at (0.1, 0.2, 0.9) on the grid 0.1
@@ -437,44 +438,37 @@ def test_a_block_boundary_right_after_the_flagged_row(last):
 
 
 def test_blocks_give_the_rows_sides_bit_for_bit():
-    # every block's sides, for builtin inner and outer (c2) or conj (q), are
-    # its rows' sides stacked.  An expression that powers its first argument
-    # alone would not give them (np.power on the block, libm's pow on a
-    # row's scalar), which is why such scans keep one row per block
+    # every block's sides, for builtin and expression operations alike, are
+    # its rows' sides stacked: a one-row block passes its operations a column
+    # as a block of many rows does.  An expression that powers its first
+    # argument alone, a^0.7, is where a row's value as a scalar would differ
+    # (libm's pow against np.power)
     real = scan_module.scan
 
-    def block_against_rows(axes, sides, at, evidence, blocks=True):
-        rows = slice(0, len(axes[0]))
-        block = [np.broadcast_to(side, (len(axes[0]),) + tuple(map(len, axes[1:])))
-                 for side in sides(rows)]
-        stacked = [np.stack([np.broadcast_to(s, block[0].shape[1:]) for s in side])
-                   for side in zip(*(sides(slice(i, i + 1)) for i in range(rows.stop)))]
-        seen.append((blocks, [not np.array_equal(b.view(np.int64), s.view(np.int64))
-                              for b, s in zip(block, stacked)]))
-        return real(axes, sides, at, evidence, blocks)
+    def block_against_rows(axes, sides, at, evidence):
+        shape = tuple(map(len, axes))
+        block = [np.broadcast_to(side, shape) for side in sides(slice(0, shape[0]))]
+        stacked = [np.concatenate([np.broadcast_to(s, (1,) + shape[1:]) for s in side])
+                   for side in zip(*(sides(slice(i, i + 1)) for i in range(shape[0])))]
+        seen.append([np.array_equal(b.view(np.int64), s.view(np.int64))
+                     for b, s in zip(block, stacked)])
+        return real(axes, sides, at, evidence)
 
     power = fusion.expr_op("power", "a^0.7 * b", **_FLAGS)
-    for cfg, blocks, differs in [
-            (replace(_W_CIRC, phi1=cheb.power_shape(0.5), psi1=cheb.power_shape(3)), True,
-             [False, False]),
-            (cheb.config(_PR, _MN, (power,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), True,
-             [False, False]),
-            (cheb.config(power, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), False,
-             [True, False]),
-            (cheb.config(_PR, power, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT), False,
-             [False, True])]:
+    for cfg in [replace(_W_CIRC, phi1=cheb.power_shape(0.5), psi1=cheb.power_shape(3)),
+                cheb.config(_PR, _MN, (power,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT),
+                cheb.config(power, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT),
+                cheb.config(_PR, power, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT)]:
         seen = []
         with mock.patch.object(cheb, "scan", block_against_rows):
             cheb.check_condition_C2(cfg, 0.01)
-        assert seen == [(blocks, differs)]
+        assert seen == [[True, True]]
     product = fusion.expr_op("product", "a*b", **_FLAGS)
-    for conj, star, blocks, differs in [(_MN, _PR, True, [False, False]),
-                                        (_MN, product, True, [False, False]),
-                                        (power, _PR, False, [True, True])]:
+    for conj, star in [(_MN, _PR), (_MN, product), (power, _PR)]:
         seen = []
         with mock.patch.object(cheb, "scan", block_against_rows):
             assert cheb.q_corollary_condition(conj, _IDS, star, 0.05).holds
-        assert seen[1] == (blocks, differs)  # every b, after the b = 1 slice
+        assert seen == [[True, True]] * 2  # the b = 1 slice, then every b
 
 
 def test_a_c2_scan_holds_one_block_at_a_time():
@@ -775,17 +769,15 @@ def test_a_broken_guard_clears_no_rows(u, v, left, r, witness):
 # ---------------------------------------------------------------------------
 
 
-def _separable(fn, *args, blocks=None):
+def _separable(fn, *args):
     """(``outcome``, the shapes of the values handed to each separable scan's
-    row function u), with ``blocks`` forced on every scan unless it is None."""
+    row function u)."""
     real, shapes = scan_module.scan_separable, []
 
     def recording(ab, cd, u, *rest, **kwargs):
         def row(a):
             shapes.append(np.shape(a))
             return u(a)
-        if blocks is not None:
-            kwargs = dict(kwargs, blocks=blocks)
         return real(ab, cd, row, *rest, **kwargs)
 
     with mock.patch.object(cheb, "scan_separable", recording), \
@@ -793,10 +785,10 @@ def _separable(fn, *args, blocks=None):
         return outcome(fn, *args), shapes
 
 
-def blocked_and_row_by_row(fn, *args):
-    """The reprs of ``fn(*args)``'s outcome as it runs and with one row per call
-    to u: a float's repr gives its bits back, signed zeros included."""
-    return repr(_separable(fn, *args)[0]), repr(_separable(fn, *args, blocks=False)[0])
+def blocked_and_one_row(fn, *args):
+    """The reprs of ``fn(*args)``'s outcome as it runs and with every block
+    one row: a float's repr gives its bits back, signed zeros included."""
+    return repr(outcome(fn, *args)), repr(one_row_at_a_time(fn, *args))
 
 
 @st.composite
@@ -808,34 +800,67 @@ def builtin_value_configs(draw):
     return replace(draw(builtin_configs()), cd_domain=cheb.cd_values(draw(values)))
 
 
+# Expression forms whose arithmetic or errors could depend on the block: a
+# power of the row variable (np.power, never libm's pow), a piecewise whose
+# branch raises on a later row's values, a square root and a division that
+# raise on part of the grid
+_BLOCK_EXPRS = ["a^0.7 * b", "a*b^0.5", _CROSS_ROW, "sqrt(a - b)", "a*b/(a + b - a*b)",
+                "piecewise a { [0, 0.5]: a^1.5*b; (0.5, 1]: sqrt(a*b) }"]
+BLOCK_OPS = st.one_of(BUILTINS, _expr_ops(_BLOCK_EXPRS), _expr_ops(_EXPRS))
+
+
+@st.composite
+def block_expr_configs(draw):
+    """``configs`` with half of its operations drawn from ``BLOCK_OPS``."""
+    cfg = draw(configs())
+    names = ("inner", "outer", "circ1", "circ2", "circ3", "triangle")
+    picked = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    return replace(cfg, **{name: draw(BLOCK_OPS) for name in picked})
+
+
 @settings(max_examples=80, deadline=None)
-@given(cfg=st.one_of(builtin_value_configs(), builtin_configs()), h=STEPS)
-def test_c1_maxima_blocks_match_one_row_per_call(cfg, h):
-    got, want = blocked_and_row_by_row(cheb.check_scalar_condition, cfg, h)
+@given(cfg=st.one_of(builtin_value_configs(), builtin_configs(), block_expr_configs()),
+       h=STEPS)
+def test_c1_blocks_match_one_row_per_block(cfg, h):
+    got, want = blocked_and_one_row(cheb.check_scalar_condition, cfg, h)
     assert got == want
 
 
 @settings(max_examples=40, deadline=None)
-@given(outer=BUILTINS, inner=BUILTINS, h=STEPS)
-def test_dominates_maxima_blocks_match_one_row_per_call(outer, inner, h):
-    got, want = blocked_and_row_by_row(fusion.dominates, outer, inner, h)
+@given(cfg=block_expr_configs(), h=BLOCK_STEPS)
+def test_c2_blocks_match_one_row_per_block(cfg, h):
+    got, want = blocked_and_one_row(cheb.check_condition_C2, cfg, h)
     assert got == want
 
 
-def test_an_expression_inner_never_hands_u_a_column():
-    # a^0.7 differs in its last bits between libm's pow on a row's scalar
-    # and np.power on a column, so every row's value reaches u as a scalar
+@settings(max_examples=40, deadline=None)
+@given(conj=BLOCK_OPS, star=BLOCK_OPS, phis=st.tuples(SHAPES, SHAPES, SHAPES), h=BLOCK_STEPS)
+def test_q_blocks_match_one_row_per_block(conj, star, phis, h):
+    got, want = blocked_and_one_row(cheb.q_corollary_condition, conj, phis, star, h)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(outer=BLOCK_OPS, inner=BLOCK_OPS, h=STEPS)
+def test_dominates_blocks_match_one_row_per_block(outer, inner, h):
+    got, want = blocked_and_one_row(fusion.dominates, outer, inner, h)
+    assert got == want
+
+
+def test_u_always_gets_a_column():
+    # every block, of one row or of many, hands u the column of its rows'
+    # values, for builtin and expression inner operations alike.  A builtin
+    # outer prunes c1 (7 of the 16 (c, d) points are maximal in their min
+    # level sets), so its 21 rows are one block; an expression inner keeps
+    # dominates from pruning, and each of its rows is a block of its own
     power = fusion.expr_op("power", "a^0.7 * b", **_FLAGS)
     cfg = cheb.config(power, _PR, (_MN,) * 3, _MN, _IDS, _IDS,
                       cd_domain=cheb.cd_values([0.2, 0.5, 0.9, 1.0]))
-    got, shapes = _separable(cheb.check_scalar_condition, cfg, 0.05)
-    assert got[1].holds and shapes == [()] * 21
+    for inner in (power, _PR):
+        got, shapes = _separable(cheb.check_scalar_condition, replace(cfg, inner=inner), 0.05)
+        assert got[1].holds and shapes == [(21, 1)]
     got, shapes = _separable(fusion.dominates, _MN, power, 0.1)
-    assert got[1].holds and shapes == [()] * 11
-    # a builtin inner takes the 21 rows in one block: 7 of the 16 (c, d)
-    # points are maximal in their min level sets, so the maxima pass runs
-    got, shapes = _separable(cheb.check_scalar_condition, replace(cfg, inner=_PR), 0.05)
-    assert got[1].holds and shapes == [(21, 1)]
+    assert got[1].holds and shapes == [(1, 1)] * 11
 
 
 def test_a_later_rows_shape_error_in_a_block_loses_to_an_earlier_witness():
@@ -846,9 +871,9 @@ def test_a_later_rows_shape_error_in_a_block_loses_to_an_earlier_witness():
     assert got == ("verdict", Verdict("violated", (0.1, 0.1, 1.0, 1.0), 9.999999999998899e-05,
                                       0.010000000000000018,
                                       evidence="a,b grid(0.1) x c,d grid(0.1)"))
-    assert shapes == [(11, 1), (), ()]
+    assert shapes == [(11, 1), (1, 1), (1, 1)]
     assert got == outcome(reference_c1, cfg, 0.1)
-    assert got == _separable(cheb.check_scalar_condition, cfg, 0.1, blocks=False)[0]
+    assert repr(got) == repr(one_row_at_a_time(cheb.check_scalar_condition, cfg, 0.1))
 
 
 def test_a_block_without_a_witness_gives_the_row_by_row_error():
@@ -864,8 +889,8 @@ def test_a_block_without_a_witness_gives_the_row_by_row_error():
                       cd_domain=cheb.cd_values([1.0, 0.2, 0.5, 0.5, 0.9]))
     got, shapes = _separable(cheb.check_scalar_condition, cfg, 0.1)
     assert got[1].detail == "the value sq-0.8(0.9) is not defined (domain [0.0, 0.8])"
-    assert shapes[0] == (11, 1) and shapes[1:] == [()] * (len(shapes) - 1)
-    assert got == _separable(cheb.check_scalar_condition, cfg, 0.1, blocks=False)[0]
+    assert shapes[0] == (11, 1) and shapes[1:] == [(1, 1)] * (len(shapes) - 1)
+    assert repr(got) == repr(one_row_at_a_time(cheb.check_scalar_condition, cfg, 0.1))
     assert got == outcome(reference_c1, cfg, 0.1)
 
 
@@ -886,3 +911,54 @@ def test_a_c1_scan_over_four_values_holds_a_block_at_a_time():
         tracemalloc.stop()
     assert verdict.holds
     assert peak < 5 * scan_module._BLOCK // 2 * 8
+
+
+# ---------------------------------------------------------------------------
+# The commutativity-gap search
+# ---------------------------------------------------------------------------
+
+
+def reference_gap(S, star=None, grid_step=0.01):
+    """The earlier form of ``search_commutativity_gap``: a loop over a with
+    its own first-witness rule and no re-check."""
+    star = star or fusion.prod_op()
+    xs = scan_module.axis(0.0, 1.0, grid_step, least=0)
+    S_ac = apply_op(S, xs[:, None], xs[None, :])  # S(x, y)
+    for a in xs:
+        ab = apply_op(star, a, xs)  # over b
+        lhs1 = apply_op(S, ab[:, None], xs[None, :])
+        i = int(round(a / grid_step))
+        t1 = apply_op(star, S_ac[i][None, :], xs[:, None])
+        t2 = apply_op(star, a, S_ac)
+        ok1 = lhs1 >= np.maximum(t1, t2) - TOL
+        lhs2 = apply_op(S, xs[None, :], ab[:, None])
+        u1 = apply_op(star, S_ac[:, i][None, :], xs[:, None])
+        u2 = apply_op(star, a, S_ac.T)
+        ok2 = lhs2 >= np.maximum(u1, u2) - TOL
+        if (index := scan_module.first_flagged(ok1 != ok2)) is not None:
+            return (float(a),) + tuple(float(xs[i]) for i in index)
+    return None
+
+
+# asymmetric forms, whose argument-order variants can disagree
+_GAP_EXPRS = ["a*b^2", "a^2*b", "a*sqrt(b)", "min(a, b^2)", "a*b*(1 + a - b)/2 + 0*b",
+              "piecewise a { [0, 0.5]: a*b; (0.5, 1]: a*b^0.5 }"]
+GAP_OPS = st.one_of(BLOCK_OPS, _expr_ops(_GAP_EXPRS), _expr_ops(_RISKY))
+
+
+@settings(max_examples=60, deadline=None)
+@given(S=GAP_OPS, star=st.one_of(st.none(), BUILTINS, _expr_ops(_EXPRS + _BLOCK_EXPRS)),
+       h=st.sampled_from([0.1, 0.05, 0.04, 0.02]))
+@example(S=fusion.expr_op("ab2", "a*b^2", **_FLAGS), star=None, h=0.05)
+def test_gap_search_matches_the_row_loop(S, star, h):
+    got = outcome(cheb.search_commutativity_gap, S, star, h)
+    assert repr(got) == repr(outcome(reference_gap, S, star, h))
+    assert repr(got) == repr(one_row_at_a_time(cheb.search_commutativity_gap, S, star, h))
+
+
+def test_gap_search_finds_the_bundled_witness_through_scan():
+    ab2 = fusion.expr_op("ab2", "a*b^2", **_FLAGS)
+    got, built = blocks_built(cheb.search_commutativity_gap, ab2, None, 0.05)
+    assert got == ("verdict", (0.05, 0.05, 0.05))
+    assert built == [(0, 21)]  # the 21 rows of 21^2 points are one block
+    assert cheb.search_commutativity_gap(fusion.prod_op(), None, 0.05) is None
