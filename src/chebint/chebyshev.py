@@ -18,13 +18,13 @@ from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
 from .exprlang import Expr, eval_expr, parse
 from .extreal import INF_CAP as _INF_CAP
-from .fusion import (FusionError, FusionOp, apply_op, eval_op, leq_min, min_op, monotone_box,
-                     prod_op)
-from .integral import (IntegralError, SimpleFunction, _integrate_values, fitted_bound,
-                       simple_function)
+from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, leq_min, min_op,
+                     monotone_box, prod_op)
+from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
+                       fitted_bound, simple_function)
 from .measure import MonotoneMeasure
-from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step, first_flagged,
-                   scan, scan_separable)
+from .scan import (EQ_TOL, TOL, GridError, Verdict, _flagged_rows, axis, check_row, check_step,
+                   first_flagged, scan, scan_separable)
 
 
 class HypothesisError(Exception):
@@ -577,8 +577,8 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     m(C&D) >= triangle(m(C), m(D)), the scalar condition, then `trials`
     random function pairs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be a positive count, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive count, got {trials!r}")
     stages = []
     if replace(cfg.outer, name=cfg.inner.name) != cfg.inner:  # names aside, as operations
         stages.append(Stage("outer-equals-inner", "hypothesis-failed",
@@ -592,32 +592,90 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
         stages.append(Stage("measure-supports-all-pairs", "hypothesis-failed", str(exc)))
     stages.append(_stage("scalar-condition", check_scalar_condition(
         replace(cfg, cd_domain=cd_values(m.value_range())), grid_step)))
+    stage, outcome = _random_trials(cfg, m, trials, seed)
+    return PipelineReport(tuple(stages) + (stage,), outcome)
+
+
+# A batched trial goes to the scalar check when its margin lhs - (rhs - TOL)
+# lies below this share of max(|rhs|, 1).  The array pass and the scalar
+# check differ only where numpy's power and libm's pow round a value
+# differently, by about an ulp (2.2e-16 of the value); an exact equality has
+# margin TOL, a thousand times the band, and is not re-checked.
+_RECHECK_BAND = 1e-12
+# trials per array pass: their (trials, atoms) temporaries stay within half
+# of a scan block, as a scan's do, however many atoms the space has
+_TRIAL_BLOCK = 256
+
+
+def _random_trials(cfg, m, trials, seed):
+    """The random-trials stage of ``any_functions_check`` and the outcome of
+    its last trial, None on a hypothesis failure.
+
+    The trials are drawn in blocks and checked in one array pass per block
+    (``_trial_margins``); only the trials it flags and the last one go
+    through ``check_integral_inequality``, in trial order.  A block whose
+    pass raises flags every trial, so the first error is the scalar one.
+    """
     rng = np.random.default_rng(seed)
-    n = m.space.n
+    n, top = m.space.n, m.space.full_mask + 1
+    values = np.empty((_TRIAL_BLOCK, 2 * n))
+    masks = np.empty((_TRIAL_BLOCK, 2), dtype=np.int64)
+    drawn = 0
+
+    def flagged(i, count):  # the buffer slots of the trials i..i+count-1 to re-check
+        nonlocal drawn
+        for t in range(drawn, i + count):  # a block re-run trial by trial draws nothing
+            # one draw of both functions' values gives what a draw per function
+            # gives; the masks keep a scalar draw each, cheaper than one sized draw
+            values[t % _TRIAL_BLOCK] = rng.uniform(0.0, cfg.k, 2 * n)
+            masks[t % _TRIAL_BLOCK] = rng.integers(1, top), rng.integers(1, top)
+        drawn = max(drawn, i + count)
+        start = i % _TRIAL_BLOCK
+        if count == 1:
+            return [start]
+        keep = _trial_margins(cfg, m, values[start:start + count], masks[start:start + count])
+        keep[-1] |= i + count == trials
+        return (start + np.flatnonzero(keep)).tolist()
+
     failures = 0
     first = None
     outcome = None
-    for _ in range(trials):
-        # one draw of both functions' values gives what a draw per function
-        # gives; the masks keep a scalar draw each, cheaper than one sized draw
-        fg = rng.uniform(0.0, cfg.k, 2 * n).tolist()
+    for slot in _flagged_rows(0, trials, _TRIAL_BLOCK, flagged):
+        fg = values[slot].tolist()
         f = simple_function(m.space, fg[:n], bound=cfg.k)
         g = simple_function(m.space, fg[n:], bound=cfg.k)
-        A = int(rng.integers(1, m.space.full_mask + 1))
-        B = int(rng.integers(1, m.space.full_mask + 1))
+        A, B = masks[slot].tolist()
         try:
             outcome = check_integral_inequality(cfg, m, f, g, A, B)
         except (HypothesisError, IntegralError, FusionError) as exc:
-            return PipelineReport(tuple(stages) + (Stage("random-trials", "hypothesis-failed",
-                                                         str(exc)),))
+            return Stage("random-trials", "hypothesis-failed", str(exc)), None
         if not outcome.holds:
             failures += 1
             if first is None:
                 first = (f.values, g.values, A, B, outcome.lhs, outcome.rhs)
-    stages.append(Stage("random-trials", "pass" if failures == 0 else "fail",
-                        f"{trials} trials, {failures} violations, seed {seed}"
-                        + (f", first {first}" if first else "")))
-    return PipelineReport(tuple(stages), outcome)
+    return Stage("random-trials", "pass" if failures == 0 else "fail",
+                 f"{trials} trials, {failures} violations, seed {seed}"
+                 + (f", first {first}" if first else "")), outcome
+
+
+def _trial_margins(cfg, m, values, masks):
+    """Flags over the rows of a block of trials, f and g the two halves of a
+    row of ``values`` and A, B the columns of ``masks``: set where the margin
+    lhs - (rhs - TOL) of ``check_integral_inequality`` lies below the band,
+    in one array pass.  Raises wherever a trial's scalar check raises, and
+    may raise where none does (an overflow or a division by zero among them,
+    which the scalar arithmetic refuses)."""
+    n = m.space.n
+    f, g = values[:, :n], values[:, n:]
+    A, B = masks[:, 0], masks[:, 1]
+    with np.errstate(divide="raise", over="raise"):
+        fg = apply_op(cfg.inner, clip_args(cfg.inner, f), clip_args(cfg.inner, g))
+        lhs = cfg.psi1.apply(_integrate_rows(cfg.circ1, m, A & B, cfg.phi1.apply(fg)))
+        r2 = cfg.psi2.apply(_integrate_rows(cfg.circ2, m, A, cfg.phi2.apply(f)))
+        r3 = cfg.psi3.apply(_integrate_rows(cfg.circ3, m, B, cfg.phi3.apply(g)))
+        rhs = apply_op(cfg.outer, clip_args(cfg.outer, r2), clip_args(cfg.outer, r3))
+        margin = lhs - (rhs - TOL)
+        return ~(margin >= _RECHECK_BAND * np.maximum(np.abs(rhs), 1.0))  # NaN flags
 
 
 # ---------------------------------------------------------------------------

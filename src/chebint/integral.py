@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extreal import INF_CAP
-from .fusion import FusionOp, apply_op, builtin, eval_op
+from .fusion import FusionOp, apply_op, builtin, clip_args, eval_op
 from .measure import FiniteSpace, MonotoneMeasure, SurvivalScenario
 from .scan import EQ_TOL, axis, check_step
 
@@ -133,6 +133,50 @@ def _integrate_values(op: FusionOp, m: MonotoneMeasure, D: int, vals, bound):
     if not op.left_continuous_in_first:
         method += ";warning:left-continuity-not-declared"
     return value, method, tuple(cands)
+
+
+def _integrate_rows(op: FusionOp, m: MonotoneMeasure, D, vals):
+    """The value of ``_integrate_values(op, m, D[r], vals[r], fitted_bound(vals[r]))``
+    for every row r of a (T, n) array of values and a (T,) array of masks,
+    in one array pass.
+
+    Each row's level walk is one stable descending sort of its atoms, those
+    of D first, and its level masks the running OR of their bits, so every
+    mask lies in D and the last is D.  The measure is read at the masks the
+    rows reach, or whole when its table has no more entries than that.  It
+    raises wherever a row's scalar integral raises, and may raise where none
+    does.  The values are the scalar ones up to the sign of a zero, and for
+    an expression operation up to the last bit, where numpy's power and
+    libm's pow round differently.
+    """
+    if not op.non_decreasing:
+        raise IntegralError(f"operation {op.name!r} must be declared non-decreasing")
+    # a row's fitted_bound is its top value (at least 1e-300), or 1.0 when none is positive
+    limit = op.y_bar + EQ_TOL
+    if max(float(vals.max()), 1e-300) > limit or (1.0 > limit and not (vals.max(axis=1) > 0).all()):
+        raise IntegralError("function bound exceeds the operation's y_bar")
+    rows, n = vals.shape
+    bits = 1 << np.arange(n, dtype=np.int64)
+    in_d = (D[:, None] & bits) != 0
+    walk = np.argsort(np.where(in_d, -vals, 1.0), axis=1, kind="stable")
+    walk += np.arange(0, rows * n, n)[:, None]  # flat indices into the (T, n) arrays
+    level = vals.take(walk)
+    masks = np.bitwise_or.accumulate(np.where(in_d, bits, 0).take(walk), axis=1)
+    # a level ends at the last atom of D with its value, and t = 0 is its own candidate
+    in_walk = in_d.take(walk)
+    ends = in_walk & (level > 0)
+    ends[:, :-1] &= (level[:, :-1] != level[:, 1:]) | ~in_walk[:, 1:]
+    table = m.table
+    if len(table) <= masks.size:  # a table no larger than the block's lookups is read whole
+        measure = np.array(table)[masks]
+    else:
+        measure = np.fromiter(map(table.__getitem__, masks.ravel().tolist()), float,
+                              masks.size).reshape(masks.shape)
+    measure = clip_args(op, measure)
+    # the values need no check: they lie in [0, bound], and the bound was checked
+    terms = apply_op(op, np.minimum(level, op.y_bar), measure)
+    return np.maximum(terms.max(axis=1, where=ends, initial=eval_op(op, op.y_bar, 0.0)),
+                      apply_op(op, 0.0, measure[:, -1]))
 
 
 def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunction,

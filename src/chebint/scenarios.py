@@ -61,9 +61,8 @@ def build_measure(block, sp: FiniteSpace, path="measure") -> MonotoneMeasure:
                                                             f"{path}.possibility"))
     if kind == "distorted":
         p = _atom_numbers(block.get("probability"), sp, f"{path}.probability")
-        if not isinstance(block.get("distortion"), str):
-            raise ScenarioError(f"{path}.distortion must be an expression string")
-        return distorted_probability(sp, p, block["distortion"])
+        return distorted_probability(sp, p, _expression(block.get("distortion"),
+                                                        f"{path}.distortion"))
     raise ScenarioError(f"unknown measure type {kind!r}")
 
 
@@ -75,6 +74,13 @@ def _number(value, path) -> float:
         return float(value)
     except OverflowError:
         raise ScenarioError(f"{path} is too large: {value!r}") from None
+
+
+def _expression(value, path) -> str:
+    """An expression's source text; anything but a string is an error naming its path."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path} must be an expression string, got {value!r}")
+    return value
 
 
 def _object(block, path) -> dict:
@@ -113,7 +119,8 @@ def build_op(block, path="op") -> fusion.FusionOp:
     if "builtin" in block:
         return fusion.builtin(block["builtin"], y_bar)
     flags = _object(block.get("flags", {}), f"{path}.flags")
-    return fusion.expr_op(block.get("name", "custom"), _key(block, "expr", path), y_bar=y_bar,
+    return fusion.expr_op(block.get("name", "custom"),
+                          _expression(_key(block, "expr", path), f"{path}.expr"), y_bar=y_bar,
                           arg_names=tuple(_array(block.get("args", ["a", "b"]), f"{path}.args")),
                           **flags)
 
@@ -126,9 +133,10 @@ def build_shape(block, path="shape") -> cheb.ShapeFunction:
     block = _object({"expr": block} if isinstance(block, str) else block, path)
     flags = dict(_SHAPE_DEFAULTS)
     flags.update(_object(block.get("flags", {}), f"{path}.flags"))
-    expr = _key(block, "expr", path)
+    expr = _expression(_key(block, "expr", path), f"{path}.expr")
+    inverse = block.get("inverse")
     return cheb.shape(block.get("name", expr), expr,
-                      inverse=block.get("inverse"),
+                      inverse=None if inverse is None else _expression(inverse, f"{path}.inverse"),
                       var=block.get("var", "x"),
                       domain=tuple(block.get("domain", (0.0, 1.0))),
                       inverse_domain=block.get("inverse_domain"), **flags)
@@ -286,8 +294,8 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
     if "equality" in data:
         eq = _object(data["equality"], "equality")
         values = {name: r["value"] for name, r in results.items()}
-        lhs = float(eval_expr(parse(eq["lhs"]), values))
-        rhs = float(eval_expr(parse(eq["rhs"]), values))
+        lhs = float(eval_expr(parse(_expression(eq.get("lhs"), "equality.lhs")), values))
+        rhs = float(eval_expr(parse(_expression(eq.get("rhs"), "equality.rhs")), values))
         tol = _option(tolerance, eq, "tol", TOL)
         _check_real(tol, "scenario key 'equality.tol'", zero_ok=True)
         holds = abs(lhs - rhs) <= tol

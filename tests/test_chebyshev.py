@@ -1,5 +1,7 @@
 """Scalar conditions, integral inequalities, pipelines and searches."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -37,9 +39,10 @@ from chebint.chebyshev import (
     theorem1_forward,
 )
 from chebint.fusion import expr_op, godel_contra_op, godel_op, lukasiewicz_op, min_op, prod_op
-from chebint.integral import SimpleFunction, integrate_simple, simple_function
+from chebint.integral import IntegralError, SimpleFunction, integrate_simple, simple_function
 from chebint.measure import from_table, necessity_from_possibility, space
 from chebint.randgen import random_monotone_measure
+from chebint.scenarios import load_scenario, run_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -566,13 +569,16 @@ class TestAnyFunctionsPipeline:
             "triangle 'prod' leaves range(m) at (c,d)=(0.3, 0.3)")
 
 
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_refuses_a_trial_count_below_one(self, trials):
-        # a count below one would make a passing stage out of no trials
+    # a count below one would make a passing stage out of no trials; True was
+    # read as one trial ("True trials"), and 2.5 and "3" ended in a TypeError,
+    # 2.5 only after the measure and scalar stages had run
+    @pytest.mark.parametrize("trials", [0, -3, True, False, 2.5, "3", None])
+    def test_refuses_a_trial_count_below_one(self, trials, monkeypatch):
         m = from_table(space("w1", "w2"), [0.0, 0.5, 0.5, 1.0])
         mn = min_op()
         cfg = config(mn, mn, (mn, mn, mn), mn, identity_triple(),
                      identity_triple(), cd_domain=cd_values(m.value_range()))
+        monkeypatch.setattr(chebyshev, "check_scalar_condition", None)  # refused before it
         with pytest.raises(ValueError, match="trials must be a positive count"):
             any_functions_check(cfg, m, trials=trials)
 
@@ -593,7 +599,7 @@ def random_trials_reference(cfg, m, trials, seed):
         B = int(rng.integers(1, m.space.full_mask + 1))
         try:
             outcome = check_integral_inequality_reference(cfg, m, f, g, A, B)
-        except HypothesisError as exc:
+        except (HypothesisError, IntegralError, fusion.FusionError) as exc:
             return Stage("random-trials", "hypothesis-failed", str(exc)), None
         if not outcome.holds:
             failures += 1
@@ -621,6 +627,100 @@ def test_batched_draws_match_the_per_call_loop(n):
             report = any_functions_check(cfg, m, trials=trials, seed=seed, grid_step=0.1)
             stage, outcome = random_trials_reference(cfg, m, trials, seed)
             assert repr(report) == repr(PipelineReport(report.stages[:-1] + (stage,), outcome))
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _CoarseRng:
+    """``np.random.default_rng(seed)`` with its uniform draws on [0, hi]
+    rounded to multiples of ``1 / steps`` (at most hi), and half of the
+    zeros negated, so that ties, -0.0 and exact equalities occur."""
+
+    steps = 4
+
+    def __init__(self, seed):
+        self._rng = _DEFAULT_RNG(seed)
+        self.integers = self._rng.integers
+
+    def uniform(self, lo, hi, size):
+        scaled = self._rng.uniform(lo, hi, size) * self.steps
+        return np.where(scaled < 0.25, -0.0, np.minimum(np.round(scaled) / self.steps, hi))
+
+
+_JUMP = shape("jump", "piecewise{[0, 0.5): 0.5*x; [0.5, inf): x}", domain=(0.0, 1.0))
+TRIAL_OPS = DIFF_OPS + (min_op(y_bar=0.95),)
+TRIAL_SHAPES = DIFF_SHAPES + (_JUMP, shape("narrow", "x", domain=(0.0, 0.95)), shape("x^3", "x^3"))
+
+
+@st.composite
+def trial_runs(draw):
+    """(cfg, m, trials, seed, coarse steps or None, trials per block or None)."""
+    n = draw(st.integers(1, 4))
+    sp = space(*[f"x{i}" for i in range(n)])
+    table = random_monotone_measure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), sp,
+                                    capacity=draw(st.booleans())).table
+    steps = draw(st.sampled_from([None, 2, 4, 10]))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.2]))  # 1.2 takes some levels past y_bar = 1
+    m = from_table(sp, [v * scale if steps is None else math.ceil(v * steps) / steps * scale
+                        for v in table])  # ceil keeps m(X) positive
+    ops = [draw(st.sampled_from(TRIAL_OPS)) for _ in range(5)]  # inner, outer, circ1..3
+    shapes = [draw(st.sampled_from(TRIAL_SHAPES)) for _ in range(6)]  # phi1..3, psi1..3
+    cfg = config(ops[0], draw(st.sampled_from([ops[0], ops[1]])), ops[2:], min_op(),
+                 shapes[:3], shapes[3:], k=draw(st.sampled_from([0.35, 0.7, 1.0])))
+    block = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    return cfg, m, draw(st.integers(1, 40)), draw(st.integers(0, 99)), steps, block
+
+
+_MINITIVE = (config(prod_op(), prod_op(), (min_op(),) * 3, min_op(), identity_triple(),
+                    identity_triple()), necessity_from_possibility(space("x1", "x2", "x3"),
+                                                                   [0.8, 1.0, 0.5]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(run=trial_runs())
+# three blocks of the real size, the last one short; equalities on a coarse grid
+@example(run=_MINITIVE + (520, 7, 4, None))
+# violations in every block of two
+@example(run=(config(prod_op(), prod_op(), (lukasiewicz_op(),) * 3, min_op(),
+                     (power_shape(2),) * 3, (power_shape(0.5),) * 3),
+              from_table(space("a", "b"), [0.0, 0.5, 0.25, 1.0]), 9, 3, 4, 2))
+def test_batched_trials_match_the_per_trial_loop(run):
+    cfg, m, trials, seed, steps, block = run
+    with pytest.MonkeyPatch.context() as patch:
+        # the trials do not read the scalar stage, whose scan some draws make raise
+        patch.setattr(chebyshev, "check_scalar_condition", lambda cfg, step: scan.Verdict("holds"))
+        if steps is not None:
+            patch.setattr(_CoarseRng, "steps", steps)
+            patch.setattr(np.random, "default_rng", _CoarseRng)
+        if block is not None:
+            patch.setattr(chebyshev, "_TRIAL_BLOCK", block)
+        report = any_functions_check(cfg, m, trials=trials, seed=seed)
+        stage, outcome = random_trials_reference(cfg, m, trials, seed)
+    assert repr(report) == repr(PipelineReport(report.stages[:-1] + (stage,), outcome))
+
+
+def test_only_the_last_trial_of_the_bundled_scenario_is_rechecked(monkeypatch):
+    # most of its trials are exact equalities, whose margin is TOL
+    calls = []
+    check = chebyshev.check_integral_inequality
+    monkeypatch.setattr(chebyshev, "check_integral_inequality",
+                        lambda *args: calls.append(args) or check(*args))
+    code, report = run_scenario(load_scenario("minitive-any-functions"))
+    assert (code, report["stages"][-1]["detail"]) == (0, "200 trials, 0 violations, seed 7")
+    assert len(calls) == 1
+
+
+def test_trial_memory_does_not_grow_with_the_trial_count():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            any_functions_check(*_MINITIVE, trials=trials, seed=1, grid_step=0.5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) < 2 * peak(200)
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,20 @@ _EXIT_TWO = {
                            "integrals[0].name must be a string, got ['a']"),
     "number-equality": ("minitive-sugeno-values", "integrate", lambda d: d.update(equality=5),
                         "equality must be an object, got 5"),
+    # an expression field that is not a string ended in a TypeError traceback
+    # with exit 1 ("not an Expr: 5", "object of type 'int' has no len()")
+    "number-op-expr": ("minitive-dependence", "check-dependence",
+                       lambda d: d.update(triangle={"expr": 5}),
+                       "triangle.expr must be an expression string, got 5"),
+    "number-equality-lhs": ("lebesgue-chebyshev-equality", "integrate",
+                            lambda d: d["equality"].update(lhs=5),
+                            "equality.lhs must be an expression string, got 5"),
+    "number-shape-expr": ("w-chebyshev-unit-interval", "check-condition",
+                          lambda d: d["config"].update(phi=["x", {"expr": 5}, "x"]),
+                          "config.phi[1].expr must be an expression string, got 5"),
+    "number-shape-inverse": ("godel-q-corollary", "check-condition",
+                             lambda d: d.update(phi={"expr": "x", "inverse": 5}),
+                             "phi.inverse must be an expression string, got 5"),
     # phi = 2*x puts phi(y_bar) and the integrands past min's y_bar: the
     # pipeline raised a FusionError (exit 2 without a report)
     "theorem-forward-phi-past-circ": ("counterexample-daraby-ghadimi", "check-inequality",
