@@ -16,8 +16,8 @@ import numpy as np
 
 from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
-from .exprlang import Expr, eval_expr, parse
-from .extreal import INF_CAP as _INF_CAP
+from .exprlang import Expr, _evaluate, parse
+from .extreal import INF_CAP as _INF_CAP, as_value
 from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, leq_min, min_op,
                      monotone_box, prod_op)
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
@@ -47,25 +47,24 @@ class ShapeDomainError(HypothesisError):
 def _checked_eval(expr, var, x, name, domain):
     """Evaluate expr at x after the domain check and the clamp to domain.
 
-    Floats are checked and clamped in plain Python (the clamp matches
-    ``np.clip``, signed zeros included); anything else goes through numpy,
-    and an array x gives an array of its shape, also for a constant expr.
+    A scalar x is checked and clamped as a float in plain Python (the clamp
+    matches ``np.clip``, signed zeros included); an array x goes through
+    numpy and gives a float64 array of its shape, also for a constant expr.
     """
     lo, hi = domain
+    x = x if type(x) is float else as_value(x)  # floats, the most common, skip the call
     if type(x) is float:
         if x < lo - TOL or x > hi + TOL:
             raise ShapeDomainError(name, x, domain)
-        return eval_expr(expr, {var: float(lo) if x < lo else float(hi) if x > hi else x})
-    arr = np.asarray(x, dtype=float)
+        return _evaluate(expr, {var: float(lo) if x < lo else float(hi) if x > hi else x})
     # fmin/fmax skip NaNs as the comparisons do, so a NaN beside an
     # out-of-range value still ends in a ShapeDomainError
-    if arr.size and (np.fmin.reduce(arr, axis=None) < lo - TOL
-                     or np.fmax.reduce(arr, axis=None) > hi + TOL):
-        bad = arr[first_flagged((arr < lo - TOL) | (arr > hi + TOL))]
+    if x.size and (np.fmin.reduce(x, axis=None) < lo - TOL
+                   or np.fmax.reduce(x, axis=None) > hi + TOL):
+        bad = x[first_flagged((x < lo - TOL) | (x > hi + TOL))]
         raise ShapeDomainError(name, float(bad), domain)
-    clipped = np.clip(arr, lo, hi)
-    out = eval_expr(expr, {var: clipped if arr.ndim else float(clipped)})
-    return np.full(arr.shape, out) if arr.ndim and type(out) is float else out
+    out = _evaluate(expr, {var: np.clip(x, lo, hi)})
+    return np.full(x.shape, out) if type(out) is float else out
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,9 @@ class ShapeFunction:
     inverse_domain: tuple | None = None
 
     def apply(self, x):
-        """The transform at x: a float for a float, and for an array of at
-        least one dimension a float64 array of its shape, also for a constant
-        expression.  Values outside the domain raise ShapeDomainError."""
+        """The transform at x: a float for a scalar or a 0-d array, and for an
+        array of at least one dimension a float64 array of its shape, also for
+        a constant expression.  Values outside the domain raise ShapeDomainError."""
         return _checked_eval(self.expr, self.var, x, self.name, self.domain)
 
     def apply_inverse(self, y):
@@ -94,7 +93,7 @@ class ShapeFunction:
         if self.inverse is None:
             raise HypothesisError(f"no inverse declared for shape function {self.name!r}")
         lo, hi = self.inverse_domain if self.inverse_domain else (
-            float(self.apply(self.domain[0])), float(self.apply(self.domain[1])))
+            self.apply(self.domain[0]), self.apply(self.domain[1]))
         return _checked_eval(self.inverse, self.var, y, f"{self.name}^-1", (lo, hi))
 
     def validate_inverse(self, grid_step=0.01, tol=TOL):
@@ -219,11 +218,13 @@ class InequalityConfig:
         """Construction-time hypothesis bundle; raises HypothesisError."""
         if not 0 < self.k <= self.y_bar + TOL:
             raise HypothesisError(f"k={self.k} must lie in (0, y_bar={self.y_bar}]")
+        if self.k > self.inner.y_bar + TOL:  # a, b range over [0, k]
+            raise HypothesisError(f"k={self.k} exceeds the inner y_bar={self.inner.y_bar}")
         if self.cd_domain is None:
             raise HypothesisError("the c/d domain (config.cd) is missing")
         top = min(self.cd_domain.sup, _INF_CAP)
         for i, (phi, circ) in enumerate(zip(self.phis, self.circs), start=1):
-            phi_top = float(phi.apply(min(self.y_bar, phi.domain[1])))
+            phi_top = phi.apply(min(self.y_bar, phi.domain[1]))
             try:
                 val = eval_op(circ, phi_top, top)
             except FusionError as exc:
@@ -270,12 +271,11 @@ def _k_grid(cfg, grid_step):
 
 def scalar_condition_at(cfg: InequalityConfig, a, b, c, d):
     """Direct (lhs, rhs) evaluation of the four-variable scalar condition."""
-    lhs = cfg.psi1.apply(eval_op(cfg.circ1, float(cfg.phi1.apply(eval_op(cfg.inner, a, b))),
+    lhs = cfg.psi1.apply(eval_op(cfg.circ1, cfg.phi1.apply(eval_op(cfg.inner, a, b)),
                                  eval_op(cfg.triangle, c, d)))
-    r2 = cfg.psi2.apply(eval_op(cfg.circ2, float(cfg.phi2.apply(a)), c))
-    r3 = cfg.psi3.apply(eval_op(cfg.circ3, float(cfg.phi3.apply(b)), d))
-    rhs = eval_op(cfg.outer, float(r2), float(r3))
-    return float(lhs), float(rhs)
+    r2 = cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), c))
+    r3 = cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), d))
+    return lhs, eval_op(cfg.outer, r2, r3)
 
 
 def _right_tables(cfg: InequalityConfig, ab, cd):
@@ -311,20 +311,18 @@ def _check_c1(cfg, grid_step, tables):
             tri_cd, psi2_ac, psi3_bd,
             lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
             partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer))
-    except HypothesisError as exc:
+    except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
 
 def c2_condition_at(cfg: InequalityConfig, a, b, c):
     dbar = min(cfg.cd_domain.sup, _INF_CAP)
-    lhs = cfg.psi1.apply(eval_op(cfg.circ1, float(cfg.phi1.apply(eval_op(cfg.inner, a, b))), c))
-    t1 = eval_op(cfg.outer,
-                 float(cfg.psi2.apply(eval_op(cfg.circ2, float(cfg.phi2.apply(a)), c))),
-                 float(cfg.psi3.apply(eval_op(cfg.circ3, float(cfg.phi3.apply(b)), dbar))))
-    t2 = eval_op(cfg.outer,
-                 float(cfg.psi2.apply(eval_op(cfg.circ2, float(cfg.phi2.apply(a)), dbar))),
-                 float(cfg.psi3.apply(eval_op(cfg.circ3, float(cfg.phi3.apply(b)), c))))
-    return float(lhs), max(float(t1), float(t2))
+    lhs = cfg.psi1.apply(eval_op(cfg.circ1, cfg.phi1.apply(eval_op(cfg.inner, a, b)), c))
+    t1 = eval_op(cfg.outer, cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), c)),
+                 cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), dbar)))
+    t2 = eval_op(cfg.outer, cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), dbar)),
+                 cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), c)))
+    return lhs, max(t1, t2)
 
 
 def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
@@ -353,7 +351,7 @@ def _check_c2(cfg, grid_step, tables):
             return lhs, np.maximum(t1, t2)
 
         return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
-    except HypothesisError as exc:
+    except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
 
@@ -416,15 +414,15 @@ def check_integral_inequality(cfg: InequalityConfig, m: MonotoneMeasure,
     for key, op, D, phi, values in (("integral_product", cfg.circ1, A & B, cfg.phi1, fg),
                                     ("integral_f", cfg.circ2, A, cfg.phi2, f.values),
                                     ("integral_g", cfg.circ3, B, cfg.phi3, g.values)):
-        vals = [float(phi.apply(v)) for v in values]
+        vals = [phi.apply(v) for v in values]
         if f.space != m.space:
             raise IntegralError("function and measure live on different spaces")
         value, method, cands = _integrate_values(op, m, D, vals, fitted_bound(vals))
         trace[key] = {"value": value, "method": method, "candidates": cands}
-    lhs = float(cfg.psi1.apply(trace["integral_product"]["value"]))
-    rhs = eval_op(cfg.outer, float(cfg.psi2.apply(trace["integral_f"]["value"])),
-                  float(cfg.psi3.apply(trace["integral_g"]["value"])))
-    return InequalityOutcome(lhs, float(rhs), lhs >= rhs - TOL, trace)
+    lhs = cfg.psi1.apply(trace["integral_product"]["value"])
+    rhs = eval_op(cfg.outer, cfg.psi2.apply(trace["integral_f"]["value"]),
+                  cfg.psi3.apply(trace["integral_g"]["value"]))
+    return InequalityOutcome(lhs, rhs, lhs >= rhs - TOL, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,7 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     stages = []
     stages.append(_stage("star-leq-min", leq_min(star, grid_step), fail="hypothesis-failed"))
     try:
-        tops = [float(p.apply(min(y_bar, p.domain[1]))) for p in phis]
+        tops = [p.apply(min(y_bar, p.domain[1])) for p in phis]
         if abs(tops[0] - tops[1]) > TOL or abs(tops[0] - tops[2]) > TOL:
             raise HypothesisError(f"phi tops differ: {tops}")
         stages.append(Stage("phi-tops-equal", "pass"))
@@ -685,14 +683,12 @@ def _trial_margins(cfg, m, values, masks):
 
 def q_condition_at(conj: FusionOp, phis, star: FusionOp, a, b, c):
     phi1, phi2, phi3 = phis
-    lhs = phi1.apply_inverse(eval_op(conj, a, float(phi1.apply(eval_op(star, b, c)))))
-    r1 = eval_op(star,
-                 float(phi2.apply_inverse(eval_op(conj, a, float(phi2.apply(b))))),
-                 float(phi3.apply_inverse(eval_op(conj, 1.0, float(phi3.apply(c))))))
-    r2 = eval_op(star,
-                 float(phi2.apply_inverse(eval_op(conj, 1.0, float(phi2.apply(b))))),
-                 float(phi3.apply_inverse(eval_op(conj, a, float(phi3.apply(c))))))
-    return float(lhs), max(float(r1), float(r2))
+    lhs = phi1.apply_inverse(eval_op(conj, a, phi1.apply(eval_op(star, b, c))))
+    r1 = eval_op(star, phi2.apply_inverse(eval_op(conj, a, phi2.apply(b))),
+                 phi3.apply_inverse(eval_op(conj, 1.0, phi3.apply(c))))
+    r2 = eval_op(star, phi2.apply_inverse(eval_op(conj, 1.0, phi2.apply(b))),
+                 phi3.apply_inverse(eval_op(conj, a, phi3.apply(c))))
+    return lhs, max(r1, r2)
 
 
 def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) -> Verdict:
@@ -709,9 +705,9 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
         for i, phi in enumerate(phis, start=1):
             if phi.inverse is None:
                 raise HypothesisError(f"phi{i} needs a declared inverse")
-            if abs(float(phi.apply(0.0))) > EQ_TOL:
-                raise HypothesisError(f"phi{i}(0) = {float(phi.apply(0.0))}, expected 0")
-            top = float(phi.apply(1.0))
+            if abs(phi.apply(0.0)) > EQ_TOL:
+                raise HypothesisError(f"phi{i}(0) = {phi.apply(0.0)}, expected 0")
+            top = phi.apply(1.0)
             if eval_op(conj, 1.0, top) > top + TOL:
                 raise HypothesisError(f"1 conj phi{i}(1) exceeds phi{i}(1)")
     except HypothesisError as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import INF, as_scalar, both_scalar, is_scalar, xmul
+from .extreal import INF, as_value, xmul
 from .scan import EQ_TOL, Verdict, axis, first_flagged
 
 
@@ -383,8 +383,8 @@ def compile_expr(e: Expr):
     """Return the evaluator of e: a closure mapping a bindings dict to a value.
 
     The closure is built on first use and kept on the node itself, so each
-    expression is walked once however often it is evaluated.  Plain-float
-    bindings take float arithmetic; any other value takes the numpy path.
+    expression is walked once however often it is evaluated.  Each node
+    takes floats to float arithmetic and float64 arrays to numpy.
     """
     try:
         return e._compiled
@@ -396,7 +396,7 @@ def compile_expr(e: Expr):
 
 def _compile(e: Expr):
     if isinstance(e, Num):
-        value = e.value
+        value = float(e.value)
         return lambda bindings: value
     if isinstance(e, Var):
         name = e.name
@@ -442,8 +442,7 @@ def _compile_bin(op, left, right):
     if op == "/":
         def div(bindings):
             x, y = left(bindings), right(bindings)
-            zero = y == 0.0 if type(y) is float else np.any(np.asarray(y) == 0.0)
-            if zero:
+            if y == 0.0 if type(y) is float else np.any(y == 0.0):
                 raise EvalError("division by zero")
             return x / y
         return div
@@ -451,9 +450,16 @@ def _compile_bin(op, left, right):
         def power(bindings):
             x, y = left(bindings), right(bindings)
             if type(x) is float and type(y) is float:
-                return x**y
-            with np.errstate(invalid="ignore"):
-                return x**y if both_scalar(x, y) else np.power(x, y)
+                try:
+                    v = x**y
+                    if type(v) is float:  # not the complex power of a negative base
+                        return v
+                except ArithmeticError:  # zero to a negative power, or an overflow
+                    pass
+                with np.errstate(all="ignore"):  # the array branch's NaN or infinity
+                    return float(np.power(x, y))
+            with np.errstate(all="ignore"):
+                return np.power(x, y)
         return power
     raise EvalError(f"unknown operator {op!r}")
 
@@ -464,19 +470,18 @@ def _compile_call(fn, args):
         if fn == "sqrt":
             def sqrt(bindings):
                 v = arg(bindings)
-                negative = v < 0 if type(v) is float else np.any(np.asarray(v) < 0)
-                if negative:
+                if v < 0 if type(v) is float else np.any(v < 0):
                     raise EvalError("sqrt of a negative value")
-                return v**0.5 if type(v) is float or is_scalar(v) else np.sqrt(v)
+                return v**0.5 if type(v) is float else np.sqrt(v)
             return sqrt
         if fn == "abs":
             def abs_(bindings):
                 v = arg(bindings)
-                return abs(v) if type(v) is float or is_scalar(v) else np.abs(v)
+                return abs(v) if type(v) is float else np.abs(v)
             return abs_
         def pos(bindings):
             v = arg(bindings)
-            return max(v, 0.0) if type(v) is float or is_scalar(v) else np.maximum(v, 0.0)
+            return max(v, 0.0) if type(v) is float else np.maximum(v, 0.0)
         return pos
     if fn in BINARY_FNS:
         first, second = args[0], args[1]
@@ -484,7 +489,7 @@ def _compile_call(fn, args):
 
         def extremum(bindings):
             x, y = first(bindings), second(bindings)
-            if (type(x) is float and type(y) is float) or both_scalar(x, y):
+            if type(x) is float and type(y) is float:
                 return scalar_fn(x, y)
             return array_fn(x, y)
         return extremum
@@ -493,8 +498,8 @@ def _compile_call(fn, args):
 
 def _compile_ind(interval, arg):
     def ind(bindings):
-        hit = interval.contains(arg(bindings))
-        if type(hit) is bool or is_scalar(hit) or isinstance(hit, np.bool_):
+        hit = interval.contains(arg(bindings))  # a bool for a float
+        if type(hit) is bool:
             return 1.0 if hit else 0.0
         return np.where(hit, 1.0, 0.0)
     return ind
@@ -512,12 +517,11 @@ def _compile_piecewise(guard, pieces):
         if var not in bindings:
             raise EvalError(f"unbound variable {var!r}")
         x = bindings[var]
-        if type(x) is float or is_scalar(x):
+        if type(x) is float:
             for interval, sub in pieces:
                 if interval.contains(x):
                     return sub(bindings)
             raise EvalError(f"point {x} outside all piecewise intervals")
-        x = np.asarray(x, dtype=float)
         result = np.zeros_like(x)
         covered = np.zeros(x.shape, dtype=bool)
         for interval, sub in pieces:
@@ -533,11 +537,18 @@ def _compile_piecewise(guard, pieces):
 
 
 def eval_expr(e: Expr, bindings: dict):
-    """Evaluate an AST.  Bindings may be floats or numpy arrays.
+    """Evaluate an AST.  Each binding becomes a float or a float64 array
+    (``extreal.as_value``), and the result is a float64 array where a binding
+    the expression uses is one, else a float.
 
     Raises EvalError on unbound variables, indeterminate forms and negative
     final values.
     """
+    return _evaluate(e, {name: as_value(v) for name, v in bindings.items()})
+
+
+def _evaluate(e: Expr, bindings: dict):
+    """``eval_expr`` on bindings already converted, as the other entry points pass them."""
     val = compile_expr(e)(bindings)
     if type(val) is float:
         if val != val:
@@ -545,13 +556,12 @@ def eval_expr(e: Expr, bindings: dict):
         if val < 0.0:
             raise EvalError(f"negative final value {val}")
         return val
-    arr = np.asarray(val, dtype=float)
-    low = arr.min() if arr.size else 0.0  # NaN if any value is NaN
+    low = val.min() if val.size else 0.0  # NaN if any value is NaN
     if low != low:
         raise EvalError("indeterminate form in evaluation")
     if low < 0.0:
-        raise EvalError(f"negative final value {float(arr[first_flagged(arr < 0.0)])}")
-    return as_scalar(val)
+        raise EvalError(f"negative final value {float(val[first_flagged(val < 0.0)])}")
+    return val
 
 
 # ---------------------------------------------------------------------------

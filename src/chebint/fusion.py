@@ -13,8 +13,8 @@ from functools import partial
 
 import numpy as np
 
-from .exprlang import Expr, eval_expr, parse
-from .extreal import INF, INF_CAP, as_scalar, xmul
+from .exprlang import Expr, _evaluate, parse
+from .extreal import INF, INF_CAP, as_value, xmul
 from .scan import (EQ_TOL, TOL, Verdict, axis, check_row, check_step, first_flagged,
                    scan_separable)
 
@@ -40,18 +40,14 @@ class FusionOp:
 
 
 def _lukasiewicz(a, b):
-    out = np.asarray(a, dtype=float) + b
-    if isinstance(out, np.ndarray):  # a fresh array: finish it in place
-        out -= 1.0
-        return np.maximum(out, 0.0, out=out)
-    return as_scalar(np.maximum(out - 1.0, 0.0))
+    out = a + b  # a fresh array: finish it in place
+    out -= 1.0
+    return np.maximum(out, 0.0, out=out)
 
 
 def _godel(a, b, keep_first=False):
     """b*1{a > 1-b}, or a*1{a > 1-b} with keep_first (godel_contra)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return as_scalar(np.where(a > 1.0 - b, a if keep_first else b, 0.0))
+    return np.where(a > 1.0 - b, a if keep_first else b, 0.0)
 
 
 _T_NORM = dict(non_decreasing=True, left_continuous_in_first=True,
@@ -63,8 +59,8 @@ _GODEL = dict(_T_NORM, right_continuous=False, commutative=False, semicopula=Fal
 
 # name -> (array form, exact flag truths on [0,1]^2 by case analysis, not grid evidence)
 _BUILTINS = {
-    "min": (lambda a, b: as_scalar(np.minimum(a, b)), _T_NORM),
-    "prod": (lambda a, b: as_scalar(xmul(a, b)), _T_NORM),
+    "min": (np.minimum, _T_NORM),
+    "prod": (xmul, _T_NORM),
     "lukasiewicz": (_lukasiewicz, _T_NORM),
     "godel": (_godel, _GODEL),
     "godel_contra": (partial(_godel, keep_first=True), _GODEL),
@@ -108,20 +104,40 @@ def expr_op(name, source, y_bar=1.0, arg_names=("a", "b"), **flags) -> FusionOp:
 def apply_op(op: FusionOp, a, b):
     """Raw evaluation on scalars or arrays, without bound checks.
 
-    Float arguments give a float.  With a float64 array argument of at least
-    one dimension the result is a float64 array of the arguments' broadcast
-    shape, also for an expression that uses one argument or none.
+    Scalar and 0-d arguments give a float.  With an array argument of at
+    least one dimension the result is a float64 array of the arguments'
+    broadcast shape, also for an expression that uses one argument or none.
     """
+    a, b = as_value(a), as_value(b)
+    if type(a) is float and type(b) is float:
+        return _float_form(op, a, b)
     if op.kind in _BUILTINS:
         return _BUILTINS[op.kind][0](a, b)
     if op.kind == "expr":
-        out = eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
-        if np.ndim(a) or np.ndim(b):  # spread over an argument the expression does not use
-            shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-            if np.shape(out) != shape:
-                return np.full(shape, out)
-        return out
+        out = _evaluate(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))  # spread over an unused argument
+        return out if np.shape(out) == shape else np.full(shape, out)
     raise FusionError(f"unknown fusion kind {op.kind!r}")
+
+
+def _float_form(op: FusionOp, a: float, b: float) -> float:
+    """op at two floats, bit for bit what its array form gives (signed zeros and
+    NaN included); ``apply_op`` takes any other pair of values to the array form."""
+    kind = op.kind
+    if kind == "min":  # np.minimum returns b on ties, which decides the sign of zero
+        return a if a < b or a != a else b
+    if kind == "prod":
+        return 0.0 if a == 0.0 or b == 0.0 else a * b
+    if kind == "lukasiewicz":
+        s = a + b - 1.0
+        return 0.0 if s <= 0.0 else s
+    if kind == "godel":
+        return b if a > 1.0 - b else 0.0
+    if kind == "godel_contra":
+        return a if a > 1.0 - b else 0.0
+    if kind == "expr":
+        return _evaluate(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b})
+    raise FusionError(f"unknown fusion kind {kind!r}")
 
 
 def _argument_error(op: FusionOp, val) -> FusionError:
@@ -131,35 +147,21 @@ def _argument_error(op: FusionOp, val) -> FusionError:
 def eval_op(op: FusionOp, a: float, b: float) -> float:
     """Checked scalar evaluation; arguments must lie in [0, y_bar].
 
-    Float arguments of the builtins are computed in plain float arithmetic,
-    bit for bit what ``apply_op`` gives on the same values.
+    The clamped arguments go to the float form of ``apply_op``.
     """
+    if type(a) is not float or type(b) is not float:
+        a, b = as_value(a), as_value(b)
     y_bar = op.y_bar
     if not -TOL <= a <= y_bar + TOL:  # NaN refused
         raise _argument_error(op, a)
     if not -TOL <= b <= y_bar + TOL:
         raise _argument_error(op, b)
-    # min(max(v, 0.0), y_bar), which keeps v on ties (-0.0 stays -0.0)
+    # min(max(v, 0.0), y_bar) as a float, which keeps v on ties (-0.0 stays -0.0)
     a = 0.0 if 0.0 > a else a
-    a = y_bar if y_bar < a else a
+    a = float(y_bar) if y_bar < a else a
     b = 0.0 if 0.0 > b else b
-    b = y_bar if y_bar < b else b
-    kind = op.kind
-    if type(a) is float and type(b) is float:
-        if kind == "min":  # np.minimum returns b on ties, which decides the sign of zero
-            return a if a < b else b
-        if kind == "prod":
-            return 0.0 if a == 0.0 or b == 0.0 else a * b
-        if kind == "lukasiewicz":
-            s = a + b - 1.0
-            return s if s > 0.0 else 0.0
-        if kind == "godel":
-            return b if a > 1.0 - b else 0.0
-        if kind == "godel_contra":
-            return a if a > 1.0 - b else 0.0
-    if kind == "expr":
-        return float(eval_expr(op.expr, {op.arg_names[0]: a, op.arg_names[1]: b}))
-    return float(apply_op(op, a, b))
+    b = float(y_bar) if y_bar < b else b
+    return _float_form(op, a, b)
 
 
 def clip_args(op: FusionOp, values):
@@ -247,7 +249,7 @@ def validate_flags(op: FusionOp, grid_step=0.01) -> FlagReport:
         if op.y_bar != 1.0:
             return add(flag, False, None, bound_detail, exact=True)
         for a, b, want in probes:
-            if abs(float(apply_op(op, a, b)) - want) > TOL:
+            if abs(apply_op(op, a, b) - want) > TOL:
                 return add(flag, False, (float(a), float(b)), exact=True)
         if mono_bad is not None:
             return add(flag, False, mono_bad, mono_detail, exact=True)

@@ -7,7 +7,7 @@ from itertools import compress
 
 import numpy as np
 
-from .exprlang import EvalError, Expr, Interval, eval_expr, parse, parse_interval
+from .exprlang import EvalError, Expr, Interval, _evaluate, eval_expr, parse, parse_interval
 from .scan import _BLOCK, EQ_TOL, TOL, axis, first_flagged
 
 
@@ -211,8 +211,8 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
     for v in p:
         probs += [q + v for q in probs]
     # the distortion stays on the scalar path: numpy's x^2 and libm's pow
-    # differ in the last bit on some sums
-    m = from_table(sp, [float(eval_expr(expr, {var: min(q, 1.0)})) for q in probs])
+    # differ in the last bit on some sums.  The sums are floats already.
+    m = from_table(sp, [_evaluate(expr, {var: min(q, 1.0)}) for q in probs])
     if sp.n <= 10 and not is_supermodular(m):
         raise MeasureError("distorted probability failed the supermodularity check")
     return m
@@ -319,7 +319,7 @@ class SurvivalScenario:
     def g_value(self, t: float) -> float:
         for interval, expr in self.segments:
             if interval.contains(t):
-                return float(eval_expr(expr, {self.var: t}))
+                return eval_expr(expr, {self.var: t})
         raise MeasureError(f"level {t} outside the scenario domain")
 
     def validate(self, grid_step=1e-3):

@@ -97,6 +97,14 @@ def _array(block, path) -> list:
     return block
 
 
+def _bounds(block, path) -> tuple:
+    """A [lo, hi] pair of numbers with lo <= hi; anything else is an error naming its path."""
+    pair = [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(block, path))]
+    if len(pair) != 2 or not pair[0] <= pair[1]:
+        raise ScenarioError(f"{path} must be [lo, hi] with lo <= hi, got {block!r}")
+    return tuple(pair)
+
+
 def _key(block, key, path):
     """block[key]; a missing key is an error naming its path."""
     if key not in block:
@@ -134,12 +142,13 @@ def build_shape(block, path="shape") -> cheb.ShapeFunction:
     flags = dict(_SHAPE_DEFAULTS)
     flags.update(_object(block.get("flags", {}), f"{path}.flags"))
     expr = _expression(_key(block, "expr", path), f"{path}.expr")
-    inverse = block.get("inverse")
+    inverse, inverse_domain = block.get("inverse"), block.get("inverse_domain")
     return cheb.shape(block.get("name", expr), expr,
                       inverse=None if inverse is None else _expression(inverse, f"{path}.inverse"),
                       var=block.get("var", "x"),
-                      domain=tuple(block.get("domain", (0.0, 1.0))),
-                      inverse_domain=block.get("inverse_domain"), **flags)
+                      domain=_bounds(block.get("domain", [0.0, 1.0]), f"{path}.domain"),
+                      inverse_domain=None if inverse_domain is None
+                      else _bounds(inverse_domain, f"{path}.inverse_domain"), **flags)
 
 
 def _triple(block, build, path):
@@ -294,8 +303,8 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
     if "equality" in data:
         eq = _object(data["equality"], "equality")
         values = {name: r["value"] for name, r in results.items()}
-        lhs = float(eval_expr(parse(_expression(eq.get("lhs"), "equality.lhs")), values))
-        rhs = float(eval_expr(parse(_expression(eq.get("rhs"), "equality.rhs")), values))
+        lhs = eval_expr(parse(_expression(eq.get("lhs"), "equality.lhs")), values)
+        rhs = eval_expr(parse(_expression(eq.get("rhs"), "equality.rhs")), values)
         tol = _option(tolerance, eq, "tol", TOL)
         _check_real(tol, "scenario key 'equality.tol'", zero_ok=True)
         holds = abs(lhs - rhs) <= tol

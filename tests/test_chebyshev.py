@@ -224,6 +224,57 @@ def test_config_failures_are_report_entries(sp2):
     assert report.stages[-2] == Stage("scalar-condition", "hypothesis-failed", probe)
 
 
+def _half_min_inner_config():
+    """inner min(y_bar=0.5) with k = 1: a and b range past the inner operation's domain."""
+    ab = expr_op("ab", "a*b", non_decreasing=True, left_continuous_in_first=True,
+                 left_continuous_in_second=True)
+    root, contra = power_shape(0.5), godel_contra_op()
+    return config(min_op(y_bar=0.5), ab, (ab, contra, contra), min_op(),
+                  (root, identity_shape(), root), (root, identity_shape(), power_shape(2)),
+                  k=1.0, cd_domain=cd_values([0.0, 0.034]))
+
+
+def test_k_past_the_inner_y_bar_is_a_hypothesis_failure(sp2):
+    # both scans applied min(y_bar=0.5) at a, b up to 1 unchecked; the witness
+    # re-check then raised its FusionError ("argument 1.0 outside [0, 0.5] for
+    # operation 'min'"), and theorem1_forward and any_functions_check with it
+    cfg = _half_min_inner_config()
+    refusal = "k=1.0 exceeds the inner y_bar=0.5"
+    with pytest.raises(HypothesisError, match=refusal):
+        cfg.validate()
+    for check in (check_scalar_condition, check_condition_C2):
+        verdict = check(cfg, 0.5)
+        assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
+    m = from_table(sp2, [0.0, 0.034, 0.034, 0.034])
+    f, g = simple_function(sp2, [0.3, 0.8]), simple_function(sp2, [0.5, 0.2])
+    report = theorem1_forward(cfg, m, f, g, 0b11, 0b11, grid_step=0.5)
+    stages = {s.name: (s.status, s.detail) for s in report.stages}
+    assert stages["config-hypotheses"] == ("hypothesis-failed", refusal)
+    assert stages["scalar-condition"] == ("hypothesis-failed", refusal)
+    assert report.status == "hypothesis-failed"
+    report = any_functions_check(cfg, m, trials=5, grid_step=0.5)
+    assert report.stages[-2] == Stage("scalar-condition", "hypothesis-failed", refusal)
+    assert report.stages[-1].status == "hypothesis-failed"
+
+
+def test_a_fusion_error_in_a_scan_is_a_hypothesis_failure(monkeypatch):
+    # the triangle min(y_bar=0.5) meets c, d up to 1: the c1 scan's witness
+    # re-check raised this FusionError
+    w, ident = lukasiewicz_op(), identity_triple()
+    cfg = config(prod_op(), prod_op(), (w, w, w), min_op(y_bar=0.5), ident, ident,
+                 cd_domain=cd_interval(0.0, 1.0))
+    refusal = "argument 1.0 outside [0, 0.5] for operation 'min'"
+    verdict = check_scalar_condition(cfg, 0.25)
+    assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
+
+    def refuse(*args):
+        raise fusion.FusionError(refusal)
+
+    monkeypatch.setattr(chebyshev, "scan", refuse)
+    verdict = check_condition_C2(w_config(cd_values([0.0, 1.0])), 0.25)
+    assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
+
+
 # ---------------------------------------------------------------------------
 # Scalar conditions
 # ---------------------------------------------------------------------------

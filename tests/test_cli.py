@@ -358,6 +358,26 @@ _EXIT_TWO = {
                                  lambda d: d["config"].update(
                                      phi={"expr": "2*x - 1", "domain": [0.5, 1.0]}),
                                  "is not defined (domain [0.5, 1.0])"),
+    # a number domain ended in a TypeError traceback from build_shape
+    "shape-number-domain": ("w-chebyshev-unit-interval", "check-condition",
+                            lambda d: d["config"].update(phi={"expr": "x", "domain": 5}),
+                            "config.phi.domain must be a list, got 5"),
+    "shape-one-bound-domain": ("w-chebyshev-unit-interval", "check-condition",
+                               lambda d: d["config"].update(phi={"expr": "x", "domain": [0.0]}),
+                               "config.phi.domain must be [lo, hi] with lo <= hi, got [0.0]"),
+    "shape-string-domain-bound": ("w-chebyshev-unit-interval", "check-condition",
+                                  lambda d: d["config"].update(
+                                      psi={"expr": "x", "domain": [0.0, "1"]}),
+                                  "config.psi.domain[1] must be a number, got '1'"),
+    "shape-reversed-domain": ("w-chebyshev-unit-interval", "check-condition",
+                              lambda d: d["config"].update(phi={"expr": "x", "domain": [1, 0]}),
+                              "config.phi.domain must be [lo, hi] with lo <= hi, got [1, 0]"),
+    "shape-reversed-inverse-domain": ("w-chebyshev-unit-interval", "check-condition",
+                                      lambda d: d["config"].update(phi={
+                                          "expr": "x", "inverse": "x",
+                                          "inverse_domain": [1.0, 0.0]}),
+                                      "config.phi.inverse_domain must be [lo, hi] with "
+                                      "lo <= hi, got [1.0, 0.0]"),
     # "trials": 0 used to exit 0 with "holds" after checking no pair at all
     "no-trials": ("minitive-any-functions", "check-inequality", lambda d: d.update(trials=0),
                   "scenario key 'trials' must be a positive integer, got 0"),

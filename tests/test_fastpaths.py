@@ -3,24 +3,28 @@ against the numpy paths and a brute-force reference."""
 
 import itertools
 import json
+import math
 import pickle
+import warnings
 from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from chebint.chebyshev import ShapeDomainError
+from chebint.chebyshev import (ShapeDomainError, check_condition_C2, check_scalar_condition,
+                               power_shape)
 from chebint.dependence import triangle_range_escapes
 from chebint.exprlang import (EvalError, compile_expr, eval_expr, free_vars, parse,
                               pretty)
-from chebint.extreal import as_scalar, xmul
+from chebint.extreal import xmul
 from chebint.fusion import (BUILTIN_KINDS, FusionError, apply_op, builtin,
                             clip_args, eval_op, expr_op)
 from chebint.measure import FiniteSpace, MonotoneMeasure
 from chebint.scan import TOL
 from chebint.randgen import random_capacity
-from chebint.scenarios import build_op, build_shape
+from chebint.scenarios import (build_config, build_op, build_shape, list_scenarios,
+                               load_scenario, run_scenario)
 
 _ESCAPE_TOL = 1e-9
 
@@ -148,9 +152,8 @@ def test_float_eval_op_is_bitwise_apply_op(op, points):
 def check_bitwise(op, points):
     for a in points:
         for b in points:
-            want = float(apply_op(op, np.array(a), np.array(b)))
+            want = float(apply_op(op, np.array([a]), np.array([b]))[0])
             assert bits(eval_op(op, a, b)) == bits(want), (a, b)
-            # numpy scalars skip the float path and must agree with it
             assert bits(eval_op(op, np.float64(a), np.float64(b))) == bits(want), (a, b)
 
 
@@ -317,7 +320,6 @@ def test_shape_float_path_matches_numpy_path(shape):
         got = shape.apply(x)
         assert type(got) is float
         assert_same_up_to_pow(got, want)
-        # a numpy scalar takes the numpy check and clamp, then float evaluation
         assert bits(got) == bits(shape.apply(np.float64(x))), x
     if shape.inverse is not None:
         ys = np.asarray(shape.apply(np.linspace(lo, hi, 41)), dtype=float).tolist()
@@ -356,6 +358,28 @@ def test_eval_expr_error_messages(source, scalar, array, message):
         with pytest.raises(EvalError) as exc:
             eval_expr(e, bindings)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("source, x, want", [
+    ("(x-2)^0.5", 1.0, "indeterminate form in evaluation"),  # a complex power in Python
+    ("x^(-1)", 0.0, float("inf")),  # ZeroDivisionError in Python
+    ("(-x)^(-1)", 0.0, "negative final value -inf"),
+    ("(x*1e200)^2", 1.0, float("inf")),  # OverflowError in Python
+    ("(-x*1e200)^3", 1.0, "negative final value -inf"),
+    ("x^0.5", 0.25, 0.5),
+])
+def test_float_power_gives_the_array_value(source, x, want):
+    # the float branch used to raise TypeError (a complex), ZeroDivisionError
+    # and OverflowError here, and the array branch printed numpy warnings
+    e = parse(source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for binding, first in ((x, lambda v: v), (np.array([x]), lambda v: v[0])):
+            try:
+                got = first(eval_expr(e, {"x": binding}))
+            except EvalError as exc:
+                got = str(exc)
+            assert got == want, binding
 
 
 def test_compiled_once_and_kept_on_the_node():
@@ -427,34 +451,7 @@ def test_xmul_direct_product_leaves_operands_alone():
     assert np.array_equal(a, before)
 
 
-def as_scalar_reference(x):
-    """as_scalar as it was, asking np.isscalar first."""
-    if np.isscalar(x):
-        return float(x)
-    arr = np.asarray(x)
-    return float(arr) if arr.ndim == 0 else arr
-
-
-@pytest.mark.parametrize("x", [0.5, -0.0, 3, np.float64(-0.0), np.asarray(0.25),
-                               np.asarray(-np.nan), np.array([0.0, -0.0, np.inf]), [1.0, 2.0],
-                               np.ma.masked_array([1.0, 2.0])])
-def test_as_scalar_is_the_isscalar_form(x):
-    got, want = as_scalar(x), as_scalar_reference(x)
-    assert type(got) is type(want) and same_bits(got, want)
-
-
-def test_ndarray_arguments_skip_isscalar():
-    # np.isscalar costs about 1 us a call, and an ndarray is never a scalar
-    a = np.linspace(0.0, 1.0, 21)
-    with mock.patch.object(np, "isscalar", side_effect=AssertionError("np.isscalar called")):
-        got = [xmul(a, a), xmul(a, 0.5), xmul(0.5, a[:, None]), as_scalar(np.asarray(0.5))]
-        assert as_scalar(a) is a
-    for value, want in zip(got, [xmul_reference(a, a), xmul_reference(a, 0.5),
-                                 xmul_reference(0.5, a[:, None]), 0.5]):
-        assert same_bits(value, want)
-
-
-_ARRAY_NODES = [  # compiled nodes that test for a scalar, with their numpy forms
+_ARRAY_NODES = [  # compiled nodes with a float and an array branch, with their numpy forms
     ("x^2", lambda x: np.power(x, 2.0)),
     ("2^x", lambda x: np.power(2.0, x)),
     ("x^x", lambda x: np.power(x, x)),
@@ -469,14 +466,106 @@ _ARRAY_NODES = [  # compiled nodes that test for a scalar, with their numpy form
 
 
 @pytest.mark.parametrize("source, numpy_form", _ARRAY_NODES, ids=[s for s, _ in _ARRAY_NODES])
-def test_ndarray_operands_skip_isscalar_in_compiled_nodes(source, numpy_form):
+def test_array_operands_take_the_numpy_forms_in_compiled_nodes(source, numpy_form):
     x = np.linspace(0.0, 1.0, 21)
-    e = parse(source)
-    with mock.patch.object(np, "isscalar", side_effect=AssertionError("np.isscalar called")):
-        got = eval_expr(e, {"x": x})
+    got = eval_expr(parse(source), {"x": x})
     assert type(got) is np.ndarray and same_bits(got, numpy_form(x))
-    # a numpy scalar still takes the scalar branch
-    assert same_bits(eval_expr(e, {"x": np.float64(0.3)}), eval_expr(e, {"x": 0.3}))
+
+
+# ---------------------------------------------------------------------------
+# The two value types: every scalar is a float past the entry points
+# ---------------------------------------------------------------------------
+
+_TYPED_POINTS = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 2.0, -0.5, float("inf"), float("nan")]
+
+
+def scalar_forms(x):
+    """x as a float, an np.float64, a 0-d array and, where it is a whole
+    number with its sign bit clear, an int."""
+    forms = [x, np.float64(x), np.asarray(x)]
+    if x.is_integer() and math.copysign(1.0, x) > 0:
+        forms.append(int(x))
+    return forms
+
+
+def typed_outcome_of(fn, *args):
+    """(type, bits) of a result, or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except (FusionError, EvalError, ShapeDomainError) as exc:
+        return (type(exc).__name__, str(exc))
+    return (type(value), bits(value))
+
+
+@pytest.mark.parametrize("source", [s for s, _ in _ARRAY_NODES])
+def test_scalar_bindings_evaluate_as_their_float(source):
+    e = parse(source)
+    for x in _TYPED_POINTS:
+        want = typed_outcome_of(eval_expr, e, {"x": x})
+        assert want[0] in (float, "EvalError")
+        for form in scalar_forms(x):
+            assert typed_outcome_of(eval_expr, e, {"x": form}) == want, (x, form)
+
+
+@pytest.mark.parametrize("op", [builtin(kind) for kind in BUILTIN_KINDS] + [expr_op("ab2", "a*b^2")],
+                         ids=lambda op: op.name)
+def test_scalar_arguments_apply_as_their_floats(op):
+    for a, b in itertools.product(_TYPED_POINTS, repeat=2):
+        for fn in (apply_op, eval_op):
+            want = typed_outcome_of(fn, op, a, b)
+            assert want[0] in (float, "FusionError", "EvalError")
+            for fa, fb in itertools.product(scalar_forms(a), scalar_forms(b)):
+                assert typed_outcome_of(fn, op, fa, fb) == want, (fn.__name__, fa, fb)
+
+
+@pytest.mark.parametrize("shape", [power_shape(0.5), power_shape(2.0), build_shape(
+    {"expr": "piecewise x { [0, 0.5]: x ; (0.5, 1]: 1 }", "inverse": "x"})], ids=lambda s: s.name)
+def test_scalar_shape_arguments_apply_as_their_floats(shape):
+    for x in _TYPED_POINTS:
+        for fn in (shape.apply, shape.apply_inverse):
+            want = typed_outcome_of(fn, x)
+            assert want[0] in (float, "ShapeDomainError", "EvalError")
+            for form in scalar_forms(x):
+                assert typed_outcome_of(fn, form) == want, (fn.__name__, form)
+
+
+def array_form_reference(kind, a, b):
+    """A builtin's array form on two floats as 0-d arrays, then float(): the
+    scalar result apply_op gave before it had a float form of its own."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        if kind == "min":
+            out = np.minimum(a, b)
+        elif kind == "prod":
+            out = xmul_reference(a, b)
+        elif kind == "lukasiewicz":
+            out = np.maximum(a + b - 1.0, 0.0)
+        else:
+            out = np.where(a > 1.0 - b, a if kind == "godel_contra" else b, 0.0)
+    return float(out)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_float_apply_op_is_the_array_form(kind):
+    # NaN, signed zeros, negatives, values above y_bar and infinities: apply_op
+    # does no bound check, so its float form must agree with the array form
+    # wherever eval_op would refuse the arguments too.  A NaN's sign and
+    # payload are left to the hardware, so any NaN matches any NaN.
+    points = _TYPED_POINTS + [-float("nan"), -float("inf"), 1.5, 3.0, 1e-310]
+    for a, b in itertools.product(points, repeat=2):
+        got, want = apply_op(builtin(kind), a, b), array_form_reference(kind, a, b)
+        assert type(got) is float
+        assert same_bits(got, want) or (math.isnan(got) and math.isnan(want)), (a, b)
+
+
+def test_scans_and_scenarios_never_ask_isscalar():
+    # a violated c1 and c2 scan, so the float re-check of the witness runs too
+    cfg = build_config(load_scenario("w-chebyshev-unit-interval")["config"])
+    with mock.patch.object(np, "isscalar", side_effect=AssertionError("np.isscalar called")):
+        assert check_scalar_condition(cfg, 0.1).status == "violated"
+        assert check_condition_C2(cfg, 0.1).status == "violated"
+        for name in list_scenarios():
+            run_scenario(load_scenario(name))
 
 
 @pytest.mark.parametrize("a, b", [
