@@ -222,6 +222,9 @@ class InequalityConfig:
             raise HypothesisError(f"k={self.k} exceeds the inner y_bar={self.inner.y_bar}")
         if self.cd_domain is None:
             raise HypothesisError("the c/d domain (config.cd) is missing")
+        if self.cd_domain.sup > self.triangle.y_bar + TOL:  # c, d range over the c/d domain
+            raise HypothesisError(f"sup(cd)={self.cd_domain.sup} exceeds the triangle "
+                                  f"{self.triangle.name!r} y_bar={self.triangle.y_bar}")
         top = min(self.cd_domain.sup, _INF_CAP)
         for i, (phi, circ) in enumerate(zip(self.phis, self.circs), start=1):
             phi_top = phi.apply(min(self.y_bar, phi.domain[1]))

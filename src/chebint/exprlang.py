@@ -422,14 +422,21 @@ def _compile(e: Expr):
 
 
 def _compile_bin(op, left, right):
+    # the array branches give inf and NaN silently, as the float branches do
     if op == "+":
-        return lambda bindings: left(bindings) + right(bindings)
+        def add(bindings):
+            x, y = left(bindings), right(bindings)
+            if type(x) is float and type(y) is float:
+                return x + y
+            with np.errstate(over="ignore", invalid="ignore"):
+                return x + y
+        return add
     if op == "-":
         def sub(bindings):
             x, y = left(bindings), right(bindings)
             if type(x) is float and type(y) is float:
                 return x - y
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 return x - y
         return sub
     if op == "*":
@@ -444,7 +451,10 @@ def _compile_bin(op, left, right):
             x, y = left(bindings), right(bindings)
             if y == 0.0 if type(y) is float else np.any(y == 0.0):
                 raise EvalError("division by zero")
-            return x / y
+            if type(x) is float and type(y) is float:
+                return x / y
+            with np.errstate(over="ignore", invalid="ignore"):
+                return x / y
         return div
     if op == "^":
         def power(bindings):

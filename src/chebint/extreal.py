@@ -32,7 +32,7 @@ def xmul(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = a * b
     if out.size >= _DIRECT_MIN and _finite_unsigned(a) and _finite_unsigned(b):
         return out

@@ -13,10 +13,11 @@ whatever block holds it.  The witness is still the first flagged row's first
 flagged point in C order, re-checked, then the next flagged row's.
 ``scan_separable`` compares the maximal points of its rows in blocks the
 same way: a c1 row over a few exact c/d values is a few thousand points, and
-its maxima a few hundred.  Both run their blocks through one loop,
-``_flagged_rows``: a block whose comparison raises is re-run one row at a
-time, so an earlier row's witness, or the first error a row raises, comes out
-as in a row-by-row scan.
+its maxima a few hundred.  A row whose maximal points flag is confirmed from
+one (c, d) slab, at the first b where they flag.  Both run their blocks
+through one loop, ``_flagged_rows``: a block whose comparison raises is
+re-run one row at a time, so an earlier row's witness, or the first error a
+row raises, comes out as in a row-by-row scan.
 """
 
 from __future__ import annotations
@@ -191,12 +192,17 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     both arguments.  Inside a level set of v the left side is constant, so
     when p and q lie in the box and do not decrease along their second axis,
     a point's rhs is at most that of the level set's maximal point reached by
-    stepping c or d up inside the set.  When at most half the (c, d) points
-    are maximal, the rows first compare only those, in blocks of as many
-    consecutive rows as keep each (row, maximal point, b) array within
-    ``_BLOCK // 2`` points, through ``scan``'s loop (``_flagged_rows``).
-    A row that flags is then scanned whole as above, for its witness, with
-    its row of the block's left side; the other rows are skipped.
+    stepping c or d up inside the set.  The rows then compare only their
+    maximal points, in blocks of as many consecutive rows as keep each
+    (row, maximal point, b) array within ``_BLOCK // 2`` points, through
+    ``scan``'s loop (``_flagged_rows``), and skip the rows where none flags.
+    A row whose maximal points over ab exceed ``_BLOCK // 2`` and are more
+    than half its (c, d) points is scanned whole as above instead.  At each
+    b a row flags exactly where its maximal points do, so the first flagged
+    point of a row whose maximal points flag, in (b, c, d) order, is the
+    first in C order of its (c, d) slab at the first b where they flag: the
+    row compares that slab, with its left side from the block, and
+    ``_confirm`` re-checks the point.
 
     ``left_box`` is the dual: None or a box on which ``left`` is
     non-decreasing in both arguments.  Inside level sets of p over (a, c)
@@ -219,11 +225,10 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
     shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
 
-    def sides(i, n, row_keys, q_side, lhs=None):  # lhs over (row, value, b)
+    def sides(i, n, row_keys, q_side):  # lhs over (row, value, b)
         try:
-            if lhs is None:  # it does not depend on the keys: a row computes it once
-                lhs = _fit(left(u(ab[i:i + n, None])[..., None, :], v_values[:, None]),
-                           (n, len(v_values), len(ab)))
+            lhs = _fit(left(u(ab[i:i + n, None])[..., None, :], v_values[:, None]),
+                       (n, len(v_values), len(ab)))
             return lhs, right(row_keys, q_side)
         except Exception:
             if n == 1:  # re-run over (b, c, d), so that any error is the plain scan's
@@ -231,18 +236,24 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
                 right(p[i][None, :, None], q[:, None, :])
             raise
 
-    def pruned(i, n):  # (row, its lhs) of the rows i..i+n-1 whose maximal points flag
+    def pruned(i, n):  # (row, its lhs, its maximal points' flags) of the rows that flag
         if maxima is None:
-            return [(i, None)]
+            return [(i, None, None)]
         lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q)
         rhs = np.subtract(rhs, TOL)  # frees right's
         kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
-        return [(i + j, lhs[j:j + 1])
+        return [(i + j, lhs[j], kept[j])
                 for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
 
-    def whole(i, lhs):  # the row's witness over every point, or None
+    def slab(i, lhs, kept):  # the row's witness from its (c, d) slab at its first flagged b
+        b = int(np.argmax(kept.any(axis=0)))
+        flags = np.less(np.take(lhs[:, b], v_index, mode="clip"),
+                        np.subtract(right(keys[i, :, None], q[b, None, :]), TOL))
+        return _confirm(flags[None], ab[i], (ab[b:b + 1], cd, cd), at, evidence)
+
+    def whole(i):  # the row's witness over every point, or None
         values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
-        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, :], lhs)
+        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, :])
         lhs, rhs = lhs[0], _fit(rhs, (len(values),) + row[1:])
         slots = index.tolist()
         for k in range(0, row[0], lead):
@@ -262,8 +273,8 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     # the maximal points of as many rows as fit in half a block
     block_rows = max(min(_BLOCK // 2 // max(len(levels) * len(ab), 1), len(ab) - first), 1) \
         if maxima is not None else 1
-    for i, lhs in _flagged_rows(first, len(ab), block_rows, pruned):
-        if verdict := whole(i, lhs):
+    for i, lhs, kept in _flagged_rows(first, len(ab), block_rows, pruned):
+        if verdict := (whole(i) if kept is None else slab(i, lhs, kept)):
             return verdict
     return Verdict("holds-on-grid", evidence=evidence)
 
@@ -274,12 +285,13 @@ def _level_set_maxima(v, p, q, box):
 
     None, for a scan of every point, when there is no box, when p or q is not
     a 2-D table of finite values inside the box that does not decrease along
-    axis 1, or when more than half the points are maximal.
+    axis 1, or when more than half the points are maximal and, over q's rows
+    (one per b), they exceed ``_BLOCK // 2`` points.
     """
     if box is None or not (_monotone(p, box, (1,)) and _monotone(q, box, (1,))):
         return None
     kc, kd = np.nonzero(_level_set_ends(v, up=True))
-    return (kc, kd) if 2 * len(kc) <= np.size(v) else None
+    return (kc, kd) if 2 * len(kc) <= np.size(v) or len(kc) * len(q) <= _BLOCK // 2 else None
 
 
 def _level_set_minima(ab, u, v, p, q, left, right, box, left_box, most):

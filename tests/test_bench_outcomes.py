@@ -1,9 +1,11 @@
-"""The grid-scan benchmark's recorded outcomes, replayed at its two cheaper steps.
+"""The grid-scan benchmark's recorded outcomes, replayed at its two cheaper
+steps and at its early exits.
 
 ``bench/grid_scan_expected.json`` records the status, witness, lhs and rhs of
 every grid-scan op.  The benchmark checks them at h = 0.05, 0.02 and 0.01;
-here each h = 0.05 and 0.02 op is run and checked with the benchmark's own
-``check_recorded``.  The files under ``bench/`` are only read.
+here each h = 0.05 and 0.02 op, and each h = 0.01 op that stops at its first
+witness (about a millisecond each), is run and checked with the benchmark's
+own ``check_recorded``.  The files under ``bench/`` are only read.
 """
 
 import importlib.util
@@ -26,13 +28,16 @@ def load_workloads():
 
 WORKLOADS = load_workloads()
 RECORDED = json.loads((BENCH / "grid_scan_expected.json").read_text())
+EARLY_EXITS = ("c1.lukasiewicz-circ", "c2.lukasiewicz-circ", "q.godel-prod",
+               "dominates.lukasiewicz-min")
 SPECS = [(label, run) for label, run in WORKLOADS.grid_scan_specs()
-         if label.endswith((".h0.05", ".h0.02"))]
+         if label.endswith((".h0.05", ".h0.02"))
+         or label in {f"{name}.h0.01" for name in EARLY_EXITS}]
 
 
 def test_both_steps_of_every_scan_are_replayed():
     labels = [label for label, _ in SPECS]
-    assert len(labels) == 18 and set(labels) <= set(RECORDED)
+    assert len(labels) == 22 and set(labels) <= set(RECORDED)
 
 
 @pytest.mark.parametrize("label, run", SPECS, ids=[label for label, _ in SPECS])

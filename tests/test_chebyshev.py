@@ -1,6 +1,7 @@
 """Scalar conditions, integral inequalities, pipelines and searches."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -257,22 +258,44 @@ def test_k_past_the_inner_y_bar_is_a_hypothesis_failure(sp2):
     assert report.stages[-1].status == "hypothesis-failed"
 
 
-def test_a_fusion_error_in_a_scan_is_a_hypothesis_failure(monkeypatch):
-    # the triangle min(y_bar=0.5) meets c, d up to 1: the c1 scan's witness
-    # re-check raised this FusionError
+@pytest.mark.parametrize("cd", [cd_values([0.0, 1.0]), cd_interval(0.0, 1.0)],
+                         ids=["values", "interval"])
+def test_a_cd_domain_past_the_triangle_y_bar_is_a_hypothesis_failure(cd):
+    # both scans applied min(y_bar=0.5) at c, d up to 1 unchecked: over {0, 1}
+    # c1 and c2 held on the grid; over [0, 1] the c1 witness re-check raised
+    # its FusionError and c2 was violated
     w, ident = lukasiewicz_op(), identity_triple()
     cfg = config(prod_op(), prod_op(), (w, w, w), min_op(y_bar=0.5), ident, ident,
-                 cd_domain=cd_interval(0.0, 1.0))
+                 cd_domain=cd)
+    refusal = "sup(cd)=1.0 exceeds the triangle 'min' y_bar=0.5"
+    with pytest.raises(HypothesisError, match=re.escape(refusal)):
+        cfg.validate()
+    refused = ("hypothesis-failed", refusal)
+    for check in (check_scalar_condition, check_condition_C2):
+        verdict = check(cfg, 0.1)
+        assert (verdict.status, verdict.detail) == refused
+    report = c1_iff_c2(cfg, 0.1)
+    assert (report.c1.status, report.c1.detail) == (report.c2.status, report.c2.detail) == refused
+    assert report.agree and not report.disagreement_is_bug
+    with pytest.raises(HypothesisError, match=re.escape(refusal)):
+        search_counterexample(cfg, grid_step=0.1)
+    # a triangle defined up to sup(cd) is accepted
+    replace(cfg, cd_domain=cd_values([0.0, 0.5])).validate()
+
+
+def test_a_fusion_error_in_a_scan_is_a_hypothesis_failure(monkeypatch):
+    # the message of the witness re-check's refusal when the triangle's
+    # domain was not checked against the c/d domain, raised by either scan
     refusal = "argument 1.0 outside [0, 0.5] for operation 'min'"
-    verdict = check_scalar_condition(cfg, 0.25)
-    assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
 
     def refuse(*args):
         raise fusion.FusionError(refusal)
 
+    monkeypatch.setattr(chebyshev, "scan_separable", refuse)
     monkeypatch.setattr(chebyshev, "scan", refuse)
-    verdict = check_condition_C2(w_config(cd_values([0.0, 1.0])), 0.25)
-    assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
+    for check in (check_scalar_condition, check_condition_C2):
+        verdict = check(w_config(cd_values([0.0, 1.0])), 0.25)
+        assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
 
 
 # ---------------------------------------------------------------------------

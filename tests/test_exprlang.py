@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,17 @@ class TestParsingAndEvaluation:
     def test_division_by_zero(self):
         with pytest.raises(EvalError):
             ev("1 / x", x=0.0)
+
+    @pytest.mark.parametrize("size", [2, 1 << 12])  # both of xmul's product forms
+    @pytest.mark.parametrize("source, x", [("x + 1.7e308", 1.7e308),
+                                           ("x - (0 - 1.7e308)", 1.7e308),
+                                           ("x*1e300", 1e10), ("x/1e-300", 1e10)])
+    def test_overflow_on_arrays_is_inf_without_a_warning(self, source, x, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            got = ev(source, x=np.full(size, x))
+            assert ev(source, x=x) == math.inf
+        assert got.tolist() == [math.inf] * size
 
     def test_free_vars(self):
         assert free_vars(parse("x*y + min(z, 1)")) == frozenset({"x", "y", "z"})

@@ -616,8 +616,8 @@ def test_separable_scan_holds_one_rhs_row_at_a_time(outer, inner, status, rows):
 def test_a_pruned_row_that_flags_computes_its_lhs_once():
     # min(c, d) has 9 maximal points of 25; every row's maximal points flag
     # (lhs 0 against c * d) and nothing confirms, so each row is compared
-    # twice, kept points then whole, from one evaluation of u and of left
-    # for the one block of all five rows
+    # twice, kept points then one (c, d) slab, from one evaluation of u and
+    # of left for the one block of all five rows
     xs = np.linspace(0.0, 1.0, 5)
     v, pq = np.minimum(xs[:, None], xs[None, :]), np.tile(xs, (5, 1))
     calls = []
@@ -644,9 +644,14 @@ def test_level_set_maxima_and_their_guard():
     kc, kd = _level_set_maxima(v_min, rising, rising, (0.0, 1.0))
     assert sorted(zip(kc.tolist(), kd.tolist())) == sorted(
         [(i, 4) for i in range(5)] + [(4, i) for i in range(4)])
-    # the zero level of Lukasiewicz keeps its antidiagonal: 15 of 25 points
+    # the zero level of Lukasiewicz keeps its antidiagonal: 15 of 25 points,
+    # kept while a row's 15 x |b| maximal points fit in half a block
     _, v_luk = distinct(np.maximum(cd[:, None] + cd[None, :] - 1.0, 0.0))
-    assert _level_set_maxima(v_luk, rising, rising, (0.0, 1.0)) is None
+    assert len(_level_set_maxima(v_luk, rising, rising, (0.0, 1.0))[0]) == 15
+    tall = np.tile(cd, (_BLOCK // 2 // 15 + 1, 1))  # a q table over more b values
+    assert len(_level_set_maxima(v_luk, rising, tall[:-1], (0.0, 1.0))[0]) == 15
+    assert _level_set_maxima(v_luk, rising, tall, (0.0, 1.0)) is None
+    assert len(_level_set_maxima(v_min, rising, tall, (0.0, 1.0))[0]) == 9
     # no box, or a table that is not 2-D, finite, inside the box and non-decreasing along axis 1
     for box, table in [(None, rising), ((0.0, 0.5), rising), ((0.0, 1.0), rising - 0.5),
                        ((0.0, 1.0), rising[:, ::-1]), ((0.0, 1.0), rising[0]),

@@ -27,6 +27,7 @@ from chebint import scan as scan_module
 from chebint.chebyshev import HypothesisError, _k_grid
 from chebint.fusion import apply_op, eval_op
 from chebint.scan import EQ_TOL, TOL, Verdict
+from chebint.scenarios import build_config, load_scenario
 
 
 def reference_scan(axes, sides, at, evidence):
@@ -588,15 +589,15 @@ def cleared_rows(fn, *args):
 
 
 @st.composite
-def builtin_configs(draw):
+def builtin_configs(draw, shapes=SHAPES, cds=CD):
     """Builtin operations, identity and power shapes (the narrow one raises
     past 0.8), a min triangle half the time: min level sets are what prunes."""
     ops = [draw(BUILTINS) for _ in range(6)]
     triangle = _MN if draw(st.booleans()) else ops[5]
-    shapes = [draw(SHAPES) for _ in range(6)]
-    return cheb.config(ops[0], ops[1], tuple(ops[2:5]), triangle, tuple(shapes[:3]),
-                       tuple(shapes[3:]), k=draw(st.sampled_from([1.0, 0.6])),
-                       cd_domain=draw(CD))
+    drawn = [draw(shapes) for _ in range(6)]
+    return cheb.config(ops[0], ops[1], tuple(ops[2:5]), triangle, tuple(drawn[:3]),
+                       tuple(drawn[3:]), k=draw(st.sampled_from([1.0, 0.6])),
+                       cd_domain=draw(cds))
 
 
 @settings(max_examples=80, deadline=None)
@@ -769,20 +770,31 @@ def test_a_broken_guard_clears_no_rows(u, v, left, r, witness):
 # ---------------------------------------------------------------------------
 
 
-def _separable(fn, *args):
+def _recorded(fn, *args):
     """(``outcome``, the shapes of the values handed to each separable scan's
-    row function u)."""
-    real, shapes = scan_module.scan_separable, []
+    row function u, the shapes of what its ``right`` returned)."""
+    real, shapes, right_shapes = scan_module.scan_separable, [], []
 
-    def recording(ab, cd, u, *rest, **kwargs):
+    def recording(ab, cd, u, v, p, q, left, right, *rest, **kwargs):
         def row(a):
             shapes.append(np.shape(a))
             return u(a)
-        return real(ab, cd, row, *rest, **kwargs)
+
+        def counted(x, t):
+            side = right(x, t)
+            right_shapes.append(np.shape(side))
+            return side
+        return real(ab, cd, row, v, p, q, left, counted, *rest, **kwargs)
 
     with mock.patch.object(cheb, "scan_separable", recording), \
             mock.patch.object(fusion, "scan_separable", recording):
-        return outcome(fn, *args), shapes
+        return outcome(fn, *args), shapes, right_shapes
+
+
+def _separable(fn, *args):
+    """(``outcome``, the shapes of the values handed to each separable scan's
+    row function u)."""
+    return _recorded(fn, *args)[:2]
 
 
 def blocked_and_one_row(fn, *args):
@@ -911,6 +923,106 @@ def test_a_c1_scan_over_four_values_holds_a_block_at_a_time():
         tracemalloc.stop()
     assert verdict.holds
     assert peak < 5 * scan_module._BLOCK // 2 * 8
+
+
+# ---------------------------------------------------------------------------
+# Flagged rows of the separable scans confirmed from one (c, d) slab
+# ---------------------------------------------------------------------------
+
+
+def reference_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
+                        left_box=None):
+    """The separable scan's row path before a flagged row was confirmed from
+    one slab: while at most half of the (c, d) points are maximal, a row whose
+    maximal points hold is skipped, and every other row is compared whole, in
+    (b, c, d) order, and its first flagged point re-checked."""
+    maxima = scan_module._level_set_maxima(v, p, q, box)
+    if maxima is not None and 2 * len(maxima[0]) > np.size(v):  # the half rule, for every row
+        maxima = None
+    keys = np.broadcast_to(p, (len(ab), len(cd)))
+    for i in range(len(ab)):
+        lhs = left(u(ab[i:i + 1, None])[0][:, None, None], v[None, :, :])
+        viol = lhs < right(keys[i][None, :, None], q[:, None, :]) - TOL
+        if maxima is not None and not viol[:, maxima[0], maxima[1]].any():
+            continue
+        if viol.any() and (verdict := scan_module._confirm(viol, ab[i], (ab, cd, cd), at,
+                                                           evidence)):
+            return verdict
+    return Verdict("holds-on-grid", evidence=evidence)
+
+
+def whole_rows(fn, *args):
+    """``outcome`` with every separable scan of ``fn(*args)`` run by ``reference_separable``."""
+    with mock.patch.object(cheb, "scan_separable", reference_separable), \
+            mock.patch.object(fusion, "scan_separable", reference_separable):
+        return outcome(fn, *args)
+
+
+# {0, 1} and other sets of 2 to 5 exact values, whose few (c, d) points are
+# mostly maximal, and intervals, whose rows are too big for a block
+SLAB_CD = st.one_of(
+    st.just(cheb.cd_values([0.0, 1.0])),
+    st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0]), min_size=2, max_size=5,
+             unique=True).map(cheb.cd_values),
+    st.sampled_from([_UNIT, cheb.cd_interval(0.0, 0.7)]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(cfg=builtin_configs(shapes=SAFE_SHAPES, cds=SLAB_CD), outer=BUILTINS, inner=BUILTINS,
+       h=st.sampled_from([0.1, 0.05, 0.02]))
+@example(cfg=_W_CIRC, outer=fusion.lukasiewicz_op(), inner=_MN, h=0.05)
+@example(cfg=replace(_W_CIRC, triangle=_PR, cd_domain=cheb.cd_values([0.0, 0.5, 1.0])),
+         outer=_PR, inner=_PR, h=0.02)
+def test_slab_confirmed_rows_match_the_whole_row_path(cfg, outer, inner, h):
+    assert (outcome(cheb.check_scalar_condition, cfg, h)
+            == whole_rows(cheb.check_scalar_condition, cfg, h))
+    assert outcome(fusion.dominates, outer, inner, h) == whole_rows(fusion.dominates, outer, inner, h)
+
+
+def test_a_slab_whose_first_flagged_point_fails_the_recheck_hands_over_to_the_next_row():
+    # the first flagged row, a = 0.1, flags first at b = 0.2, where its slab's
+    # first flagged point is (1.0, 0.9); ``at`` rejects it, and the scan goes
+    # on to the next flagged row's slab, as the whole-row path does
+    at, rechecked = cheb.scalar_condition_at, []
+
+    def rejecting(cfg, a, b, c, d):
+        rechecked.append((a, b, c, d))
+        return (1.0, 0.0) if a == 0.1 else at(cfg, a, b, c, d)
+
+    with mock.patch.object(cheb, "scalar_condition_at", rejecting):
+        got, _, right_shapes = _recorded(cheb.check_scalar_condition, _W_CIRC, 0.1)
+        seen = rechecked[:]
+        assert got == whole_rows(cheb.check_scalar_condition, _W_CIRC, 0.1)
+        assert got == outcome(reference_c1, _W_CIRC, 0.1)
+    assert got[1].witness == seen[1] and seen[0] == (0.1, 0.2, 1.0, 0.9) and len(seen) == 2
+    # the 21 maximal points of min's level sets over 11 b's: the 11 rows are one block
+    assert right_shapes == [(11, 21, 11), (11, 11), (11, 11)]
+
+
+def _scenario_config(name):
+    return build_config(load_scenario(name)["config"])
+
+
+def test_a_flagged_row_evaluates_right_on_one_slab():
+    # at h = 0.01 a unit-interval row has 201 maximal points of 101^2, too
+    # many over 101 b's for half a block: rows 0 and 0.01 compare their
+    # maximal points alone, and the witness row, a = 0.01, then evaluates
+    # right on its one 101^2 slab, at b = 0.02
+    got, _, right_shapes = _recorded(cheb.check_scalar_condition,
+                                     _scenario_config("w-chebyshev-unit-interval"), 0.01)
+    assert got[1].witness == (0.01, 0.02, 1.0, 0.99)
+    assert right_shapes == [(1, 201, 101)] * 2 + [(101, 101)]
+
+
+def test_a_mostly_maximal_row_that_fits_half_a_block_is_compared_in_blocks():
+    # over {0, 1}, 3 of the 4 (c, d) points are maximal, and 3 x 101 points
+    # fit half a block 54 times: no row is compared whole
+    got, shapes, right_shapes = _recorded(cheb.check_scalar_condition,
+                                          _scenario_config("w-chebyshev-two-valued"), 0.01)
+    assert got[1].holds and scan_module._BLOCK // 2 // (3 * 101) == 54
+    assert shapes == [(54, 1), (47, 1)]
+    assert right_shapes == [(54, 3, 101), (47, 3, 101)]
 
 
 # ---------------------------------------------------------------------------
