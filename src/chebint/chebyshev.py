@@ -16,15 +16,15 @@ import numpy as np
 
 from .dependence import (DependenceQuery, is_comonotone,
                          is_m_positively_dependent, measure_supports_all_pairs)
-from .exprlang import Expr, _evaluate, parse
+from .exprlang import Expr, _evaluate, parse, pointwise
 from .extreal import INF_CAP as _INF_CAP, as_value
-from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, leq_min, min_op,
-                     monotone_box, prod_op)
+from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, exactly_commutative,
+                     leq_min, min_op, monotone_box, prod_op)
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
 from .scan import (EQ_TOL, TOL, GridError, Verdict, _flagged_rows, axis, check_row, check_step,
-                   first_flagged, scan, scan_separable)
+                   first_flagged, mirror_pairs, scan, scan_separable)
 
 
 class HypothesisError(Exception):
@@ -236,6 +236,11 @@ class InequalityConfig:
                 raise HypothesisError(
                     f"phi{i}(y_bar) circ{i} sup(cd) = {val} exceeds phi{i}(y_bar) = {phi_top}"
                 )
+            # psi2 and psi3 of these tops are the arguments of outer
+            if i > 1 and (arg := self.psis[i - 1].apply(val)) > self.outer.y_bar + TOL:
+                raise HypothesisError(
+                    f"psi{i}(phi{i}(y_bar) circ{i} sup(cd)) = {arg} exceeds the outer "
+                    f"{self.outer.name!r} y_bar={self.outer.y_bar}")
         for j, circ in ((2, self.circ2), (3, self.circ3)):
             val = eval_op(circ, min(self.y_bar, circ.y_bar), 0.0)
             if val > TOL:
@@ -353,9 +358,61 @@ def _check_c2(cfg, grid_step, tables):
             t2 = apply_op(cfg.outer, _row_values(psi2_adbar, rows, 2), psi3_bc)
             return lhs, np.maximum(t1, t2)
 
+        # the pairs b >= a when they are no more than a full row's points;
+        # what they cannot decide, the full scan does
+        if len(ab) < 2 * len(cd) and _c2_mirrored(cfg):
+            psi3_bc = psi2_ac  # the same table bit for bit: keep one
+            pairs, ia, ib = mirror_pairs(ab)
+            clean = 0  # the pairs before this one raised nowhere
+
+            def half(rows):  # over (pairs, c); np.take gathers faster than an index
+                nonlocal clean
+                i, j = ia[rows], ib[rows]
+                rhs = apply_op(cfg.outer, np.take(psi2_ac, i, axis=0),
+                               np.take(psi2_adbar, j)[:, None])
+                rhs = np.maximum(rhs, apply_op(cfg.outer, np.take(psi2_adbar, i)[:, None],
+                                               np.take(psi2_ac, j, axis=0)), out=rhs)
+                phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, np.take(ab, i), np.take(ab, j)))
+                lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[:, None], cd))
+                clean = max(clean, rows.stop)
+                return lhs, rhs
+
+            def confirmed(a, b, c):  # a rejected point, or a raise in the rest of row a, ends it
+                wl, wr = c2_condition_at(cfg, a, b, c)
+                if not wl < wr - TOL:
+                    raise _Unmirrored
+                stop = int(np.searchsorted(ia, np.searchsorted(ab, a) + 1))
+                if clean < stop:  # the full scan's row a holds these pairs too
+                    half(slice(clean, stop))
+                return wl, wr
+
+            try:
+                return scan((pairs, cd), half, confirmed, evidence)
+            except Exception:  # noqa: BLE001 - the full scan raises or decides it
+                pass
         return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
     except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
+
+
+class _Unmirrored(Exception):
+    """A halved c2 scan rejected a re-check, which only the full scan decides."""
+
+
+def _c2_mirrored(cfg):
+    """Whether c2 is symmetric in (a, b) bit for bit, errors included: inner
+    and outer commute exactly, the right-hand integrals share phi, circ and
+    psi, and each error of phi1, circ1 and psi1 comes from one point alone.
+
+    The first flagged point then has b >= a.  A row a of the full scan holds
+    the pairs (a, b >= a) and the mirrors of earlier pairs, so a witness
+    stands once the rest of its row a raises nowhere; a rejected re-check
+    leaves the next witness to rows that cross the diagonal."""
+    return (exactly_commutative(cfg.inner) and exactly_commutative(cfg.outer)
+            and all(x is y or x == y for x, y in ((cfg.circ2, cfg.circ3), (cfg.phi2, cfg.phi3),
+                                                  (cfg.psi2, cfg.psi3)))
+            and pointwise(cfg.phi1.expr) and pointwise(cfg.psi1.expr)
+            and (cfg.circ1.expr is None or pointwise(cfg.circ1.expr)))
 
 
 @dataclass(frozen=True)
@@ -718,6 +775,10 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
     xs = axis(0.0, 1.0, grid_step, least=0)
     check_row(len(xs), len(xs))
     evidence = f"grid({grid_step}), boundary slice b=1 scanned first"
+    # symmetric in (b, c) bit for bit: each row a scans the pairs c >= b.  The
+    # row's tables are symmetric, so it meets the full row's values and its
+    # first flagged point and first bad value are the full row's
+    mirrored = exactly_commutative(star) and (phi2 is phi3 or phi2 == phi3)
 
     def scan_b(b_values):
         phi2_b = phi2.apply(b_values)
@@ -735,7 +796,21 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
             r2 = apply_op(star, inv2_1b[:, None], inv3_ac[..., None, :])
             return lhs, np.maximum(r1, r2)
 
-        return scan((xs, b_values, xs), sides, partial(q_condition_at, conj, phis, star), evidence)
+        at = partial(q_condition_at, conj, phis, star)
+        if b_values is not xs or not mirrored:
+            return scan((xs, b_values, xs), sides, at, evidence)
+        pairs, ib, ic = mirror_pairs(xs)
+        pair_bc, pair_1b, pair_1c = phi1_bc[ib, ic], inv2_1b[ib], inv3_1c[ic]
+
+        def half(rows):  # over (rows, pairs (b, c) with c >= b)
+            a = _row_values(xs, rows, 1)
+            lhs = phi1.apply_inverse(apply_op(conj, a, pair_bc))
+            inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
+            inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
+            r1 = apply_op(star, np.take(inv2_ab, ib, axis=1), pair_1c)
+            return lhs, np.maximum(r1, apply_op(star, pair_1b, np.take(inv3_ac, ic, axis=1)))
+
+        return scan((xs, pairs), half, at, evidence)
 
     verdict = scan_b(np.asarray([1.0]))
     return verdict if not verdict.holds else scan_b(xs)

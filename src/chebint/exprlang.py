@@ -355,6 +355,17 @@ def parse_interval(source: str) -> Interval:
 # ---------------------------------------------------------------------------
 
 
+def pointwise(e: Expr) -> bool:
+    """Whether each error of e's array form comes from one of its points
+    alone: false when it holds a piecewise, which evaluates a branch on the
+    whole array once any of its points takes that branch."""
+    if isinstance(e, Piecewise):
+        return False
+    subs = ((e.left, e.right) if isinstance(e, Bin) else e.args if isinstance(e, Call)
+            else (e.arg,) if isinstance(e, (Neg, Ind)) else ())
+    return all(map(pointwise, subs))
+
+
 def free_vars(e: Expr) -> frozenset:
     if isinstance(e, Num):
         return frozenset()

@@ -74,6 +74,12 @@ def monotone_box(op: FusionOp):
     return (0.0, op.y_bar) if op.kind in _BUILTINS else None
 
 
+def exactly_commutative(op: FusionOp):
+    """Whether op is a builtin whose exact flag truth says commutative (min,
+    prod, lukasiewicz): its array form is then symmetric bit for bit."""
+    return op.kind in _BUILTINS and _BUILTINS[op.kind][1]["commutative"]
+
+
 def builtin(name, y_bar=1.0) -> FusionOp:
     """A builtin operation; only min and prod take a y_bar other than 1."""
     if name not in _BUILTINS:

@@ -18,6 +18,18 @@ one (c, d) slab, at the first b where they flag.  Both run their blocks
 through one loop, ``_flagged_rows``: a block whose comparison raises is
 re-run one row at a time, so an earlier row's witness, or the first error a
 row raises, comes out as in a row-by-row scan.
+
+An axis may be packed: a (steps, 2) array of pairs, from ``mirror_pairs``,
+that walks one half of a square grid, the pairs (x, y) with y >= x in C
+order.  A witness takes both coordinates of its pair.  A condition that is
+mirror-symmetric in two of its variables flags a point exactly when it flags
+the mirror, which comes first in C order when it lies on the other side, so
+the first flagged point lies in the half that ``mirror_pairs`` keeps: c2
+scans the pairs (a, b) as its rows and q the pairs (b, c) of each row a.
+Each takes the half only when its config is symmetric bit for bit, errors
+included (builtin operations that commute exactly, shared shapes and
+operations on both sides of the mirror); c2's symmetry crosses its rows,
+so it hands a rejected re-check, or any error, to the full scan.
 """
 
 from __future__ import annotations
@@ -95,15 +107,22 @@ def first_flagged(mask):
 def scan(axes, sides, at, evidence) -> Verdict:
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
+    An axis is a 1-D array of values, or a (steps, 2) array of packed pairs
+    (``mirror_pairs``), which counts as one axis of ``steps`` points and
+    gives the witness both coordinates of its pair.
+
     ``sides(rows)`` returns the (lhs, rhs) arrays of ``rows``, a slice of
     consecutive indices into axes[0], or anything that broadcasts to
     (number of rows,) + the row's shape.  A block holds as many rows as fit in
     ``_BLOCK // 2`` points, and at least one: each float64 temporary then
     stays within 128 KB, glibc's default mmap threshold, past which a scan
-    in a fresh process page-faults every block.  The block is compared in
-    one pass, into buffers allocated once per scan; its flagged rows are
-    visited in order, each row's first flagged point in C order is
-    re-checked by ``_confirm``, and the first confirmed one is the witness.
+    in a fresh process page-faults every block.  A packed first axis counts
+    as rows of as many pairs as its first value has, as its unpacked grid
+    would, so a halved scan's blocks are no larger than the full scan's.
+    The block is compared in one pass, into buffers allocated once per
+    scan; its flagged rows are visited in order, each row's first flagged
+    point in C order is re-checked by ``_confirm``, and the first confirmed
+    one is the witness.
 
     A block whose ``sides`` raises is re-run one row at a time
     (``_flagged_rows``).  A block may raise where none of its rows does: an
@@ -115,7 +134,12 @@ def scan(axes, sides, at, evidence) -> Verdict:
     first, rest = axes[0], axes[1:]
     row = tuple(len(ax) for ax in rest)
     check_row(*row)
-    lead = max(min(_BLOCK // 2 // max(math.prod(row), 1), len(first)), 1)
+    # a packed first axis in rows of as many pairs as its first value has:
+    # a halved scan gathers its tables, and in blocks no larger than the
+    # full scan's it holds no more memory
+    width = int(np.count_nonzero(first[:, 0] == first[0, 0])) if np.ndim(first) == 2 else 1
+    lead = min(max(_BLOCK // 2 // max(math.prod(row) * width, 1), 1) * width,
+               max(len(first), 1))
     viol = np.empty((lead,) + row, dtype=bool)
     shifted = np.empty((lead,) + row)
 
@@ -124,8 +148,8 @@ def scan(axes, sides, at, evidence) -> Verdict:
         np.less(lhs, np.subtract(rhs, TOL, out=shifted[:n]), out=viol[:n])
         if not viol[:n].any():
             return ()
-        return [(start + j, viol[j])
-                for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist()]
+        return ((start + j, viol[j])  # lazily: a packed scan's rows are many short pairs
+                for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist())
 
     for i, flags in _flagged_rows(0, len(first), lead, flagged):
         if verdict := _confirm(flags, first[i], rest, at, evidence):
@@ -160,9 +184,11 @@ def _confirm(viol, value, rest, at, evidence):
     ``rest``, re-checked with ``at``: its violated Verdict, or None (the scan
     goes on to the next flagged row) when the re-check does not confirm it.
     The callers test ``viol.any()`` first, which is faster than
-    ``first_flagged``'s count on a whole row."""
+    ``first_flagged``'s count on a whole row.  ``value`` is the row's value,
+    or its pair on a packed first axis."""
     index = first_flagged(viol)
-    point = (float(value),) + tuple(float(ax[j]) for ax, j in zip(rest, index))
+    coords = [value.tolist()] + [ax[j].tolist() for ax, j in zip(rest, index)]
+    point = tuple(x for c in coords for x in (c if type(c) is list else (c,)))  # a pair is two
     wl, wr = at(*point)
     return Verdict("violated", point, wl, wr, evidence=evidence) if wl < wr - TOL else None
 
@@ -366,17 +392,28 @@ def _fit(side, shape):
     return side if np.shape(side) == shape else np.broadcast_to(side, shape)
 
 
+def mirror_pairs(values):
+    """The pairs (x, y) of ``values`` with y >= x, in C order, as a packed
+    (steps, 2) axis for ``scan``, and the index arrays of x and of y (int32,
+    half the memory of intp: a scan holds them beside its tables)."""
+    first, second = (ix.astype(np.int32) for ix in np.triu_indices(len(values)))
+    return np.stack((values[first], values[second]), axis=1), first, second
+
+
 def distinct(table):
-    """The distinct values of ``table`` and the index that rebuilds it.
+    """The distinct values of ``table`` in order of first occurrence, and the
+    index that rebuilds it.
 
     Values are told apart by bit pattern, so ``values[index]`` is ``table``
-    bit for bit, signed zeros and NaN payloads included.
+    bit for bit, signed zeros and NaN payloads included.  One sort of the
+    int64 view finds them (a dict of bit patterns cost 0.55 ms on a 101^2
+    table, the sort 0.06 ms); its first use maps about 0.4 MB of numpy's
+    sort code.
     """
     arr = np.ascontiguousarray(table, dtype=float)
-    # a dict, not np.unique: the tables are small (|c/d domain|^2), and
-    # numpy's int64 sort costs 0.5 MB of resident code on first use
-    slot = {}  # bit pattern -> position of its value
-    index = [slot.setdefault(bits, len(slot)) for bits in arr.view(np.int64).ravel().tolist()]
-    values = np.fromiter(slot, np.int64, len(slot)).view(float)
-    return values, np.asarray(index, dtype=np.intp).reshape(arr.shape)
-
+    bits, first, index = np.unique(arr.view(np.int64).ravel(), return_index=True,
+                                   return_inverse=True)
+    order = np.argsort(first)  # sorted slot -> slot in order of first occurrence
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return bits[order].view(float), rank[index].reshape(arr.shape)

@@ -283,6 +283,28 @@ def test_a_cd_domain_past_the_triangle_y_bar_is_a_hypothesis_failure(cd):
     replace(cfg, cd_domain=cd_values([0.0, 0.5])).validate()
 
 
+def test_outer_arguments_past_the_outer_y_bar_are_a_hypothesis_failure():
+    # psi2(phi2(1) circ2 1) = 1 reaches prod(y_bar=0.5), which outer applies
+    # unchecked: c1 and c2 held on the grid over {0, 1}, while the scalar
+    # condition at (1, 1, 1, 1) raised a FusionError
+    w, ident = lukasiewicz_op(), identity_triple()
+    cfg = config(prod_op(), prod_op(y_bar=0.5), (w, w, w), min_op(), ident, ident,
+                 cd_domain=cd_values([0.0, 1.0]))
+    with pytest.raises(fusion.FusionError):
+        scalar_condition_at(cfg, 1.0, 1.0, 1.0, 1.0)
+    refusal = "psi2(phi2(y_bar) circ2 sup(cd)) = 1.0 exceeds the outer 'prod' y_bar=0.5"
+    with pytest.raises(HypothesisError, match=re.escape(refusal)):
+        cfg.validate()
+    for check in (check_scalar_condition, check_condition_C2):
+        verdict = check(cfg, 0.1)
+        assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
+    # psi3 is checked as psi2 is, and tops within the outer y_bar are accepted
+    low = shape("half", "x/2", inverse="2*x", non_decreasing=True, increasing=True)
+    with pytest.raises(HypothesisError, match=re.escape("psi3(phi3(y_bar) circ3 sup(cd)) = 1.0")):
+        replace(cfg, psi2=low).validate()
+    replace(cfg, psi2=low, psi3=low).validate()
+
+
 def test_a_fusion_error_in_a_scan_is_a_hypothesis_failure(monkeypatch):
     # the message of the witness re-check's refusal when the triangle's
     # domain was not checked against the c/d domain, raised by either scan

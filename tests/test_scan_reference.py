@@ -347,13 +347,29 @@ def test_q_blocks_match_the_row_by_row_scans(conj, star, phis, h):
 # prod inner and outer, Lukasiewicz circs: violated at (0.1, 0.2, 0.9) on the grid 0.1
 _W_CIRC = cheb.config(_PR, _PR, (fusion.lukasiewicz_op(),) * 3, _MN, _IDS, _IDS,
                       cd_domain=_UNIT)
+# _W_CIRC's symmetry in (a, b) halves its c2 scan.  Its twin writes circ3 as
+# an expression with the same values bit for bit, which the guard does not
+# take for a builtin, so the twin runs the full scan's blocks with the same
+# verdicts; the block layouts are pinned on the twin
+_TWIN_CIRC3 = {name: fusion.expr_op(source, source, **_FLAGS)
+               for name, source in [("lukasiewicz", "max(a + b - 1, 0)"), ("prod", "a*b"),
+                                    ("min", "min(a, b)")]}
+
+
+def full_blocks_built(cfg, h):
+    """c2's outcome on cfg and the blocks that its full scan builds on cfg's
+    twin, which gives the same outcome."""
+    got, built = blocks_built(cheb.check_condition_C2,
+                              replace(cfg, circ3=_TWIN_CIRC3[cfg.circ3.kind]), h)
+    assert got == outcome(cheb.check_condition_C2, cfg, h)
+    return got, built
 
 
 def test_an_earlier_witness_beats_a_later_rows_shape_error():
     # phi1 = x^2 on [0, 0.8] is undefined at prod(0.9, 0.9): the one block of
     # rows 0..10 raises, and its rows re-run one at a time give row 1's witness
     cfg = replace(_W_CIRC, phi1=_NARROW)
-    got, built = blocks_built(cheb.check_condition_C2, cfg, 0.1)
+    got, built = full_blocks_built(cfg, 0.1)
     assert got == ("verdict", Verdict("violated", (0.1, 0.1, 1.0), 9.999999999998899e-05,
                                       0.010000000000000018,
                                       evidence="a,b grid(0.1) x c grid(0.1)"))
@@ -368,7 +384,7 @@ def test_an_earlier_witness_beats_a_later_rows_shape_error():
             return (1.0, 0.0) if rejected is None or a == rejected else at(cfg, a, b, c)
 
         with mock.patch.object(cheb, "c2_condition_at", rejecting):
-            got, built = blocks_built(cheb.check_condition_C2, cfg, 0.1)
+            got, built = full_blocks_built(cfg, 0.1)
             assert got == outcome(reference_c2, cfg, 0.1)
         if witness_row is None:
             assert got[1].status == "hypothesis-failed"
@@ -391,7 +407,7 @@ def test_a_block_that_raises_where_no_row_does_goes_on_to_the_next_block(source,
     # row alone holds, so the scan goes on past the block and holds
     pw = fusion.expr_op("pw", source, **_FLAGS)
     cfg = cheb.config(_PR, _PR, (pw, _PR, _PR), _MN, _IDS, _IDS, cd_domain=_UNIT)
-    got, built = blocks_built(cheb.check_condition_C2, cfg, h)
+    got, built = full_blocks_built(cfg, h)
     assert got == ("verdict", Verdict("holds-on-grid", evidence=f"a,b grid({h}) x c grid({h})"))
     assert got == outcome(reference_c2, cfg, h)
     assert got == one_row_at_a_time(cheb.check_condition_C2, cfg, h)
@@ -409,11 +425,17 @@ def test_a_failed_recheck_hands_over_to_the_next_flagged_row_of_the_block():
         rechecked.append((a, b, c))
         return (1.0, 0.0) if a == 0.1 else at(cfg, a, b, c)
 
+    twin = replace(_W_CIRC, circ3=_TWIN_CIRC3["lukasiewicz"])
     with mock.patch.object(cheb, "c2_condition_at", rejecting):
-        got, built = blocks_built(cheb.check_condition_C2, _W_CIRC, 0.1)
+        got, built = blocks_built(cheb.check_condition_C2, twin, 0.1)
+        assert built == [(0, 11)]
+        assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)]
+        # _W_CIRC's halved scan hands its rejected point to the full scan,
+        # whose next flagged row gives the witness below the diagonal
+        del rechecked[:]
+        assert outcome(cheb.check_condition_C2, _W_CIRC, 0.1) == got
+        assert rechecked == [(0.1, 0.2, 0.9)] * 2 + [(0.2, 0.1, 0.9)]
         want = outcome(reference_c2, _W_CIRC, 0.1)
-    assert built == [(0, 11)]
-    assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)] * 2  # the scan, then the reference
     assert got == want and got[1].witness == (0.2, 0.1, 0.9)
 
 
@@ -431,7 +453,7 @@ def test_a_block_boundary_right_after_the_flagged_row(last):
         return (1.0, 0.0) if a < row * 0.02 - 1e-12 else at(cfg, a, b, c)
 
     with mock.patch.object(cheb, "c2_condition_at", rejecting):
-        got, built = blocks_built(cheb.check_condition_C2, _W_CIRC, 0.02)
+        got, built = full_blocks_built(_W_CIRC, 0.02)
         assert got == outcome(reference_c2, _W_CIRC, 0.02)
         assert got == one_row_at_a_time(cheb.check_condition_C2, _W_CIRC, 0.02)
     assert got[1].witness[0] == _k_grid(_W_CIRC, 0.02)[row]
@@ -472,12 +494,11 @@ def test_blocks_give_the_rows_sides_bit_for_bit():
         assert seen == [[True, True]] * 2  # the b = 1 slice, then every b
 
 
-def test_a_c2_scan_holds_one_block_at_a_time():
-    # at h = 0.01 a row has 101^2 points and two rows exceed half of _BLOCK,
-    # so a block is one row: the two buffers and the sides' temporaries stay
-    # under six arrays of one block, beside two hoisted (a, c) tables
-    cfg = cheb.config(_MN, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT)
-    assert c2_rows(0.01) == 1
+_ALL_MIN = cheb.config(_MN, _MN, (_MN,) * 3, _MN, _IDS, _IDS, cd_domain=_UNIT)
+
+
+def c2_peak(cfg):
+    """The traced peak of c2 on cfg at h = 0.01, which must hold, after one untraced run."""
     cheb.check_condition_C2(cfg, 0.01)  # any one-time setup outside the trace
     tracemalloc.start()
     try:
@@ -486,7 +507,134 @@ def test_a_c2_scan_holds_one_block_at_a_time():
     finally:
         tracemalloc.stop()
     assert verdict.holds
-    assert peak < (2 + 6) * 101 ** 2 * 8
+    return peak
+
+
+def test_a_c2_scan_holds_one_block_at_a_time():
+    # at h = 0.01 a row has 101^2 points and two rows exceed half of _BLOCK,
+    # so a block is one row: the two buffers and the sides' temporaries stay
+    # under six arrays of one block, beside two hoisted (a, c) tables.  The
+    # all-min config's twin scans every row; the all-min config halves its
+    # scan into blocks of as many pairs (a, b) as a row has points of (b, c),
+    # and holds no more
+    assert c2_rows(0.01) == 1
+    twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
+    for cfg, blocks in [(twin, [(i, i + 1) for i in range(101)]),
+                        (_ALL_MIN, [(k, min(k + 101, 5151)) for k in range(0, 5151, 101)])]:
+        assert blocks_built(cheb.check_condition_C2, cfg, 0.01)[1] == blocks
+        assert c2_peak(cfg) < (2 + 6) * 101 ** 2 * 8
+
+
+# ---------------------------------------------------------------------------
+# Mirror-symmetric c2 and q: the halved scans
+# ---------------------------------------------------------------------------
+
+COMMUTING = st.sampled_from(["min", "prod", "lukasiewicz"]).map(fusion.builtin)
+# thresholds below which the re-check is patched to reject a witness's a
+REJECTED = st.sampled_from([None, None, 0.0, 0.1, 0.3])
+
+
+def rejecting_below(name, t):
+    """A patch of ``cheb.<name>`` that rejects every point whose a is at most t."""
+    real = getattr(cheb, name)
+
+    def at(*args):
+        a = args[-3]
+        return (1.0, 0.0) if t is not None and a <= t + 1e-12 else real(*args)
+
+    return mock.patch.object(cheb, name, at)
+
+
+@st.composite
+def symmetric_configs(draw):
+    """``configs`` tied to be symmetric in (a, b): phi3 := phi2, psi3 := psi2,
+    circ3 := circ2, inner and outer commuting builtins, circ1 at times risky
+    or evaluated across rows."""
+    cfg = draw(configs())
+    circ1 = draw(st.one_of(st.just(cfg.circ1), _expr_ops(_RISKY + [_CROSS_ROW])))
+    return replace(cfg, inner=draw(COMMUTING), outer=draw(COMMUTING), circ1=circ1,
+                   phi3=cfg.phi2, psi3=cfg.psi2, circ3=cfg.circ2)
+
+
+_PW = fusion.expr_op("pw", _CROSS_ROW, **_FLAGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=symmetric_configs(), h=BLOCK_STEPS, rejected=REJECTED)
+@example(cfg=_W_CIRC, h=0.02, rejected=0.1)
+@example(cfg=replace(_W_CIRC, phi1=_NARROW), h=0.02, rejected=None)
+# rows of a > 0.5 raise alone, through a*b in [0.02, 0.04] beside a*b > 0.5;
+# the pairs b >= a never meet both, so only the full scan gives the error
+@example(cfg=cheb.config(_PR, _PR, (_PW, _PR, _PR), _MN, _IDS, _IDS, cd_domain=_UNIT),
+         h=0.02, rejected=None)
+def test_halved_c2_matches_the_row_by_row_scans(cfg, h, rejected):
+    with rejecting_below("c2_condition_at", rejected):
+        got = outcome(cheb.check_condition_C2, cfg, h)
+        assert got == outcome(reference_c2, cfg, h)
+        assert repr(got) == repr(one_row_at_a_time(cheb.check_condition_C2, cfg, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conj=st.one_of(BUILTINS, OPS), star=COMMUTING, phis=st.tuples(SHAPES, SHAPES),
+       h=BLOCK_STEPS, rejected=REJECTED)
+@example(conj=_PW, star=_PR, phis=(_NARROW, cheb.identity_shape()), h=0.02, rejected=0.1)
+def test_halved_q_matches_the_row_by_row_scans(conj, star, phis, h, rejected):
+    phis = (phis[0], phis[1], phis[1])
+    with rejecting_below("q_condition_at", rejected):
+        got = outcome(cheb.q_corollary_condition, conj, phis, star, h)
+        assert got == outcome(reference_q, conj, phis, star, h)
+        assert repr(got) == repr(one_row_at_a_time(cheb.q_corollary_condition, conj, phis, star, h))
+
+
+def test_a_witness_stands_once_the_rest_of_its_row_raises_nowhere():
+    # psi2 = psi3 is 0 below 0.9, so rhs > lhs = 0 only where a, b, c >= 0.9,
+    # and phi1 is negative on (0.895, 0.9], which a*b first reaches at
+    # (0.9, 1.0): row 0.9 raises after the pair (0.9, 0.9) flags.  The full
+    # scan and the halved one, which confirms (0.9, 0.9, 0.9) before it
+    # evaluates the pair (0.9, 1.0), both end in the row's error
+    gate = cheb.shape("gate", "x*ind[0.9, 1](x)", non_decreasing=True)
+    notch = cheb.shape("notch", "x - ind(0.895, 0.9](x)", non_decreasing=True)
+    zero = fusion.expr_op("zero", "0*a", **_FLAGS)
+    ident = cheb.identity_shape()
+    cfg = cheb.config(_PR, _PR, (zero, _MN, _MN), _MN, (notch, ident, ident),
+                      (ident, gate, gate), cd_domain=_UNIT)
+    for h in (0.1, 0.01):
+        got = outcome(cheb.check_condition_C2, cfg, h)
+        assert got == ("EvalError", "negative final value -0.09999999999999998")
+        assert got == outcome(reference_c2, cfg, h)
+
+
+def points_handed(fn, *args):
+    """The points each plain scan of ``fn(*args)`` hands its ``sides``, one total per scan."""
+    real, totals = scan_module.scan, []
+
+    def counting(axes, sides, at, evidence):
+        totals.append(0)
+
+        def counted(rows):
+            lhs, rhs = sides(rows)
+            totals[-1] += math.prod(np.broadcast_shapes(np.shape(lhs), np.shape(rhs)))
+            return lhs, rhs
+        return real(axes, counted, at, evidence)
+
+    with mock.patch.object(cheb, "scan", counting):
+        assert fn(*args).holds
+    return totals
+
+
+def test_halved_scans_hand_their_sides_half_the_points():
+    # at h = 0.01 the 101 values of a and b make 5,151 pairs with b >= a, of
+    # 101^2: c2 compares them over 101 values of c, and q each row's 5,151
+    # pairs (b, c) after the b = 1 slice, against 101^3 points of a full scan
+    assert points_handed(cheb.check_condition_C2, _ALL_MIN, 0.01) == [5151 * 101]
+    twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
+    assert points_handed(cheb.check_condition_C2, twin, 0.01) == [101 ** 3]
+    # over c in {0, 1} the pairs would outnumber a full row's 202 points
+    two = replace(_ALL_MIN, cd_domain=cheb.cd_values([0.0, 1.0]))
+    assert points_handed(cheb.check_condition_C2, two, 0.01) == [101 ** 2 * 2]
+    assert points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.01) == [101 ** 2, 101 * 5151]
+    assert points_handed(cheb.q_corollary_condition, _MN, _IDS, _TWIN_CIRC3["prod"], 0.01) == [
+        101 ** 2, 101 ** 3]
 
 
 def test_reference_covers_every_outcome():
