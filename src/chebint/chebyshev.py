@@ -23,7 +23,7 @@ from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, exactl
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
-from .scan import (EQ_TOL, TOL, GridError, Verdict, _flagged_rows, axis, check_row, check_step,
+from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
                    first_flagged, mirror_pairs, scan, scan_separable)
 
 
@@ -678,39 +678,32 @@ def _random_trials(cfg, m, trials, seed):
     n, top = m.space.n, m.space.full_mask + 1
     values = np.empty((_TRIAL_BLOCK, 2 * n))
     masks = np.empty((_TRIAL_BLOCK, 2), dtype=np.int64)
-    drawn = 0
-
-    def flagged(i, count):  # the buffer slots of the trials i..i+count-1 to re-check
-        nonlocal drawn
-        for t in range(drawn, i + count):  # a block re-run trial by trial draws nothing
+    failures, first, outcome = 0, None, None
+    for start in range(0, trials, _TRIAL_BLOCK):
+        count = min(_TRIAL_BLOCK, trials - start)
+        for t in range(count):
             # one draw of both functions' values gives what a draw per function
             # gives; the masks keep a scalar draw each, cheaper than one sized draw
-            values[t % _TRIAL_BLOCK] = rng.uniform(0.0, cfg.k, 2 * n)
-            masks[t % _TRIAL_BLOCK] = rng.integers(1, top), rng.integers(1, top)
-        drawn = max(drawn, i + count)
-        start = i % _TRIAL_BLOCK
-        if count == 1:
-            return [start]
-        keep = _trial_margins(cfg, m, values[start:start + count], masks[start:start + count])
-        keep[-1] |= i + count == trials
-        return (start + np.flatnonzero(keep)).tolist()
-
-    failures = 0
-    first = None
-    outcome = None
-    for slot in _flagged_rows(0, trials, _TRIAL_BLOCK, flagged):
-        fg = values[slot].tolist()
-        f = simple_function(m.space, fg[:n], bound=cfg.k)
-        g = simple_function(m.space, fg[n:], bound=cfg.k)
-        A, B = masks[slot].tolist()
+            values[t] = rng.uniform(0.0, cfg.k, 2 * n)
+            masks[t] = rng.integers(1, top), rng.integers(1, top)
         try:
-            outcome = check_integral_inequality(cfg, m, f, g, A, B)
-        except (HypothesisError, IntegralError, FusionError) as exc:
-            return Stage("random-trials", "hypothesis-failed", str(exc)), None
-        if not outcome.holds:
-            failures += 1
-            if first is None:
-                first = (f.values, g.values, A, B, outcome.lhs, outcome.rhs)
+            keep = _trial_margins(cfg, m, values[:count], masks[:count])
+        except Exception:  # noqa: BLE001 - the scalar check raises the error it means
+            keep = np.ones(count, dtype=bool)
+        keep[-1] |= start + count == trials
+        for slot in np.flatnonzero(keep).tolist():
+            fg = values[slot].tolist()
+            f = simple_function(m.space, fg[:n], bound=cfg.k)
+            g = simple_function(m.space, fg[n:], bound=cfg.k)
+            A, B = masks[slot].tolist()
+            try:
+                outcome = check_integral_inequality(cfg, m, f, g, A, B)
+            except (HypothesisError, IntegralError, FusionError) as exc:
+                return Stage("random-trials", "hypothesis-failed", str(exc)), None
+            if not outcome.holds:
+                failures += 1
+                if first is None:
+                    first = (f.values, g.values, A, B, outcome.lhs, outcome.rhs)
     return Stage("random-trials", "pass" if failures == 0 else "fail",
                  f"{trials} trials, {failures} violations, seed {seed}"
                  + (f", first {first}" if first else "")), outcome

@@ -107,7 +107,8 @@ def main(argv=None):
     except (ScenarioError, ExprError, FusionError, MeasureError, IntegralError,
             DependenceError, HypothesisError, OSError, json.JSONDecodeError, KeyError,
             ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line: a message may quote a key or label that holds a newline
+        print("error:", str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

@@ -25,6 +25,7 @@ is a domain error; negative intermediates are fine (clamp explicitly with
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -251,20 +252,15 @@ class _Parser:
             if name == "inf":
                 self.advance()
                 return Num(INF)
-            if name in UNARY_FNS:
+            if name in UNARY_FNS or name in BINARY_FNS:
                 self.advance()
                 self.expect("(")
-                arg = self.expr()
+                args = [self.expr()]
+                while len(args) < (1 if name in UNARY_FNS else 2):
+                    self.expect(",")
+                    args.append(self.expr())
                 self.expect(")")
-                return Call(name, (arg,))
-            if name in BINARY_FNS:
-                self.advance()
-                self.expect("(")
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
-                self.expect(")")
-                return Call(name, (a, b))
+                return Call(name, tuple(args))
             if name == "ind":
                 self.advance()
                 interval = self.interval()
@@ -355,39 +351,31 @@ def parse_interval(source: str) -> Interval:
 # ---------------------------------------------------------------------------
 
 
+def _children(e: Expr) -> tuple:
+    """The subexpressions of e, in source order."""
+    if isinstance(e, Bin):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Ind)):
+        return (e.arg,)
+    if isinstance(e, Call):
+        return e.args
+    if isinstance(e, Piecewise):
+        return tuple(sub for _, sub in e.pieces)
+    if isinstance(e, (Num, Var)):
+        return ()
+    raise TypeError(f"not an Expr: {e!r}")
+
+
 def pointwise(e: Expr) -> bool:
     """Whether each error of e's array form comes from one of its points
     alone: false when it holds a piecewise, which evaluates a branch on the
     whole array once any of its points takes that branch."""
-    if isinstance(e, Piecewise):
-        return False
-    subs = ((e.left, e.right) if isinstance(e, Bin) else e.args if isinstance(e, Call)
-            else (e.arg,) if isinstance(e, (Neg, Ind)) else ())
-    return all(map(pointwise, subs))
+    return not isinstance(e, Piecewise) and all(map(pointwise, _children(e)))
 
 
 def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Bin):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Call):
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(e, Ind):
-        return free_vars(e.arg)
-    if isinstance(e, Piecewise):
-        out = frozenset((e.var,)) if e.var else frozenset()
-        for _, sub in e.pieces:
-            out |= free_vars(sub)
-        return out
-    raise TypeError(f"not an Expr: {e!r}")
+    own = e.name if isinstance(e, Var) else e.var if isinstance(e, Piecewise) else None
+    return frozenset((own,) if own else ()).union(*map(free_vars, _children(e)))
 
 
 def compile_expr(e: Expr):
@@ -434,22 +422,16 @@ def _compile(e: Expr):
 
 def _compile_bin(op, left, right):
     # the array branches give inf and NaN silently, as the float branches do
-    if op == "+":
-        def add(bindings):
+    if op in ("+", "-"):
+        fn = operator.add if op == "+" else operator.sub
+
+        def add_sub(bindings):
             x, y = left(bindings), right(bindings)
             if type(x) is float and type(y) is float:
-                return x + y
+                return fn(x, y)
             with np.errstate(over="ignore", invalid="ignore"):
-                return x + y
-        return add
-    if op == "-":
-        def sub(bindings):
-            x, y = left(bindings), right(bindings)
-            if type(x) is float and type(y) is float:
-                return x - y
-            with np.errstate(over="ignore", invalid="ignore"):
-                return x - y
-        return sub
+                return fn(x, y)
+        return add_sub
     if op == "*":
         def mul(bindings):
             x, y = left(bindings), right(bindings)

@@ -177,11 +177,9 @@ def necessity_from_possibility(sp: FiniteSpace, pi) -> MonotoneMeasure:
     top = [0.0]
     for v in pi:
         top += [t if t > v else v for t in top]
-    # the outside of mask is full ^ mask = full - mask
-    m = from_table(sp, [1.0 - t for t in reversed(top)])
-    if sp.n <= 10 and not is_minitive(m):
-        raise MeasureError("internal error: necessity measure failed minitivity check")
-    return m
+    # the outside of mask is full ^ mask = full - mask; top is an exact max
+    # and 1 - t is monotone in floats, so the result is minitive
+    return from_table(sp, [0.0] + [1.0 - t for t in reversed(top[:-1])])
 
 
 def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
@@ -212,7 +210,7 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
         probs += [q + v for q in probs]
     # the distortion stays on the scalar path: numpy's x^2 and libm's pow
     # differ in the last bit on some sums.  The sums are floats already.
-    m = from_table(sp, [_evaluate(expr, {var: min(q, 1.0)}) for q in probs])
+    m = from_table(sp, [0.0] + [_evaluate(expr, {var: min(q, 1.0)}) for q in probs[1:]])
     if sp.n <= 10 and not is_supermodular(m):
         raise MeasureError("distorted probability failed the supermodularity check")
     return m
@@ -222,9 +220,10 @@ def dual(m: MonotoneMeasure) -> MonotoneMeasure:
     """Dual capacity m^d(C) = 1 - m(complement of C)."""
     if not m.is_capacity:
         raise MeasureError("dual is defined for capacities (m(X)=1)")
+    # m(X) = 1 holds within EQ_TOL, so 1 - m(X - C) may fall just below 0
     full = m.space.full_mask
-    table = [1.0 - m.table[full ^ mask] for mask in range(full + 1)]
-    return from_table(m.space, table)
+    table = [max(1.0 - m.table[full ^ mask], 0.0) for mask in range(1, full + 1)]
+    return from_table(m.space, [0.0] + table)
 
 
 def _sole_var(expr: Expr):

@@ -401,19 +401,15 @@ def mirror_pairs(values):
 
 
 def distinct(table):
-    """The distinct values of ``table`` in order of first occurrence, and the
-    index that rebuilds it.
+    """The distinct values of ``table``, in the order of their int64 bit
+    patterns, and the index that rebuilds it.
 
     Values are told apart by bit pattern, so ``values[index]`` is ``table``
     bit for bit, signed zeros and NaN payloads included.  One sort of the
-    int64 view finds them (a dict of bit patterns cost 0.55 ms on a 101^2
-    table, the sort 0.06 ms); its first use maps about 0.4 MB of numpy's
-    sort code.
+    int64 view finds them: about 5.5 us on 4-25 entries and 90-145 us on a
+    101^2 table (a dict of bit patterns cost 0.55 ms there); its first use
+    maps about 0.4 MB of numpy's sort code.
     """
     arr = np.ascontiguousarray(table, dtype=float)
-    bits, first, index = np.unique(arr.view(np.int64).ravel(), return_index=True,
-                                   return_inverse=True)
-    order = np.argsort(first)  # sorted slot -> slot in order of first occurrence
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return bits[order].view(float), rank[index].reshape(arr.shape)
+    bits, index = np.unique(arr.view(np.int64).ravel(), return_inverse=True)
+    return bits.view(float), index.reshape(arr.shape)

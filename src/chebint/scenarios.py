@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 from functools import partial
 from importlib import resources
 
@@ -76,6 +77,13 @@ def _number(value, path) -> float:
         raise ScenarioError(f"{path} is too large: {value!r}") from None
 
 
+def _string(value, path) -> str:
+    """A JSON string; anything else is an error naming its path."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{path} must be a string, got {value!r}")
+    return value
+
+
 def _expression(value, path) -> str:
     """An expression's source text; anything but a string is an error naming its path."""
     if not isinstance(value, str):
@@ -121,16 +129,32 @@ def _atom_numbers(values, sp: FiniteSpace, path):
     return [_number(values[lab], f"{path}.{lab}") for lab in sp.labels]
 
 
+def _flags(block, names, path) -> dict:
+    """A block's "flags" object, whose keys must be among ``names`` and whose
+    values must be true or false; anything else is an error naming its path."""
+    flags = _object(block.get("flags", {}), f"{path}.flags")
+    for key, value in flags.items():
+        if key not in names:
+            raise ScenarioError(f"{path}.flags.{key}: unknown flag")
+        if not isinstance(value, bool):
+            raise ScenarioError(f"{path}.flags.{key} must be true or false, got {value!r}")
+    return flags
+
+
+_OP_FLAGS = [f.name for f in fields(fusion.FusionOp) if type(f.default) is bool]
+
+
 def build_op(block, path="op") -> fusion.FusionOp:
     block = _object({"builtin": block} if isinstance(block, str) else block, path)
     y_bar = _number(block.get("y_bar", 1.0), f"{path}.y_bar")
     if "builtin" in block:
-        return fusion.builtin(block["builtin"], y_bar)
-    flags = _object(block.get("flags", {}), f"{path}.flags")
+        return fusion.builtin(_string(block["builtin"], f"{path}.builtin"), y_bar)
+    args = _array(block.get("args", ["a", "b"]), f"{path}.args")
+    if len(args) != 2 or not all(isinstance(a, str) for a in args) or args[0] == args[1]:
+        raise ScenarioError(f"{path}.args must be two distinct strings, got {args!r}")
     return fusion.expr_op(block.get("name", "custom"),
                           _expression(_key(block, "expr", path), f"{path}.expr"), y_bar=y_bar,
-                          arg_names=tuple(_array(block.get("args", ["a", "b"]), f"{path}.args")),
-                          **flags)
+                          arg_names=tuple(args), **_flags(block, _OP_FLAGS, path))
 
 
 _SHAPE_DEFAULTS = {"non_decreasing": True, "increasing": True,
@@ -140,12 +164,12 @@ _SHAPE_DEFAULTS = {"non_decreasing": True, "increasing": True,
 def build_shape(block, path="shape") -> cheb.ShapeFunction:
     block = _object({"expr": block} if isinstance(block, str) else block, path)
     flags = dict(_SHAPE_DEFAULTS)
-    flags.update(_object(block.get("flags", {}), f"{path}.flags"))
+    flags.update(_flags(block, _SHAPE_DEFAULTS, path))
     expr = _expression(_key(block, "expr", path), f"{path}.expr")
     inverse, inverse_domain = block.get("inverse"), block.get("inverse_domain")
     return cheb.shape(block.get("name", expr), expr,
                       inverse=None if inverse is None else _expression(inverse, f"{path}.inverse"),
-                      var=block.get("var", "x"),
+                      var=_string(block.get("var", "x"), f"{path}.var"),
                       domain=_bounds(block.get("domain", [0.0, 1.0]), f"{path}.domain"),
                       inverse_domain=None if inverse_domain is None
                       else _bounds(inverse_domain, f"{path}.inverse_domain"), **flags)
@@ -214,9 +238,7 @@ def build_config(block) -> cheb.InequalityConfig:
 
 def build_survival(block, path):
     block = _object(block, path)
-    var = block.get("var", "t")
-    if not isinstance(var, str):
-        raise ScenarioError(f"{path}.var must be a string, got {var!r}")
+    var = _string(block.get("var", "t"), f"{path}.var")
     segments = []
     for j, seg in enumerate(_array(_key(block, "segments", path), f"{path}.segments")):
         if not (isinstance(seg, list) and len(seg) == 2 and all(isinstance(x, str) for x in seg)):
@@ -287,10 +309,10 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
             res = integrate_survival(op, build_survival(item["survival"], f"{path}.survival"),
                                      grid_step=step)
         else:
-            sp = build_space(item["space"], f"{path}.space")
-            m = build_measure(item["measure"], sp, f"{path}.measure")
+            sp = build_space(_key(item, "space", path), f"{path}.space")
+            m = build_measure(_key(item, "measure", path), sp, f"{path}.measure")
             bound = _number(item["bound"], f"{path}.bound") if "bound" in item else None
-            f = build_function(item["f"], sp, bound=bound, path=f"{path}.f")
+            f = build_function(_key(item, "f", path), sp, bound=bound, path=f"{path}.f")
             D = build_mask(item.get("set", list(sp.labels)), sp, f"{path}.set")
             if item.get("integral") == "q":
                 res = q_integral(op, m, f)
@@ -314,14 +336,14 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
 
 
 def _run_dependence(data, grid_step, seed, budget, tolerance):
-    sp = build_space(data["space"])
-    m = build_measure(data["measure"], sp)
+    sp = build_space(_key(data, "space", "scenario"))
+    m = build_measure(_key(data, "measure", "scenario"), sp)
     k = _number(data.get("k", 1.0), "scenario key 'k'")
-    f = build_function(data["f"], sp, bound=k)
-    g = build_function(data["g"], sp, bound=k, path="g")
+    f = build_function(_key(data, "f", "scenario"), sp, bound=k)
+    g = build_function(_key(data, "g", "scenario"), sp, bound=k, path="g")
     A = build_mask(data.get("A", list(sp.labels)), sp, "A")
     B = build_mask(data.get("B", list(sp.labels)), sp, "B")
-    tri = build_op(data["triangle"], "triangle")
+    tri = build_op(_key(data, "triangle", "scenario"), "triangle")
     query = DependenceQuery(m, f, g, A, B, tri, k,
                             allow_range_escape=_flag(data, "allow_range_escape"))
     verdict = is_m_positively_dependent(query)
@@ -334,12 +356,12 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     variant = _choice(data, "variant", ("c1", "c2", "q"), "c1")
     if variant == "q":
-        conj = build_op(data["conj"], "conj")
-        star = build_op(data["star"], "star")
+        conj = build_op(_key(data, "conj", "scenario"), "conj")
+        star = build_op(_key(data, "star", "scenario"), "star")
         phis = _triple(data.get("phi", {"expr": "x", "inverse": "x"}), build_shape, "phi")
         verdict = cheb.q_corollary_condition(conj, phis, star, grid_step=step)
     else:
-        cfg = build_config(data["config"])
+        cfg = build_config(_key(data, "config", "scenario"))
         check = cheb.check_condition_C2 if variant == "c2" else cheb.check_scalar_condition
         verdict = check(cfg, grid_step=step)
     report = {"status": verdict.status, "witness": _witness(verdict.witness),
@@ -360,12 +382,12 @@ def _run_condition(data, grid_step, seed, budget, tolerance):
 def _run_inequality(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
     pipeline = _choice(data, "pipeline", ("sugeno", "theorem-forward", "any-functions"), None)
-    sp = build_space(data["space"])
-    m = build_measure(data["measure"], sp)
-    cfg = None if pipeline == "sugeno" else build_config(data["config"])
+    sp = build_space(_key(data, "space", "scenario"))
+    m = build_measure(_key(data, "measure", "scenario"), sp)
+    cfg = None if pipeline == "sugeno" else build_config(_key(data, "config", "scenario"))
     k = _number(data.get("y_bar", 1.0), "scenario key 'y_bar'") if cfg is None else cfg.k
-    f = build_function(data["f"], sp, bound=k)
-    g = build_function(data["g"], sp, bound=k, path="g")
+    f = build_function(_key(data, "f", "scenario"), sp, bound=k)
+    g = build_function(_key(data, "g", "scenario"), sp, bound=k, path="g")
     A = build_mask(data.get("A", list(sp.labels)), sp, "A")
     B = None if cfg is None else build_mask(data.get("B", list(sp.labels)), sp, "B")
     evidence = f"grid({step})"
@@ -373,7 +395,8 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
         rep = cheb.sugeno_chebyshev(m, f, g, A,
                                     _triple(data.get("phi", "x"), build_shape, "phi"),
                                     _triple(data.get("psi", "x"), build_shape, "psi"),
-                                    build_op(data["star"], "star"), grid_step=step, y_bar=k)
+                                    build_op(_key(data, "star", "scenario"), "star"),
+                                    grid_step=step, y_bar=k)
     elif pipeline == "theorem-forward":
         rep = cheb.theorem1_forward(cfg, m, f, g, A, B, grid_step=step)
     elif pipeline == "any-functions":
@@ -405,7 +428,7 @@ def _run_inequality(data, grid_step, seed, budget, tolerance):
 
 def _run_search(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
-    cfg = build_config(data["config"])
+    cfg = build_config(_key(data, "config", "scenario"))
     try:
         witness = cheb.search_counterexample(cfg, grid_step=step,
                                              budget=_option(budget, data, "budget", 5_000_000))
@@ -418,14 +441,15 @@ def _run_search(data, grid_step, seed, budget, tolerance):
 
 def _run_property(data, grid_step, seed, budget, tolerance):
     step = _option(grid_step, data, "grid", 0.01)
-    prop = data["property"]
+    prop = _key(data, "property", "scenario")
     if prop == "dominates":
-        verdict = fusion.dominates(build_op(data["outer"], "outer"),
-                                   build_op(data["inner"], "inner"), grid_step=step)
+        verdict = fusion.dominates(build_op(_key(data, "outer", "scenario"), "outer"),
+                                   build_op(_key(data, "inner", "scenario"), "inner"),
+                                   grid_step=step)
         return {"holds": verdict.holds, "witness": _witness(verdict.witness),
                 "verdict": verdict.status, "evidence": verdict.evidence}
     if prop == "commutativity-gap":
-        witness = cheb.search_commutativity_gap(build_op(data["op"]),
+        witness = cheb.search_commutativity_gap(build_op(_key(data, "op", "scenario")),
                                                 build_op(data.get("star", "prod"), "star"),
                                                 grid_step=step)
         return {"witness": _witness(witness),
@@ -464,7 +488,7 @@ def run_scenario(data, grid_step=None, seed=None, budget=None, tolerance=None):
     EXIT_CODES[report["verdict"]], or 2 for a verdict missing from it.
     """
     kind = _object(data, "scenario").get("kind")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise ScenarioError(f"unknown scenario kind {kind!r}")
     if tolerance is not None:
         _check_real(tolerance, "tolerance", zero_ok=True)

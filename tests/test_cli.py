@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebint import scenarios
+from chebint import cli, scenarios
 from chebint.cli import main
 from chebint.scenarios import EXIT_CODES, list_scenarios, load_scenario, run_scenario
 
@@ -583,6 +583,60 @@ _EXIT_TWO = {
     "number-shape-inverse": ("godel-q-corollary", "check-condition",
                              lambda d: d.update(phi={"expr": "x", "inverse": 5}),
                              "phi.inverse must be an expression string, got 5"),
+    # an operation's args and flags, and a shape's flags, went unchecked into
+    # the constructors: IndexError and TypeError tracebacks with exit 1
+    "op-one-arg": ("w-chebyshev-unit-interval", "check-condition",
+                   lambda d: d["config"].update(inner={"expr": "a*b", "args": ["a"],
+                                                       "flags": {"non_decreasing": True}}),
+                   "config.inner.args must be two distinct strings, got ['a']"),
+    "op-repeated-arg": ("minitive-dependence", "check-dependence",
+                        lambda d: d.update(triangle={"expr": "a*b", "args": ["a", "a"]}),
+                        "triangle.args must be two distinct strings, got ['a', 'a']"),
+    "op-number-arg": ("minitive-dependence", "check-dependence",
+                      lambda d: d.update(triangle={"expr": "a*b", "args": ["a", 5]}),
+                      "triangle.args must be two distinct strings, got ['a', 5]"),
+    "op-unknown-flag": ("minitive-dependence", "check-dependence",
+                        lambda d: d.update(triangle={"expr": "a*b", "flags": {"increasing": True}}),
+                        "triangle.flags.increasing: unknown flag"),
+    "op-number-flag": ("w-chebyshev-unit-interval", "check-condition",
+                       lambda d: d["config"].update(inner={"expr": "a*b",
+                                                           "flags": {"commutative": 1}}),
+                       "config.inner.flags.commutative must be true or false, got 1"),
+    "shape-unknown-flag": ("w-chebyshev-unit-interval", "check-condition",
+                           lambda d: d["config"].update(phi={"expr": "x", "flags": {"bogus": 1}}),
+                           "config.phi.flags.bogus: unknown flag"),
+    "shape-string-flag": ("godel-q-corollary", "check-condition",
+                          lambda d: d.update(phi={"expr": "x", "inverse": "x",
+                                                  "flags": {"increasing": "yes"}}),
+                          "phi.flags.increasing must be true or false, got 'yes'"),
+    # found by the scenario fuzz: a list builtin name or shape variable ended
+    # in "TypeError: unhashable type", and a label holding a newline gave a
+    # two-line error
+    "list-builtin": ("minitive-dependence", "check-dependence",
+                     lambda d: d.update(triangle={"builtin": ["min"]}),
+                     "triangle.builtin must be a string, got ['min']"),
+    "list-shape-var": ("w-chebyshev-unit-interval", "check-condition",
+                       lambda d: d["config"].update(phi={"expr": "x", "var": []}),
+                       "config.phi.var must be a string, got []"),
+    "newline-label": ("minitive-dependence", "check-dependence",
+                      lambda d: d["space"].__setitem__(0, "x\n1"),
+                      "measure.possibility.x\\n1 is missing"),
+    # a missing required key printed a bare "error: 'config'"
+    **{f"{name}-without-{key}": (name, command, lambda d, key=key: d.pop(key),
+                                 f"scenario.{key} is missing")
+       for name, command, keys in (
+           ("minitive-dependence", "check-dependence", ("space", "measure", "f", "g", "triangle")),
+           ("w-chebyshev-unit-interval", "check-condition", ("config",)),
+           ("godel-q-corollary", "check-condition", ("conj", "star")),
+           ("sugeno-phi-origin-hypothesis", "check-inequality", ("space", "measure", "star")),
+           ("necessity-sugeno-pipeline", "check-inequality", ("config", "f", "g")),
+           ("w-counterexample-search", "search-counterexample", ("config",)))
+       for key in keys},
+    **{f"integral-without-{key}": ("minitive-sugeno-values", "integrate",
+                                   lambda d, key=key: (_one_simple_integral(d),
+                                                       d["integrals"][0].pop(key)),
+                                   f"integrals[0].{key} is missing")
+       for key in ("space", "measure", "f")},
     # phi = 2*x puts phi(y_bar) and the integrands past min's y_bar: the
     # pipeline raised a FusionError (exit 2 without a report)
     "theorem-forward-phi-past-circ": ("counterexample-daraby-ghadimi", "check-inequality",
@@ -635,6 +689,25 @@ def test_hypothesis_failed_c1_report_has_no_recheck(capsys, tmp_path):
     report = json.loads(out)
     assert code == 2 and report["verdict"] == "hypothesis-failed"
     assert "recheck" not in report
+
+
+@pytest.mark.parametrize("name, key", [("min-dominates-lukasiewicz", "property"),
+                                       ("min-dominates-lukasiewicz", "outer"),
+                                       ("min-dominates-lukasiewicz", "inner"),
+                                       ("asymmetric-argument-order-gap", "op")])
+def test_a_missing_property_run_key_names_its_path(name, key):
+    # property runs have no subcommand; a missing key raised a bare KeyError
+    data = load_scenario(name)
+    del data[key]
+    with pytest.raises(scenarios.ScenarioError, match=rf"^scenario\.{key} is missing$"):
+        run_scenario(data)
+
+
+@pytest.mark.parametrize("kind", [[], {}])
+def test_a_kind_that_is_not_a_runner_name_is_refused(kind):
+    # a list or object kind raised "TypeError: unhashable type"
+    with pytest.raises(scenarios.ScenarioError, match="unknown scenario kind"):
+        run_scenario({"kind": kind})
 
 
 def test_exit_code_is_the_verdict_table(monkeypatch):
@@ -767,3 +840,85 @@ def test_fuzz_measure_table(name, data, whole):
     if bad:
         assert code == 2
         assert f"measure.{key}" in err.getvalue()
+
+
+# What the scenario fuzz puts where a value was: numbers (NaN, +-inf, -0.0 and
+# negatives among them), booleans, null, strings, lists and objects
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([_NAN, math.inf, -math.inf, -0.0, 0.0, -1.0, -0.5, 0.25, 0.5, 1.0, 2, True,
+                     False, None]),
+    st.floats(-2.0, 2.0), st.integers(-2, 2),
+    st.sampled_from(["", "x", "a*b", "min", "prod", "x1", "[0, 1]", "(", "q", "c2", "sugeno"]),
+    st.text(max_size=3),
+    st.lists(st.sampled_from([0.5, -1.0, "x", "x1", "min", None]), max_size=3),
+    st.dictionaries(st.sampled_from(["expr", "builtin", "values", "interval", "x1", "flags"]),
+                    st.one_of(st.sampled_from([0.5, "x", "min", "a*b", None]),
+                              st.lists(st.sampled_from([0.0, 1.0]), min_size=2, max_size=2)),
+                    max_size=2))
+# keys the builders read (grid, trials and budget aside), and one they do not
+_FUZZ_KEYS = st.sampled_from([
+    "A", "allow_range_escape", "args", "bound", "builtin", "cd", "circ", "commutative", "conj",
+    "distortion", "domain", "equality", "expect_equality", "expr", "f", "flags", "g",
+    "increasing", "inner", "integral", "interval", "inverse", "inverse_domain", "k", "kind",
+    "lhs", "name", "non_decreasing", "op", "outer", "phi", "pipeline", "possibility", "probability",
+    "property", "psi", "recheck", "seed", "segments", "set", "star", "survival", "table", "tol",
+    "triangle", "type", "values", "var", "variant", "x1", "y_bar", "unknown"])
+
+
+def _fuzz_paths(node, path=()):
+    """The path of every dict key and list index in ``node``, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _fuzz_paths(value, path + (key,))
+
+
+def _no_costlier(path, bundled, value):
+    """Whether ``value`` at ``path`` keeps the run no costlier than the bundled
+    scenario: a grid step is never lowered, trials and a budget never raised."""
+    if len(path) != 1 or path[0] not in ("grid", "trials", "budget") or path[0] not in bundled:
+        return True
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        return True
+    return value >= bundled[path[0]] if path[0] == "grid" else value <= bundled[path[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(list_scenarios()), data=st.data())
+def test_fuzz_every_bundled_scenario(name, data):
+    """Drop, rename or retype keys at any depth of a bundled scenario: the
+    run exits 0, 1 or 2 without a traceback, an input error is one error
+    line and no report, and a grid step that is not positive never exits 0."""
+    bundled = load_scenario(name)
+    scenario = load_scenario(name)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not (paths := list(_fuzz_paths(scenario))):
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["drop", "rename", "add", "replace"]))
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "rename" and isinstance(parent, dict):
+            parent[data.draw(_FUZZ_KEYS)] = parent.pop(path[-1])
+        elif action == "add" and isinstance(parent, dict):
+            parent[data.draw(_FUZZ_KEYS)] = data.draw(_FUZZ_VALUES)
+        elif _no_costlier(path, bundled, value := data.draw(_FUZZ_VALUES)):
+            parent[path[-1]] = value
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "load_scenario", lambda _: scenario)
+        code = main(["repro", name, "--json"])
+    assert code in (0, 1, 2)
+    if err.getvalue():
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert EXIT_CODES.get(json.loads(out.getvalue())["verdict"], 2) == code
+    grid = scenario.get("grid")
+    if not isinstance(grid, bool) and isinstance(grid, (int, float)) and not grid > 0:
+        assert code != 0

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebint import fusion, randgen
 from chebint.dependence import measure_supports_all_pairs
@@ -89,6 +91,35 @@ class TestNecessity:
                 m = necessity_from_possibility(space(*(f"x{i}" for i in range(n))), values)
                 assert np.array_equal(np.array(m.table).view(np.int64),
                                       np.array(reference(values)).view(np.int64)), (n, values)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(pi=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), data=st.data())
+    def test_minitive_for_random_possibilities(self, pi, data):
+        # the constructor no longer checks this itself: top is an exact max
+        # and 1 - t is monotone, so it cannot fail
+        pi[data.draw(st.integers(0, len(pi) - 1))] = data.draw(st.sampled_from(
+            [1.0, 1.0 - 5e-13, 1.0 - EQ_TOL]))
+        m = necessity_from_possibility(space(*(f"x{i}" for i in range(len(pi)))), pi)
+        assert is_minitive(m) and m(0) == 0.0
+
+
+class TestEmptySetWithinTolerance:
+    """Inputs normalised within a constructor's own tolerance used to fail
+    from_table's exact m(empty set) = 0 check with a value never written."""
+
+    def test_necessity(self):
+        m = necessity_from_possibility(space("x", "y"), [1 - 5e-13, 0.3])
+        assert m.table[0] == 0.0 and is_minitive(m)
+
+    @pytest.mark.parametrize("top", [1 - 5e-13, 1 + 5e-13])
+    def test_dual(self, top):
+        m = dual(from_table(space("x", "y"), [0.0, 0.5, top, top]))
+        assert m.table == (0.0, max(1.0 - top, 0.0), 0.5, 1.0)
+
+    def test_distorted(self):
+        m = distorted_probability(space("x", "y"), [0.4, 0.6], "x^2 + 1e-10*(1-x)")
+        assert m.table[0] == 0.0 and m.table[-1] == 1.0
 
 
 class TestDistorted:
