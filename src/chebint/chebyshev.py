@@ -23,7 +23,7 @@ from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, exactl
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
-from .scan import (EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
+from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
                    first_flagged, mirror_pairs, scan, scan_separable)
 
 
@@ -96,19 +96,19 @@ class ShapeFunction:
             self.apply(self.domain[0]), self.apply(self.domain[1]))
         return _checked_eval(self.inverse, self.var, y, f"{self.name}^-1", (lo, hi))
 
-    def validate_inverse(self, grid_step=0.01, tol=TOL):
-        """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x."""
+    def validate_inverse(self, grid_step=0.01):
+        """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x, within TOL."""
         if self.inverse is None:
             return True
         xs = axis(*self.domain, grid_step, least=2)
         ys = self.apply(xs)
         back = self.apply_inverse(ys)
-        if np.max(np.abs(back - xs)) > tol:
+        if np.max(np.abs(back - xs)) > TOL:
             return False
         lo, hi = self.inverse_domain if self.inverse_domain else (float(ys[0]), float(ys[-1]))
         zs = np.linspace(lo, hi, len(xs))
         fwd = self.apply(self.apply_inverse(zs))
-        return bool(np.max(np.abs(fwd - zs)) <= tol)
+        return bool(np.max(np.abs(fwd - zs)) <= TOL)
 
 
 def shape(name, source, inverse=None, var="x", domain=(0.0, 1.0),
@@ -266,13 +266,6 @@ def config(inner, outer, circs, triangle, phis, psis, k=1.0, y_bar=1.0,
 # ---------------------------------------------------------------------------
 
 
-def _row_values(table, rows, ndim):
-    """The block ``rows`` of a table over a scan's first axis, ``table[rows]``
-    with ``ndim`` unit axes after the first."""
-    block = table[rows]
-    return block.reshape(block.shape[:1] + (1,) * ndim + block.shape[1:])
-
-
 def _k_grid(cfg, grid_step):
     return axis(0.0, cfg.k, grid_step)
 
@@ -281,9 +274,13 @@ def scalar_condition_at(cfg: InequalityConfig, a, b, c, d):
     """Direct (lhs, rhs) evaluation of the four-variable scalar condition."""
     lhs = cfg.psi1.apply(eval_op(cfg.circ1, cfg.phi1.apply(eval_op(cfg.inner, a, b)),
                                  eval_op(cfg.triangle, c, d)))
-    r2 = cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), c))
-    r3 = cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), d))
-    return lhs, eval_op(cfg.outer, r2, r3)
+    return lhs, _right_at(cfg, a, b, c, d)
+
+
+def _right_at(cfg: InequalityConfig, a, b, c, d):
+    """The right side psi2(phi2(a) circ2 c) outer psi3(phi3(b) circ3 d) at one point."""
+    return eval_op(cfg.outer, cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), c)),
+                   cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), d)))
 
 
 def _right_tables(cfg: InequalityConfig, ab, cd):
@@ -326,11 +323,7 @@ def _check_c1(cfg, grid_step, tables):
 def c2_condition_at(cfg: InequalityConfig, a, b, c):
     dbar = min(cfg.cd_domain.sup, _INF_CAP)
     lhs = cfg.psi1.apply(eval_op(cfg.circ1, cfg.phi1.apply(eval_op(cfg.inner, a, b)), c))
-    t1 = eval_op(cfg.outer, cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), c)),
-                 cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), dbar)))
-    t2 = eval_op(cfg.outer, cfg.psi2.apply(eval_op(cfg.circ2, cfg.phi2.apply(a), dbar)),
-                 cfg.psi3.apply(eval_op(cfg.circ3, cfg.phi3.apply(b), c)))
-    return lhs, max(t1, t2)
+    return lhs, max(_right_at(cfg, a, b, c, dbar), _right_at(cfg, a, b, dbar, c))
 
 
 def check_condition_C2(cfg: InequalityConfig, grid_step=0.01) -> Verdict:
@@ -351,31 +344,34 @@ def _check_c2(cfg, grid_step, tables):
         psi2_adbar = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a, dbar))
         psi3_bdbar = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b, dbar))
 
-        def sides(rows):  # over (rows, b, c)
-            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, _row_values(ab, rows, 1), ab))
-            lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[..., None], cd))
-            t1 = apply_op(cfg.outer, _row_values(psi2_ac, rows, 1), psi3_bdbar[:, None])
-            t2 = apply_op(cfg.outer, _row_values(psi2_adbar, rows, 2), psi3_bc)
-            return lhs, np.maximum(t1, t2)
+        def left(a, b):
+            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, a(ab), b(ab)))
+            return cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[..., None], cd))
 
-        # the pairs b >= a when they are no more than a full row's points;
-        # what they cannot decide, the full scan does
-        if len(ab) < 2 * len(cd) and _c2_mirrored(cfg):
+        def sides(a, b):  # over (rows, b, c) or (pairs, c): a, b pick rows of a table over ab
+            try:  # the rhs first, in place: built after the lhs, it holds a block more
+                rhs = apply_op(cfg.outer, a(psi2_ac), b(psi3_bdbar)[..., None])
+                rhs = np.maximum(rhs, apply_op(cfg.outer, a(psi2_adbar)[..., None], b(psi3_bc)),
+                                 out=rhs)
+            except Exception:
+                left(a, b)  # an lhs error comes first, as in a row's evaluation order
+                raise
+            return left(a, b), rhs
+
+        # the pairs b >= a when the full grid exceeds a block and the pairs are
+        # no more than a full row's points; what they cannot decide, the full
+        # scan does
+        if len(ab) < 2 * len(cd) and len(ab) ** 2 * len(cd) > _BLOCK and _c2_mirrored(cfg):
             psi3_bc = psi2_ac  # the same table bit for bit: keep one
             pairs, ia, ib = mirror_pairs(ab)
             clean = 0  # the pairs before this one raised nowhere
 
             def half(rows):  # over (pairs, c); np.take gathers faster than an index
                 nonlocal clean
-                i, j = ia[rows], ib[rows]
-                rhs = apply_op(cfg.outer, np.take(psi2_ac, i, axis=0),
-                               np.take(psi2_adbar, j)[:, None])
-                rhs = np.maximum(rhs, apply_op(cfg.outer, np.take(psi2_adbar, i)[:, None],
-                                               np.take(psi2_ac, j, axis=0)), out=rhs)
-                phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, np.take(ab, i), np.take(ab, j)))
-                lhs = cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[:, None], cd))
+                out = sides(partial(np.take, indices=ia[rows], axis=0),
+                            partial(np.take, indices=ib[rows], axis=0))
                 clean = max(clean, rows.stop)
-                return lhs, rhs
+                return out
 
             def confirmed(a, b, c):  # a rejected point, or a raise in the rest of row a, ends it
                 wl, wr = c2_condition_at(cfg, a, b, c)
@@ -390,7 +386,8 @@ def _check_c2(cfg, grid_step, tables):
                 return scan((pairs, cd), half, confirmed, evidence)
             except Exception:  # noqa: BLE001 - the full scan raises or decides it
                 pass
-        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence)
+        return scan((ab, ab, cd), lambda rows: sides(lambda t: t[rows, None], lambda t: t),
+                    partial(c2_condition_at, cfg), evidence)
     except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -768,9 +765,9 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
     xs = axis(0.0, 1.0, grid_step, least=0)
     check_row(len(xs), len(xs))
     evidence = f"grid({grid_step}), boundary slice b=1 scanned first"
-    # symmetric in (b, c) bit for bit: each row a scans the pairs c >= b.  The
-    # row's tables are symmetric, so it meets the full row's values and its
-    # first flagged point and first bad value are the full row's
+    # symmetric in (b, c) bit for bit: each row a of a grid past a block scans
+    # the pairs c >= b.  The row's tables are symmetric, so it meets the full
+    # row's values and its first flagged point and first bad value are the full row's
     mirrored = exactly_commutative(star) and (phi2 is phi3 or phi2 == phi3)
 
     def scan_b(b_values):
@@ -780,30 +777,26 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
         inv3_1c = phi3.apply_inverse(apply_op(conj, 1.0, phi3_c))
         phi1_bc = phi1.apply(apply_op(star, b_values[:, None], xs[None, :]))
 
-        def sides(rows):  # over (rows, b, c)
-            a = _row_values(xs, rows, 1)
-            lhs = phi1.apply_inverse(apply_op(conj, _row_values(xs, rows, 2), phi1_bc))
-            inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
-            inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
-            r1 = apply_op(star, inv2_ab[..., None], inv3_1c)
-            r2 = apply_op(star, inv2_1b[:, None], inv3_ac[..., None, :])
-            return lhs, np.maximum(r1, r2)
+        def layout(b, c, bc):  # sides over (rows, b, c) or (rows, pairs (b, c))
+            b_1, c_1 = b(inv2_1b), c(inv3_1c)  # b and c pick a table's b- and c-values
+
+            def sides(rows):
+                a = xs[rows, None]
+                lhs = phi1.apply_inverse(apply_op(conj, xs[(rows,) + (None,) * bc.ndim], bc))
+                inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
+                inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
+                r1 = apply_op(star, b(inv2_ab), c_1)
+                return lhs, np.maximum(r1, apply_op(star, b_1, c(inv3_ac)))
+            return sides
 
         at = partial(q_condition_at, conj, phis, star)
-        if b_values is not xs or not mirrored:
-            return scan((xs, b_values, xs), sides, at, evidence)
-        pairs, ib, ic = mirror_pairs(xs)
-        pair_bc, pair_1b, pair_1c = phi1_bc[ib, ic], inv2_1b[ib], inv3_1c[ic]
-
-        def half(rows):  # over (rows, pairs (b, c) with c >= b)
-            a = _row_values(xs, rows, 1)
-            lhs = phi1.apply_inverse(apply_op(conj, a, pair_bc))
-            inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
-            inv3_ac = phi3.apply_inverse(apply_op(conj, a, phi3_c))
-            r1 = apply_op(star, np.take(inv2_ab, ib, axis=1), pair_1c)
-            return lhs, np.maximum(r1, apply_op(star, pair_1b, np.take(inv3_ac, ic, axis=1)))
-
-        return scan((xs, pairs), half, at, evidence)
+        if b_values is xs and mirrored and len(xs) ** 3 > _BLOCK:
+            pairs, ib, ic = mirror_pairs(xs)
+            return scan((xs, pairs), layout(partial(np.take, indices=ib, axis=-1),
+                                            partial(np.take, indices=ic, axis=-1),
+                                            phi1_bc[ib, ic]), at, evidence)
+        return scan((xs, b_values, xs), layout(lambda t: t[..., :, None],
+                                               lambda t: t[..., None, :], phi1_bc), at, evidence)
 
     verdict = scan_b(np.asarray([1.0]))
     return verdict if not verdict.holds else scan_b(xs)

@@ -66,10 +66,13 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
 
     One array evaluation over range(m)^2; each value is tested against its
     two neighbours in the sorted range.  The reported value is recomputed
-    with ``eval_op`` at the point.
+    with ``eval_op`` at the point.  The builtin min never escapes: min(c, d)
+    is c or d, clamped as its arguments are, so within TOL of a range value.
     """
     rng = m.value_range()
     clipped = clip_args(tri, rng)
+    if tri.kind == "min":
+        return None
     try:
         with np.errstate(all="ignore"):
             out = apply_op(tri, clipped[:, None], clipped[None, :])

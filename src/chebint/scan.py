@@ -28,7 +28,9 @@ the first flagged point lies in the half that ``mirror_pairs`` keeps: c2
 scans the pairs (a, b) as its rows and q the pairs (b, c) of each row a.
 Each takes the half only when its config is symmetric bit for bit, errors
 included (builtin operations that commute exactly, shared shapes and
-operations on both sides of the mirror); c2's symmetry crosses its rows,
+operations on both sides of the mirror), and its full grid holds more than
+``_BLOCK`` points, which the full scan would cover in a block or two
+faster than the pairs are gathered; c2's symmetry crosses its rows,
 so it hands a rejected re-check, or any error, to the full scan.
 """
 

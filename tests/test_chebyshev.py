@@ -366,6 +366,28 @@ class TestConditionC2:
                      scalar_condition_at(cfg, 0.5, 0.5, 1.0, 0.75)[1])
         assert rhs == pytest.approx(direct)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kinds=st.lists(st.sampled_from(fusion.BUILTIN_KINDS), min_size=6,
+                                          max_size=6),
+           powers=st.lists(st.sampled_from([None, 0.5, 2.0, 3.0]), min_size=6, max_size=6),
+           k=st.sampled_from([1.0, 0.6]),
+           cd=st.sampled_from([cd_interval(0.0, 1.0), cd_interval(0.0, 0.7),
+                               cd_values([0.0, 0.3, 0.8])]))
+    def test_rhs_is_the_larger_full_rhs_at_the_domain_sup(self, data, kinds, powers, k, cd):
+        # the paper's reduction of c1 to c2: the right side at (a, b, c) is
+        # the larger of the four-variable right side at (a, b, c, dbar) and
+        # at (a, b, dbar, c), bit for bit
+        ops = [fusion.builtin(kind) for kind in kinds]
+        shapes = [identity_shape() if p is None else power_shape(p) for p in powers]
+        cfg = config(ops[0], ops[1], tuple(ops[2:5]), ops[5], tuple(shapes[:3]),
+                     tuple(shapes[3:]), k=k, cd_domain=cd)
+        a, b = (data.draw(st.floats(0.0, k)) for _ in range(2))
+        c = data.draw(st.sampled_from(cd.values) if cd.exact else st.floats(*cd.interval))
+        dbar = cd.sup
+        want = max(scalar_condition_at(cfg, a, b, c, dbar)[1],
+                   scalar_condition_at(cfg, a, b, dbar, c)[1])
+        assert c2_condition_at(cfg, a, b, c)[1].hex() == want.hex()
+
     def test_equivalence_report(self):
         rep = c1_iff_c2(w_config(cd_values([0.0, 1.0])))
         assert rep.agree

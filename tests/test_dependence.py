@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from chebint.dependence import (DependenceQuery, RangeEscapeError, _range_escape_warnings,
                                 condition_Z1, is_comonotone,
                                 is_m_positively_dependent,
-                                measure_supports_all_pairs)
-from chebint.fusion import builtin, eval_op, godel_op, lukasiewicz_op, min_op, prod_op
+                                measure_supports_all_pairs, triangle_range_escapes)
+from chebint.fusion import (FusionError, builtin, eval_op, expr_op, godel_op, lukasiewicz_op,
+                            min_op, prod_op)
 from chebint.integral import SimpleFunction, simple_function
-from chebint.measure import from_table, necessity_from_possibility, space
+from chebint.measure import (distorted_probability, from_table, necessity_from_possibility,
+                             space)
 from chebint.randgen import random_comonotone_pair, random_monotone_measure
 from chebint.scan import EQ_TOL, TOL, Verdict
 
@@ -223,3 +227,62 @@ _SP3 = space("a", "b", "c")
 def test_level_walk_matches_the_per_level_loops(q):
     got, want = is_m_positively_dependent(q), m_positive_reference(q)
     assert got == want and repr(got) == repr(want)  # repr tells 0.0 from -0.0
+
+
+# ---------------------------------------------------------------------------
+# The range-escape check of the builtin min
+# ---------------------------------------------------------------------------
+
+
+def _escape_outcome(m, tri):
+    try:
+        return ("escape", triangle_range_escapes(m, tri))
+    except FusionError as exc:
+        return ("FusionError", str(exc))
+
+
+@st.composite
+def small_measures(draw):
+    """Random monotone, distorted and necessity measures on 1-8 atoms."""
+    sp = space(*(f"x{i}" for i in range(draw(st.integers(1, 8)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["monotone", "distorted", "necessity"]))
+    if kind == "monotone":
+        return random_monotone_measure(rng, sp)
+    if kind == "distorted":
+        w = rng.uniform(0.1, 1.0, sp.n)
+        return distorted_probability(sp, (w / w.sum()).tolist(), draw(st.sampled_from(
+            ["x^2", "x^3", "x"])))
+    pi = rng.uniform(0.0, 1.0, sp.n)
+    pi[rng.integers(sp.n)] = 1.0
+    return necessity_from_possibility(sp, pi.tolist())
+
+
+# y_bar below the top value by less than TOL clamps it to a value outside
+# the range, within TOL of it; 0.5 refuses the arguments above it
+@settings(max_examples=80, deadline=None)
+@given(m=small_measures(), y_bar=st.sampled_from([1.0, 1.0 - 5e-10, 0.5, 2.0]))
+def test_min_skips_the_evaluation_the_other_triangles_take(m, y_bar):
+    # an expression with min's values takes the array evaluation over
+    # range(m)^2, and finds no escape either; both refuse the same argument
+    evaluated = expr_op("min", "min(a, b)", y_bar=y_bar)
+    got = _escape_outcome(m, min_op(y_bar=y_bar))
+    assert got == _escape_outcome(m, evaluated)
+    assert got[0] == "FusionError" or got[1] is None
+
+
+def test_min_range_escapes_hold_no_table_of_range_pairs():
+    # a 12-atom distorted measure has 4,096 distinct values: the evaluated
+    # form held several 4096^2 arrays, about 822 MB traced; the builtin min
+    # holds a few arrays of the range
+    sp = space(*(f"x{i}" for i in range(12)))
+    w = np.random.default_rng(0).uniform(0.9, 1.1, 12)
+    m = distorted_probability(sp, (w / w.sum()).tolist(), "x^2")
+    assert len(m.value_range()) == 4096
+    tracemalloc.start()
+    try:
+        assert triangle_range_escapes(m, min_op()) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4096 * 8

@@ -2,6 +2,7 @@
 private module-level name of the package is read by some module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebint"
 # __init__.py imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source):
@@ -71,3 +73,10 @@ def test_module_reads_every_import(path):
 
 def test_every_private_name_is_read():
     assert unread_private_names([p.read_text() for p in SRC.glob("*.py")]) == []
+
+
+def test_the_readme_layout_table_names_every_module():
+    section = README.read_text(encoding="utf-8").split("## Package layout", 1)[1]
+    table = section.split("\n\n", 2)[1]  # the blank-line-separated block after the heading
+    named = re.findall(r"^\| `chebint\.(\w+)` \|", table, re.MULTILINE)
+    assert sorted(named) == sorted(p.stem for p in MODULES)

@@ -329,6 +329,12 @@ BLOCK_STEPS = st.sampled_from([0.1, 0.05, 0.02])
 @given(cfg=block_configs(), h=BLOCK_STEPS)
 @example(cfg=cheb.config(_PR, _PR, (fusion.expr_op(_CROSS_ROW, _CROSS_ROW, **_FLAGS), _PR, _PR),
                          _MN, _IDS, _IDS, cd_domain=_UNIT), h=0.1)
+# both sides raise in row 0: psi1 at min(1, 0 + c) = 0.9 and outer at 0 - b.
+# c2 builds its rhs first, and the lhs error must still come out
+@example(cfg=cheb.config(_PR, fusion.expr_op("a - b", "a - b", **_FLAGS),
+                         (fusion.expr_op("sat", "min(1, a + b)", **_FLAGS), _MN, _MN), _MN,
+                         _IDS, (_NARROW, cheb.identity_shape(), cheb.identity_shape()),
+                         cd_domain=_UNIT), h=0.1)
 def test_c2_blocks_match_the_row_by_row_scans(cfg, h):
     got = outcome(cheb.check_condition_C2, cfg, h)
     assert got == outcome(reference_c2, cfg, h)
@@ -430,13 +436,35 @@ def test_a_failed_recheck_hands_over_to_the_next_flagged_row_of_the_block():
         got, built = blocks_built(cheb.check_condition_C2, twin, 0.1)
         assert built == [(0, 11)]
         assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)]
-        # _W_CIRC's halved scan hands its rejected point to the full scan,
-        # whose next flagged row gives the witness below the diagonal
+        # _W_CIRC's grid of 11^3 points fits in a block, so it is not halved
         del rechecked[:]
         assert outcome(cheb.check_condition_C2, _W_CIRC, 0.1) == got
-        assert rechecked == [(0.1, 0.2, 0.9)] * 2 + [(0.2, 0.1, 0.9)]
+        assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)]
         want = outcome(reference_c2, _W_CIRC, 0.1)
     assert got == want and got[1].witness == (0.2, 0.1, 0.9)
+
+
+def test_a_rejected_halved_recheck_hands_over_to_the_full_scan():
+    # at h = 0.02, past _BLOCK, _W_CIRC's halved scan hands its rejected point
+    # to the full scan, whose next flagged row gives the witness below the
+    # diagonal: two scans, where the twin runs one
+    at, rechecked = cheb.c2_condition_at, []
+
+    def rejecting(cfg, a, b, c):
+        rechecked.append((a, b, c))
+        return (1.0, 0.0) if a == 0.02 else at(cfg, a, b, c)
+
+    twin = replace(_W_CIRC, circ3=_TWIN_CIRC3["lukasiewicz"])
+    with mock.patch.object(cheb, "c2_condition_at", rejecting):
+        got, totals = points_handed(cheb.check_condition_C2, twin, 0.02)
+        assert len(totals) == 1
+        assert rechecked == [(0.02, 0.04, 0.98), (0.04, 0.02, 0.98)]
+        del rechecked[:]
+        halved, totals = points_handed(cheb.check_condition_C2, _W_CIRC, 0.02)
+        assert halved == got and len(totals) == 2
+        assert rechecked == [(0.02, 0.04, 0.98)] * 2 + [(0.04, 0.02, 0.98)]
+        want = outcome(reference_c2, _W_CIRC, 0.02)
+    assert got == want and got[1].witness == (0.04, 0.02, 0.98)
 
 
 @pytest.mark.parametrize("last", [False, True])
@@ -591,21 +619,25 @@ def test_a_witness_stands_once_the_rest_of_its_row_raises_nowhere():
     # and phi1 is negative on (0.895, 0.9], which a*b first reaches at
     # (0.9, 1.0): row 0.9 raises after the pair (0.9, 0.9) flags.  The full
     # scan and the halved one, which confirms (0.9, 0.9, 0.9) before it
-    # evaluates the pair (0.9, 1.0), both end in the row's error
+    # evaluates the pair (0.9, 1.0), both end in the row's error.  At h = 0.1
+    # the grid fits in a block and only the full scan runs; at h = 0.01 the
+    # halved scan hands the error to the full scan
     gate = cheb.shape("gate", "x*ind[0.9, 1](x)", non_decreasing=True)
     notch = cheb.shape("notch", "x - ind(0.895, 0.9](x)", non_decreasing=True)
     zero = fusion.expr_op("zero", "0*a", **_FLAGS)
     ident = cheb.identity_shape()
     cfg = cheb.config(_PR, _PR, (zero, _MN, _MN), _MN, (notch, ident, ident),
                       (ident, gate, gate), cd_domain=_UNIT)
-    for h in (0.1, 0.01):
-        got = outcome(cheb.check_condition_C2, cfg, h)
+    for h, scans in [(0.1, 1), (0.01, 2)]:
+        got, totals = points_handed(cheb.check_condition_C2, cfg, h)
         assert got == ("EvalError", "negative final value -0.09999999999999998")
         assert got == outcome(reference_c2, cfg, h)
+        assert len(totals) == scans
 
 
 def points_handed(fn, *args):
-    """The points each plain scan of ``fn(*args)`` hands its ``sides``, one total per scan."""
+    """``outcome(fn, *args)`` and the points each of its plain scans hands its
+    ``sides``, one total per scan."""
     real, totals = scan_module.scan, []
 
     def counting(axes, sides, at, evidence):
@@ -618,7 +650,13 @@ def points_handed(fn, *args):
         return real(axes, counted, at, evidence)
 
     with mock.patch.object(cheb, "scan", counting):
-        assert fn(*args).holds
+        return outcome(fn, *args), totals
+
+
+def holding_points_handed(fn, *args):
+    """``points_handed``'s totals of a call that must hold."""
+    got, totals = points_handed(fn, *args)
+    assert got[1].holds
     return totals
 
 
@@ -626,15 +664,30 @@ def test_halved_scans_hand_their_sides_half_the_points():
     # at h = 0.01 the 101 values of a and b make 5,151 pairs with b >= a, of
     # 101^2: c2 compares them over 101 values of c, and q each row's 5,151
     # pairs (b, c) after the b = 1 slice, against 101^3 points of a full scan
-    assert points_handed(cheb.check_condition_C2, _ALL_MIN, 0.01) == [5151 * 101]
+    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.01) == [5151 * 101]
     twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
-    assert points_handed(cheb.check_condition_C2, twin, 0.01) == [101 ** 3]
-    # over c in {0, 1} the pairs would outnumber a full row's 202 points
+    assert holding_points_handed(cheb.check_condition_C2, twin, 0.01) == [101 ** 3]
+    # over c in {0, 1} the pairs would outnumber a full row's 202 points, and
+    # the 101^2 * 2 points of the grid fit in a block
     two = replace(_ALL_MIN, cd_domain=cheb.cd_values([0.0, 1.0]))
-    assert points_handed(cheb.check_condition_C2, two, 0.01) == [101 ** 2 * 2]
-    assert points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.01) == [101 ** 2, 101 * 5151]
-    assert points_handed(cheb.q_corollary_condition, _MN, _IDS, _TWIN_CIRC3["prod"], 0.01) == [
-        101 ** 2, 101 ** 3]
+    assert holding_points_handed(cheb.check_condition_C2, two, 0.01) == [101 ** 2 * 2]
+    assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.01) == [
+        101 ** 2, 101 * 5151]
+    assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _TWIN_CIRC3["prod"],
+                                 0.01) == [101 ** 2, 101 ** 3]
+
+
+def test_only_grids_past_a_block_are_halved():
+    # BLOCK_STEPS' 0.02 gives 51^3 points, past _BLOCK, and the halved
+    # tests reach the halved layout there; 0.05 gives 21^3, within one
+    # block, and the full scan alone runs
+    assert 21 ** 3 <= scan_module._BLOCK < 51 ** 3
+    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.02) == [1326 * 51]
+    assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.02) == [
+        51 ** 2, 51 * 1326]
+    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.05) == [21 ** 3]
+    assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.05) == [
+        21 ** 2, 21 ** 3]
 
 
 def test_reference_covers_every_outcome():
