@@ -69,16 +69,12 @@ def _checked_eval(expr, var, x, name, domain):
 
 @dataclass(frozen=True)
 class ShapeFunction:
-    """A one-variable transform on [domain[0], domain[1]] with declared flags."""
+    """A one-variable transform on [domain[0], domain[1]]."""
 
     name: str
     expr: Expr
     var: str = "x"
     domain: tuple = (0.0, 1.0)
-    non_decreasing: bool = True
-    increasing: bool = False
-    left_continuous: bool = False
-    right_continuous: bool = False
     inverse: Expr | None = None
     inverse_domain: tuple | None = None
 
@@ -112,30 +108,25 @@ class ShapeFunction:
 
 
 def shape(name, source, inverse=None, var="x", domain=(0.0, 1.0),
-          inverse_domain=None, **flags) -> ShapeFunction:
+          inverse_domain=None) -> ShapeFunction:
     body = parse(source) if isinstance(source, str) else source
     inv = parse(inverse) if isinstance(inverse, str) else inverse
     return ShapeFunction(name, body, var, tuple(domain), inverse=inv,
-                         inverse_domain=tuple(inverse_domain) if inverse_domain else None,
-                         **flags)
+                         inverse_domain=tuple(inverse_domain) if inverse_domain else None)
 
 
 # Memoized: a shape is frozen, and building one parses its source and compiles
 # fresh closures.  typed, so y_bar=1 and y_bar=1.0 keep their own domains.
 @lru_cache(maxsize=64, typed=True)
 def identity_shape(y_bar=1.0) -> ShapeFunction:
-    return shape("id", "x", inverse="x", domain=(0.0, y_bar),
-                 non_decreasing=True, increasing=True,
-                 left_continuous=True, right_continuous=True)
+    return shape("id", "x", inverse="x", domain=(0.0, y_bar))
 
 
 @lru_cache(maxsize=64, typed=True)  # a raised ValueError is not cached
 def power_shape(p, y_bar=1.0) -> ShapeFunction:
     if p <= 0:
         raise ValueError("exponent must be positive")
-    return shape(f"x^{p}", f"x^{p}", inverse=f"x^{1.0 / p}", domain=(0.0, y_bar),
-                 non_decreasing=True, increasing=True,
-                 left_continuous=True, right_continuous=True)
+    return shape(f"x^{p}", f"x^{p}", inverse=f"x^{1.0 / p}", domain=(0.0, y_bar))
 
 
 # ---------------------------------------------------------------------------

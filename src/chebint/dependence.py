@@ -68,10 +68,13 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
     two neighbours in the sorted range.  The reported value is recomputed
     with ``eval_op`` at the point.  The builtin min never escapes: min(c, d)
     is c or d, clamped as its arguments are, so within TOL of a range value.
+    Nor do the godel kinds, whose value is a clamped argument or 0, when
+    range(m) holds a value within TOL of 0 (m(empty) = 0 in a ``from_table``
+    measure; a directly built table may lack it).
     """
     rng = m.value_range()
     clipped = clip_args(tri, rng)
-    if tri.kind == "min":
+    if tri.kind == "min" or tri.kind in ("godel", "godel_contra") and rng[0] <= TOL:
         return None
     try:
         with np.errstate(all="ignore"):

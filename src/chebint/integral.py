@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprlang import eval_expr
 from .extreal import INF_CAP
 from .fusion import FusionOp, apply_op, builtin, clip_args, eval_op
 from .measure import FiniteSpace, MonotoneMeasure, SurvivalScenario
@@ -265,8 +266,6 @@ def integrate_survival(op: FusionOp, scenario: SurvivalScenario, grid_step=1e-4)
 
 
 def _seg_eval(scenario, expr, ts):
-    from .exprlang import eval_expr
-
     ts = np.asarray(ts, dtype=float)
     # a constant segment expression gives a float
     return np.maximum(np.broadcast_to(eval_expr(expr, {scenario.var: ts}), ts.shape), 0.0)

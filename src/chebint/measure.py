@@ -7,7 +7,8 @@ from itertools import compress
 
 import numpy as np
 
-from .exprlang import EvalError, Expr, Interval, _evaluate, eval_expr, parse, parse_interval
+from .exprlang import (EvalError, Expr, Interval, _evaluate, eval_expr, free_vars, parse,
+                       parse_interval)
 from .scan import _BLOCK, EQ_TOL, TOL, axis, first_flagged
 
 
@@ -227,8 +228,6 @@ def dual(m: MonotoneMeasure) -> MonotoneMeasure:
 
 
 def _sole_var(expr: Expr):
-    from .exprlang import free_vars
-
     names = free_vars(expr)
     if len(names) != 1:
         raise MeasureError("expected an expression in exactly one variable")

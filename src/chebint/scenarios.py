@@ -157,14 +157,9 @@ def build_op(block, path="op") -> fusion.FusionOp:
                           arg_names=tuple(args), **_flags(block, _OP_FLAGS, path))
 
 
-_SHAPE_DEFAULTS = {"non_decreasing": True, "increasing": True,
-                   "left_continuous": True, "right_continuous": True}
-
-
 def build_shape(block, path="shape") -> cheb.ShapeFunction:
     block = _object({"expr": block} if isinstance(block, str) else block, path)
-    flags = dict(_SHAPE_DEFAULTS)
-    flags.update(_flags(block, _SHAPE_DEFAULTS, path))
+    _flags(block, (), path)  # a shape takes no flags
     expr = _expression(_key(block, "expr", path), f"{path}.expr")
     inverse, inverse_domain = block.get("inverse"), block.get("inverse_domain")
     return cheb.shape(block.get("name", expr), expr,
@@ -172,7 +167,7 @@ def build_shape(block, path="shape") -> cheb.ShapeFunction:
                       var=_string(block.get("var", "x"), f"{path}.var"),
                       domain=_bounds(block.get("domain", [0.0, 1.0]), f"{path}.domain"),
                       inverse_domain=None if inverse_domain is None
-                      else _bounds(inverse_domain, f"{path}.inverse_domain"), **flags)
+                      else _bounds(inverse_domain, f"{path}.inverse_domain"))
 
 
 def _triple(block, build, path):

@@ -69,13 +69,11 @@ class TestShapeFunction:
             sq.apply(1.5)
 
     def test_memoized_shapes_equal_fresh_constructions(self):
-        flags = dict(non_decreasing=True, increasing=True,
-                     left_continuous=True, right_continuous=True)
         assert identity_shape() is identity_shape()
-        assert identity_shape() == shape("id", "x", inverse="x", domain=(0.0, 1.0), **flags)
+        assert identity_shape() == shape("id", "x", inverse="x", domain=(0.0, 1.0))
         assert power_shape(2, 3.0) is power_shape(2, 3.0)
         assert power_shape(2, 3.0) == shape("x^2", "x^2", inverse="x^0.5",
-                                            domain=(0.0, 3.0), **flags)
+                                            domain=(0.0, 3.0))
         assert power_shape(0.5).apply(0.25) == 0.5
 
     def test_memoized_shapes_keep_the_argument_types(self):
@@ -98,7 +96,7 @@ class TestShapeFunction:
             sq.apply_inverse(-0.5)
 
     def test_missing_inverse(self):
-        s = shape("half", "0.5*x", non_decreasing=True)
+        s = shape("half", "0.5*x")
         with pytest.raises(HypothesisError, match="no inverse declared"):
             s.apply_inverse(0.25)
 
@@ -106,7 +104,7 @@ class TestShapeFunction:
         assert power_shape(3).validate_inverse()
 
     def test_validate_inverse_catches_mismatch(self):
-        bad = shape("bad", "x^2", inverse="x", non_decreasing=True)
+        bad = shape("bad", "x^2", inverse="x")
         assert not bad.validate_inverse()
 
     def test_array_apply(self):
@@ -299,7 +297,7 @@ def test_outer_arguments_past_the_outer_y_bar_are_a_hypothesis_failure():
         verdict = check(cfg, 0.1)
         assert (verdict.status, verdict.detail) == ("hypothesis-failed", refusal)
     # psi3 is checked as psi2 is, and tops within the outer y_bar are accepted
-    low = shape("half", "x/2", inverse="2*x", non_decreasing=True, increasing=True)
+    low = shape("half", "x/2", inverse="2*x")
     with pytest.raises(HypothesisError, match=re.escape("psi3(phi3(y_bar) circ3 sup(cd)) = 1.0")):
         replace(cfg, psi2=low).validate()
     replace(cfg, psi2=low, psi3=low).validate()
@@ -869,7 +867,7 @@ class TestQCorollary:
         assert "fuzzy_conjunction" in verdict.detail
 
     def test_requires_inverse(self):
-        no_inv = shape("half", "0.5*x", non_decreasing=True)
+        no_inv = shape("half", "0.5*x")
         verdict = q_corollary_condition(godel_op(), (no_inv, no_inv, no_inv),
                                         prod_op())
         assert verdict.status == "hypothesis-failed"
@@ -877,7 +875,7 @@ class TestQCorollary:
 
     def test_requires_zero_at_origin(self):
         aff = shape("aff", "0.5*x + 0.5", inverse="2*(x - 0.5)",
-                    inverse_domain=(0.5, 1.0), non_decreasing=True)
+                    inverse_domain=(0.5, 1.0))
         verdict = q_corollary_condition(godel_op(), (aff, aff, aff), prod_op())
         assert verdict.status == "hypothesis-failed"
         assert "expected 0" in verdict.detail

@@ -608,7 +608,7 @@ _EXIT_TWO = {
     "shape-string-flag": ("godel-q-corollary", "check-condition",
                           lambda d: d.update(phi={"expr": "x", "inverse": "x",
                                                   "flags": {"increasing": "yes"}}),
-                          "phi.flags.increasing must be true or false, got 'yes'"),
+                          "phi.flags.increasing: unknown flag"),
     # found by the scenario fuzz: a list builtin name or shape variable ended
     # in "TypeError: unhashable type", and a label holding a newline gave a
     # two-line error
@@ -637,6 +637,57 @@ _EXIT_TWO = {
                                                        d["integrals"][0].pop(key)),
                                    f"integrals[0].{key} is missing")
        for key in ("space", "measure", "f")},
+    # refusals of the measure, function, survival and expression builders
+    "unknown-measure-type": ("minitive-dependence", "check-dependence",
+                             lambda d: d["measure"].update(type="bogus"),
+                             "unknown measure type 'bogus'"),
+    "huge-atom-value": ("minitive-dependence", "check-dependence",
+                        lambda d: d["f"].update(x1=10 ** 400), "f.x1 is too large"),
+    "survival-zero-y-bar": ("minitive-sugeno-values", "integrate",
+                            lambda d: d["integrals"][0]["survival"].update(y_bar=0),
+                            "y_bar must be positive"),
+    "survival-no-segments": ("minitive-sugeno-values", "integrate",
+                             lambda d: d["integrals"][0]["survival"].update(segments=[]),
+                             "survival scenario needs at least one segment"),
+    "survival-segments-end-early": ("minitive-sugeno-values", "integrate",
+                                    lambda d: d["integrals"][0]["survival"].update(
+                                        segments=[["[0, 0.5]", "1 - t"]]),
+                                    "segments must end at ..., 1.0]"),
+    "survival-negative-segment": ("minitive-sugeno-values", "integrate",
+                                  lambda d: d["integrals"][0]["survival"].update(
+                                      segments=[["[0, 1]", "0.5 - t"]]),
+                                  "survival segment on [0,1]: negative final value"),
+    "survival-upward-jump": ("minitive-sugeno-values", "integrate",
+                             lambda d: d["integrals"][0]["survival"].update(
+                                 segments=[["[0, 0.5]", "0.25"], ["(0.5, 1]", "1 - t"]]),
+                             "survival function jumps upward at segment boundary t=0.5"),
+    "parse-error-on-line-two": ("minitive-dependence", "check-dependence",
+                                lambda d: d.update(triangle={"expr": "a*b +\n  *b"}),
+                                "unexpected token '*' (line 2, column 3)"),
+    "empty-segment-interval": ("minitive-sugeno-values", "integrate",
+                               lambda d: d["integrals"][0]["survival"].update(
+                                   segments=[["[1, 0]", "1 - t"]]),
+                               "integrals[0].survival.segments[0]: empty interval: 1.0 > 0.0"),
+    "overlapping-pieces": ("w-chebyshev-unit-interval", "check-condition",
+                           lambda d: d["config"].update(phi={
+                               "expr": "piecewise{[0, 0.6]: x; [0.5, 1]: x}", "inverse": "x"}),
+                           "overlapping piecewise intervals [0,0.6] and [0.5,1]"),
+    "possibility-above-one": ("minitive-dependence", "check-dependence",
+                              lambda d: d["measure"]["possibility"].update(x2=1.5),
+                              "possibility values must lie in [0,1]"),
+    "two-variable-distortion": ("distorted-probability-dependence", "check-dependence",
+                                lambda d: d["measure"].update(distortion="x*y"),
+                                "expected an expression in exactly one variable"),
+    "function-bound-above-k": ("minitive-dependence", "check-dependence",
+                               lambda d: d.update(triangle="min",
+                                                  f={"values": d["f"], "bound": 2.0}),
+                               "f and g must be bounded by k"),
+    # the plain inequality reports a shape's refusal as a failed hypothesis
+    "inequality-phi-domain-ends-early": ("equality-power-shapes", "check-inequality",
+                                         lambda d: d["config"].update(
+                                             phi={"expr": "x", "inverse": "x",
+                                                  "domain": [0, 0.5]}),
+                                         "the value x(0.6) is not defined (domain [0.0, 0.5])"),
     # phi = 2*x puts phi(y_bar) and the integrands past min's y_bar: the
     # pipeline raised a FusionError (exit 2 without a report)
     "theorem-forward-phi-past-circ": ("counterexample-daraby-ghadimi", "check-inequality",

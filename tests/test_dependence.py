@@ -9,11 +9,11 @@ from chebint.dependence import (DependenceQuery, RangeEscapeError, _range_escape
                                 condition_Z1, is_comonotone,
                                 is_m_positively_dependent,
                                 measure_supports_all_pairs, triangle_range_escapes)
-from chebint.fusion import (FusionError, builtin, eval_op, expr_op, godel_op, lukasiewicz_op,
-                            min_op, prod_op)
+from chebint.fusion import (FusionError, builtin, eval_op, expr_op, godel_contra_op, godel_op,
+                            lukasiewicz_op, min_op, prod_op)
 from chebint.integral import SimpleFunction, simple_function
-from chebint.measure import (distorted_probability, from_table, necessity_from_possibility,
-                             space)
+from chebint.measure import (MonotoneMeasure, distorted_probability, from_table,
+                             necessity_from_possibility, space)
 from chebint.randgen import random_comonotone_pair, random_monotone_measure
 from chebint.scan import EQ_TOL, TOL, Verdict
 
@@ -230,7 +230,7 @@ def test_level_walk_matches_the_per_level_loops(q):
 
 
 # ---------------------------------------------------------------------------
-# The range-escape check of the builtin min
+# The range-escape check of the builtin min and the godel kinds
 # ---------------------------------------------------------------------------
 
 
@@ -274,15 +274,36 @@ def test_min_skips_the_evaluation_the_other_triangles_take(m, y_bar):
 def test_min_range_escapes_hold_no_table_of_range_pairs():
     # a 12-atom distorted measure has 4,096 distinct values: the evaluated
     # form held several 4096^2 arrays, about 822 MB traced; the builtin min
-    # holds a few arrays of the range
+    # and the godel kinds hold a few arrays of the range
     sp = space(*(f"x{i}" for i in range(12)))
     w = np.random.default_rng(0).uniform(0.9, 1.1, 12)
     m = distorted_probability(sp, (w / w.sum()).tolist(), "x^2")
     assert len(m.value_range()) == 4096
-    tracemalloc.start()
-    try:
-        assert triangle_range_escapes(m, min_op()) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 4096 * 8
+    for tri in (min_op(), godel_op(), godel_contra_op()):
+        tracemalloc.start()
+        try:
+            assert triangle_range_escapes(m, tri) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 4096 * 8, tri.name
+
+
+# expressions with the godel kinds' values, a > 1 - b read as a + b - 1 > 0
+_GODEL_EXPRS = {"godel": "b*ind(0, inf)(a + b - 1)", "godel_contra": "a*ind(0, inf)(a + b - 1)"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=small_measures(), kind=st.sampled_from(sorted(_GODEL_EXPRS)))
+def test_godel_kinds_skip_the_evaluation_on_a_range_that_holds_0(m, kind):
+    # the evaluated form finds no escape either
+    assert triangle_range_escapes(m, builtin(kind)) is None
+    assert triangle_range_escapes(m, expr_op(kind, _GODEL_EXPRS[kind])) is None
+
+
+@pytest.mark.parametrize("tri", [godel_op(), godel_contra_op()], ids=lambda t: t.name)
+def test_godel_kinds_evaluate_a_range_without_0(tri):
+    # a table built directly need not hold m(empty) = 0; a godel value of 0
+    # then leaves the range, and the evaluated check still reports it
+    m = MonotoneMeasure(_SP2, (0.3, 0.5, 0.6, 1.0))
+    assert triangle_range_escapes(m, tri) == (0.3, 0.3, 0.0)

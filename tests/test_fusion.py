@@ -110,6 +110,12 @@ class TestDomination:
         assert lhs < rhs
         assert (verdict.lhs, verdict.rhs) == (lhs, rhs)
 
+    @pytest.mark.parametrize("outer, inner", [(min_op(y_bar=2.0), min_op()),
+                                              (min_op(), prod_op(y_bar=0.5))])
+    def test_operations_off_the_unit_square_are_refused(self, outer, inner):
+        with pytest.raises(FusionError, match=r"requires both operations on \[0,1\]$"):
+            dominates(outer, inner, grid_step=0.5)
+
 
 class TestLeqMin:
     def test_prod_below_min(self):

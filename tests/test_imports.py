@@ -3,9 +3,13 @@ private module-level name of the package is read by some module."""
 
 import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from chebint.chebyshev import ShapeFunction
+from chebint.scenarios import _OP_FLAGS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chebint"
 # __init__.py imports names only to re-export them
@@ -80,3 +84,13 @@ def test_the_readme_layout_table_names_every_module():
     table = section.split("\n\n", 2)[1]  # the blank-line-separated block after the heading
     named = re.findall(r"^\| `chebint\.(\w+)` \|", table, re.MULTILINE)
     assert sorted(named) == sorted(p.stem for p in MODULES)
+
+
+def test_the_readme_op_names_list_the_scenario_flags():
+    # an operation's flags are the bool fields of FusionOp; a shape has none
+    text = README.read_text(encoding="utf-8")
+    bullet = text.split("- **op names**", 1)[1].split("\n- **", 1)[0]
+    listed = re.findall(r"`(\w+)`", re.search(r"flags are among (.*?),\s+each", bullet, re.S)[1])
+    assert listed == _OP_FLAGS
+    assert "A shape takes no flags" in bullet
+    assert not [f.name for f in fields(ShapeFunction) if type(f.default) is bool]

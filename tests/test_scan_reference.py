@@ -209,8 +209,7 @@ BUILTINS = st.sampled_from(fusion.BUILTIN_KINDS).map(fusion.builtin)
 SAFE_OPS = st.one_of(BUILTINS, _expr_ops(_EXPRS))
 OPS = st.one_of(SAFE_OPS, SAFE_OPS, _expr_ops(_RISKY))
 # shapes with inverses; "x^2" on [0, 0.8] raises ShapeDomainError above 0.8
-_NARROW = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
-                     non_decreasing=True, increasing=True)
+_NARROW = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8))
 SAFE_SHAPES = st.one_of(st.just(cheb.identity_shape()),
                         st.sampled_from([0.5, 2.0, 3.0]).map(cheb.power_shape))
 SHAPES = st.one_of(SAFE_SHAPES, SAFE_SHAPES, st.just(_NARROW))
@@ -585,6 +584,9 @@ def symmetric_configs(draw):
 
 
 _PW = fusion.expr_op("pw", _CROSS_ROW, **_FLAGS)
+# x, bent to 0.02*sqrt(x) below 0.02^2: with conj a*b, star prod and identity
+# phi2 = phi3, q fails only where b*c < 0.02^2, off the slice b = 1
+_BENT = cheb.shape("bent", "max(x, 0.02*sqrt(x))", inverse="min(x, 2500*x^2)")
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,13 +607,23 @@ def test_halved_c2_matches_the_row_by_row_scans(cfg, h, rejected):
 @settings(max_examples=40, deadline=None)
 @given(conj=st.one_of(BUILTINS, OPS), star=COMMUTING, phis=st.tuples(SHAPES, SHAPES),
        h=BLOCK_STEPS, rejected=REJECTED)
-@example(conj=_PW, star=_PR, phis=(_NARROW, cheb.identity_shape()), h=0.02, rejected=0.1)
+@example(conj=_PW, star=_PR, phis=(_BENT, cheb.identity_shape()), h=0.02, rejected=0.1)
 def test_halved_q_matches_the_row_by_row_scans(conj, star, phis, h, rejected):
     phis = (phis[0], phis[1], phis[1])
     with rejecting_below("q_condition_at", rejected):
         got = outcome(cheb.q_corollary_condition, conj, phis, star, h)
         assert got == outcome(reference_q, conj, phis, star, h)
         assert repr(got) == repr(one_row_at_a_time(cheb.q_corollary_condition, conj, phis, star, h))
+
+
+def test_the_halved_q_example_reaches_the_halved_layout():
+    # the b = 1 slice holds; the halved scan hands over the pairs c >= b of
+    # rows 0 to 0.22, and the re-check rejects the witnesses of a <= 0.1
+    phis = (_BENT,) + (cheb.identity_shape(),) * 2
+    with rejecting_below("q_condition_at", 0.1):
+        got, totals = points_handed(cheb.q_corollary_condition, _PW, phis, _PR, 0.02)
+    assert got[1].witness == (0.12, 0.02, 0.02)
+    assert totals == [51 ** 2, 12 * 1326]
 
 
 def test_a_witness_stands_once_the_rest_of_its_row_raises_nowhere():
@@ -622,8 +634,8 @@ def test_a_witness_stands_once_the_rest_of_its_row_raises_nowhere():
     # evaluates the pair (0.9, 1.0), both end in the row's error.  At h = 0.1
     # the grid fits in a block and only the full scan runs; at h = 0.01 the
     # halved scan hands the error to the full scan
-    gate = cheb.shape("gate", "x*ind[0.9, 1](x)", non_decreasing=True)
-    notch = cheb.shape("notch", "x - ind(0.895, 0.9](x)", non_decreasing=True)
+    gate = cheb.shape("gate", "x*ind[0.9, 1](x)")
+    notch = cheb.shape("notch", "x - ind(0.895, 0.9](x)")
     zero = fusion.expr_op("zero", "0*a", **_FLAGS)
     ident = cheb.identity_shape()
     cfg = cheb.config(_PR, _PR, (zero, _MN, _MN), _MN, (notch, ident, ident),
@@ -696,8 +708,7 @@ def test_reference_covers_every_outcome():
     ident = cheb.identity_shape()
     ids = (ident,) * 3
     diff = fusion.expr_op("a - b", "a - b", **_FLAGS)
-    narrow = cheb.shape("id-0.8", "x", inverse="x", domain=(0.0, 0.8),
-                        non_decreasing=True, increasing=True)
+    narrow = cheb.shape("id-0.8", "x", inverse="x", domain=(0.0, 0.8))
     unit = cheb.cd_interval(0.0, 1.0)
     cases = [
         cheb.config(mn, mn, (mn, mn, mn), mn, ids, ids, cd_domain=unit),  # holds
@@ -825,8 +836,8 @@ def test_an_expression_outer_is_not_pruned():
 
 
 def test_a_psi_decreasing_along_c_is_not_pruned():
-    # psi2 = psi3 = 1 - x, declared non-decreasing: the right side is largest at (t, t)
-    falling = cheb.shape("1-x", "1 - x", domain=(0.0, 1.0), non_decreasing=True)
+    # psi2 = psi3 = 1 - x: the right side is largest at (t, t)
+    falling = cheb.shape("1-x", "1 - x", domain=(0.0, 1.0))
     ident = cheb.identity_shape()
     cfg = cheb.config(_MN, _MN, (_SECOND,) * 3, _MN, _IDS, (ident, falling, falling),
                       cd_domain=_UNIT)
@@ -863,8 +874,7 @@ def test_pruned_row_errors_name_the_reference_first_bad_value():
     distinct values, at 0.9 in (b, c, d) order.  phi1 is evaluated in the
     row function, the same in both layouts, so its errors cannot tell the
     orders apart."""
-    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
-                        non_decreasing=True, increasing=True)
+    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8))
     ident = cheb.identity_shape()
     circ1 = fusion.expr_op("sum", "min(1, a + b)", **_FLAGS)
     triangle = fusion.expr_op("skew", "min(a, 1 - b)", **_FLAGS)  # min-like level sets
@@ -1093,8 +1103,7 @@ def test_a_block_without_a_witness_gives_the_row_by_row_error():
     # psi1 = x^2 on [0, 0.8] raises first at 0.816 in the block's (row,
     # value, b) order and at 0.9 in a row's (b, c, d) order; the block is
     # re-run one row at a time, up to row 0.5, the first that raises
-    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8),
-                        non_decreasing=True, increasing=True)
+    narrow = cheb.shape("sq-0.8", "x^2", inverse="x^0.5", domain=(0.0, 0.8))
     circ1 = fusion.expr_op("sum", "min(1, a + b)", **_FLAGS)
     triangle = fusion.expr_op("skew", "min(a, 1 - b)", **_FLAGS)  # min-like level sets
     cfg = cheb.config(_PR, _MN, (circ1, _MN, _MN), triangle,
