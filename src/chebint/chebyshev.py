@@ -23,8 +23,8 @@ from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, exactl
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
-from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
-                   first_flagged, mirror_pairs, scan, scan_separable)
+from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, _Unmirrored, axis, check_row,
+                   check_step, first_flagged, mirror_pairs, scan, scan_separable)
 
 
 class HypothesisError(Exception):
@@ -306,7 +306,8 @@ def _check_c1(cfg, grid_step, tables):
             ab, cd, lambda a: cfg.phi1.apply(apply_op(cfg.inner, a, ab)),
             tri_cd, psi2_ac, psi3_bd,
             lambda x, t: cfg.psi1.apply(apply_op(cfg.circ1, x, t)), partial(apply_op, cfg.outer),
-            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer))
+            partial(scalar_condition_at, cfg), evidence, monotone_box(cfg.outer),
+            mirrored=_c2_mirrored(cfg) and exactly_commutative(cfg.triangle))
     except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -381,10 +382,6 @@ def _check_c2(cfg, grid_step, tables):
                     partial(c2_condition_at, cfg), evidence)
     except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
-
-
-class _Unmirrored(Exception):
-    """A halved c2 scan rejected a re-check, which only the full scan decides."""
 
 
 def _c2_mirrored(cfg):

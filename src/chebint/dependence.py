@@ -70,12 +70,16 @@ def triangle_range_escapes(m: MonotoneMeasure, tri: FusionOp):
     is c or d, clamped as its arguments are, so within TOL of a range value.
     Nor do the godel kinds, whose value is a clamped argument or 0, when
     range(m) holds a value within TOL of 0 (m(empty) = 0 in a ``from_table``
-    measure; a directly built table may lack it).
+    measure; a directly built table may lack it).  A range of more than
+    2^MAX_SCAN_ATOMS values is refused with a MeasureError.
     """
     rng = m.value_range()
     clipped = clip_args(tri, rng)
     if tri.kind == "min" or tri.kind in ("godel", "godel_contra") and rng[0] <= TOL:
         return None
+    if len(rng) > 1 << MAX_SCAN_ATOMS:  # the arrays below hold |range(m)|^2 values
+        raise MeasureError(f"range escape check refused for n = {m.space.n} atoms: range(m) "
+                           f"holds {len(rng)} values, more than {1 << MAX_SCAN_ATOMS}")
     try:
         with np.errstate(all="ignore"):
             out = apply_op(tri, clipped[:, None], clipped[None, :])

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .exprlang import Expr, _evaluate, parse
+from .exprlang import Expr, _evaluate, parse, pointwise
 from .extreal import INF, INF_CAP, as_value, xmul
 from .scan import (EQ_TOL, TOL, Verdict, axis, check_row, check_step, first_flagged,
                    scan_separable)
@@ -314,7 +314,9 @@ def dominates(outer: FusionOp, inner: FusionOp, grid_step=0.01) -> Verdict:
 
     return scan_separable(xs, xs, lambda a: apply_op(inner, a, xs), inner_cd, outer_cd, outer_cd,
                           partial(apply_op, outer), partial(apply_op, inner), at,
-                          f"grid({grid_step})", monotone_box(inner), monotone_box(outer))
+                          f"grid({grid_step})", monotone_box(inner), monotone_box(outer),
+                          mirrored=exactly_commutative(inner)
+                          and (outer.expr is None or pointwise(outer.expr)))
 
 
 def leq_min(op: FusionOp, grid_step=0.01) -> Verdict:

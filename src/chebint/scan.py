@@ -32,6 +32,13 @@ operations on both sides of the mirror), and its full grid holds more than
 ``_BLOCK`` points, which the full scan would cover in a block or two
 faster than the pairs are gathered; c2's symmetry crosses its rows,
 so it hands a rejected re-check, or any error, to the full scan.
+
+``scan_separable`` (c1, ``dominates``) halves its grid under the mirror
+(a, b, c, d) -> (b, a, d, c) without packing an axis: its caller's exact
+guard sets ``mirrored``, and each block of rows compares only the b from the
+block's first row on, in blocks packed by the narrower rows' width.  It
+gathers nothing, so small grids are halved too; a rejected re-check or any
+error hands the scan to the full one.  The cut c <= d at b = a is left out.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def scan(axes, sides, at, evidence) -> Verdict:
         return ((start + j, viol[j])  # lazily: a packed scan's rows are many short pairs
                 for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist())
 
-    for i, flags in _flagged_rows(0, len(first), lead, flagged):
+    for i, flags in _flagged_rows(0, len(first), lambda i: lead, flagged):
         if verdict := _confirm(flags, first[i], rest, at, evidence):
             return verdict
     return Verdict("holds-on-grid", evidence=evidence)
@@ -161,7 +168,7 @@ def scan(axes, sides, at, evidence) -> Verdict:
 
 def _flagged_rows(start, stop, lead, flagged):
     """The items ``flagged(i, n)`` lists for the rows i..i+n-1, over blocks of
-    ``lead`` consecutive rows from start to stop, in row order.
+    ``lead(i)`` consecutive rows from start to stop, in row order.
 
     When a block raises, its rows are re-run one at a time, lazily, as in a
     row-by-row scan: the caller takes an earlier row's items before a later
@@ -170,8 +177,9 @@ def _flagged_rows(start, stop, lead, flagged):
     item before the next block or row is run, so items may be views of
     buffers that the next run overwrites.
     """
-    for i in range(start, stop, lead):
-        n = min(lead, stop - i)
+    i = start
+    while i < stop:
+        n = min(lead(i), stop - i)
         try:
             items = flagged(i, n)
         except Exception:
@@ -179,6 +187,11 @@ def _flagged_rows(start, stop, lead, flagged):
                 raise
             items = (item for j in range(i, i + n) for item in flagged(j, 1))
         yield from items
+        i += n
+
+
+class _Unmirrored(Exception):
+    """A halved scan rejected a re-check, which only the full scan decides."""
 
 
 def _confirm(viol, value, rest, at, evidence):
@@ -196,7 +209,7 @@ def _confirm(viol, value, rest, at, evidence):
 
 
 def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
-                   left_box=None) -> Verdict:
+                   left_box=None, mirrored=False) -> Verdict:
     """Scan ab x ab x cd x cd for a point (a, b, c, d) where
     ``left(u(a)[b], v[c, d]) < right(p[a, c], q[b, d])``.
 
@@ -239,8 +252,27 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     b, c or d step down inside the sets.  So every row before the first
     whose minimal points flag holds (``_level_set_minima``), and the rows
     run as above from that one.
+
+    ``mirrored`` is the caller's exact guard that the condition is the same,
+    errors included, at (a, b, c, d) and at its mirror (b, a, d, c):
+    u(a)[b] = u(b)[a], v and ``right`` are symmetric and p = q, bit for bit,
+    and each error of ``left`` and ``u`` comes from one point alone (no
+    piecewise).  c1 sets it when ``_c2_mirrored`` holds and its triangle
+    commutes exactly, ``dominates`` when its inner operation commutes exactly
+    and its outer one is a builtin or an expression without a piecewise.
+    The first flagged point x then has b >= a, since its mirror flags too
+    and x comes first, and every row before x's flags nowhere in the full
+    grid either.  So each block of rows compares only the b from the
+    block's first row on (a row run alone takes b >= a), and the maxima
+    pass packs these narrower rows up to ``_BLOCK // 2`` points by their
+    actual width; a whole row views its buffers at its width.  The cut to
+    c <= d at b = a is left out: it would split the diagonal's (c, d) slab
+    for about 1/len(ab) of the points.  A rejected re-check or any error
+    ends the halved scan, and the full scan from row ``first`` decides,
+    with its own verdict or exception: its next flagged row may hold
+    points below the diagonal.
     """
-    rest, row = (ab, cd, cd), (len(cd), len(cd), len(ab))
+    row = (len(cd), len(cd), len(ab))
     check_row(*row)
     v_values, v_index = distinct(v)
     q_db = np.ascontiguousarray(q.T)
@@ -248,63 +280,84 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     if (maxima := _level_set_maxima(v, p, q, box)) is not None:
         kc, kd = maxima
         levels, kept_keys, kept_q = v_index[kc, kd], keys[:, kc, None], q_db[kd]
-    viol = np.empty(row, dtype=bool)
-    flagged = viol.transpose(2, 0, 1)  # a (b, c, d) view of each row's flags
-    lead = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1)
-    shifted, gathered = np.empty((lead,) + row[1:]), np.empty((lead,) + row[1:])
+    # the whole rows' flat buffers, viewed at each row's width (``_view``)
+    size = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1) * row[1] * row[2]
+    viol, shifted, gathered = np.empty(math.prod(row), dtype=bool), np.empty(size), np.empty(size)
+    half = mirrored
 
-    def sides(i, n, row_keys, q_side):  # lhs over (row, value, b)
+    def first_b(i):  # the first b of the rows of a block that starts at row i
+        return i if half else 0
+
+    def checked(*point):  # a halved scan's rejected re-check ends it
+        wl, wr = at(*point)
+        if half and not wl < wr - TOL:
+            raise _Unmirrored
+        return wl, wr
+
+    def sides(i, n, row_keys, q_side):  # lhs over (row, value, b >= first_b(i))
         try:
-            lhs = _fit(left(u(ab[i:i + n, None])[..., None, :], v_values[:, None]),
-                       (n, len(v_values), len(ab)))
-            return lhs, right(row_keys, q_side)
+            lhs = left(u(ab[i:i + n, None])[..., None, first_b(i):], v_values[:, None])
+            return _fit(lhs, (n, len(v_values), len(ab) - first_b(i))), right(row_keys, q_side)
         except Exception:
             if n == 1:  # re-run over (b, c, d), so that any error is the plain scan's
                 left(u(ab[i:i + 1, None])[0][:, None, None], v[None, :, :])
                 right(p[i][None, :, None], q[:, None, :])
             raise
 
-    def pruned(i, n):  # (row, its lhs, its maximal points' flags) of the rows that flag
+    def pruned(i, n):  # (row, lhs, maximal points' flags, first b) of the rows that flag
         if maxima is None:
-            return [(i, None, None)]
-        lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q)
+            return [(i, None, None, first_b(i))]
+        lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q[:, first_b(i):])
         rhs = np.subtract(rhs, TOL)  # frees right's
         kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
-        return [(i + j, lhs[j], kept[j])
+        return [(i + j, lhs[j], kept[j], first_b(i))
                 for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
 
-    def slab(i, lhs, kept):  # the row's witness from its (c, d) slab at its first flagged b
-        b = int(np.argmax(kept.any(axis=0)))
-        flags = np.less(np.take(lhs[:, b], v_index, mode="clip"),
-                        np.subtract(right(keys[i, :, None], q[b, None, :]), TOL))
-        return _confirm(flags[None], ab[i], (ab[b:b + 1], cd, cd), at, evidence)
+    def slab(i, lhs, kept, b0):  # the row's witness from its (c, d) slab at its first flagged b
+        j = int(np.argmax(kept.any(axis=0)))
+        flags = np.less(np.take(lhs[:, j], v_index, mode="clip"),
+                        np.subtract(right(keys[i, :, None], q[b0 + j, None, :]), TOL))
+        return _confirm(flags[None], ab[i], (ab[b0 + j:b0 + j + 1], cd, cd), checked, evidence)
 
-    def whole(i):  # the row's witness over every point, or None
+    def whole(i, b0):  # the row's witness over every point from b0 on, or None
         values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
-        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, :])
-        lhs, rhs = lhs[0], _fit(rhs, (len(values),) + row[1:])
+        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, b0:])
+        plane = (row[1], len(ab) - b0)  # (d, b)
+        lhs, rhs = lhs[0], _fit(rhs, (len(values),) + plane)
+        lead = max(min(size // math.prod(plane), row[0]), 1)
+        flags = _view(viol, (row[0],) + plane)
         slots = index.tolist()
         for k in range(0, row[0], lead):
             n = min(lead, row[0] - k)
-            slabs = _gather(rhs, slots[k:k + n], shifted[:n])
-            slabs = np.subtract(slabs, TOL, out=shifted[:len(slabs)])  # a repeat stays one slab
-            np.less(np.take(lhs, v_index[k:k + n], axis=0, out=gathered[:n], mode="clip"),
-                    slabs, out=viol[k:k + n])
+            out = _view(shifted, (n,) + plane)
+            slabs = _gather(rhs, slots[k:k + n], out)
+            slabs = np.subtract(slabs, TOL, out=out[:len(slabs)])  # a repeat stays one slab
+            np.less(np.take(lhs, v_index[k:k + n], axis=0, out=_view(gathered, (n,) + plane),
+                            mode="clip"), slabs, out=flags[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
-        return _confirm(flagged, ab[i], rest, at, evidence) if viol.any() else None
+        return (_confirm(flags.transpose(2, 0, 1), ab[i], (ab[b0:], cd, cd), checked, evidence)
+                if flags.any() else None)
 
     # minimal points are compared when at most half the points and no more than
     # the maximal points' rows compare; an equal q shares p's level sets
     most = len(levels) * len(ab) ** 2 if maxima is not None else keys.size ** 2 // 2
     first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
                               left_box, most)
-    # the maximal points of as many rows as fit in half a block
-    block_rows = max(min(_BLOCK // 2 // max(len(levels) * len(ab), 1), len(ab) - first), 1) \
-        if maxima is not None else 1
-    for i, lhs, kept in _flagged_rows(first, len(ab), block_rows, pruned):
-        if verdict := (whole(i) if kept is None else slab(i, lhs, kept)):
-            return verdict
-    return Verdict("holds-on-grid", evidence=evidence)
+
+    def rows_at_once(i):  # the maximal points of as many rows as fit in half a block
+        return max(_BLOCK // 2 // max(len(levels) * (len(ab) - first_b(i)), 1), 1) \
+            if maxima is not None else 1
+
+    while True:
+        try:
+            for i, lhs, kept, b0 in _flagged_rows(first, len(ab), rows_at_once, pruned):
+                if verdict := (whole(i, b0) if kept is None else slab(i, lhs, kept, b0)):
+                    return verdict
+            return Verdict("holds-on-grid", evidence=evidence)
+        except Exception:
+            if not half:
+                raise
+            half = False  # the full scan decides
 
 
 def _level_set_maxima(v, p, q, box):
@@ -387,6 +440,11 @@ def _gather(data, slots, out):
     if slots.count(first) == len(slots):
         return data[first:first + 1]
     return np.take(data, slots, axis=0, out=out, mode="clip")
+
+
+def _view(buffer, shape):
+    """The leading points of a flat buffer, as an array of ``shape``."""
+    return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _fit(side, shape):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
 from importlib import resources
@@ -21,11 +22,12 @@ from . import fusion
 from .dependence import (DependenceQuery, is_m_positively_dependent)
 from .integral import (integrate_simple, integrate_survival, q_integral,
                        simple_function)
-from .measure import (FiniteSpace, MonotoneMeasure, distorted_probability,
+from .measure import (FiniteSpace, MeasureError, MonotoneMeasure, distorted_probability,
                       from_table, necessity_from_possibility,
                       survival_scenario)
-from .exprlang import ParseError, eval_expr, free_vars, parse, parse_interval
-from .scan import TOL
+from .exprlang import (Expr, ExprError, ParseError, eval_expr, free_vars, parse,
+                       parse_interval)
+from .scan import EQ_TOL, TOL
 
 REPORT_VERSION = 1
 
@@ -58,13 +60,24 @@ def build_measure(block, sp: FiniteSpace, path="measure") -> MonotoneMeasure:
                    for key, v in block["table"].items()}
         return from_table(sp, entries)
     if kind == "necessity":
-        return necessity_from_possibility(sp, _atom_numbers(block.get("possibility"), sp,
-                                                            f"{path}.possibility"))
+        pi = _atom_numbers(block.get("possibility"), sp, f"{path}.possibility")
+        with _refused(f"{path}.possibility"):
+            return necessity_from_possibility(sp, pi)
     if kind == "distorted":
         p = _atom_numbers(block.get("probability"), sp, f"{path}.probability")
-        return distorted_probability(sp, p, _expression(block.get("distortion"),
-                                                        f"{path}.distortion"))
-    raise ScenarioError(f"unknown measure type {kind!r}")
+        h = _parsed(block.get("distortion"), f"{path}.distortion")
+        with _refused(path):  # p, h or the measure they make
+            return distorted_probability(sp, p, h)
+    raise ScenarioError(f"{path}.type: unknown measure type {kind!r}")
+
+
+@contextmanager
+def _refused(path):
+    """Re-raise a refusal of the library as a ScenarioError that names ``path``."""
+    try:
+        yield
+    except (ExprError, MeasureError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _number(value, path) -> float:
@@ -89,6 +102,12 @@ def _expression(value, path) -> str:
     if not isinstance(value, str):
         raise ScenarioError(f"{path} must be an expression string, got {value!r}")
     return value
+
+
+def _parsed(value, path) -> Expr:
+    """An expression string, parsed; a parse error names its path."""
+    with _refused(path):
+        return parse(_expression(value, path))
 
 
 def _object(block, path) -> dict:
@@ -153,7 +172,7 @@ def build_op(block, path="op") -> fusion.FusionOp:
     if len(args) != 2 or not all(isinstance(a, str) for a in args) or args[0] == args[1]:
         raise ScenarioError(f"{path}.args must be two distinct strings, got {args!r}")
     return fusion.expr_op(block.get("name", "custom"),
-                          _expression(_key(block, "expr", path), f"{path}.expr"), y_bar=y_bar,
+                          _parsed(_key(block, "expr", path), f"{path}.expr"), y_bar=y_bar,
                           arg_names=tuple(args), **_flags(block, _OP_FLAGS, path))
 
 
@@ -162,8 +181,8 @@ def build_shape(block, path="shape") -> cheb.ShapeFunction:
     _flags(block, (), path)  # a shape takes no flags
     expr = _expression(_key(block, "expr", path), f"{path}.expr")
     inverse, inverse_domain = block.get("inverse"), block.get("inverse_domain")
-    return cheb.shape(block.get("name", expr), expr,
-                      inverse=None if inverse is None else _expression(inverse, f"{path}.inverse"),
+    return cheb.shape(block.get("name", expr), _parsed(expr, f"{path}.expr"),
+                      inverse=None if inverse is None else _parsed(inverse, f"{path}.inverse"),
                       var=_string(block.get("var", "x"), f"{path}.var"),
                       domain=_bounds(block.get("domain", [0.0, 1.0]), f"{path}.domain"),
                       inverse_domain=None if inverse_domain is None
@@ -246,7 +265,9 @@ def build_survival(block, path):
         if unbound := sorted(free_vars(expr) - {var}):
             raise ScenarioError(f"{path}.segments[{j}]: unbound variable {unbound[0]!r}")
         segments.append((interval, expr))
-    return survival_scenario(_number(block.get("y_bar", 1.0), f"{path}.y_bar"), segments, var=var)
+    y_bar = _number(block.get("y_bar", 1.0), f"{path}.y_bar")
+    with _refused(path):
+        return survival_scenario(y_bar, segments, var=var)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +341,8 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
     if "equality" in data:
         eq = _object(data["equality"], "equality")
         values = {name: r["value"] for name, r in results.items()}
-        lhs = eval_expr(parse(_expression(eq.get("lhs"), "equality.lhs")), values)
-        rhs = eval_expr(parse(_expression(eq.get("rhs"), "equality.rhs")), values)
+        lhs = eval_expr(_parsed(eq.get("lhs"), "equality.lhs"), values)
+        rhs = eval_expr(_parsed(eq.get("rhs"), "equality.rhs"), values)
         tol = _option(tolerance, eq, "tol", TOL)
         _check_real(tol, "scenario key 'equality.tol'", zero_ok=True)
         holds = abs(lhs - rhs) <= tol
@@ -336,6 +357,9 @@ def _run_dependence(data, grid_step, seed, budget, tolerance):
     k = _number(data.get("k", 1.0), "scenario key 'k'")
     f = build_function(_key(data, "f", "scenario"), sp, bound=k)
     g = build_function(_key(data, "g", "scenario"), sp, bound=k, path="g")
+    for path, fn in (("f", f), ("g", g)):
+        if fn.bound > k + EQ_TOL:  # as DependenceQuery refuses it
+            raise ScenarioError(f"{path}.bound: f and g must be bounded by k")
     A = build_mask(data.get("A", list(sp.labels)), sp, "A")
     B = build_mask(data.get("B", list(sp.labels)), sp, "B")
     tri = build_op(_key(data, "triangle", "scenario"), "triangle")

@@ -1,11 +1,13 @@
 """The grid-scan benchmark's recorded outcomes, replayed at its two cheaper
-steps and at its early exits.
+steps, at its early exits and on the mirror-symmetric separable scans.
 
 ``bench/grid_scan_expected.json`` records the status, witness, lhs and rhs of
 every grid-scan op.  The benchmark checks them at h = 0.05, 0.02 and 0.01;
-here each h = 0.05 and 0.02 op, and each h = 0.01 op that stops at its first
-witness (about a millisecond each), is run and checked with the benchmark's
-own ``check_recorded``.  The files under ``bench/`` are only read.
+here each h = 0.05 and 0.02 op, each h = 0.01 op that stops at its first
+witness (about a millisecond each), the h = 0.01 c1 and dominates scans
+that hold, and both budgeted searches (about 10 ms together) are run and
+checked with the benchmark's own ``check_recorded``.  The files under
+``bench/`` are only read.
 """
 
 import importlib.util
@@ -30,14 +32,17 @@ WORKLOADS = load_workloads()
 RECORDED = json.loads((BENCH / "grid_scan_expected.json").read_text())
 EARLY_EXITS = ("c1.lukasiewicz-circ", "c2.lukasiewicz-circ", "q.godel-prod",
                "dominates.lukasiewicz-min")
+# the ops whose c1 and dominates scans compare only the b >= a half of each row
+SEPARABLE = ("c1.all-min.h0.01", "dominates.min-prod.h0.01", "search.squares.budget8e6",
+             "search.lukasiewicz-circ.budget5e6")
 SPECS = [(label, run) for label, run in WORKLOADS.grid_scan_specs()
          if label.endswith((".h0.05", ".h0.02"))
-         or label in {f"{name}.h0.01" for name in EARLY_EXITS}]
+         or label in {f"{name}.h0.01" for name in EARLY_EXITS} | set(SEPARABLE)]
 
 
 def test_both_steps_of_every_scan_are_replayed():
     labels = [label for label, _ in SPECS]
-    assert len(labels) == 22 and set(labels) <= set(RECORDED)
+    assert len(labels) == 26 and set(labels) <= set(RECORDED)
 
 
 @pytest.mark.parametrize("label, run", SPECS, ids=[label for label, _ in SPECS])

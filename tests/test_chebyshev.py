@@ -308,7 +308,7 @@ def test_a_fusion_error_in_a_scan_is_a_hypothesis_failure(monkeypatch):
     # domain was not checked against the c/d domain, raised by either scan
     refusal = "argument 1.0 outside [0, 0.5] for operation 'min'"
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise fusion.FusionError(refusal)
 
     monkeypatch.setattr(chebyshev, "scan_separable", refuse)

@@ -640,12 +640,12 @@ _EXIT_TWO = {
     # refusals of the measure, function, survival and expression builders
     "unknown-measure-type": ("minitive-dependence", "check-dependence",
                              lambda d: d["measure"].update(type="bogus"),
-                             "unknown measure type 'bogus'"),
+                             "measure.type: unknown measure type 'bogus'"),
     "huge-atom-value": ("minitive-dependence", "check-dependence",
                         lambda d: d["f"].update(x1=10 ** 400), "f.x1 is too large"),
     "survival-zero-y-bar": ("minitive-sugeno-values", "integrate",
                             lambda d: d["integrals"][0]["survival"].update(y_bar=0),
-                            "y_bar must be positive"),
+                            "integrals[0].survival: y_bar must be positive"),
     "survival-no-segments": ("minitive-sugeno-values", "integrate",
                              lambda d: d["integrals"][0]["survival"].update(segments=[]),
                              "survival scenario needs at least one segment"),
@@ -663,7 +663,20 @@ _EXIT_TWO = {
                              "survival function jumps upward at segment boundary t=0.5"),
     "parse-error-on-line-two": ("minitive-dependence", "check-dependence",
                                 lambda d: d.update(triangle={"expr": "a*b +\n  *b"}),
-                                "unexpected token '*' (line 2, column 3)"),
+                                "triangle.expr: unexpected token '*' (line 2, column 3)"),
+    "circ-parse-error": ("w-chebyshev-unit-interval", "check-condition",
+                         lambda d: d["config"].update(circ=["min", {"expr": "a*/b"}, "min"]),
+                         "config.circ[1].expr: unexpected token '/' (line 1, column 3)"),
+    "shape-parse-error": ("w-chebyshev-unit-interval", "check-condition",
+                          lambda d: d["config"].update(phi={"expr": "x +", "inverse": "x"}),
+                          "config.phi.expr: unexpected token '' (line 1, column 4)"),
+    "shape-inverse-parse-error": ("w-chebyshev-unit-interval", "check-condition",
+                                  lambda d: d["config"].update(
+                                      psi=["x", "x", {"expr": "x", "inverse": "x)"}]),
+                                  "config.psi[2].inverse: unexpected trailing input ')'"),
+    "distortion-parse-error": ("distorted-probability-dependence", "check-dependence",
+                               lambda d: d["measure"].update(distortion="x^"),
+                               "measure.distortion: unexpected token '' (line 1, column 3)"),
     "empty-segment-interval": ("minitive-sugeno-values", "integrate",
                                lambda d: d["integrals"][0]["survival"].update(
                                    segments=[["[1, 0]", "1 - t"]]),
@@ -674,14 +687,14 @@ _EXIT_TWO = {
                            "overlapping piecewise intervals [0,0.6] and [0.5,1]"),
     "possibility-above-one": ("minitive-dependence", "check-dependence",
                               lambda d: d["measure"]["possibility"].update(x2=1.5),
-                              "possibility values must lie in [0,1]"),
+                              "measure.possibility: possibility values must lie in [0,1]"),
     "two-variable-distortion": ("distorted-probability-dependence", "check-dependence",
                                 lambda d: d["measure"].update(distortion="x*y"),
-                                "expected an expression in exactly one variable"),
+                                "measure: expected an expression in exactly one variable"),
     "function-bound-above-k": ("minitive-dependence", "check-dependence",
                                lambda d: d.update(triangle="min",
                                                   f={"values": d["f"], "bound": 2.0}),
-                               "f and g must be bounded by k"),
+                               "f.bound: f and g must be bounded by k"),
     # the plain inequality reports a shape's refusal as a failed hypothesis
     "inequality-phi-domain-ends-early": ("equality-power-shapes", "check-inequality",
                                          lambda d: d["config"].update(

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +17,12 @@ from chebint.dependence import (DependenceQuery, RangeEscapeError, _range_escape
 from chebint.fusion import (FusionError, builtin, eval_op, expr_op, godel_contra_op, godel_op,
                             lukasiewicz_op, min_op, prod_op)
 from chebint.integral import SimpleFunction, simple_function
-from chebint.measure import (MonotoneMeasure, distorted_probability, from_table,
+from chebint.measure import (MeasureError, MonotoneMeasure, distorted_probability, from_table,
                              necessity_from_possibility, space)
 from chebint.randgen import random_comonotone_pair, random_monotone_measure
 from chebint.scan import EQ_TOL, TOL, Verdict
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -307,3 +314,54 @@ def test_godel_kinds_evaluate_a_range_without_0(tri):
     # then leaves the range, and the evaluated check still reports it
     m = MonotoneMeasure(_SP2, (0.3, 0.5, 0.6, 1.0))
     assert triangle_range_escapes(m, tri) == (0.3, 0.3, 0.0)
+
+
+def _distorted(n):
+    """A distorted measure on n atoms whose 2^n values are all distinct."""
+    sp = space(*(f"x{i}" for i in range(n)))
+    p = [(1 << i) / ((1 << n) - 1) for i in range(n)]
+    return distorted_probability(sp, p, "x^2")
+
+
+def test_a_range_past_the_scan_cap_is_refused():
+    # 8,192 range values would take 8192^2 arrays; min and the godel kinds,
+    # which evaluate nothing, still decide
+    m = _distorted(13)
+    assert len(m.value_range()) == 1 << 13
+    for tri in (lukasiewicz_op(), prod_op(), expr_op("min", "min(a, b)")):
+        with pytest.raises(MeasureError, match=r"^range escape check refused for n = 13 atoms: "
+                                               r"range\(m\) holds 8192 values, more than 4096$"):
+            triangle_range_escapes(m, tri)
+    for tri in (min_op(), godel_op(), godel_contra_op()):
+        assert triangle_range_escapes(m, tri) is None
+
+
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from chebint.cli import main
+sys.exit(main(["check-dependence", sys.argv[1]]))
+"""
+
+
+def test_a_14_atom_escape_check_exits_two_under_a_memory_limit(tmp_path):
+    # a 14-atom distorted measure with the Lukasiewicz triangle and
+    # allow_range_escape used to allocate a 16384^2 array: a MemoryError
+    # traceback and exit 1 under this 1 GiB limit.  Run only under the limit
+    labels = [f"x{i}" for i in range(14)]
+    scenario = {"kind": "dependence", "name": "escape-14", "space": labels,
+                "measure": {"type": "distorted", "distortion": "x^2",
+                            "probability": {lab: (1 << i) / ((1 << 14) - 1)
+                                            for i, lab in enumerate(labels)}},
+                "f": {lab: (i % 3) / 2 for i, lab in enumerate(labels)},
+                "g": {lab: i % 2 for i, lab in enumerate(labels)},
+                "triangle": "lukasiewicz", "allow_range_escape": True}
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps(scenario))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _LIMITED_RUN, str(path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: range escape check refused for n = 14 atoms: range(m) holds "
+                           "16384 values, more than 4096\n")

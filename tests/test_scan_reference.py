@@ -561,12 +561,13 @@ COMMUTING = st.sampled_from(["min", "prod", "lukasiewicz"]).map(fusion.builtin)
 REJECTED = st.sampled_from([None, None, 0.0, 0.1, 0.3])
 
 
-def rejecting_below(name, t):
-    """A patch of ``cheb.<name>`` that rejects every point whose a is at most t."""
+def rejecting_below(name, t, arg=-3):
+    """A patch of ``cheb.<name>`` that rejects every point whose a, its
+    argument ``arg``, is at most t."""
     real = getattr(cheb, name)
 
     def at(*args):
-        a = args[-3]
+        a = args[arg]
         return (1.0, 0.0) if t is not None and a <= t + 1e-12 else real(*args)
 
     return mock.patch.object(cheb, name, at)
@@ -1141,11 +1142,12 @@ def test_a_c1_scan_over_four_values_holds_a_block_at_a_time():
 
 
 def reference_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
-                        left_box=None):
+                        left_box=None, mirrored=False):
     """The separable scan's row path before a flagged row was confirmed from
     one slab: while at most half of the (c, d) points are maximal, a row whose
     maximal points hold is skipped, and every other row is compared whole, in
-    (b, c, d) order, and its first flagged point re-checked."""
+    (b, c, d) order, and its first flagged point re-checked.  Every row
+    compares every b, mirrored or not."""
     maxima = scan_module._level_set_maxima(v, p, q, box)
     if maxima is not None and 2 * len(maxima[0]) > np.size(v):  # the half rule, for every row
         maxima = None
@@ -1192,8 +1194,10 @@ def test_slab_confirmed_rows_match_the_whole_row_path(cfg, outer, inner, h):
 
 def test_a_slab_whose_first_flagged_point_fails_the_recheck_hands_over_to_the_next_row():
     # the first flagged row, a = 0.1, flags first at b = 0.2, where its slab's
-    # first flagged point is (1.0, 0.9); ``at`` rejects it, and the scan goes
-    # on to the next flagged row's slab, as the whole-row path does
+    # first flagged point is (1.0, 0.9); ``at`` rejects it.  _W_CIRC is
+    # mirror-symmetric, so its halved scan hands the rejected point to the
+    # full scan, which goes on to the next flagged row's slab, below the
+    # diagonal, as the whole-row path does
     at, rechecked = cheb.scalar_condition_at, []
 
     def rejecting(cfg, a, b, c, d):
@@ -1205,9 +1209,11 @@ def test_a_slab_whose_first_flagged_point_fails_the_recheck_hands_over_to_the_ne
         seen = rechecked[:]
         assert got == whole_rows(cheb.check_scalar_condition, _W_CIRC, 0.1)
         assert got == outcome(reference_c1, _W_CIRC, 0.1)
-    assert got[1].witness == seen[1] and seen[0] == (0.1, 0.2, 1.0, 0.9) and len(seen) == 2
-    # the 21 maximal points of min's level sets over 11 b's: the 11 rows are one block
-    assert right_shapes == [(11, 21, 11), (11, 11), (11, 11)]
+    assert seen[:2] == [(0.1, 0.2, 1.0, 0.9)] * 2 and len(seen) == 3
+    assert got[1].witness == seen[2] == (0.2, 0.1, 0.9, 1.0)
+    # the 21 maximal points of min's level sets over 11 b's: the 11 rows are
+    # one block, whose first row is 0, in the halved scan and in the full one
+    assert right_shapes == [(11, 21, 11), (11, 11)] * 2 + [(11, 11)]
 
 
 def _scenario_config(name):
@@ -1217,22 +1223,159 @@ def _scenario_config(name):
 def test_a_flagged_row_evaluates_right_on_one_slab():
     # at h = 0.01 a unit-interval row has 201 maximal points of 101^2, too
     # many over 101 b's for half a block: rows 0 and 0.01 compare their
-    # maximal points alone, and the witness row, a = 0.01, then evaluates
-    # right on its one 101^2 slab, at b = 0.02
+    # maximal points alone, over b >= a in the mirror-symmetric config, and
+    # the witness row, a = 0.01, then evaluates right on its one 101^2 slab,
+    # at b = 0.02
     got, _, right_shapes = _recorded(cheb.check_scalar_condition,
                                      _scenario_config("w-chebyshev-unit-interval"), 0.01)
     assert got[1].witness == (0.01, 0.02, 1.0, 0.99)
-    assert right_shapes == [(1, 201, 101)] * 2 + [(101, 101)]
+    assert right_shapes == [(1, 201, 101), (1, 201, 100), (101, 101)]
 
 
 def test_a_mostly_maximal_row_that_fits_half_a_block_is_compared_in_blocks():
     # over {0, 1}, 3 of the 4 (c, d) points are maximal, and 3 x 101 points
-    # fit half a block 54 times: no row is compared whole
+    # fit half a block 54 times: no row is compared whole.  The config is
+    # mirror-symmetric, so the second block, from row 54, compares the 47
+    # values b >= 0.54 of its 47 rows
     got, shapes, right_shapes = _recorded(cheb.check_scalar_condition,
                                           _scenario_config("w-chebyshev-two-valued"), 0.01)
     assert got[1].holds and scan_module._BLOCK // 2 // (3 * 101) == 54
     assert shapes == [(54, 1), (47, 1)]
-    assert right_shapes == [(54, 3, 101), (47, 3, 101)]
+    assert right_shapes == [(54, 3, 101), (47, 3, 47)]
+
+
+# ---------------------------------------------------------------------------
+# Mirror-symmetric c1 and dominates: the halved separable scans
+# ---------------------------------------------------------------------------
+
+
+def separable_points(fn, *args):
+    """``outcome(fn, *args)`` and the points ``right`` evaluates in each of
+    its separable scans, one total per scan: a halved scan that hands over
+    to the full scan counts both."""
+    real, totals = scan_module.scan_separable, []
+
+    def counting(ab, cd, u, v, p, q, left, right, *rest, **kwargs):
+        totals.append(0)
+
+        def counted(x, t):
+            side = right(x, t)
+            totals[-1] += np.size(side)
+            return side
+        return real(ab, cd, u, v, p, q, left, counted, *rest, **kwargs)
+
+    with mock.patch.object(cheb, "scan_separable", counting), \
+            mock.patch.object(fusion, "scan_separable", counting):
+        return outcome(fn, *args), totals
+
+
+def halved_maxima_points(kept, n):
+    """The points of a halved maxima pass that flags nowhere: ``kept``
+    maximal (c, d) points over the b from each block's first row on, in
+    blocks of as many of the n rows as fit in half of ``_BLOCK``."""
+    total, i = 0, 0
+    while i < n:
+        rows = min(max(scan_module._BLOCK // 2 // (kept * (n - i)), 1), n - i)
+        total, i = total + rows * kept * (n - i), i + rows
+    return total
+
+
+@st.composite
+def mirrored_configs(draw):
+    """``builtin_configs`` tied to be symmetric under (a, b, c, d) -> (b, a,
+    d, c): inner, outer and the triangle commuting builtins, phi3 := phi2,
+    psi3 := psi2 and circ3 := circ2.  phi1 and psi1 may be the narrow shape."""
+    cfg = draw(builtin_configs())
+    return replace(cfg, inner=draw(COMMUTING), outer=draw(COMMUTING),
+                   triangle=draw(COMMUTING), phi3=cfg.phi2, psi3=cfg.psi2, circ3=cfg.circ2)
+
+
+_SQ = cheb.power_shape(2)
+# phi1 = x^2 on [0, 0.8] and phi2 = phi3 = x^2 on [0, 1]: the all-min
+# condition min(a^2, b^2, c, d) >= min(a^2, b^2, c, d) holds up to the row
+# a = 0.8 + h, where phi1 first fails
+_NARROW_PHI1 = replace(_ALL_MIN, phi1=_NARROW, phi2=_SQ, phi3=_SQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=mirrored_configs(), h=st.sampled_from([0.1, 0.05, 0.02]), rejected=REJECTED)
+@example(cfg=_ALL_MIN, h=0.02, rejected=None)  # holds
+@example(cfg=_W_CIRC, h=0.02, rejected=None)  # violated
+@example(cfg=_W_CIRC, h=0.05, rejected=0.1)  # the full scan's witness lies below the diagonal
+@example(cfg=_NARROW_PHI1, h=0.02, rejected=None)
+def test_halved_c1_matches_the_reference(cfg, h, rejected):
+    with rejecting_below("scalar_condition_at", rejected, arg=-4):
+        got = outcome(cheb.check_scalar_condition, cfg, h)
+        assert got == outcome(reference_c1, cfg, h)
+        assert got == whole_rows(cheb.check_scalar_condition, cfg, h)
+
+
+# a pointwise expression outer is halved, a piecewise one is not
+_AB = fusion.expr_op("ab", "a*b", **_FLAGS)
+_AB_PIECEWISE = fusion.expr_op("ab-pw", "piecewise a { [0, 1]: a*b }", **_FLAGS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(outer=st.one_of(BUILTINS, _expr_ops(_EXPRS + _RISKY)), inner=COMMUTING,
+       h=st.sampled_from([0.1, 0.05, 0.02]))
+@example(outer=_PR, inner=_PR, h=0.05)  # holds
+@example(outer=fusion.lukasiewicz_op(), inner=_MN, h=0.02)  # violated
+@example(outer=_AB, inner=_PR, h=0.05)
+def test_halved_dominates_matches_the_reference(outer, inner, h):
+    got = outcome(fusion.dominates, outer, inner, h)
+    assert got == outcome(reference_dominates, outer, inner, h)
+    assert got == whole_rows(fusion.dominates, outer, inner, h)
+
+
+def test_halved_separable_scans_hand_right_about_half_the_points():
+    # at h = 0.01 all-min rows compare 201 maximal (c, d) points each; the
+    # halved scan takes b >= a in blocks packed by their width, against
+    # 101^2 b's and rows in the twin, whose circ3 is an expression
+    twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
+    for h, n in [(0.01, 101), (0.02, 51)]:
+        got, totals = separable_points(cheb.check_scalar_condition, _ALL_MIN, h)
+        assert got[1].holds and totals == [halved_maxima_points(2 * n - 1, n)]
+        assert separable_points(cheb.check_scalar_condition, twin, h)[1] == [(2 * n - 1) * n * n]
+    assert halved_maxima_points(201, 101) == 1046607 < 1.02 * 201 * 5151
+    # dominates with a pointwise outer halves; its piecewise twin does not
+    got, totals = separable_points(fusion.dominates, _AB, _PR, 0.05)
+    assert got[1].holds and totals == [102108]
+    assert separable_points(fusion.dominates, _AB_PIECEWISE, _PR, 0.05)[1] == [177282]
+
+
+def test_a_rejected_halved_separable_recheck_hands_over_to_the_full_scan():
+    # _W_CIRC flags first at (0.05, 0.1, 1.0, 0.95); with that re-check
+    # rejected, the full scan's next flagged row holds its mirror, below the
+    # diagonal.  The halved scan hands over, and both scans' points count
+    at, rechecked = cheb.scalar_condition_at, []
+
+    def rejecting(cfg, a, b, c, d):
+        rechecked.append((a, b, c, d))
+        return (1.0, 0.0) if a == 0.05 else at(cfg, a, b, c, d)
+
+    twin = replace(_W_CIRC, circ3=_TWIN_CIRC3["lukasiewicz"])
+    with mock.patch.object(cheb, "scalar_condition_at", rejecting):
+        got, full = separable_points(cheb.check_scalar_condition, twin, 0.05)
+        assert rechecked == [(0.05, 0.1, 1.0, 0.9500000000000001),
+                             (0.1, 0.05, 0.9500000000000001, 1.0)]
+        del rechecked[:]
+        halved, totals = separable_points(cheb.check_scalar_condition, _W_CIRC, 0.05)
+        assert rechecked == [(0.05, 0.1, 1.0, 0.9500000000000001)] * 2 + [
+            (0.1, 0.05, 0.9500000000000001, 1.0)]
+        want = outcome(reference_c1, _W_CIRC, 0.05)
+    assert halved == got == want and got[1].witness == (0.1, 0.05, 0.9500000000000001, 1.0)
+    assert totals[0] > full[0]
+
+
+def test_a_halved_scans_shape_error_is_the_full_scans():
+    # phi1 fails first in row a = 0.82, at b = 0.82; the halved scan meets
+    # it and hands over, and the full scan's error names the same value
+    twin = replace(_NARROW_PHI1, circ3=_TWIN_CIRC3["min"])
+    got, full = separable_points(cheb.check_scalar_condition, twin, 0.02)
+    halved, totals = separable_points(cheb.check_scalar_condition, _NARROW_PHI1, 0.02)
+    assert halved == got == outcome(reference_c1, _NARROW_PHI1, 0.02)
+    assert got[1].detail == "the value sq-0.8(0.8200000000000001) is not defined (domain [0.0, 0.8])"
+    assert totals[0] > full[0]
 
 
 # ---------------------------------------------------------------------------
