@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -334,8 +335,12 @@ class _Parser:
                 self.error(f"overlapping piecewise intervals {a} and {b}")
 
 
+@lru_cache(maxsize=256)  # a raised ParseError is not cached
 def parse(source: str) -> Expr:
-    """Parse a source string into an AST; raises ParseError with location."""
+    """Parse a source string into an AST; raises ParseError with location.
+
+    Memoised by source text: the nodes are frozen and keep their compiled
+    evaluator, so a repeated source is neither parsed nor compiled again."""
     parser = _Parser(source)
     return parser.whole(parser.expr)
 

@@ -271,6 +271,57 @@ def _seg_eval(scenario, expr, ts):
     return np.maximum(np.broadcast_to(eval_expr(expr, {scenario.var: ts}), ts.shape), 0.0)
 
 
+_BISECT_STEPS = 200
+_BATCH_LEVELS = 5  # bisection levels evaluated per _seg_eval call
+
+
+def _seg_points(scenario, expr, ts):
+    """The floats of ``_seg_eval`` at each of ``ts``, from one call; if that
+    call raises, from one call per point in order, so any error is the one
+    the first failing point raises alone."""
+    try:
+        return _seg_eval(scenario, expr, ts).tolist()
+    except Exception:
+        return [float(_seg_eval(scenario, expr, [t])[0]) for t in ts]
+
+
+def _bisect(scenario, expr, a, b):
+    """The bracket [a, b] of the crossing of t and G that bisection reaches:
+    at most _BISECT_STEPS halvings, stopping once b - a <= _BISECT_TOL.
+
+    Each round evaluates the midpoints of the next _BATCH_LEVELS levels of the
+    bisection tree in one call, then walks them; a midpoint is 0.5 * (a + b)
+    of its parent bracket, as one step at a time computes it, so the walk
+    takes the same branches.  The batch holds points the walk never reaches,
+    so if it raises the round is redone one reached point at a time.
+    """
+    steps = 0
+    while steps < _BISECT_STEPS and b - a > _BISECT_TOL:
+        # heap order: the midpoint at i splits its bracket into those at 2i+1 and 2i+2
+        brackets, mids = [(a, b)], []
+        for lo, hi in brackets:  # grows while it is read, up to the last level
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            if len(brackets) < (1 << _BATCH_LEVELS) - 1:
+                brackets += ((lo, mid), (mid, hi))
+        try:
+            gs = _seg_eval(scenario, expr, mids).tolist()
+        except Exception:
+            gs = None
+        i = 0
+        for _ in range(_BATCH_LEVELS):
+            if steps == _BISECT_STEPS or b - a <= _BISECT_TOL:
+                break
+            mid = mids[i]
+            g_mid = float(_seg_eval(scenario, expr, [mid])[0]) if gs is None else gs[i]
+            if mid < g_mid:
+                a, i = mid, 2 * i + 2
+            else:
+                b, i = mid, 2 * i + 1
+            steps += 1
+    return a, b
+
+
 def _survival_min(scenario: SurvivalScenario) -> IntegralResult:
     best = 0.0
     cands = []
@@ -284,18 +335,8 @@ def _survival_min(scenario: SurvivalScenario) -> IntegralResult:
         elif hi <= g_hi:
             seg_best = (hi, g_hi, min(hi, g_hi))
         else:
-            a, b = lo, hi
-            for _ in range(200):
-                if b - a <= _BISECT_TOL:
-                    break
-                mid = 0.5 * (a + b)
-                g_mid = float(_seg_eval(scenario, expr, [mid])[0])
-                if mid < g_mid:
-                    a = mid
-                else:
-                    b = mid
-            g_a = float(_seg_eval(scenario, expr, [a])[0])
-            g_b = float(_seg_eval(scenario, expr, [b])[0])
+            a, b = _bisect(scenario, expr, lo, hi)
+            g_a, g_b = _seg_points(scenario, expr, [a, b])
             seg_best = max(((a, g_a, min(a, g_a)), (b, g_b, min(b, g_b))),
                            key=lambda c: c[2])
             cands.append(seg_best)

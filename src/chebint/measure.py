@@ -121,11 +121,11 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
         entries = [entries[m] for m in range(size)]
     try:
         table = list(map(float, entries))
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         for mask, v in enumerate(entries):
             try:
                 float(v)
-            except (TypeError, OverflowError):
+            except (TypeError, ValueError, OverflowError):
                 raise MeasureError(f"measure value m({sp.labels_of(mask)}) at mask {mask} "
                                    f"is not a number: {v!r}") from None
         raise

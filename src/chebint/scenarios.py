@@ -14,7 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 
 from . import chebyshev as cheb
@@ -536,15 +536,25 @@ def _bundle_dir():
     return resources.files("chebint") / "scenarios"
 
 
-def _bundled_blocks():
-    """Every scenario block of the bundled JSON files."""
+@cache
+def _registry():
+    """Name -> JSON text of every bundled scenario block, read once per process.
+
+    A name given by two blocks is an error, not a choice of one of them.
+    """
+    table = {}
     for entry in _bundle_dir().iterdir():
         if entry.name.endswith(".json"):
-            yield from _load_blocks(entry.read_text())
+            for block in _load_blocks(entry.read_text()):
+                name = block["name"]
+                if name in table:
+                    raise ScenarioError(f"bundled scenario {name!r} is defined twice")
+                table[name] = json.dumps(block)
+    return table
 
 
 def list_scenarios():
-    return sorted(block["name"] for block in _bundled_blocks())
+    return sorted(_registry())
 
 
 def _load_blocks(text):
@@ -555,10 +565,11 @@ def _load_blocks(text):
 
 
 def load_scenario(name):
-    for block in _bundled_blocks():
-        if block.get("name") == name:
-            return block
-    raise ScenarioError(f"unknown scenario {name!r}")
+    """The bundled scenario ``name``, as a fresh dict the caller may change."""
+    try:
+        return json.loads(_registry()[name])
+    except KeyError:
+        raise ScenarioError(f"unknown scenario {name!r}") from None
 
 
 def load_scenario_file(path):

@@ -32,6 +32,54 @@ class TestListScenarios:
         assert names == sorted(names)
 
 
+@pytest.fixture
+def fresh_registry():
+    """An empty registry before and after the test, so that neither it nor
+    any later test reads a table another bundle directory built."""
+    scenarios._registry.cache_clear()
+    yield
+    scenarios._registry.cache_clear()
+
+
+class TestRegistry:
+    def test_loads_are_equal_and_independent(self):
+        first = load_scenario("lebesgue-chebyshev-equality")
+        assert first == load_scenario("lebesgue-chebyshev-equality")
+        first["name"] = "changed"
+        first["integrals"][0]["survival"]["y_bar"] = -1
+        again = load_scenario("lebesgue-chebyshev-equality")
+        assert again["name"] == "lebesgue-chebyshev-equality"
+        assert again["integrals"][0]["survival"]["y_bar"] == 1.0
+        with pytest.raises(scenarios.ScenarioError, match="unknown scenario 'nope'"):
+            load_scenario("nope")
+
+    def test_the_table_holds_every_bundled_block(self):
+        blocks = [block for entry in scenarios._bundle_dir().iterdir()
+                  if entry.name.endswith(".json")
+                  for block in scenarios._load_blocks(entry.read_text())]
+        assert len(blocks) == 19
+        assert list_scenarios() == sorted(block["name"] for block in blocks)
+        for block in blocks:
+            assert load_scenario(block["name"]) == block
+
+    def test_the_bundle_directory_is_read_once(self, monkeypatch, fresh_registry):
+        reads = []
+        bundle_dir = scenarios._bundle_dir
+        monkeypatch.setattr(scenarios, "_bundle_dir", lambda: reads.append(1) or bundle_dir())
+        loaded = [load_scenario(name) for name in list_scenarios()]
+        assert len(loaded) == 19 and len(reads) == 1
+
+    def test_a_name_bundled_twice_is_an_error(self, monkeypatch, tmp_path, fresh_registry):
+        (tmp_path / "one.json").write_text(json.dumps([{"name": "a"}, {"name": "twice"}]))
+        (tmp_path / "two.json").write_text(json.dumps({"name": "twice"}))
+        (tmp_path / "notes.txt").write_text("not a scenario")
+        monkeypatch.setattr(scenarios, "_bundle_dir", lambda: tmp_path)
+        with pytest.raises(scenarios.ScenarioError, match="'twice' is defined twice"):
+            load_scenario("a")
+        with pytest.raises(scenarios.ScenarioError, match="'twice' is defined twice"):
+            list_scenarios()
+
+
 class TestRepro:
     def test_holding_scenario_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "minitive-sugeno-values")

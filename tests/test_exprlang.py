@@ -72,6 +72,20 @@ class TestParsingAndEvaluation:
             parse("1 + * 2")
         assert exc.value.col > 0
 
+    def test_parse_is_memoised_by_source(self):
+        source = "piecewise t { [0, 0.5]: 1 - t ; (0.5, 1]: 0.5 }"
+        assert parse(source) is parse(source)
+        assert parse("x + 1") is not parse("x + 2")
+
+    def test_a_parse_error_is_raised_again_not_cached(self):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as exc:
+                parse("1 + * 2")
+            errors.append(exc.value)
+        assert len({id(e) for e in errors}) == 3
+        assert {(str(e), e.line, e.col) for e in errors} == {(str(errors[0]), 1, 5)}
+
     def test_negative_result_rejected(self):
         with pytest.raises(EvalError):
             ev("0 - 1")

@@ -384,7 +384,7 @@ def test_float_power_gives_the_array_value(source, x, want):
 
 def test_compiled_once_and_kept_on_the_node():
     e = parse("x^2 + 1")
-    other = parse("x^2 + 1")
+    other = pickle.loads(pickle.dumps(e))  # an equal node, not the memoised one
     fn = compile_expr(e)
     assert compile_expr(e) is fn
     assert eval_expr(e, {"x": 2.0}) == 5.0 and compile_expr(e) is fn

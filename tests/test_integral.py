@@ -14,9 +14,12 @@ from chebint.integral import (IntegralError, SimpleFunction, integrate_simple,
                               integrate_survival, opposite_sugeno,
                               oracle_grid_integral, q_integral, seminormed,
                               shilkret, simple_function, sugeno)
-from chebint.measure import MonotoneMeasure, from_table, space, survival_scenario
+from chebint.exprlang import Interval, parse
+from chebint.measure import (MonotoneMeasure, SurvivalScenario, from_table, space,
+                             survival_scenario)
 from chebint.randgen import random_monotone_measure, random_simple_function
 from chebint.scan import EQ_TOL, axis
+from chebint.scenarios import load_scenario, run_scenario
 
 
 @pytest.fixture
@@ -188,6 +191,105 @@ class TestSurvival:
                                   sv, grid_step=1e-4).value
         assert exact == pytest.approx(1 / 3, abs=1e-8)
         assert grid == pytest.approx(exact, abs=1e-4)
+
+
+def bisect_reference(scenario, expr, a, b):
+    """The bisection of ``_survival_min`` in its earlier form: one
+    ``_seg_eval`` call per midpoint."""
+    for _ in range(200):
+        if b - a <= integral._BISECT_TOL:
+            break
+        mid = 0.5 * (a + b)
+        g_mid = float(integral._seg_eval(scenario, expr, [mid])[0])
+        if mid < g_mid:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def survival_min_reference(scenario):
+    """``_survival_min`` in its earlier form: the loop above, then g(a) and
+    g(b) from one call each."""
+    best = 0.0
+    cands = []
+    for interval, expr in scenario.segments:
+        lo, hi = interval.lo, interval.hi
+        g_lo, g_hi = (float(v) for v in integral._seg_eval(scenario, expr, [lo, hi]))
+        cands.append((lo, g_lo, min(lo, g_lo)))
+        cands.append((hi, g_hi, min(hi, g_hi)))
+        if lo >= g_lo:
+            seg_best = (lo, g_lo, min(lo, g_lo))
+        elif hi <= g_hi:
+            seg_best = (hi, g_hi, min(hi, g_hi))
+        else:
+            a, b = bisect_reference(scenario, expr, lo, hi)
+            g_a = float(integral._seg_eval(scenario, expr, [a])[0])
+            g_b = float(integral._seg_eval(scenario, expr, [b])[0])
+            seg_best = max(((a, g_a, min(a, g_a)), (b, g_b, min(b, g_b))),
+                           key=lambda c: c[2])
+            cands.append(seg_best)
+        best = max(best, seg_best[2])
+    return integral.IntegralResult(max(best, 0.0), f"bisection({integral._BISECT_TOL})",
+                                   tuple(cands))
+
+
+def survival_outcome(fn, *args):
+    """The bits of the bracket or integral fn returns, or the type and
+    message of what it raises."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    if isinstance(result, integral.IntegralResult):
+        return result.method, exact_bits(result.value, result.candidates)
+    return tuple(map(float.hex, result))
+
+
+@st.composite
+def survival_segments(draw):
+    """One non-increasing segment on [0, y]: linear, square-root, a
+    non-integer power whose base turns negative past w (a NaN there), or a
+    piecewise whose cut point k, a dyadic fraction of y, lies in no piece
+    (an error there), or a piecewise that steps down across t at u * c, where
+    its middle piece's sqrt argument turns negative (an error for an array
+    that holds points on both sides, but not for [0, y])."""
+    y = draw(st.sampled_from([1.0, 2.5, 0.3])) * draw(st.floats(0.5, 2.0))
+    c = draw(st.floats(0.05, 1.0)) * y
+    s = draw(st.floats(0.0, 4.0))
+    p = draw(st.sampled_from([0.37, 1.5, 2.71828, 0.5]))
+    w = draw(st.floats(0.1, 1.5)) * y
+    j, depth = draw(st.integers(0, 255)), draw(st.integers(1, 8))
+    u = draw(st.floats(0.1, 0.9))
+    x = (u * c + y) / 2
+    k = (2 * (j % (1 << (depth - 1))) + 1) * y / (1 << depth)
+    source = draw(st.sampled_from([
+        f"pos({c!r} - {s!r} * t)",
+        f"{c!r} / (1 + {s!r} * sqrt(t))",
+        f"sqrt(pos({c!r} - {s!r} * t))",
+        f"{c!r} * (1 - t / {w!r}) ^ {p!r}",
+        f"piecewise t {{ [0, {k!r}): {c!r}; ({k!r}, {y!r}]: {c!r} / (1 + {s!r} * t) }}",
+        f"piecewise t {{ [0, {u * c!r}]: {c!r}; ({u * c!r}, {x!r}): "
+        f"{u * c / 2!r} * sqrt(t - {u * c!r}) ^ 0; [{x!r}, {y!r}]: {u * c / 2!r} }}",
+    ]))
+    return SurvivalScenario(y, ((Interval(0.0, y, True, True), parse(source)),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=survival_segments())
+def test_batched_bisection_is_the_sequential_loop(scenario):
+    (interval, expr), = scenario.segments
+    assert survival_outcome(integral._bisect, scenario, expr, interval.lo, interval.hi) == \
+        survival_outcome(bisect_reference, scenario, expr, interval.lo, interval.hi)
+    assert survival_outcome(integral._survival_min, scenario) == \
+        survival_outcome(survival_min_reference, scenario)
+
+
+def test_lebesgue_equality_makes_a_third_of_its_segment_calls():
+    data = load_scenario("lebesgue-chebyshev-equality")
+    with mock.patch.object(integral, "_seg_eval", wraps=integral._seg_eval) as seg_eval:
+        assert run_scenario(data)[0] == 0
+    assert seg_eval.call_count <= 76 // 3
 
 
 class TestLemmaSupCommutes:

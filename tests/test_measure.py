@@ -328,7 +328,7 @@ class TestArrayPathsMatchLoops:
         m = from_table(sp, base)
         assert repr(m.value_range()) == repr(reference_value_range(m.table))
 
-    @pytest.mark.parametrize("value", [float("nan"), None, [0.5], 10 ** 400])
+    @pytest.mark.parametrize("value", [float("nan"), None, "abc", [0.5], 10 ** 400])
     def test_from_table_rejects_non_numbers(self, two_atoms, value):
         with pytest.raises(MeasureError, match=r"m\(\('a1',\)\) at mask 1"):
             from_table(two_atoms, [0.0, value, 0.4, 1.0])
