@@ -23,8 +23,8 @@ from .fusion import (FusionError, FusionOp, apply_op, clip_args, eval_op, exactl
 from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrate_values,
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
-from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, _Unmirrored, axis, check_row,
-                   check_step, first_flagged, mirror_pairs, scan, scan_separable)
+from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
+                   first_flagged, mirror_pairs, scan, scan_separable)
 
 
 class HypothesisError(Exception):
@@ -336,50 +336,22 @@ def _check_c2(cfg, grid_step, tables):
         psi2_adbar = cfg.psi2.apply(apply_op(cfg.circ2, phi2_a, dbar))
         psi3_bdbar = cfg.psi3.apply(apply_op(cfg.circ3, phi3_b, dbar))
 
-        def left(a, b):
-            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, a(ab), b(ab)))
+        def left(rows, b0):
+            phi1_sab = cfg.phi1.apply(apply_op(cfg.inner, ab[rows, None], ab[b0:]))
             return cfg.psi1.apply(apply_op(cfg.circ1, phi1_sab[..., None], cd))
 
-        def sides(a, b):  # over (rows, b, c) or (pairs, c): a, b pick rows of a table over ab
+        def sides(rows, b0):  # over (rows, b >= b0, c)
             try:  # the rhs first, in place: built after the lhs, it holds a block more
-                rhs = apply_op(cfg.outer, a(psi2_ac), b(psi3_bdbar)[..., None])
-                rhs = np.maximum(rhs, apply_op(cfg.outer, a(psi2_adbar)[..., None], b(psi3_bc)),
-                                 out=rhs)
+                rhs = apply_op(cfg.outer, psi2_ac[rows, None], psi3_bdbar[b0:, None])
+                rhs = np.maximum(rhs, apply_op(cfg.outer, psi2_adbar[rows, None, None],
+                                               psi3_bc[b0:]), out=rhs)
             except Exception:
-                left(a, b)  # an lhs error comes first, as in a row's evaluation order
+                left(rows, b0)  # an lhs error comes first, as in a row's evaluation order
                 raise
-            return left(a, b), rhs
+            return left(rows, b0), rhs
 
-        # the pairs b >= a when the full grid exceeds a block and the pairs are
-        # no more than a full row's points; what they cannot decide, the full
-        # scan does
-        if len(ab) < 2 * len(cd) and len(ab) ** 2 * len(cd) > _BLOCK and _c2_mirrored(cfg):
-            psi3_bc = psi2_ac  # the same table bit for bit: keep one
-            pairs, ia, ib = mirror_pairs(ab)
-            clean = 0  # the pairs before this one raised nowhere
-
-            def half(rows):  # over (pairs, c); np.take gathers faster than an index
-                nonlocal clean
-                out = sides(partial(np.take, indices=ia[rows], axis=0),
-                            partial(np.take, indices=ib[rows], axis=0))
-                clean = max(clean, rows.stop)
-                return out
-
-            def confirmed(a, b, c):  # a rejected point, or a raise in the rest of row a, ends it
-                wl, wr = c2_condition_at(cfg, a, b, c)
-                if not wl < wr - TOL:
-                    raise _Unmirrored
-                stop = int(np.searchsorted(ia, np.searchsorted(ab, a) + 1))
-                if clean < stop:  # the full scan's row a holds these pairs too
-                    half(slice(clean, stop))
-                return wl, wr
-
-            try:
-                return scan((pairs, cd), half, confirmed, evidence)
-            except Exception:  # noqa: BLE001 - the full scan raises or decides it
-                pass
-        return scan((ab, ab, cd), lambda rows: sides(lambda t: t[rows, None], lambda t: t),
-                    partial(c2_condition_at, cfg), evidence)
+        return scan((ab, ab, cd), sides, partial(c2_condition_at, cfg), evidence,
+                    mirrored=_c2_mirrored(cfg))
     except (HypothesisError, FusionError) as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
 
@@ -389,10 +361,11 @@ def _c2_mirrored(cfg):
     and outer commute exactly, the right-hand integrals share phi, circ and
     psi, and each error of phi1, circ1 and psi1 comes from one point alone.
 
-    The first flagged point then has b >= a.  A row a of the full scan holds
-    the pairs (a, b >= a) and the mirrors of earlier pairs, so a witness
-    stands once the rest of its row a raises nowhere; a rejected re-check
-    leaves the next witness to rows that cross the diagonal."""
+    The first flagged point then has b >= a, so c2's ``scan`` compares each
+    block of rows only from the b of its first row on, as c1 and ``dominates``
+    do: the points it leaves out mirror points of earlier rows, which flag
+    and raise nowhere.  A rejected re-check leaves the next witness to rows
+    that cross the diagonal, which the full scan decides."""
     return (exactly_commutative(cfg.inner) and exactly_commutative(cfg.outer)
             and all(x is y or x == y for x, y in ((cfg.circ2, cfg.circ3), (cfg.phi2, cfg.phi3),
                                                   (cfg.psi2, cfg.psi3)))
@@ -768,7 +741,7 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
         def layout(b, c, bc):  # sides over (rows, b, c) or (rows, pairs (b, c))
             b_1, c_1 = b(inv2_1b), c(inv3_1c)  # b and c pick a table's b- and c-values
 
-            def sides(rows):
+            def sides(rows, b0):  # b0 = 0: q's rows are not mirrored
                 a = xs[rows, None]
                 lhs = phi1.apply_inverse(apply_op(conj, xs[(rows,) + (None,) * bc.ndim], bc))
                 inv2_ab = phi2.apply_inverse(apply_op(conj, a, phi2_b))
@@ -845,7 +818,7 @@ def search_commutativity_gap(S: FusionOp, star: FusionOp | None = None, grid_ste
                >= np.maximum(apply_op(star, S_ca, b), apply_op(star, a, S_cb)) - TOL)
         return ok1 != ok2
 
-    def sides(rows):  # over (rows, b, c): rhs 1 where the variants disagree
+    def sides(rows, b0):  # over (rows, b, c): rhs 1 where the variants disagree; b0 = 0
         return 0.0, disagree(xs[rows, None, None], xs[:, None], xs, S_xy[rows, None, :], S_xy,
                              S_xy.T[rows, None, :], S_xy.T)
 

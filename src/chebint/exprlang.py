@@ -345,8 +345,11 @@ def parse(source: str) -> Expr:
     return parser.whole(parser.expr)
 
 
+@lru_cache(maxsize=256)  # a raised ParseError is not cached
 def parse_interval(source: str) -> Interval:
-    """Parse an interval such as ``(0.25, 1]``; raises ParseError with location."""
+    """Parse an interval such as ``(0.25, 1]``; raises ParseError with location.
+
+    Memoised by source text, as ``parse`` is: an Interval is frozen."""
     parser = _Parser(source)
     return parser.whole(parser.interval)
 

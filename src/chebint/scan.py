@@ -19,26 +19,26 @@ through one loop, ``_flagged_rows``: a block whose comparison raises is
 re-run one row at a time, so an earlier row's witness, or the first error a
 row raises, comes out as in a row-by-row scan.
 
-An axis may be packed: a (steps, 2) array of pairs, from ``mirror_pairs``,
-that walks one half of a square grid, the pairs (x, y) with y >= x in C
-order.  A witness takes both coordinates of its pair.  A condition that is
-mirror-symmetric in two of its variables flags a point exactly when it flags
-the mirror, which comes first in C order when it lies on the other side, so
-the first flagged point lies in the half that ``mirror_pairs`` keeps: c2
-scans the pairs (a, b) as its rows and q the pairs (b, c) of each row a.
-Each takes the half only when its config is symmetric bit for bit, errors
-included (builtin operations that commute exactly, shared shapes and
-operations on both sides of the mirror), and its full grid holds more than
-``_BLOCK`` points, which the full scan would cover in a block or two
-faster than the pairs are gathered; c2's symmetry crosses its rows,
-so it hands a rejected re-check, or any error, to the full scan.
+One halving rule serves the conditions that are mirror-symmetric across
+rows.  c2 is the same at (a, b, c) and (b, a, c), c1 and ``dominates`` at
+(a, b, c, d) and (b, a, d, c), when the caller's exact guard says so, bit for
+bit and errors included (builtin operations that commute exactly, shared
+shapes and operations on both sides of the mirror, errors that come from one
+point alone): it sets ``mirrored``.  A flagged point's mirror flags too and
+comes first in C order when b < a, so the first flagged point has b >= a,
+and each block of rows compares only the b from the block's first row on
+(a row run alone takes b >= a), in blocks of the narrower rows no larger
+than the full scan's.  The points left out mirror points of earlier rows,
+which flag and raise nowhere.  The rule gathers nothing, so small grids are
+halved too.  A rejected re-check or any error ends the halved scan, and the
+full scan decides with its own verdict or exception (``_halved_or_full``).
+c1's cut c <= d at b = a is left out.
 
-``scan_separable`` (c1, ``dominates``) halves its grid under the mirror
-(a, b, c, d) -> (b, a, d, c) without packing an axis: its caller's exact
-guard sets ``mirrored``, and each block of rows compares only the b from the
-block's first row on, in blocks packed by the narrower rows' width.  It
-gathers nothing, so small grids are halved too; a rejected re-check or any
-error hands the scan to the full one.  The cut c <= d at b = a is left out.
+q's symmetry, (b, c) inside a row a, is the one the rows cannot reach: each
+of its rows packs the pairs (b, c) with c >= b as one axis (``mirror_pairs``),
+a (steps, 2) array whose witness takes both coordinates of its pair, and
+only when the full grid holds more than ``_BLOCK`` points, which the full
+scan would cover in a block or two faster than the pairs are gathered.
 """
 
 from __future__ import annotations
@@ -113,25 +113,32 @@ def first_flagged(mask):
     return np.unravel_index(int(np.argmax(mask)), np.shape(mask))
 
 
-def scan(axes, sides, at, evidence) -> Verdict:
+def scan(axes, sides, at, evidence, mirrored=False) -> Verdict:
     """Scan the grid axes[0] x axes[1] x ... for a point where lhs < rhs.
 
-    An axis is a 1-D array of values, or a (steps, 2) array of packed pairs
-    (``mirror_pairs``), which counts as one axis of ``steps`` points and
-    gives the witness both coordinates of its pair.
+    An axis after the first is a 1-D array of values, or a (steps, 2) array
+    of packed pairs (``mirror_pairs``), which counts as one axis of ``steps``
+    points and gives the witness both coordinates of its pair.
 
-    ``sides(rows)`` returns the (lhs, rhs) arrays of ``rows``, a slice of
-    consecutive indices into axes[0], or anything that broadcasts to
-    (number of rows,) + the row's shape.  A block holds as many rows as fit in
-    ``_BLOCK // 2`` points, and at least one: each float64 temporary then
-    stays within 128 KB, glibc's default mmap threshold, past which a scan
-    in a fresh process page-faults every block.  A packed first axis counts
-    as rows of as many pairs as its first value has, as its unpacked grid
-    would, so a halved scan's blocks are no larger than the full scan's.
-    The block is compared in one pass, into buffers allocated once per
-    scan; its flagged rows are visited in order, each row's first flagged
-    point in C order is re-checked by ``_confirm``, and the first confirmed
-    one is the witness.
+    ``sides(rows, b0)`` returns the (lhs, rhs) arrays of ``rows``, a slice of
+    consecutive indices into axes[0], over axes[1][b0:] and the other axes,
+    or anything that broadcasts to (number of rows, len(axes[1]) - b0) + the
+    shape of the rest; b0 is 0 unless the scan is halved.  A block holds as
+    many rows as fit in ``_BLOCK // 2`` points, and at least one: each float64
+    temporary then stays within 128 KB, glibc's default mmap threshold, past
+    which a scan in a fresh process page-faults every block.  The block is
+    compared in one pass, into buffers allocated once per scan; its flagged
+    rows are visited in order, each row's first flagged point in C order is
+    re-checked by ``_confirm``, and the first confirmed one is the witness.
+
+    ``mirrored`` is the caller's exact guard that the condition is the same,
+    errors included, at (a, b, ...) and at (b, a, ...), and that each error
+    comes from one point alone.  The first flagged point then has b >= a, and
+    each block of rows compares axes[1] only from the block's first row on
+    (a row run alone takes b >= a), in blocks of narrower rows no larger than
+    the full scan's: the points it leaves out mirror points of earlier rows,
+    which flag and raise nowhere.  A rejected re-check or any error ends the
+    halved scan, and the full scan decides (``_halved_or_full``).
 
     A block whose ``sides`` raises is re-run one row at a time
     (``_flagged_rows``).  A block may raise where none of its rows does: an
@@ -143,27 +150,33 @@ def scan(axes, sides, at, evidence) -> Verdict:
     first, rest = axes[0], axes[1:]
     row = tuple(len(ax) for ax in rest)
     check_row(*row)
-    # a packed first axis in rows of as many pairs as its first value has:
-    # a halved scan gathers its tables, and in blocks no larger than the
-    # full scan's it holds no more memory
-    width = int(np.count_nonzero(first[:, 0] == first[0, 0])) if np.ndim(first) == 2 else 1
-    lead = min(max(_BLOCK // 2 // max(math.prod(row) * width, 1), 1) * width,
-               max(len(first), 1))
-    viol = np.empty((lead,) + row, dtype=bool)
-    shifted = np.empty((lead,) + row)
+    lead = min(max(_BLOCK // 2 // max(math.prod(row), 1), 1), max(len(first), 1))
+    size = lead * max(math.prod(row), 1)  # a block's points, halved or not
+    viol, shifted = np.empty(size, dtype=bool), np.empty(size)
 
-    def flagged(start, n):  # (row, its flags) of the rows start..start+n-1 that flag
-        lhs, rhs = sides(slice(start, start + n))
-        np.less(lhs, np.subtract(rhs, TOL, out=shifted[:n]), out=viol[:n])
-        if not viol[:n].any():
-            return ()
-        return ((start + j, viol[j])  # lazily: a packed scan's rows are many short pairs
-                for j in np.flatnonzero(viol[:n].reshape(n, -1).any(axis=1)).tolist())
+    def run(at, half):
+        def shape(i):  # a row's shape in a block that starts at row i
+            return (row[0] - i,) + row[1:] if half else row
 
-    for i, flags in _flagged_rows(0, len(first), lambda i: lead, flagged):
-        if verdict := _confirm(flags, first[i], rest, at, evidence):
-            return verdict
-    return Verdict("holds-on-grid", evidence=evidence)
+        def flagged(start, n):  # (row, first b, its flags) of the rows start..start+n-1 that flag
+            b0, block = start if half else 0, (n,) + shape(start)
+            lhs, rhs = sides(slice(start, start + n), b0)
+            flags = _view(viol, block)
+            np.less(lhs, np.subtract(rhs, TOL, out=_view(shifted, block)), out=flags)
+            if not flags.any():
+                return ()
+            return [(start + j, b0, flags[j])
+                    for j in np.flatnonzero(flags.reshape(n, -1).any(axis=1)).tolist()]
+
+        def rows_at_once(i):  # as many rows from row i as fit in a full block
+            return max(size // max(math.prod(shape(i)), 1), 1)
+
+        for i, b0, flags in _flagged_rows(0, len(first), rows_at_once, flagged):
+            if verdict := _confirm(flags, first[i], (rest[0][b0:],) + rest[1:], at, evidence):
+                return verdict
+        return Verdict("holds-on-grid", evidence=evidence)
+
+    return _halved_or_full(run, at, mirrored)
 
 
 def _flagged_rows(start, stop, lead, flagged):
@@ -194,13 +207,33 @@ class _Unmirrored(Exception):
     """A halved scan rejected a re-check, which only the full scan decides."""
 
 
+def _halved_or_full(run, at, mirrored):
+    """``run(at, half)``'s verdict: the halved pass when ``mirrored``, and the
+    full pass (half False) otherwise or once the halved pass ends, which a
+    rejected re-check or any error does.  The full pass decides with its own
+    verdict or exception: its next flagged row may hold points the halved
+    pass left out."""
+    if mirrored:
+        def checked(*point):
+            wl, wr = at(*point)
+            if not wl < wr - TOL:
+                raise _Unmirrored
+            return wl, wr
+
+        try:
+            return run(checked, True)
+        except Exception:  # noqa: BLE001 - the full pass raises or decides it
+            pass
+    return run(at, False)
+
+
 def _confirm(viol, value, rest, at, evidence):
     """The row's first flagged point, in C order of ``viol`` over the axes
     ``rest``, re-checked with ``at``: its violated Verdict, or None (the scan
     goes on to the next flagged row) when the re-check does not confirm it.
     The callers test ``viol.any()`` first, which is faster than
-    ``first_flagged``'s count on a whole row.  ``value`` is the row's value,
-    or its pair on a packed first axis."""
+    ``first_flagged``'s count on a whole row.  ``value`` is the row's value;
+    a packed axis of ``rest`` gives both coordinates of its pair."""
     index = first_flagged(viol)
     coords = [value.tolist()] + [ax[j].tolist() for ax, j in zip(rest, index)]
     point = tuple(x for c in coords for x in (c if type(c) is list else (c,)))  # a pair is two
@@ -253,24 +286,18 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     whose minimal points flag holds (``_level_set_minima``), and the rows
     run as above from that one.
 
-    ``mirrored`` is the caller's exact guard that the condition is the same,
-    errors included, at (a, b, c, d) and at its mirror (b, a, d, c):
+    ``mirrored`` is ``scan``'s, under the mirror (a, b, c, d) -> (b, a, d, c):
     u(a)[b] = u(b)[a], v and ``right`` are symmetric and p = q, bit for bit,
     and each error of ``left`` and ``u`` comes from one point alone (no
     piecewise).  c1 sets it when ``_c2_mirrored`` holds and its triangle
     commutes exactly, ``dominates`` when its inner operation commutes exactly
     and its outer one is a builtin or an expression without a piecewise.
-    The first flagged point x then has b >= a, since its mirror flags too
-    and x comes first, and every row before x's flags nowhere in the full
-    grid either.  So each block of rows compares only the b from the
-    block's first row on (a row run alone takes b >= a), and the maxima
-    pass packs these narrower rows up to ``_BLOCK // 2`` points by their
-    actual width; a whole row views its buffers at its width.  The cut to
+    Each block of rows then compares only the b from its first row on, from
+    row ``first`` (``_level_set_minima``) in both passes; the maxima pass
+    packs these narrower rows up to ``_BLOCK // 2`` points by their actual
+    width, and a whole row views its buffers at its width.  The cut to
     c <= d at b = a is left out: it would split the diagonal's (c, d) slab
-    for about 1/len(ab) of the points.  A rejected re-check or any error
-    ends the halved scan, and the full scan from row ``first`` decides,
-    with its own verdict or exception: its next flagged row may hold
-    points below the diagonal.
+    for about 1/len(ab) of the points.
     """
     row = (len(cd), len(cd), len(ab))
     check_row(*row)
@@ -283,45 +310,26 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     # the whole rows' flat buffers, viewed at each row's width (``_view``)
     size = max(min(_BLOCK // max(row[1] * row[2], 1), row[0]), 1) * row[1] * row[2]
     viol, shifted, gathered = np.empty(math.prod(row), dtype=bool), np.empty(size), np.empty(size)
-    half = mirrored
 
-    def first_b(i):  # the first b of the rows of a block that starts at row i
-        return i if half else 0
-
-    def checked(*point):  # a halved scan's rejected re-check ends it
-        wl, wr = at(*point)
-        if half and not wl < wr - TOL:
-            raise _Unmirrored
-        return wl, wr
-
-    def sides(i, n, row_keys, q_side):  # lhs over (row, value, b >= first_b(i))
+    def sides(i, n, b0, row_keys, q_side):  # lhs over (row, value, b >= b0)
         try:
-            lhs = left(u(ab[i:i + n, None])[..., None, first_b(i):], v_values[:, None])
-            return _fit(lhs, (n, len(v_values), len(ab) - first_b(i))), right(row_keys, q_side)
+            lhs = left(u(ab[i:i + n, None])[..., None, b0:], v_values[:, None])
+            return _fit(lhs, (n, len(v_values), len(ab) - b0)), right(row_keys, q_side)
         except Exception:
             if n == 1:  # re-run over (b, c, d), so that any error is the plain scan's
                 left(u(ab[i:i + 1, None])[0][:, None, None], v[None, :, :])
                 right(p[i][None, :, None], q[:, None, :])
             raise
 
-    def pruned(i, n):  # (row, lhs, maximal points' flags, first b) of the rows that flag
-        if maxima is None:
-            return [(i, None, None, first_b(i))]
-        lhs, rhs = sides(i, n, kept_keys[i:i + n], kept_q[:, first_b(i):])
-        rhs = np.subtract(rhs, TOL)  # frees right's
-        kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
-        return [(i + j, lhs[j], kept[j], first_b(i))
-                for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
-
-    def slab(i, lhs, kept, b0):  # the row's witness from its (c, d) slab at its first flagged b
+    def slab(i, lhs, kept, b0, at):  # the row's witness: its (c, d) slab at its first flagged b
         j = int(np.argmax(kept.any(axis=0)))
         flags = np.less(np.take(lhs[:, j], v_index, mode="clip"),
                         np.subtract(right(keys[i, :, None], q[b0 + j, None, :]), TOL))
-        return _confirm(flags[None], ab[i], (ab[b0 + j:b0 + j + 1], cd, cd), checked, evidence)
+        return _confirm(flags[None], ab[i], (ab[b0 + j:b0 + j + 1], cd, cd), at, evidence)
 
-    def whole(i, b0):  # the row's witness over every point from b0 on, or None
+    def whole(i, b0, at):  # the row's witness over every point from b0 on, or None
         values, index = distinct(keys[i])  # the rhs is one (d, b) slab per distinct key
-        lhs, rhs = sides(i, 1, values[:, None, None], q_db[None, :, b0:])
+        lhs, rhs = sides(i, 1, b0, values[:, None, None], q_db[None, :, b0:])
         plane = (row[1], len(ab) - b0)  # (d, b)
         lhs, rhs = lhs[0], _fit(rhs, (len(values),) + plane)
         lead = max(min(size // math.prod(plane), row[0]), 1)
@@ -335,7 +343,7 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
             np.less(np.take(lhs, v_index[k:k + n], axis=0, out=_view(gathered, (n,) + plane),
                             mode="clip"), slabs, out=flags[k:k + n])
         del lhs, rhs  # free the sides before the next row is built
-        return (_confirm(flags.transpose(2, 0, 1), ab[i], (ab[b0:], cd, cd), checked, evidence)
+        return (_confirm(flags.transpose(2, 0, 1), ab[i], (ab[b0:], cd, cd), at, evidence)
                 if flags.any() else None)
 
     # minimal points are compared when at most half the points and no more than
@@ -344,20 +352,27 @@ def scan_separable(ab, cd, u, v, p, q, left, right, at, evidence, box=None,
     first = _level_set_minima(ab, u, v, keys, keys if q is p else q, left, right, box,
                               left_box, most)
 
-    def rows_at_once(i):  # the maximal points of as many rows as fit in half a block
-        return max(_BLOCK // 2 // max(len(levels) * (len(ab) - first_b(i)), 1), 1) \
-            if maxima is not None else 1
+    def run(at, half):
+        def pruned(i, n):  # (row, lhs, maximal points' flags, first b) of the rows that flag
+            b0 = i if half else 0
+            if maxima is None:
+                return [(i, None, None, b0)]
+            lhs, rhs = sides(i, n, b0, kept_keys[i:i + n], kept_q[:, b0:])
+            rhs = np.subtract(rhs, TOL)  # frees right's
+            kept = np.less(np.take(lhs, levels, axis=1, mode="clip"), rhs)
+            return [(i + j, lhs[j], kept[j], b0)
+                    for j in np.flatnonzero(kept.reshape(n, -1).any(axis=1)).tolist()]
 
-    while True:
-        try:
-            for i, lhs, kept, b0 in _flagged_rows(first, len(ab), rows_at_once, pruned):
-                if verdict := (whole(i, b0) if kept is None else slab(i, lhs, kept, b0)):
-                    return verdict
-            return Verdict("holds-on-grid", evidence=evidence)
-        except Exception:
-            if not half:
-                raise
-            half = False  # the full scan decides
+        def rows_at_once(i):  # the maximal points of as many rows as fit in half a block
+            return max(_BLOCK // 2 // max(len(levels) * (len(ab) - (i if half else 0)), 1), 1) \
+                if maxima is not None else 1
+
+        for i, lhs, kept, b0 in _flagged_rows(first, len(ab), rows_at_once, pruned):
+            if verdict := (whole(i, b0, at) if kept is None else slab(i, lhs, kept, b0, at)):
+                return verdict
+        return Verdict("holds-on-grid", evidence=evidence)
+
+    return _halved_or_full(run, at, mirrored)
 
 
 def _level_set_maxima(v, p, q, box):

@@ -956,7 +956,7 @@ class TestGridLimit:
         axes = (np.zeros(1), np.zeros(4097), np.zeros(4097))
         built = []
         with pytest.raises(scan.GridError, match="row of 16785409 points"):
-            scan.scan(axes, lambda i: built.append(i), lambda *p: (0.0, 0.0), "")
+            scan.scan(axes, lambda rows, b0: built.append(rows), lambda *p: (0.0, 0.0), "")
         assert built == []
 
     def test_h_0_005_c1_row_is_admitted(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chebint.exprlang import (EvalError, ParseError, check_monotone,
-                              eval_expr, free_vars, parse, pretty)
+                              eval_expr, free_vars, parse, parse_interval, pretty)
 
 
 def ev(source, **bindings):
@@ -85,6 +85,19 @@ class TestParsingAndEvaluation:
             errors.append(exc.value)
         assert len({id(e) for e in errors}) == 3
         assert {(str(e), e.line, e.col) for e in errors} == {(str(errors[0]), 1, 5)}
+
+    def test_parse_interval_is_memoised_by_source(self):
+        assert parse_interval("[0, 1]") is parse_interval("[0, 1]")
+        assert parse_interval("[0, 1]") is not parse_interval("[0, 1)")
+
+    def test_an_interval_parse_error_is_raised_again_not_cached(self):
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ParseError) as exc:
+                parse_interval("[0, ")
+            errors.append(exc.value)
+        assert len({id(e) for e in errors}) == 3
+        assert len({(str(e), e.line, e.col) for e in errors}) == 1
 
     def test_negative_result_rejected(self):
         with pytest.raises(EvalError):

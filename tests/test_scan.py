@@ -31,7 +31,7 @@ def recording_scan(axes, flagged, confirmed):
     blocks, rechecked = [], []
     shape = tuple(len(ax) for ax in axes[1:])
 
-    def sides(rows):
+    def sides(rows, b0):
         blocks.append((rows.start, rows.stop))
         rhs = np.zeros((rows.stop - rows.start,) + shape)
         for index in flagged:
@@ -115,7 +115,7 @@ def test_a_raising_block_is_re_run_one_row_at_a_time():
     def run(violated_row, block_only=False):
         blocks = []
 
-        def sides(rows):
+        def sides(rows, b0):
             blocks.append((rows.start, rows.stop))
             if rows.stop - rows.start > 1 and block_only:
                 raise ValueError("block")
@@ -139,7 +139,7 @@ def test_a_scan_leaves_no_reference_cycle():
     # itself, stays allocated until the cyclic collector runs
     axes = (np.arange(10.0), np.arange(64.0), np.arange(64.0))
 
-    def raising(rows, rhs=1.0):
+    def raising(rows, b0, rhs=1.0):
         if rows.stop - rows.start > 1:
             raise ValueError("block")
         return 0.0, rhs
@@ -157,7 +157,7 @@ def test_a_scan_leaves_no_reference_cycle():
 
 def test_flags_only_beyond_the_tolerance():
     axes = (np.array([0.0]), np.array([0.0, 1.0]))
-    verdict = scan(axes, lambda rows: (np.zeros(2), np.array([TOL / 2, 2 * TOL])),
+    verdict = scan(axes, lambda rows, b0: (np.zeros(2), np.array([TOL / 2, 2 * TOL])),
                    lambda *p: (0.0, 2 * TOL), "")
     assert verdict.witness == (0.0, 1.0)
 
@@ -281,7 +281,8 @@ def test_sides_may_be_views_of_hoisted_tables():
     axes = (np.arange(3.0), np.arange(4.0), np.arange(5.0))
     table = np.linspace(0.0, 1.0, 60).reshape(3, 4, 5)
     before = table.copy()
-    verdict = scan(axes, lambda rows: (table[rows], table[rows, ::-1]), lambda *p: (0.0, 0.0), "")
+    verdict = scan(axes, lambda rows, b0: (table[rows], table[rows, ::-1]),
+                   lambda *p: (0.0, 0.0), "")
     assert verdict.holds
     assert np.array_equal(table, before)
 
@@ -329,7 +330,7 @@ def test_separable_scan_matches_the_plain_scan():
         a, b, c, d = int(a), int(b), int(c), int(d)
         return u[a, b] * v[c, d], p[a, c] + q[b, d]
 
-    def plain_sides(rows):
+    def plain_sides(rows, b0):
         return (u[rows, :, None, None] * v[None, None],
                 p[rows, None, :, None] + q[None, :, None, :])
 
@@ -343,7 +344,7 @@ def test_constant_sides_flag_the_first_point_of_the_row():
     # sides that do not depend on the row's axes broadcast over the whole row,
     # so the witness has every coordinate
     axes = (np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0]))
-    verdict = scan(axes, lambda rows: (0.0, 1.0), lambda a, b, c: (0.0, 1.0), "")
+    verdict = scan(axes, lambda rows, b0: (0.0, 1.0), lambda a, b, c: (0.0, 1.0), "")
     assert verdict.witness == (0.0, 2.0, 4.0)
 
 
@@ -392,7 +393,7 @@ def separable_and_plain(u, v, p, q, left=np.add, right=np.multiply, confirm=None
 
         return scanner(at), rechecked
 
-    def plain_sides(rows):
+    def plain_sides(rows, b0):
         return (left(u[rows, :, None, None], v[None, None]),
                 right(p[rows, None, :, None], q[None, :, None, :]))
 

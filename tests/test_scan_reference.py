@@ -297,11 +297,11 @@ def blocks_built(fn, *args):
     """(``outcome``, the (start, stop) row ranges of the blocks its plain scans built)."""
     real, built = scan_module.scan, []
 
-    def recording(axes, sides, at, evidence):
-        def recorded(rows):
+    def recording(axes, sides, at, evidence, mirrored=False):
+        def recorded(rows, b0):
             built.append((rows.start, rows.stop))
-            return sides(rows)
-        return real(axes, recorded, at, evidence)
+            return sides(rows, b0)
+        return real(axes, recorded, at, evidence, mirrored=mirrored)
 
     with mock.patch.object(cheb, "scan", recording):
         return outcome(fn, *args), built
@@ -310,6 +310,24 @@ def blocks_built(fn, *args):
 def c2_rows(h):
     """The rows of a c2 scan's block at step h on [0, 1]."""
     return scan_module._BLOCK // 2 // (round(1 / h) + 1) ** 2
+
+
+def row_start_blocks(rows, width):
+    """The (start, stop) blocks of a halved scan over rows x rows x width
+    points: a block from row i compares rows - i values of b, each over
+    ``width`` points, in as many rows as fit in a full block of the scan."""
+    points = min(max(scan_module._BLOCK // 2 // (rows * width), 1), rows) * rows * width
+    blocks, i = [], 0
+    while i < rows:
+        n = max(points // ((rows - i) * width), 1)
+        blocks.append((i, min(i + n, rows)))
+        i += n
+    return blocks
+
+
+def row_start_points(blocks, rows, width):
+    """The points that the halved ``blocks`` of ``row_start_blocks`` compare."""
+    return sum((stop - start) * (rows - start) * width for start, stop in blocks)
 
 
 @st.composite
@@ -435,18 +453,20 @@ def test_a_failed_recheck_hands_over_to_the_next_flagged_row_of_the_block():
         got, built = blocks_built(cheb.check_condition_C2, twin, 0.1)
         assert built == [(0, 11)]
         assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)]
-        # _W_CIRC's grid of 11^3 points fits in a block, so it is not halved
+        # _W_CIRC is halved: its one block from b = 0 on rejects row 1's
+        # point, and the full scan re-checks it before row 2's
         del rechecked[:]
         assert outcome(cheb.check_condition_C2, _W_CIRC, 0.1) == got
-        assert rechecked == [(0.1, 0.2, 0.9), (0.2, 0.1, 0.9)]
+        assert rechecked == [(0.1, 0.2, 0.9)] * 2 + [(0.2, 0.1, 0.9)]
         want = outcome(reference_c2, _W_CIRC, 0.1)
     assert got == want and got[1].witness == (0.2, 0.1, 0.9)
 
 
 def test_a_rejected_halved_recheck_hands_over_to_the_full_scan():
-    # at h = 0.02, past _BLOCK, _W_CIRC's halved scan hands its rejected point
-    # to the full scan, whose next flagged row gives the witness below the
-    # diagonal: two scans, where the twin runs one
+    # at h = 0.02 _W_CIRC's halved pass hands its rejected point to the full
+    # pass, whose next flagged row gives the witness below the diagonal: the
+    # first block of c2_rows(0.02) rows, from b = 0 on, twice, where the
+    # twin builds it once
     at, rechecked = cheb.c2_condition_at, []
 
     def rejecting(cfg, a, b, c):
@@ -456,11 +476,11 @@ def test_a_rejected_halved_recheck_hands_over_to_the_full_scan():
     twin = replace(_W_CIRC, circ3=_TWIN_CIRC3["lukasiewicz"])
     with mock.patch.object(cheb, "c2_condition_at", rejecting):
         got, totals = points_handed(cheb.check_condition_C2, twin, 0.02)
-        assert len(totals) == 1
+        assert totals == [c2_rows(0.02) * 51 ** 2]
         assert rechecked == [(0.02, 0.04, 0.98), (0.04, 0.02, 0.98)]
         del rechecked[:]
         halved, totals = points_handed(cheb.check_condition_C2, _W_CIRC, 0.02)
-        assert halved == got and len(totals) == 2
+        assert halved == got and totals == [2 * c2_rows(0.02) * 51 ** 2]
         assert rechecked == [(0.02, 0.04, 0.98)] * 2 + [(0.04, 0.02, 0.98)]
         want = outcome(reference_c2, _W_CIRC, 0.02)
     assert got == want and got[1].witness == (0.04, 0.02, 0.98)
@@ -495,14 +515,14 @@ def test_blocks_give_the_rows_sides_bit_for_bit():
     # (libm's pow against np.power)
     real = scan_module.scan
 
-    def block_against_rows(axes, sides, at, evidence):
+    def block_against_rows(axes, sides, at, evidence, mirrored=False):
         shape = tuple(map(len, axes))
-        block = [np.broadcast_to(side, shape) for side in sides(slice(0, shape[0]))]
+        block = [np.broadcast_to(side, shape) for side in sides(slice(0, shape[0]), 0)]
         stacked = [np.concatenate([np.broadcast_to(s, (1,) + shape[1:]) for s in side])
-                   for side in zip(*(sides(slice(i, i + 1)) for i in range(shape[0])))]
+                   for side in zip(*(sides(slice(i, i + 1), 0) for i in range(shape[0])))]
         seen.append([np.array_equal(b.view(np.int64), s.view(np.int64))
                      for b, s in zip(block, stacked)])
-        return real(axes, sides, at, evidence)
+        return real(axes, sides, at, evidence, mirrored=mirrored)
 
     power = fusion.expr_op("power", "a^0.7 * b", **_FLAGS)
     for cfg in [replace(_W_CIRC, phi1=cheb.power_shape(0.5), psi1=cheb.power_shape(3)),
@@ -542,12 +562,12 @@ def test_a_c2_scan_holds_one_block_at_a_time():
     # so a block is one row: the two buffers and the sides' temporaries stay
     # under six arrays of one block, beside two hoisted (a, c) tables.  The
     # all-min config's twin scans every row; the all-min config halves its
-    # scan into blocks of as many pairs (a, b) as a row has points of (b, c),
-    # and holds no more
+    # scan into blocks of rows from b = a on, each no larger than a row of
+    # 101^2 points, and holds no more
     assert c2_rows(0.01) == 1
     twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
     for cfg, blocks in [(twin, [(i, i + 1) for i in range(101)]),
-                        (_ALL_MIN, [(k, min(k + 101, 5151)) for k in range(0, 5151, 101)])]:
+                        (_ALL_MIN, row_start_blocks(101, 101))]:
         assert blocks_built(cheb.check_condition_C2, cfg, 0.01)[1] == blocks
         assert c2_peak(cfg) < (2 + 6) * 101 ** 2 * 8
 
@@ -593,9 +613,13 @@ _BENT = cheb.shape("bent", "max(x, 0.02*sqrt(x))", inverse="min(x, 2500*x^2)")
 @settings(max_examples=60, deadline=None)
 @given(cfg=symmetric_configs(), h=BLOCK_STEPS, rejected=REJECTED)
 @example(cfg=_W_CIRC, h=0.02, rejected=0.1)
+@example(cfg=_W_CIRC, h=0.1, rejected=0.1)
 @example(cfg=replace(_W_CIRC, phi1=_NARROW), h=0.02, rejected=None)
+# two values of c: the halved scan's first block holds 81 rows from b = 0 on
+@example(cfg=replace(_ALL_MIN, cd_domain=cheb.cd_values([0.0, 1.0])), h=0.01, rejected=None)
 # rows of a > 0.5 raise alone, through a*b in [0.02, 0.04] beside a*b > 0.5;
-# the pairs b >= a never meet both, so only the full scan gives the error
+# the halved rows, from their block's first b on, never meet both, so only
+# the full scan gives the error
 @example(cfg=cheb.config(_PR, _PR, (_PW, _PR, _PR), _MN, _IDS, _IDS, cd_domain=_UNIT),
          h=0.02, rejected=None)
 def test_halved_c2_matches_the_row_by_row_scans(cfg, h, rejected):
@@ -630,22 +654,27 @@ def test_the_halved_q_example_reaches_the_halved_layout():
 def test_a_witness_stands_once_the_rest_of_its_row_raises_nowhere():
     # psi2 = psi3 is 0 below 0.9, so rhs > lhs = 0 only where a, b, c >= 0.9,
     # and phi1 is negative on (0.895, 0.9], which a*b first reaches at
-    # (0.9, 1.0): row 0.9 raises after the pair (0.9, 0.9) flags.  The full
-    # scan and the halved one, which confirms (0.9, 0.9, 0.9) before it
-    # evaluates the pair (0.9, 1.0), both end in the row's error.  At h = 0.1
-    # the grid fits in a block and only the full scan runs; at h = 0.01 the
-    # halved scan hands the error to the full scan
+    # (0.9, 1.0): row 0.9 raises, and so does the block that holds it.  The
+    # halved pass re-runs that block's rows alone from b = a on and hands
+    # the row's error to the full pass, which ends in it too: the rows
+    # before 0.9 are handed once from their block's first b on, or their
+    # own, and once whole
     gate = cheb.shape("gate", "x*ind[0.9, 1](x)")
     notch = cheb.shape("notch", "x - ind(0.895, 0.9](x)")
     zero = fusion.expr_op("zero", "0*a", **_FLAGS)
     ident = cheb.identity_shape()
     cfg = cheb.config(_PR, _PR, (zero, _MN, _MN), _MN, (notch, ident, ident),
                       (ident, gate, gate), cd_domain=_UNIT)
-    for h, scans in [(0.1, 1), (0.01, 2)]:
+    for h in (0.1, 0.01):
+        rows, bad = round(1 / h) + 1, round(0.9 / h)
+        blocks = row_start_blocks(rows, rows)
+        k = next(k for k, (_, stop) in enumerate(blocks) if bad < stop)  # the raising block
+        halved = (row_start_points(blocks[:k], rows, rows)
+                  + sum((rows - j) * rows for j in range(blocks[k][0], bad)))
         got, totals = points_handed(cheb.check_condition_C2, cfg, h)
         assert got == ("EvalError", "negative final value -0.09999999999999998")
         assert got == outcome(reference_c2, cfg, h)
-        assert len(totals) == scans
+        assert totals == [halved + bad * rows ** 2]
 
 
 def points_handed(fn, *args):
@@ -653,14 +682,14 @@ def points_handed(fn, *args):
     ``sides``, one total per scan."""
     real, totals = scan_module.scan, []
 
-    def counting(axes, sides, at, evidence):
+    def counting(axes, sides, at, evidence, mirrored=False):
         totals.append(0)
 
-        def counted(rows):
-            lhs, rhs = sides(rows)
+        def counted(rows, b0):
+            lhs, rhs = sides(rows, b0)
             totals[-1] += math.prod(np.broadcast_shapes(np.shape(lhs), np.shape(rhs)))
             return lhs, rhs
-        return real(axes, counted, at, evidence)
+        return real(axes, counted, at, evidence, mirrored=mirrored)
 
     with mock.patch.object(cheb, "scan", counting):
         return outcome(fn, *args), totals
@@ -674,16 +703,20 @@ def holding_points_handed(fn, *args):
 
 
 def test_halved_scans_hand_their_sides_half_the_points():
-    # at h = 0.01 the 101 values of a and b make 5,151 pairs with b >= a, of
-    # 101^2: c2 compares them over 101 values of c, and q each row's 5,151
-    # pairs (b, c) after the b = 1 slice, against 101^3 points of a full scan
-    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.01) == [5151 * 101]
+    # at h = 0.01 c2's blocks of rows from b = a on compare 527,927 points,
+    # and q each row's 5,151 pairs (b, c) with c >= b after the b = 1 slice,
+    # against 101^3 points of a full scan
+    halved = row_start_points(row_start_blocks(101, 101), 101, 101)
+    assert halved == 527927
+    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.01) == [halved]
     twin = replace(_ALL_MIN, circ3=_TWIN_CIRC3["min"])
     assert holding_points_handed(cheb.check_condition_C2, twin, 0.01) == [101 ** 3]
-    # over c in {0, 1} the pairs would outnumber a full row's 202 points, and
-    # the 101^2 * 2 points of the grid fit in a block
+    # over c in {0, 1} the first block holds 81 rows of 202 points, from
+    # b = 0 on, and the last 20 rows compare the b from 81 on
     two = replace(_ALL_MIN, cd_domain=cheb.cd_values([0.0, 1.0]))
-    assert holding_points_handed(cheb.check_condition_C2, two, 0.01) == [101 ** 2 * 2]
+    assert row_start_blocks(101, 2) == [(0, 81), (81, 101)]
+    assert holding_points_handed(cheb.check_condition_C2, two, 0.01) == [
+        81 * 202 + 20 * 20 * 2]
     assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.01) == [
         101 ** 2, 101 * 5151]
     assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _TWIN_CIRC3["prod"],
@@ -693,11 +726,15 @@ def test_halved_scans_hand_their_sides_half_the_points():
 def test_only_grids_past_a_block_are_halved():
     # BLOCK_STEPS' 0.02 gives 51^3 points, past _BLOCK, and the halved
     # tests reach the halved layout there; 0.05 gives 21^3, within one
-    # block, and the full scan alone runs
+    # block: q's full scan alone runs, and c2's halved one takes the whole
+    # grid, from b = 0 on, in its first block
     assert 21 ** 3 <= scan_module._BLOCK < 51 ** 3
-    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.02) == [1326 * 51]
+    assert row_start_blocks(51, 51)[:2] == [(0, 6), (6, 12)]
+    assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.02) == [
+        row_start_points(row_start_blocks(51, 51), 51, 51)]
     assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.02) == [
         51 ** 2, 51 * 1326]
+    assert row_start_blocks(21, 21) == [(0, 21)]
     assert holding_points_handed(cheb.check_condition_C2, _ALL_MIN, 0.05) == [21 ** 3]
     assert holding_points_handed(cheb.q_corollary_condition, _MN, _IDS, _PR, 0.05) == [
         21 ** 2, 21 ** 3]
