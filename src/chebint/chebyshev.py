@@ -24,7 +24,7 @@ from .integral import (IntegralError, SimpleFunction, _integrate_rows, _integrat
                        fitted_bound, simple_function)
 from .measure import MonotoneMeasure
 from .scan import (_BLOCK, EQ_TOL, TOL, GridError, Verdict, axis, check_row, check_step,
-                   first_flagged, mirror_pairs, scan, scan_separable)
+                   first_flagged, linspace, mirror_pairs, scan, scan_separable, signs)
 
 
 class HypothesisError(Exception):
@@ -93,18 +93,27 @@ class ShapeFunction:
         return _checked_eval(self.inverse, self.var, y, f"{self.name}^-1", (lo, hi))
 
     def validate_inverse(self, grid_step=0.01):
-        """Round-trip check body(inverse(y)) = y and inverse(body(x)) = x, within TOL."""
+        """The first point where the declared inverse fails its round trip by
+        more than TOL: an x of the domain grid where inverse(body(x)) != x,
+        else a y of the inverse-domain grid where body(inverse(y)) != y (a NaN
+        fails); None when both hold or no inverse is declared.  Memoised per
+        shape and step."""
         if self.inverse is None:
-            return True
-        xs = axis(*self.domain, grid_step, least=2)
-        ys = self.apply(xs)
-        back = self.apply_inverse(ys)
-        if np.max(np.abs(back - xs)) > TOL:
-            return False
-        lo, hi = self.inverse_domain if self.inverse_domain else (float(ys[0]), float(ys[-1]))
-        zs = np.linspace(lo, hi, len(xs))
-        fwd = self.apply(self.apply_inverse(zs))
-        return bool(np.max(np.abs(fwd - zs)) <= TOL)
+            return None
+        return _round_trip(self, grid_step, signs(*self.domain, *(self.inverse_domain or ())))
+
+
+@lru_cache(maxsize=64)  # the signs keep a -0.0 bound apart; a raised error is not cached
+def _round_trip(phi, grid_step, _signs):
+    xs = axis(*phi.domain, grid_step, least=2)
+    ys = phi.apply(xs)
+    if (bad := first_flagged(~(np.abs(phi.apply_inverse(ys) - xs) <= TOL))) is not None:
+        return float(xs[bad])
+    lo, hi = phi.inverse_domain if phi.inverse_domain else (float(ys[0]), float(ys[-1]))
+    zs = linspace(lo, hi, len(xs))
+    if (bad := first_flagged(~(np.abs(phi.apply(phi.apply_inverse(zs)) - zs) <= TOL))) is not None:
+        return float(zs[bad])
+    return None
 
 
 def shape(name, source, inverse=None, var="x", domain=(0.0, 1.0),
@@ -156,8 +165,10 @@ class CdDomain:
         return max(self.values) if self.values else self.interval[1]
 
     def sample(self, grid_step):
-        if self.values is not None:
-            return np.asarray(sorted(self.values), dtype=float)
+        if self.values is not None:  # read-only, as a grid from ``axis`` is
+            out = np.asarray(sorted(self.values), dtype=float)
+            out.flags.writeable = False
+            return out
         lo, hi = self.interval
         return axis(lo, min(hi, _INF_CAP), grid_step)
 
@@ -721,6 +732,8 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
             top = phi.apply(1.0)
             if eval_op(conj, 1.0, top) > top + TOL:
                 raise HypothesisError(f"1 conj phi{i}(1) exceeds phi{i}(1)")
+            if (bad := phi.validate_inverse(grid_step)) is not None:  # the scan trusts it
+                raise HypothesisError(f"phi{i}'s declared inverse fails its round trip at {bad}")
     except HypothesisError as exc:
         return Verdict("hypothesis-failed", detail=str(exc))
     xs = axis(0.0, 1.0, grid_step, least=0)

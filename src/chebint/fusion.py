@@ -9,14 +9,14 @@ boundary); they are consumed as hypotheses by the inequality checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .exprlang import Expr, _evaluate, parse, pointwise
 from .extreal import INF, INF_CAP, as_value, xmul
-from .scan import (EQ_TOL, TOL, Verdict, axis, check_row, check_step, first_flagged,
-                   scan_separable)
+from .scan import (EQ_TOL, TOL, Verdict, axis, check_row, check_step, first_flagged, linspace,
+                   scan_separable, signs)
 
 
 class FusionError(Exception):
@@ -81,7 +81,15 @@ def exactly_commutative(op: FusionOp):
 
 
 def builtin(name, y_bar=1.0) -> FusionOp:
-    """A builtin operation; only min and prod take a y_bar other than 1."""
+    """A builtin operation; only min and prod take a y_bar other than 1.
+
+    Memoised, since an operation is frozen; a y_bar of -0.0 keeps its own."""
+    return _builtin(name, y_bar, *signs(y_bar))
+
+
+# typed, so y_bar=1 and y_bar=1.0 keep their own y_bar; a raised FusionError is not cached
+@lru_cache(maxsize=64, typed=True)
+def _builtin(name, y_bar, _sign):
     if name not in _BUILTINS:
         raise FusionError(f"unknown builtin fusion operation {name!r}")
     truth = _BUILTINS[name][1]
@@ -213,7 +221,7 @@ class FlagReport:
 def _grid(op: FusionOp, step: float):
     check_step(step)
     top = op.y_bar if op.y_bar != INF else INF_CAP
-    return np.linspace(0.0, top, max(int(round(min(top / step, 4000))), 1) + 1)
+    return linspace(0.0, top, max(int(round(min(top / step, 4000))), 1) + 1)
 
 
 _FUZZY_PROBES = ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
@@ -262,7 +270,7 @@ def validate_flags(op: FusionOp, grid_step=0.01) -> FlagReport:
         add(flag, True, exact=True)
 
     # semicopula: op(t, 1) = op(1, t) = t; fuzzy conjunction: the corners
-    boundary("semicopula", ((a, b, t) for t in np.linspace(0.0, 1.0, 21)
+    boundary("semicopula", ((a, b, t) for t in linspace(0.0, 1.0, 21)
                             for a, b in ((t, 1.0), (1.0, t))),
              "semicopula requires y_bar = 1", "monotonicity failed")
     boundary("fuzzy_conjunction", _FUZZY_PROBES)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 
 import numpy as np
 
 from .exprlang import (EvalError, Expr, Interval, _evaluate, eval_expr, free_vars, parse,
                        parse_interval)
-from .scan import _BLOCK, EQ_TOL, TOL, axis, first_flagged
+from .scan import _BLOCK, EQ_TOL, TOL, axis, first_flagged, linspace
 
 
 class MeasureError(Exception):
@@ -196,15 +197,7 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
     if any(not v >= 0 for v in p) or not abs(sum(p) - 1.0) <= TOL:  # NaN fails both
         raise MeasureError("p must be a probability vector")
     expr = parse(h) if isinstance(h, str) else h
-    var = _sole_var(expr)
-    xs = np.linspace(0.0, 1.0, 101)
-    hv = np.asarray(eval_expr(expr, {var: xs}), dtype=float)
-    if abs(hv[0]) > TOL or abs(hv[-1] - 1.0) > TOL:
-        raise MeasureError("h must satisfy h(0)=0 and h(1)=1")
-    if np.any(np.diff(hv) <= -EQ_TOL):
-        raise MeasureError("h must be increasing (grid check failed)")
-    if np.any(np.diff(hv, n=2) < -TOL):
-        raise MeasureError("h must be convex (grid check failed)")
+    var = _distortion_var(expr)
     # P(mask) by the same doubling, adding the atoms in increasing order
     probs = [0.0]
     for v in p:
@@ -215,6 +208,21 @@ def distorted_probability(sp: FiniteSpace, p, h) -> MonotoneMeasure:
     if sp.n <= 10 and not is_supermodular(m):
         raise MeasureError("distorted probability failed the supermodularity check")
     return m
+
+
+@lru_cache(maxsize=64)  # a raised MeasureError is not cached
+def _distortion_var(expr: Expr):
+    """The variable of a distortion h that passes the grid checks of
+    ``distorted_probability``, which run once per expression."""
+    var = _sole_var(expr)
+    hv = np.asarray(eval_expr(expr, {var: linspace(0.0, 1.0, 101)}), dtype=float)
+    if abs(hv[0]) > TOL or abs(hv[-1] - 1.0) > TOL:
+        raise MeasureError("h must satisfy h(0)=0 and h(1)=1")
+    if np.any(np.diff(hv) <= -EQ_TOL):
+        raise MeasureError("h must be increasing (grid check failed)")
+    if np.any(np.diff(hv, n=2) < -TOL):
+        raise MeasureError("h must be convex (grid check failed)")
+    return var
 
 
 def dual(m: MonotoneMeasure) -> MonotoneMeasure:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,8 @@ EQ_TOL = 1e-12  # stored values: measure values, function bounds, monotone sampl
 _BLOCK = 1 << 15  # elements a scan compares at a time (256 KB of float64); ``scan`` takes half
 # points in one scan row (128 MB of float64); the h = 0.005 c1 row, 201^3, fits
 MAX_ROW_POINTS = 1 << 24
+# grids of at most this many points are memoised, 128 of them: about 4 MB
+_MEMO_POINTS = 1 << 12
 
 
 class GridError(ValueError):
@@ -71,12 +74,39 @@ def axis(lo, hi, step, least=1):
 
     Refused with a GridError, before anything is allocated, when the step is
     not a finite positive number or that is more than MAX_ROW_POINTS points.
+    The grid is read-only and may be shared (``linspace``).
     """
     check_step(step)
     spans = (hi - lo) / step
     if not spans <= MAX_ROW_POINTS - 1:  # NaN and inf included
         raise GridError(f"grid step {step} gives more than {MAX_ROW_POINTS} points on [{lo}, {hi}]")
-    return np.linspace(lo, hi, max(int(round(spans)), least) + 1)
+    return linspace(lo, hi, max(int(round(spans)), least) + 1)
+
+
+def linspace(lo, hi, n):
+    """``np.linspace(lo, hi, n)`` as a read-only array, bit for bit: every
+    grid of the package comes from here, and one of at most ``_MEMO_POINTS``
+    points is built once and shared by every caller."""
+    if n > _MEMO_POINTS:
+        return _read_only_linspace(lo, hi, n)
+    return _memo_linspace(lo, hi, n, *signs(lo, hi))
+
+
+def signs(*values):
+    """The sign of each value, signed zeros included: a memo key carries them,
+    since -0.0 == 0.0 and both hash alike."""
+    return tuple(math.copysign(1.0, v) for v in values)
+
+
+def _read_only_linspace(lo, hi, n, *_signs):
+    out = np.linspace(lo, hi, n)
+    out.flags.writeable = False
+    return out
+
+
+# typed, so an int, a float and a numpy endpoint each get np.linspace's own
+# grid; a raised error is not cached
+_memo_linspace = lru_cache(maxsize=128, typed=True)(_read_only_linspace)
 
 
 def check_row(*lengths):

@@ -101,11 +101,16 @@ class TestShapeFunction:
             s.apply_inverse(0.25)
 
     def test_validate_inverse_true(self):
-        assert power_shape(3).validate_inverse()
+        assert power_shape(3).validate_inverse() is None
+        assert shape("no-inverse", "x^2").validate_inverse() is None
 
     def test_validate_inverse_catches_mismatch(self):
-        bad = shape("bad", "x^2", inverse="x")
-        assert not bad.validate_inverse()
+        # the first point of either round trip that fails: inverse(body(x)) = x
+        # on the domain grid, then body(inverse(y)) = y on the inverse domain's
+        assert shape("bad", "x^2", inverse="x").validate_inverse() == 0.01
+        half = shape("half", "x/2", inverse="min(2*x, 1)", inverse_domain=(0.0, 1.0))
+        assert half.validate_inverse() == 0.51
+        assert half.validate_inverse(0.25) == 0.75
 
     def test_array_apply(self):
         cube = power_shape(3)

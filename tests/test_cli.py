@@ -631,6 +631,11 @@ _EXIT_TWO = {
     "number-shape-inverse": ("godel-q-corollary", "check-condition",
                              lambda d: d.update(phi={"expr": "x", "inverse": 5}),
                              "phi.inverse must be an expression string, got 5"),
+    # a declared inverse was trusted: "0*x" turned the violated q condition
+    # into holds-on-grid with exit 0
+    "q-inverse-fails-round-trip": ("godel-q-corollary", "check-condition",
+                                   lambda d: d.update(phi={"expr": "x", "inverse": "0*x"}),
+                                   "phi1's declared inverse fails its round trip at 0.01"),
     # an operation's args and flags, and a shape's flags, went unchecked into
     # the constructors: IndexError and TypeError tracebacks with exit 1
     "op-one-arg": ("w-chebyshev-unit-interval", "check-condition",

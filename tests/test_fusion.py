@@ -49,6 +49,18 @@ class TestBuiltins:
         with pytest.raises(FusionError):
             builtin("nope")
 
+    def test_builtins_are_memoised_by_y_bar_type_and_sign(self):
+        assert builtin("prod", 1) is builtin("prod", 1) and min_op() is builtin("min", 1.0)
+        for first, second in ((1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0)):
+            a, b = builtin("prod", first), builtin("prod", second)
+            assert (type(a.y_bar), math.copysign(1.0, a.y_bar)) == (
+                type(first), math.copysign(1.0, first))
+            assert (type(b.y_bar), math.copysign(1.0, b.y_bar)) == (
+                type(second), math.copysign(1.0, second))
+        for _ in range(2):  # an error is not cached
+            with pytest.raises(FusionError, match="only defined on"):
+                builtin("godel", 0.5)
+
     def test_eval_op_checks_bounds(self):
         with pytest.raises(FusionError):
             eval_op(min_op(), 1.5, 0.2)

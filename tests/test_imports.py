@@ -94,3 +94,36 @@ def test_the_readme_op_names_list_the_scenario_flags():
     assert listed == _OP_FLAGS
     assert "A shape takes no flags" in bullet
     assert not [f.name for f in fields(ShapeFunction) if type(f.default) is bool]
+
+
+def linspace_calls(source):
+    """The functions of ``source`` that call ``np.linspace``, once per call, sorted."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "linspace"
+                    and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")):
+                found.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_linspace_calls_are_found():
+    source = ("import numpy as np\nxs = np.linspace(0, 1, 3)\n"
+              "def f(n):\n    def g():\n        return numpy.linspace(0, 1, n)\n"
+              "    return np.linspace(0, 1, n), linspace(0, 1, n)\n")
+    assert linspace_calls(source) == ["<module>", "f", "g"]
+
+
+def test_every_grid_comes_from_the_memo():
+    # scan.linspace builds and memoises every grid; the two refinement grids of
+    # integral._survival_grid depend on the values found, so they are not shared
+    calls = sorted(f"{path.stem}.{owner}" for path in MODULES
+                   for owner in linspace_calls(path.read_text()))
+    assert calls == ["integral._survival_grid"] * 2 + ["scan._read_only_linspace"]

@@ -258,6 +258,48 @@ def test_every_grid_refuses_a_step_that_is_not_a_finite_positive_number(step):
             call()
 
 
+# (lo, hi, step, least) in call order: each -0.0 endpoint follows the same
+# grid with +0.0, which lru_cache alone would take for the same key
+_AXES = [(0.0, 1.0, 0.05, 1), (-0.0, 1.0, 0.05, 1), (0, 1, 0.05, 1), (0.0, 1.0, 0.3, 1),
+         (0.0, 1.0, 0.7, 0), (0.0, 1.0, 0.7, 2), (0.25, 0.75, 0.01, 2), (-1.0, 0.0, 0.25, 1),
+         (-1.0, -0.0, 0.25, 1), (0, 3, 1, 1), (0.0, 3.0, 1, 1), (0.0, 1e6, 250.0, 0),
+         (0.0, 0.0, 0.1, 2), (-0.0, 0.0, 0.1, 2), (0.0, 1.0, 1.0 / 4095, 1),
+         (0.0, 1.0, 1.0 / 4096, 1)]
+
+
+def test_axis_is_read_only_linspace_bit_for_bit():
+    for lo, hi, step, least in _AXES:
+        grid = scan_module.axis(lo, hi, step, least)
+        want = np.linspace(lo, hi, max(int(round((hi - lo) / step)), least) + 1)
+        assert grid.dtype == want.dtype and np.array_equal(grid.view(np.int64),
+                                                           want.view(np.int64)), (lo, hi)
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.5
+        assert (scan_module.axis(lo, hi, step, least) is grid) == (
+            len(grid) <= scan_module._MEMO_POINTS), (lo, hi, step)
+
+
+def test_cd_samples_are_read_only():
+    for domain in (chebint.cd_values([0.5, 0.0, 1.0]), chebint.cd_interval(0.0, 1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            domain.sample(0.1)[0] = 0.5
+
+
+def test_the_grid_memo_stays_within_its_bound():
+    info = scan_module._memo_linspace.cache_info()
+    assert info.maxsize * (scan_module._MEMO_POINTS + 1) * 8 <= 4.2e6  # about 4 MB
+    for n in range(2, 2 + 2 * info.maxsize):
+        scan_module.linspace(0.0, 1.0, n)
+    assert scan_module._memo_linspace.cache_info().currsize == info.maxsize
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 1e-9])
+def test_a_refused_grid_is_refused_on_every_call(step):
+    for _ in range(2):
+        with pytest.raises(scan_module.GridError, match=f"^grid step {step} "):
+            scan_module.axis(0.0, 1.0, step)
+
+
 def test_violated_leq_min_builds_no_index_array():
     # max(a, b) > min(a, b) at half the 1001^2 points of h = 1e-3.  Only the
     # first flagged point is looked up: the op table, the cap, cap + TOL and
