@@ -491,10 +491,15 @@ class PipelineReport:
         return all(s.status == "pass" for s in self.stages[:-1])
 
 
-def _stage(name, verdict: Verdict, fail="fail") -> Stage:
-    """The stage of a verdict: pass when it holds, ``fail`` when it is
-    violated, else hypothesis-failed.  Its detail is the witness, else the
-    verdict's detail, else its warnings."""
+def _stage(name, check, fail="fail", refused=HypothesisError) -> Stage:
+    """The stage ``check()`` decides: pass when it returns None (a hypothesis
+    that can only raise) or a verdict that holds, ``fail`` for a violated one,
+    else hypothesis-failed, its detail the witness, else the verdict's detail,
+    else its warnings.  An error in ``refused`` is hypothesis-failed, with its message."""
+    try:
+        verdict = check() or Verdict("holds")
+    except refused as exc:
+        return Stage(name, "hypothesis-failed", str(exc))
     status = ("pass" if verdict.holds else fail if verdict.status == "violated"
               else "hypothesis-failed")
     return Stage(name, status, f"witness {verdict.witness}" if verdict.witness
@@ -520,23 +525,20 @@ def theorem1_forward(cfg: InequalityConfig, m: MonotoneMeasure,
     passing hypothesis stages is a contradiction event (bug or misdeclared
     flag), surfaced via `contradiction`.
     """
-    stages = []
     cfg = replace(cfg, cd_domain=cd_values(m.value_range()))
-    try:
+
+    def hypotheses():
         cfg.validate()
         if not cfg.outer.left_continuous_in_first or not cfg.outer.left_continuous_in_second:
             raise HypothesisError(f"outer operation {cfg.outer.name!r} must be declared left-continuous")
-        stages.append(Stage("config-hypotheses", "pass"))
-    except HypothesisError as exc:
-        stages.append(Stage("config-hypotheses", "hypothesis-failed", str(exc)))
-    try:
-        query = DependenceQuery(m, f, g, A, B, cfg.triangle, cfg.k, allow_range_escape=True)
-        stages.append(_stage("m-positive-dependence", is_m_positively_dependent(query)))
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        stages.append(Stage("m-positive-dependence", "hypothesis-failed", str(exc)))
-    stages.append(_stage("scalar-condition", check_scalar_condition(cfg, grid_step)))
+
+    stages = (  # any error of the dependence decision is reported, not raised
+        _stage("config-hypotheses", hypotheses),
+        _stage("m-positive-dependence", lambda: is_m_positively_dependent(DependenceQuery(
+            m, f, g, A, B, cfg.triangle, cfg.k, allow_range_escape=True)), refused=Exception),
+        _stage("scalar-condition", lambda: check_scalar_condition(cfg, grid_step)))
     stage, outcome = _integral_stage(cfg, m, f, g, A, B)
-    return PipelineReport(tuple(stages) + (stage,), outcome)
+    return PipelineReport(stages + (stage,), outcome)
 
 
 def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A: int,
@@ -549,41 +551,38 @@ def sugeno_chebyshev(m: MonotoneMeasure, f: SimpleFunction, g: SimpleFunction, A
     """
     phi1, phi2, phi3 = phis
     psi1, psi2, psi3 = psis
-    stages = []
-    stages.append(_stage("star-leq-min", leq_min(star, grid_step), fail="hypothesis-failed"))
-    try:
+
+    def tops_equal():
         tops = [p.apply(min(y_bar, p.domain[1])) for p in phis]
         if abs(tops[0] - tops[1]) > TOL or abs(tops[0] - tops[2]) > TOL:
             raise HypothesisError(f"phi tops differ: {tops}")
-        stages.append(Stage("phi-tops-equal", "pass"))
-    except HypothesisError as exc:
-        stages.append(Stage("phi-tops-equal", "hypothesis-failed", str(exc)))
-    try:
+
+    def psi1_dominates():
         for j, psij in ((2, psi2), (3, psi3)):
             lo = max(psi1.domain[0], psij.domain[0])
             hi = min(psi1.domain[1], psij.domain[1])
             xs = axis(lo, hi, grid_step)
             if (bad := first_flagged(psi1.apply(xs) < psij.apply(xs) - TOL)) is not None:
                 raise HypothesisError(f"psi1 < psi{j} at x={float(xs[bad])}")
-        stages.append(Stage("psi1-dominates", "pass"))
-    except HypothesisError as exc:
-        stages.append(Stage("psi1-dominates", "hypothesis-failed", str(exc)))
-    try:
+
+    def sandwich():
         xs = axis(0.0, y_bar, grid_step)
         if (bad := first_flagged(psi1.apply(phi1.apply(xs)) < xs - TOL)) is not None:
             raise HypothesisError(f"psi1(phi1(x)) < x at x={float(xs[bad])}")
         for j, phij, psij in ((2, phi2, psi2), (3, phi3, psi3)):
             if (bad := first_flagged(psij.apply(phij.apply(xs)) > xs + TOL)) is not None:
                 raise HypothesisError(f"psi{j}(phi{j}(x)) > x at x={float(xs[bad])}")
-        stages.append(Stage("sandwich", "pass"))
-    except HypothesisError as exc:
-        stages.append(Stage("sandwich", "hypothesis-failed", str(exc)))
-    stages.append(_stage("comonotonicity", is_comonotone(f, g, A)))
+
+    stages = (
+        _stage("star-leq-min", lambda: leq_min(star, grid_step), fail="hypothesis-failed"),
+        _stage("phi-tops-equal", tops_equal),
+        _stage("psi1-dominates", psi1_dominates),
+        _stage("sandwich", sandwich),
+        _stage("comonotonicity", lambda: is_comonotone(f, g, A)))
     mn = min_op(y_bar=y_bar)
-    cfg = config(star, star, (mn, mn, mn), mn, phis, psis,
-                 k=y_bar, y_bar=y_bar, cd_domain=cd_values(m.value_range()))
+    cfg = config(star, star, (mn, mn, mn), mn, phis, psis, k=y_bar, y_bar=y_bar)
     stage, outcome = _integral_stage(cfg, m, f, g, A, A)
-    return PipelineReport(tuple(stages) + (stage,), outcome)
+    return PipelineReport(stages + (stage,), outcome)
 
 
 def liapunov_check(m: MonotoneMeasure, f: SimpleFunction, A: int,
@@ -606,21 +605,19 @@ def any_functions_check(cfg: InequalityConfig, m: MonotoneMeasure, trials=200,
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials must be a positive count, got {trials!r}")
-    stages = []
-    if replace(cfg.outer, name=cfg.inner.name) != cfg.inner:  # names aside, as operations
-        stages.append(Stage("outer-equals-inner", "hypothesis-failed",
-                            "this pipeline requires outer = inner"))
-    else:
-        stages.append(Stage("outer-equals-inner", "pass"))
-    try:
-        stages.append(_stage("measure-supports-all-pairs",
-                             measure_supports_all_pairs(m, cfg.triangle, allow_range_escape=True)))
-    except Exception as exc:  # noqa: BLE001
-        stages.append(Stage("measure-supports-all-pairs", "hypothesis-failed", str(exc)))
-    stages.append(_stage("scalar-condition", check_scalar_condition(
-        replace(cfg, cd_domain=cd_values(m.value_range())), grid_step)))
+
+    def outer_equals_inner():
+        if replace(cfg.outer, name=cfg.inner.name) != cfg.inner:  # names aside, as operations
+            raise HypothesisError("this pipeline requires outer = inner")
+
+    stages = (  # any error of the measure-level decision is reported, not raised
+        _stage("outer-equals-inner", outer_equals_inner),
+        _stage("measure-supports-all-pairs", lambda: measure_supports_all_pairs(
+            m, cfg.triangle, allow_range_escape=True), refused=Exception),
+        _stage("scalar-condition", lambda: check_scalar_condition(
+            replace(cfg, cd_domain=cd_values(m.value_range())), grid_step)))
     stage, outcome = _random_trials(cfg, m, trials, seed)
-    return PipelineReport(tuple(stages) + (stage,), outcome)
+    return PipelineReport(stages + (stage,), outcome)
 
 
 # A batched trial goes to the scalar check when its margin lhs - (rhs - TOL)
@@ -784,8 +781,10 @@ def q_corollary_condition(conj: FusionOp, phis, star: FusionOp, grid_step=0.01) 
 def search_counterexample(cfg: InequalityConfig, grid_step=0.01, budget=5_000_000):
     """Coarse-to-fine scan for a scalar-condition witness within a point budget.
 
-    Returns the first (lexicographic) witness found on the finest grid the
-    budget and the grid limit allowed, or None.
+    Returns the first (lexicographic) witness of the coarsest step that finds
+    one, or None.  A later step runs only while the points spent stay within
+    the budget and its grid within the limit; the first step runs even past
+    the budget, so ``grid_step=0.01, budget=1`` scans h = 0.25 alone.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

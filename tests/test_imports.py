@@ -96,22 +96,34 @@ def test_the_readme_op_names_list_the_scenario_flags():
     assert not [f.name for f in fields(ShapeFunction) if type(f.default) is bool]
 
 
-def linspace_calls(source):
-    """The functions of ``source`` that call ``np.linspace``, once per call, sorted."""
+def call_owners(source, wanted):
+    """The functions of ``source`` that make a call whose callee ``wanted``
+    accepts, once per call, sorted; ``<module>`` for a call at the top level."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "linspace"
-                    and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in ("np", "numpy")):
+            if isinstance(child, ast.Call) and wanted(child.func):
                 found.append(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                   else owner)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def linspace_calls(source):
+    """The functions of ``source`` that call ``np.linspace``, once per call, sorted."""
+    return call_owners(source, lambda func: isinstance(func, ast.Attribute)
+                       and func.attr == "linspace" and isinstance(func.value, ast.Name)
+                       and func.value.id in ("np", "numpy"))
+
+
+def stage_calls(source):
+    """The functions of ``source`` that call ``Stage`` or ``<module>.Stage``,
+    once per call, sorted."""
+    return call_owners(source, lambda func: (isinstance(func, ast.Name) and func.id == "Stage")
+                       or (isinstance(func, ast.Attribute) and func.attr == "Stage"))
 
 
 def test_linspace_calls_are_found():
@@ -127,3 +139,18 @@ def test_every_grid_comes_from_the_memo():
     calls = sorted(f"{path.stem}.{owner}" for path in MODULES
                    for owner in linspace_calls(path.read_text()))
     assert calls == ["integral._survival_grid"] * 2 + ["scan._read_only_linspace"]
+
+
+def test_stage_calls_are_found():
+    source = ("s = Stage('a', 'pass')\n"
+              "def f():\n    def g():\n        return chebyshev.Stage('b', 'fail')\n"
+              "    return Stage, Stages('c'), [Stage(n, 'pass') for n in 'de']\n")
+    assert stage_calls(source) == ["<module>", "f", "g"]
+
+
+def test_every_stage_comes_from_the_stage_rule():
+    # a pipeline builds each check's stage through chebyshev._stage; only the
+    # two closing stages, which also give an outcome, build their own
+    owners = {f"{path.stem}.{owner}" for path in MODULES for owner in stage_calls(path.read_text())}
+    assert sorted(owners) == ["chebyshev._integral_stage", "chebyshev._random_trials",
+                              "chebyshev._stage"]
