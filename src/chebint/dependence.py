@@ -153,7 +153,7 @@ def measure_supports_all_pairs(m: MonotoneMeasure, tri: FusionOp,
     """
     blocks = _pair_blocks(m, rows=(1 << m.space.n) if tri.kind == "expr" else None)
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
-    tab = np.asarray(m.table)
+    tab = m.values
     for c, d in blocks:
         inter = tab[c & d]
         combo = apply_op(tri, tab[c], tab[d])
@@ -174,7 +174,7 @@ def condition_Z1(m: MonotoneMeasure, tri: FusionOp,
         raise MeasureError(f"exhaustive realization search refused for n > {MAX_SCAN_ATOMS}")
     warnings = _range_escape_warnings(m, tri, allow_range_escape)
     rng = m.value_range()
-    tab = np.asarray(m.table)
+    tab = m.values
     by_value = {c: np.flatnonzero(np.abs(tab - c) <= EQ_TOL) for c in rng}
     for c in rng:
         cs = by_value[c]

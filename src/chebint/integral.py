@@ -143,12 +143,10 @@ def _integrate_rows(op: FusionOp, m: MonotoneMeasure, D, vals):
 
     Each row's level walk is one stable descending sort of its atoms, those
     of D first, and its level masks the running OR of their bits, so every
-    mask lies in D and the last is D.  The measure is read at the masks the
-    rows reach, or whole when its table has no more entries than that.  It
-    raises wherever a row's scalar integral raises, and may raise where none
-    does.  The values are the scalar ones up to the sign of a zero, and for
-    an expression operation up to the last bit, where numpy's power and
-    libm's pow round differently.
+    mask lies in D and the last is D.  It raises wherever a row's scalar
+    integral raises, and may raise where none does.  The values are the
+    scalar ones up to the sign of a zero, and for an expression operation
+    up to the last bit, where numpy's power and libm's pow round differently.
     """
     if not op.non_decreasing:
         raise IntegralError(f"operation {op.name!r} must be declared non-decreasing")
@@ -167,13 +165,7 @@ def _integrate_rows(op: FusionOp, m: MonotoneMeasure, D, vals):
     in_walk = in_d.take(walk)
     ends = in_walk & (level > 0)
     ends[:, :-1] &= (level[:, :-1] != level[:, 1:]) | ~in_walk[:, 1:]
-    table = m.table
-    if len(table) <= masks.size:  # a table no larger than the block's lookups is read whole
-        measure = np.array(table)[masks]
-    else:
-        measure = np.fromiter(map(table.__getitem__, masks.ravel().tolist()), float,
-                              masks.size).reshape(masks.shape)
-    measure = clip_args(op, measure)
+    measure = clip_args(op, m.values[masks])
     # the values need no check: they lie in [0, bound], and the bound was checked
     terms = apply_op(op, np.minimum(level, op.y_bar), measure)
     return np.maximum(terms.max(axis=1, where=ends, initial=eval_op(op, op.y_bar, 0.0)),
@@ -190,7 +182,7 @@ def oracle_grid_integral(op: FusionOp, m: MonotoneMeasure, D: int, f: SimpleFunc
     masks = np.zeros(ts.shape, dtype=np.int64)
     for i in m.space.atoms_of(D):  # the atom is in {f >= t} for the grid's t up to f(i)
         masks[:int(np.searchsorted(ts, f.values[i], "right"))] += 1 << i
-    return float(np.max(apply_op(op, ts, np.asarray(m.table)[masks])))
+    return float(np.max(apply_op(op, ts, m.values[masks])))
 
 
 def q_integral(conj: FusionOp, m: MonotoneMeasure, f: SimpleFunction) -> IntegralResult:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 import numpy as np
@@ -70,6 +70,13 @@ class MonotoneMeasure:
     def __call__(self, mask: int) -> float:
         return self.table[mask]
 
+    @cached_property
+    def values(self):
+        """The table as a read-only float64 array, built on first read; not a field."""
+        arr = np.fromiter(self.table, float, len(self.table))
+        arr.flags.writeable = False
+        return arr
+
     @property
     def is_capacity(self):
         return abs(self.table[self.space.full_mask] - 1.0) <= EQ_TOL
@@ -82,13 +89,9 @@ class MonotoneMeasure:
         """
         vals = sorted(self.table)
         if len(vals) >= _VECTOR_MIN:
-            # the gaps come from a copy sorted in place: reading the floats
-            # in sorted order instead would miss the cache at every value
-            arr = np.fromiter(self.table, float, len(vals))
-            arr.sort()
-            gaps = np.diff(arr)
+            gaps = np.diff(np.sort(self.values))
             wide, flat = gaps > EQ_TOL, gaps == 0.0
-            del arr, gaps  # freed before the result tuple is built
+            del gaps  # freed before the result tuple is built
             if wide.all():
                 return tuple(vals)
             if np.all(wide | flat):
@@ -267,21 +270,21 @@ def _pair_blocks(m: MonotoneMeasure, symmetric=False, rows=None):
 
 def is_minitive(m: MonotoneMeasure) -> bool:
     """m(C & D) == min(m(C), m(D)) for all set pairs."""
-    tab = np.asarray(m.table)
+    tab = m.values
     return all(np.all(np.abs(tab[c & d] - np.minimum(tab[c], tab[d])) <= EQ_TOL)
                for c, d in _pair_blocks(m, symmetric=True))
 
 
 def is_subadditive(m: MonotoneMeasure) -> bool:
     """m(C | D) <= m(C) + m(D) for all set pairs."""
-    tab = np.asarray(m.table)
+    tab = m.values
     return all(np.all(tab[c | d] <= tab[c] + tab[d] + EQ_TOL)
                for c, d in _pair_blocks(m, symmetric=True))
 
 
 def is_supermodular(m: MonotoneMeasure) -> bool:
     """m(C | D) + m(C & D) >= m(C) + m(D) for all set pairs."""
-    tab = np.asarray(m.table)
+    tab = m.values
     return all(np.all(tab[c | d] + tab[c & d] >= tab[c] + tab[d] - EQ_TOL)
                for c, d in _pair_blocks(m, symmetric=True))
 

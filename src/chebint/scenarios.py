@@ -336,6 +336,8 @@ def _run_integrate(data, grid_step, seed, budget, tolerance):
                 res = integrate_simple(op, m, D, f)
         if not isinstance(name := _key(item, "name", path), str):
             raise ScenarioError(f"{path}.name must be a string, got {name!r}")
+        if name in results:
+            raise ScenarioError(f"{path}.name {name!r} is given to an earlier integral")
         results[name] = {"value": res.value, "method": res.method}
     report = {"integrals": results, "verdict": "computed"}
     if "equality" in data:
@@ -561,6 +563,8 @@ def _load_blocks(text):
     data = json.loads(text)
     if not isinstance(data, list):
         return [_object(data, "scenario")]
+    if not data:
+        raise ScenarioError("scenario file holds an empty list, no scenario")
     return [_object(block, f"scenario[{i}]") for i, block in enumerate(data)]
 
 

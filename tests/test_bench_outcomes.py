@@ -6,12 +6,15 @@ every grid-scan op.  The benchmark checks them at h = 0.05, 0.02 and 0.01;
 here each h = 0.05 and 0.02 op, each h = 0.01 op that stops at its first
 witness (about a millisecond each), the h = 0.01 c1 and dominates scans
 that hold, and both budgeted searches (about 10 ms together) are run and
-checked with the benchmark's own ``check_recorded``.  The files under
-``bench/`` are only read.
+checked with the benchmark's own ``check_recorded``.  The atom-scale ops on
+at most 12 atoms (set-up and all about half a second) go through their own
+checks: the table and range references, the grid oracle and the expected
+verdicts.  The files under ``bench/`` are only read.
 """
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,3 +51,21 @@ def test_both_steps_of_every_scan_are_replayed():
 @pytest.mark.parametrize("label, run", SPECS, ids=[label for label, _ in SPECS])
 def test_grid_scan_outcome_matches_the_record(label, run):
     assert WORKLOADS.check_recorded(run(), RECORDED[label]) is None
+
+
+def atoms(op):
+    """The atom count n of an atom-scale op, from the ``.n<n>`` that ends its kind."""
+    return int(re.fullmatch(r".*\.n(\d+)", op.kind)[1])
+
+
+# the n = 16 and 20 tables are built but not run: their ops take about 0.5 s
+ATOM_OPS = [op for op in WORKLOADS.atom_scale(1).ops if atoms(op) <= 12]
+
+
+def test_the_atom_scale_ops_up_to_twelve_atoms_are_replayed():
+    assert len(ATOM_OPS) == 50 and sorted({atoms(op) for op in ATOM_OPS}) == [4, 6, 7, 8, 10, 12]
+
+
+@pytest.mark.parametrize("op", ATOM_OPS, ids=[op.kind for op in ATOM_OPS])
+def test_atom_scale_outcome_passes_its_check(op):
+    assert op.check(op.run()) is None

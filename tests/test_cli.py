@@ -485,6 +485,10 @@ _EXIT_TWO = {
                                  lambda d: d["integrals"][1].update(
                                      op={"builtin": "min", "y_bar": "2"}),
                                  "integrals[1].op.y_bar must be a number, got '2'"),
+    # the later integral used to replace the earlier one in the report (exit 0)
+    "integrate-repeated-name": ("minitive-sugeno-values", "integrate",
+                                lambda d: d["integrals"][1].update(name="product_fg"),
+                                "integrals[1].name 'product_fg' is given to an earlier integral"),
     "survival-string-y-bar": ("minitive-sugeno-values", "integrate",
                               lambda d: d["integrals"][0]["survival"].update(y_bar="1"),
                               "integrals[0].survival.y_bar must be a number, got '1'"),
@@ -765,6 +769,8 @@ _EXIT_TWO = {
 
 @pytest.mark.parametrize("content, needle", [
     ("5", "error: scenario must be an object, got 5"),
+    # an empty list used to print nothing and exit 0, which reads as "holds"
+    ("[]", "error: scenario file holds an empty list, no scenario"),
     ("[5]", "error: scenario[0] must be an object, got 5"),
     ('[{"kind": "integrate", "integrals": []}, "x"]',
      "error: scenario[1] must be an object, got 'x'")])

@@ -141,6 +141,46 @@ def test_every_grid_comes_from_the_memo():
     assert calls == ["integral._survival_grid"] * 2 + ["scan._read_only_linspace"]
 
 
+def table_conversions(source):
+    """The functions of ``source`` that pass an expression holding a ``.table``
+    attribute to ``np.asarray``, ``np.array`` or ``np.fromiter``, once per
+    call, sorted; ``<module>`` for a call at the top level."""
+    def converter(func):
+        return (isinstance(func, ast.Attribute) and func.attr in ("asarray", "array", "fromiter")
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and converter(child.func) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "table"
+                    for arg in child.args for sub in ast.walk(arg)):
+                found.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_table_conversions_are_found():
+    source = ("import numpy as np\nt = np.asarray(m.table)\n"
+              "def f(m, table):\n"
+              "    def g():\n        return np.fromiter(map(m.table.__getitem__, [0]), float)\n"
+              "    return (np.array(m.table, dtype=float), np.sort(m.values), np.asarray(table),\n"
+              "            list(m.table), np.array(table.tolist()))\n")
+    assert table_conversions(source) == ["<module>", "f", "g"]
+
+
+def test_only_the_measure_view_converts_a_table():
+    # MonotoneMeasure.values builds a measure's one float64 array; every other
+    # numpy reader of the table reads that view
+    owners = sorted(f"{path.stem}.{owner}" for path in SRC.glob("*.py")
+                    for owner in table_conversions(path.read_text()))
+    assert owners == ["measure.values"]
+
+
 def test_stage_calls_are_found():
     source = ("s = Stage('a', 'pass')\n"
               "def f():\n    def g():\n        return chebyshev.Stage('b', 'fail')\n"

@@ -1,4 +1,5 @@
 import operator
+import struct
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,24 @@ class TestFromTable:
     def test_value_range_dedups(self, two_atoms):
         m = from_table(two_atoms, [0.0, 0.4, 0.4, 1.0])
         assert m.value_range() == (0.0, 0.4, 1.0)
+
+    def test_values_is_one_read_only_float64_view_of_the_table(self, two_atoms):
+        m = from_table(two_atoms, [-0.0, 0.9, 0.0, 1.0])
+        values = m.values
+        assert values.dtype == np.float64 and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[1] = 0.5
+        # bit for bit: -0.0 == 0.0, so the values alone would not tell them apart
+        bits = [struct.unpack("=q", struct.pack("=d", v))[0] for v in m.table]
+        assert values.view(np.int64).tolist() == bits
+        assert np.signbit(values).tolist() == [True, False, False, False]
+        assert m.values is values
+
+    def test_values_leaves_equality_and_hash_alone(self, two_atoms):
+        built, twin = (from_table(two_atoms, [0.0, 0.9, 0.0, 1.0]) for _ in range(2))
+        built.values  # builds the view on one of the two
+        assert "values" in vars(built) and "values" not in vars(twin)
+        assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
 
 
 class TestNecessity:
