@@ -646,13 +646,16 @@ def _random_trials(cfg, m, trials, seed):
     values = np.empty((_TRIAL_BLOCK, 2 * n))
     masks = np.empty((_TRIAL_BLOCK, 2), dtype=np.int64)
     failures, first, outcome = 0, None, None
+    rng.uniform(0.0, cfg.k, 0)  # refuses the k that uniform refuses; draws nothing
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
         for t in range(count):
             # one draw of both functions' values gives what a draw per function
             # gives; the masks keep a scalar draw each, cheaper than one sized draw
-            values[t] = rng.uniform(0.0, cfg.k, 2 * n)
+            rng.random(out=values[t])
             masks[t] = rng.integers(1, top), rng.integers(1, top)
+        # uniform(0, k) draws 0 + k*u, which is k*u bit for bit for k > 0
+        np.multiply(values[:count], cfg.k, out=values[:count])
         try:
             keep = _trial_margins(cfg, m, values[:count], masks[:count])
         except Exception:  # noqa: BLE001 - the scalar check raises the error it means

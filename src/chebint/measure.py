@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -77,6 +78,9 @@ class MonotoneMeasure:
         arr.flags.writeable = False
         return arr
 
+    def __getstate__(self):  # a pickle or copy builds its own read-only view
+        return {"space": self.space, "table": self.table}
+
     @property
     def is_capacity(self):
         return abs(self.table[self.space.full_mask] - 1.0) <= EQ_TOL
@@ -123,6 +127,8 @@ def from_table(sp: FiniteSpace, entries) -> MonotoneMeasure:
         if missing:
             raise MeasureError(f"missing mask {missing[0]} in measure table")
         entries = [entries[m] for m in range(size)]
+    elif isinstance(entries, Iterator):  # read once, so the error path can read it again
+        entries = list(entries)
     try:
         table = list(map(float, entries))
     except (TypeError, ValueError, OverflowError):

@@ -731,8 +731,20 @@ def random_trials_reference(cfg, m, trials, seed):
                  + (f", first {first}" if first else "")), outcome
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_batched_draws_match_the_per_call_loop(n):
+def per_call_draws(k, n, trials, seed):
+    """The rows (f, g) and masks (A, B) of ``random_trials_reference``'s first
+    ``trials`` trials."""
+    rng = np.random.default_rng(seed)
+    rows, masks = [], []
+    for _ in range(trials):
+        rows.append(np.concatenate((rng.uniform(0.0, k, n), rng.uniform(0.0, k, n))))
+        masks.append((int(rng.integers(1, 1 << n)), int(rng.integers(1, 1 << n))))
+    return np.array(rows).reshape(trials, 2 * n), np.array(masks, dtype=np.int64).reshape(-1, 2)
+
+
+# 257 and 513 trials end one row into a second and a third block
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 20])
+def test_batched_draws_match_the_per_call_loop(n, monkeypatch):
     sp = space(*[f"w{i}" for i in range(n)])
     m = random_monotone_measure(np.random.default_rng(n), sp, capacity=True)
     mn, w = min_op(), lukasiewicz_op()
@@ -742,21 +754,47 @@ def test_batched_draws_match_the_per_call_loop(n):
                (power_shape(0.5),) * 3),
         config(mn, mn, (mn, mn, mn), mn, (shape("narrow", "x", domain=(0.0, 0.5)),) * 3,
                identity_triple()))
+    blocks = []  # the rows and masks of every block drawn, as the array pass saw them
+    margins = chebyshev._trial_margins
+    monkeypatch.setattr(chebyshev, "_trial_margins", lambda cfg, m, values, masks: (
+        blocks.append((values.copy(), masks.copy())) or margins(cfg, m, values, masks)))
     for cfg in configs:
-        for k, seed, trials in ((0.7, 0, 1), (0.7, 3, 25), (1.0, 7, 40), (0.35, 11, 8)):
+        for k, seed, trials in ((0.7, 0, 1), (0.7, 3, 25), (1.0, 7, 40), (0.35, 11, 8),
+                                (0.3, 2, 257), (1e-3, 17, 513)):
             cfg = replace(cfg, k=k)
-            report = any_functions_check(cfg, m, trials=trials, seed=seed, grid_step=0.1)
-            stage, outcome = random_trials_reference(cfg, m, trials, seed)
-            assert repr(report) == repr(PipelineReport(report.stages[:-1] + (stage,), outcome))
+            blocks.clear()
+            stage, outcome = chebyshev._random_trials(cfg, m, trials, seed)
+            assert repr((stage, outcome)) == repr(
+                random_trials_reference(cfg, m, trials, seed)), (k, seed, trials)
+            values, masks = (np.concatenate(part) for part in zip(*blocks))
+            want_values, want_masks = per_call_draws(k, n, len(values), seed)
+            # a refusal stops after its block; -0.0 and 0.0 tell apart by their bits
+            assert len(values) == trials or stage.status == "hypothesis-failed"
+            assert values.view(np.int64).tolist() == want_values.view(np.int64).tolist()
+            assert masks.tolist() == want_masks.tolist()
+
+
+# numpy's uniform(0, k) refuses a k whose range is not finite or is negative;
+# the trials refuse it with the same error, before any trial is checked
+@pytest.mark.parametrize("k", [math.inf, math.nan, -1.0])
+def test_a_k_that_uniform_refuses_is_refused_as_the_per_call_loop_refuses_it(k):
+    mn = min_op()
+    cfg = replace(config(mn, mn, (mn, mn, mn), mn, identity_triple(), identity_triple()), k=k)
+    m = from_table(space("w1", "w2"), [0.0, 0.5, 0.5, 1.0])
+    with pytest.raises((OverflowError, ValueError)) as want:
+        random_trials_reference(cfg, m, 3, 0)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        chebyshev._random_trials(cfg, m, 3, 0)
 
 
 _DEFAULT_RNG = np.random.default_rng
 
 
 class _CoarseRng:
-    """``np.random.default_rng(seed)`` with its uniform draws on [0, hi]
-    rounded to multiples of ``1 / steps`` (at most hi), and half of the
-    zeros negated, so that ties, -0.0 and exact equalities occur."""
+    """``np.random.default_rng(seed)`` with its draws on [0, 1) rounded to
+    multiples of ``1 / steps`` (at most 1), and half of the zeros negated,
+    so that ties, -0.0 and exact equalities occur.  ``uniform(0, hi)`` is
+    ``hi`` times such a draw, as the trials scale theirs."""
 
     steps = 4
 
@@ -764,9 +802,15 @@ class _CoarseRng:
         self._rng = _DEFAULT_RNG(seed)
         self.integers = self._rng.integers
 
+    def random(self, size=None, out=None):
+        out = self._rng.random(size, out=out)
+        scaled = out * self.steps
+        out[...] = np.where(scaled < 0.25, -0.0, np.minimum(np.round(scaled) / self.steps, 1.0))
+        return out
+
     def uniform(self, lo, hi, size):
-        scaled = self._rng.uniform(lo, hi, size) * self.steps
-        return np.where(scaled < 0.25, -0.0, np.minimum(np.round(scaled) / self.steps, hi))
+        assert lo == 0.0
+        return hi * self.random(size)
 
 
 _JUMP = shape("jump", "piecewise{[0, 0.5): 0.5*x; [0.5, inf): x}", domain=(0.0, 1.0))

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import struct
 import tracemalloc
 
@@ -54,6 +56,15 @@ class TestFromTable:
         with pytest.raises(MeasureError):
             from_table(two_atoms, [0.1, 0.9, 0.2, 1.0])
 
+    # a generator was read twice: the error path found it consumed and the
+    # bare ValueError of float('x') escaped
+    @pytest.mark.parametrize("wrap", [list, tuple, iter, lambda vs: (v for v in vs)])
+    def test_a_non_number_is_named_however_the_entries_come(self, two_atoms, wrap):
+        with pytest.raises(MeasureError, match=r"^measure value m\(\('a1',\)\) at mask 1 "
+                                               r"is not a number: 'x'$"):
+            from_table(two_atoms, wrap([0.0, "x", 0.5, 1.0]))
+        assert from_table(two_atoms, wrap([0.0, 0.3, 0.5, 1.0])).table == (0.0, 0.3, 0.5, 1.0)
+
     def test_value_range_dedups(self, two_atoms):
         m = from_table(two_atoms, [0.0, 0.4, 0.4, 1.0])
         assert m.value_range() == (0.0, 0.4, 1.0)
@@ -75,6 +86,18 @@ class TestFromTable:
         built.values  # builds the view on one of the two
         assert "values" in vars(built) and "values" not in vars(twin)
         assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+
+    # a copy carried the built view over, writeable: writing to it left the
+    # table, and so equality, as they were
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                       copy.copy, copy.deepcopy])
+    def test_a_copy_builds_its_own_read_only_view(self, two_atoms, clone):
+        m = from_table(two_atoms, [-0.0, 0.3, 0.5, 1.0])
+        m.values  # built before the copy
+        twin = clone(m)
+        assert "values" not in vars(twin) and twin == m
+        assert not twin.values.flags.writeable and twin.values is not m.values
+        assert twin.values.view(np.int64).tolist() == m.values.view(np.int64).tolist()
 
 
 class TestNecessity:
